@@ -5,13 +5,11 @@ terms ``E_i(d)``; their union is the document annotation ``I(d)``.  The
 pass also records the original database's term statistics, which Step 3
 compares against the contextualized database.
 
-With ``ParallelConfig.columnar`` (the default) the pass runs on the
-columnar data plane (:mod:`repro.core.columnar`): chunk workers memoize
-the pure text functions, the statistics fold into an id-indexed
-:class:`~repro.core.columnar.ColumnarVocabulary` plus per-document id
-columns, and process-pool extraction reads the background statistics
-from a shared read-only memory segment.  Output is byte-identical with
-the plane on or off.
+The pass runs on the columnar data plane (:mod:`repro.core.columnar`):
+chunk workers memoize the pure text functions, the statistics fold into
+an id-indexed :class:`~repro.core.columnar.ColumnarVocabulary` plus
+per-document id columns, and process-pool extraction reads the
+background statistics from a shared read-only memory segment.
 """
 
 from __future__ import annotations
@@ -90,7 +88,8 @@ class AnnotatedDatabase:
     term_sets: dict[str, set[str]] = field(default_factory=dict)
     """doc_id -> normalized original terms (for df computations)."""
     columns: DocumentColumns | None = None
-    """Columnar view of per-document normalized term ids (columnar runs)."""
+    """Columnar view of per-document normalized term ids (None only for
+    databases assembled outside :func:`annotate_database`)."""
 
     def important(self, doc_id: str) -> list[str]:
         """Important terms ``I(d)`` of one document."""
@@ -98,7 +97,8 @@ class AnnotatedDatabase:
 
 
 def _stats_chunk(documents: list[Document]) -> list[tuple[str, list[str]]]:
-    """Per-chunk worker for the statistics pass: normalized terms per doc.
+    """Per-chunk statistics worker of the incremental path: normalized
+    terms per doc.
 
     Normalization routes through :mod:`repro.text.interning`, so under
     an active memo each distinct surface form pays the regex once per
@@ -148,7 +148,7 @@ def _columnar_document_terms(document: Document, memo: TextMemo) -> list[str]:
 def _columnar_stats_chunk(
     documents: list[Document],
 ) -> list[tuple[str, list[str]]]:
-    """Statistics worker of the columnar plane: no normalization pass.
+    """Statistics worker of the batch pass: no normalization pass.
 
     :func:`document_terms` emits lower-cased single tokens and
     space-joined lower-cased token n-grams — every one a fixed point of
@@ -193,7 +193,7 @@ def merge_important(outputs: Iterable[list[str]]) -> list[str]:
 
 
 def _columnar_worker_init(segment_name: str | None = None) -> None:
-    """Pool initializer for columnar runs: memo + optional segment.
+    """Pool initializer of process-backed extraction: memo + segment.
 
     Arms the worker's persistent text memo and, when the extraction pass
     published the background vocabulary as a shared segment, pre-attaches
@@ -234,13 +234,11 @@ def annotate_database(
     serial path uses and the results are folded in document order, so
     the output is bit-for-bit identical at every worker count.
 
-    With ``parallel.columnar`` the statistics fold into an id-indexed
-    columnar vocabulary plus per-document id columns, chunk workers
-    memoize the pure text functions, and a process-backed extraction
-    pass reads the background statistics from a shared read-only
-    segment (falling back to pickling when shared memory is
-    unavailable).  All of it is representation only — the returned
-    database is byte-identical to the dict-of-strings path.
+    The statistics fold into an id-indexed columnar vocabulary plus
+    per-document id columns, chunk workers memoize the pure text
+    functions, and a process-backed extraction pass reads the background
+    statistics from a shared read-only segment (falling back to pickling
+    when shared memory is unavailable).
 
     An active ``obs`` bundle records a chunk span per shard and
     per-chunk worker-local metrics (see :func:`repro.parallel.map_chunks`);
@@ -256,22 +254,11 @@ def annotate_database(
     settings = parallel or ParallelConfig(workers=1)
     chunk_size = settings.resolve_chunk_size(len(documents))
     chunks = chunked(documents, max(1, chunk_size))
-    use_columnar = settings.columnar
     # First pass: corpus statistics, so that background-scored extractors
     # (the Yahoo stand-in) have idf available during extraction.
-    columns: DocumentColumns | None = None
-    columnar_vocabulary: ColumnarVocabulary | None = None
-    if use_columnar:
-        interner = TermInterner()
-        columnar_vocabulary = ColumnarVocabulary(interner)
-        columns = DocumentColumns(interner)
-        vocabulary: Vocabulary = columnar_vocabulary
-        stats_worker: Callable[
-            [list[Document]], list[tuple[str, list[str]]]
-        ] = MemoizedChunk(_columnar_stats_chunk)
-    else:
-        vocabulary = Vocabulary()
-        stats_worker = _stats_chunk
+    interner = TermInterner()
+    vocabulary = ColumnarVocabulary(interner)
+    columns = DocumentColumns(interner)
     # Memo placement: an inline run shares one memo across both passes
     # (a document tokenized for statistics is still cached during
     # extraction) and normalizes through the *vocabulary* interner, so
@@ -279,24 +266,20 @@ def annotate_database(
     # contextualization probes the same table.  A pooled run arms one
     # persistent memo per worker via the pool initializer instead.
     run_memo = (
-        use_text_memo(TextMemo(interner))
-        if use_columnar and not settings.enabled
-        else nullcontext()
+        nullcontext() if settings.enabled else use_text_memo(TextMemo(interner))
     )
-    pool_initializer = (
-        install_worker_memo if use_columnar and settings.enabled else None
-    )
+    pool_initializer = install_worker_memo if settings.enabled else None
     term_sets: dict[str, set[str]] = {}
     with run_memo:
         for chunk_result in map_chunks(
-            stats_worker, chunks, parallel, obs=obs, initializer=pool_initializer
+            MemoizedChunk(_columnar_stats_chunk),
+            chunks,
+            parallel,
+            obs=obs,
+            initializer=pool_initializer,
         ):
             for doc_id, normalized in chunk_result:
-                if columnar_vocabulary is not None and columns is not None:
-                    ids = columns.add_document(doc_id, normalized)
-                    columnar_vocabulary.add_document_ids(ids)
-                else:
-                    vocabulary.add_document(normalized)
+                vocabulary.add_document_ids(columns.add_document(doc_id, normalized))
                 term_sets[doc_id] = set(normalized)
         for extractor in extractors:
             extractor.use_background(vocabulary)
@@ -308,7 +291,6 @@ def annotate_database(
             parallel,
             obs,
             on_important,
-            use_columnar,
             pool_initializer,
         )
     metrics = current_metrics()
@@ -320,10 +302,7 @@ def annotate_database(
             sum(len(terms) for terms in important.values()),
         )
         metrics.gauge("annotate.vocabulary_size", len(vocabulary))
-        if use_columnar and columns is not None:
-            metrics.gauge(
-                obs_names.COLUMNAR_INTERNED_TERMS, len(columns.interner)
-            )
+        metrics.gauge(obs_names.COLUMNAR_INTERNED_TERMS, len(interner))
     return AnnotatedDatabase(
         documents=list(documents),
         important_terms=important,
@@ -341,24 +320,18 @@ def _extract_pass(
     parallel: ParallelConfig | None,
     obs: Observability | None,
     on_important: Callable[[list[tuple[str, list[str]]]], None] | None,
-    use_columnar: bool,
     pool_initializer: Callable[[], None] | None,
 ) -> dict[str, list[str]]:
     """The second annotation pass: important-term extraction."""
-    # Second pass: important-term extraction.  A columnar process-backed
-    # run publishes the statistics as a shared read-only segment and
+    # Second pass: important-term extraction.  A process-backed run
+    # publishes the statistics as a shared read-only segment and
     # rebinds adopted backgrounds to a view of it, so workers attach
     # instead of unpickling the term table; the real vocabulary is
     # restored afterwards.
     metrics = current_metrics()
     segment = None
     initializer = pool_initializer
-    if (
-        use_columnar
-        and settings.backend == "process"
-        and settings.enabled
-        and len(chunks) > 1
-    ):
+    if settings.backend == "process" and settings.enabled and len(chunks) > 1:
         segment = pack_vocabulary(vocabulary)
         if segment is not None:
             view = SharedVocabularyView(segment.name)
@@ -373,9 +346,7 @@ def _extract_pass(
         elif metrics is not None:
             metrics.increment(obs_names.COLUMNAR_PICKLE_FALLBACKS)
     important: dict[str, list[str]] = {}
-    extract = partial(_extract_chunk, extractors)
-    if use_columnar:
-        extract = MemoizedChunk(extract)
+    extract = MemoizedChunk(partial(_extract_chunk, extractors))
     try:
         for chunk_result in map_chunks(
             extract,

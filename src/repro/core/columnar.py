@@ -1,6 +1,6 @@
-"""The columnar data plane for Steps 1-3 (ROADMAP item 2).
+"""The columnar data plane for Steps 1-3.
 
-The dict-of-strings pipeline spends most of its time hashing and
+A dict-of-strings pipeline spends most of its time hashing and
 re-normalizing the same term strings.  This module keeps the string ↔ id
 boundary at the edges (extractor outputs in, facet rendering out) and
 moves everything in between onto flat integer columns:
@@ -25,9 +25,9 @@ fallback produces identical results — both operate on the same integer
 columns and all floats are derived from the same integers.
 
 Everything here is a *representation* change: emitted facets,
-hierarchies, and serving payloads are byte-identical with the plane on
-or off (``ParallelConfig.columnar``), certified by the differential
-tests in ``tests/test_columnar_equivalence.py``.
+hierarchies, and serving payloads are byte-identical to those of the
+dict-of-strings implementation this plane replaced, certified by the
+golden-output tests in ``tests/test_columnar_equivalence.py``.
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ class NamedEntityExtractor(TermExtractor):
         the dedup key is the join of the span's lower-cased tokens —
         ``surface.lower()`` exactly, since lower-casing distributes over
         a space join.  Same entities, same order (pinned by
-        ``tests/test_columnar.py`` and the differential matrix).
+        ``tests/test_columnar.py`` and the golden-output tests).
         """
         body: list = []
         cap_counts: Counter[str] = Counter()

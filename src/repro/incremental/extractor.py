@@ -7,13 +7,13 @@ after any sequence of :meth:`~IncrementalExtractor.append` calls, the
 selected facet terms and hierarchies are **byte-for-byte identical** to
 a from-scratch :meth:`FacetExtractor.run` on the union corpus.  The
 differential harness in ``tests/test_incremental_equivalence.py``
-enforces this across batch schedules, worker counts and query modes.
+enforces this across batch schedules and worker counts.
 
 The contract is met by construction, not by luck — every stage reuses
 the exact code the batch pipeline runs:
 
-* Step 1 statistics use the same ``_stats_chunk`` worker and update the
-  shared :class:`~repro.text.vocabulary.Vocabulary` in place, which
+* Step 1 statistics emit the same normalized terms as the batch pass
+  and update the shared :class:`~repro.text.vocabulary.Vocabulary` in place, which
   keeps the background the Yahoo extractor adopted permanently current.
 * Because that background changes with every batch, *every* cached
   document's tf·idf scores can shift.  Re-tokenizing the corpus would
@@ -395,11 +395,10 @@ class IncrementalExtractor:
             # The memo only deduplicates tokenize/sentences/normalize
             # calls within a chunk — outputs are unchanged, so the
             # byte-identity contract with the batch pipeline holds.
-            stats_worker: Callable[[list[Document]], object] = (
-                MemoizedChunk(_stats_chunk) if parallel.columnar else _stats_chunk
-            )
             stats: dict[str, list[str]] = {}
-            for chunk_result in map_chunks(stats_worker, chunks, parallel, obs=obs):
+            for chunk_result in map_chunks(
+                MemoizedChunk(_stats_chunk), chunks, parallel, obs=obs
+            ):
                 for doc_id, normalized in chunk_result:
                     stats[doc_id] = normalized
             for document in docs:
@@ -411,9 +410,9 @@ class IncrementalExtractor:
                 state.term_sets[document.doc_id] = set(normalized)
                 state.original_vocabulary.add_document(normalized)
                 touched.update(normalized)
-            extract = partial(_annotate_chunk, self._pipeline.extractors, self._modes)
-            if parallel.columnar:
-                extract = MemoizedChunk(extract)
+            extract = MemoizedChunk(
+                partial(_annotate_chunk, self._pipeline.extractors, self._modes)
+            )
             for chunk_result in map_chunks(extract, chunks, parallel, obs=obs):
                 for doc_id, outputs, candidates in chunk_result:
                     doc_state = state.doc_states[doc_id]
@@ -519,9 +518,7 @@ class IncrementalExtractor:
         with obs.tracer.span(
             obs_names.SPAN_INCREMENTAL_CONTEXTUALIZATION, documents=len(items)
         ):
-            expand = partial(expand_items, self._pipeline.resources)
-            if parallel.columnar:
-                expand = MemoizedChunk(expand)
+            expand = MemoizedChunk(partial(expand_items, self._pipeline.resources))
             chunks = chunked(items, max(1, parallel.resolve_chunk_size(len(items))))
             for chunk_result in map_chunks(expand, chunks, parallel, obs=obs):
                 for doc_id, merged, seen_keys in chunk_result:

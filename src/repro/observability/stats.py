@@ -4,13 +4,12 @@ These are the structured objects carried by
 :class:`~repro.core.pipeline.FacetExtractionResult`.  They live here —
 not in ``core.pipeline`` — because they are observability data, produced
 by the same instrumentation that feeds the tracer and the metrics
-registry.  ``repro.core.pipeline`` re-exports the old names
-(``StageTimings``, the ``cache_stats`` dict) as deprecation shims.
+registry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .tracing import Span
 
@@ -75,6 +74,15 @@ class ResourceStats:
     coalesced_hits: int = 0
     coalesce_wait_seconds: float = 0.0
     batch_queries: int = 0
+
+    def __sub__(self, other: ResourceStats) -> ResourceStats:
+        """Field-wise difference: the counters accrued since ``other``."""
+        return ResourceStats(
+            **{
+                f.name: getattr(self, f.name) - getattr(other, f.name)
+                for f in fields(self)
+            }
+        )
 
     @property
     def hits(self) -> int:

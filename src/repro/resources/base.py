@@ -92,10 +92,6 @@ def validate_context_terms(raw: "list[str] | tuple[str, ...]") -> tuple[str, ...
             cleaned.append(stripped)
     return tuple(cleaned)
 
-#: Backwards-compatible alias: the counter snapshot type moved to
-#: :mod:`repro.observability.stats` as :class:`ResourceStats`.
-CacheStats = ResourceStats
-
 
 class ResourceName(enum.Enum):
     """The four resources of Section IV-B (table row headers)."""
@@ -540,10 +536,10 @@ class ExternalResource(abc.ABC):
             return len(self._cache)
 
     @property
-    def cache_stats(self) -> CacheStats:
+    def cache_stats(self) -> ResourceStats:
         """Exact hit/miss counters (snapshot)."""
         with self._lock:
-            return CacheStats(
+            return ResourceStats(
                 memory_hits=self._memory_hits,
                 persistent_hits=self._persistent_hits,
                 misses=self._misses,

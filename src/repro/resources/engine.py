@@ -16,7 +16,7 @@ concurrency primitives the batched engine is built on:
   chunks are still in annotation, overlapping latency-bound expansion
   with CPU-bound tagging.  Prefetch only warms caches: the main path
   re-reads every answer through the normal tiers, so results are
-  bit-for-bit identical with prefetch on or off.
+  bit-for-bit identical whether or not a run prefetches.
 
 Both primitives are deterministic by construction: a coalesced waiter
 receives exactly the tuple the leader cached, and a failed leader wakes

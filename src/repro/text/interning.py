@@ -3,16 +3,14 @@
 Steps 1–2 call the pure text functions — :func:`tokenize`,
 :func:`sentences`, :func:`normalize_term` — many times on the same
 inputs: the stats pass and every extractor re-tokenize each document,
-and every merge re-normalizes the same surface forms.  When the
-columnar plane is active (``ParallelConfig.columnar``), the per-chunk
+and every merge re-normalizes the same surface forms.  The per-chunk
 workers activate a :class:`TextMemo` that memoizes those functions per
 distinct input string.  Memoizing a pure function cannot change any
-output byte — only how often the regex engine runs — which is what
-keeps the columnar/legacy differential trivially closed at this layer.
+output byte — only how often the regex engine runs.
 
 Call sites import the module-level wrappers below instead of the raw
-:mod:`repro.text.tokenizer` functions; with no active memo they
-delegate straight through, so the legacy path is untouched.
+:mod:`repro.text.tokenizer` functions; with no active memo (a direct
+call outside any chunk worker) they delegate straight through.
 
 The memo is deliberately context-local (a :class:`contextvars.ContextVar`
 set inside the chunk worker): thread-pool chunks never share a dict and

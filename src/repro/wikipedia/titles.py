@@ -61,11 +61,10 @@ class TitleMatcher:
     def matches(self, text: str) -> list[TitleMatch]:
         """All non-overlapping longest title matches in ``text``.
 
-        With an active text memo (the columnar data plane) the scan runs
-        :meth:`_matches_fast`; without one it runs the plain scan below,
-        which is kept as the benchmark baseline.  Both return identical
-        matches (pinned by ``tests/test_columnar.py`` and the columnar
-        differential matrix).
+        With an active text memo (every pipeline chunk worker runs under
+        one) the scan runs :meth:`_matches_fast`; without one — a direct
+        call — it runs the plain scan below.  Both return identical
+        matches (pinned by ``tests/test_columnar.py``).
         """
         memo = active_memo()
         if memo is not None:

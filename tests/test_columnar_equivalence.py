@@ -1,22 +1,20 @@
-"""Differential harness: columnar data plane on == off, byte for byte.
+"""Golden-output harness: every execution mode reproduces the same bytes.
 
-``ParallelConfig.columnar`` swaps the representation of Steps 1-3 — the
-interned id columns, memoized text functions, shared-memory background
-segments and vectorized selection pretest of :mod:`repro.core.columnar`
-— but the ISSUE contract is that not a single output byte moves.  This
-module certifies it against a columnar-off baseline across:
+The columnar data plane (:mod:`repro.core.columnar`) is the only data
+plane; its contract is that not a single output byte differs from the
+dict-of-strings reference it replaced.  That reference's output is
+checked in as a digest (:mod:`tests.golden`), and this module certifies
+it across:
 
-* worker counts {1, 4} x ``batch_queries`` on/off — the execution-mode
-  matrix named in the acceptance criteria;
+* worker counts {1, 4} on the thread backend;
 * the process backend (which exercises the shared-memory background
   segment end to end, pickle fallback included);
 * incremental appends (the columnar memo also runs under the
   incremental extractor's chunk workers);
-* the serving artifact: the SQLite payload compiled from a columnar run
-  must carry the identical content checksum.
+* the serving artifact: the SQLite payload compiled from a run must
+  carry the recorded content checksum.
 
-Scores are compared as IEEE-754 hex so not even a ULP of drift passes;
-hierarchies are serialized with their full document populations.
+CI runs the module both with numpy and with ``REPRO_NO_NUMPY=1``.
 """
 
 from __future__ import annotations
@@ -25,45 +23,19 @@ import pytest
 
 from repro.builder import FacetPipelineBuilder
 from repro.config import ParallelConfig, ReproConfig
-from repro.core.export import to_dict
-from repro.incremental import canonical_json
 from repro.serving.artifact import FacetIndex
 
-SCALE = 0.05
-
-
-def result_bytes(result) -> bytes:
-    """Canonical bytes of every certified output surface."""
-    payload = {
-        "facet_terms": [
-            [
-                c.term,
-                c.df_original,
-                c.df_contextualized,
-                c.shift_f,
-                c.shift_r,
-                c.score.hex(),
-            ]
-            for c in result.facet_terms
-        ],
-        "hierarchies": to_dict(result.hierarchies, include_docs=True),
-        "important": result.annotated.important_terms,
-        "term_sets": {
-            doc_id: sorted(terms)
-            for doc_id, terms in result.annotated.term_sets.items()
-        },
-        "context": result.contextualized.context_terms,
-        "expanded": {
-            doc_id: sorted(terms)
-            for doc_id, terms in result.contextualized.expanded_sets.items()
-        },
-    }
-    return canonical_json(payload).encode("utf-8")
+from .golden import (
+    GOLDEN_INDEX_CHECKSUM,
+    GOLDEN_RESULT_SHA256,
+    GOLDEN_SCALE,
+    result_digest,
+)
 
 
 @pytest.fixture(scope="module")
 def col_config() -> ReproConfig:
-    return ReproConfig(scale=SCALE)
+    return ReproConfig(scale=GOLDEN_SCALE)
 
 
 @pytest.fixture(scope="module")
@@ -78,65 +50,33 @@ def docs(col_config: ReproConfig):
     return build_snyt(col_config).documents
 
 
-@pytest.fixture(scope="module")
-def baseline(col_builder: FacetPipelineBuilder, docs) -> bytes:
-    """The dict-of-strings reference: columnar off, serial, per-term."""
-    col_builder.with_parallel(
-        ParallelConfig(workers=1, columnar=False, batch_queries=False)
-    )
-    return result_bytes(col_builder.build().run(docs))
-
-
 class TestColumnarDifferential:
-    def test_columnar_off_modes_agree_with_the_baseline(
-        self, col_builder, docs, baseline
-    ):
-        """Close the off-side of the matrix before testing the on-side."""
-        col_builder.with_parallel(
-            ParallelConfig(workers=4, columnar=False, batch_queries=True)
-        )
-        assert result_bytes(col_builder.build().run(docs)) == baseline
-
-    @pytest.mark.parametrize("batch_queries", [True, False])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_columnar_matches_across_workers_and_query_modes(
-        self, col_builder, docs, baseline, workers, batch_queries
+        self, col_builder, docs, workers
     ):
-        col_builder.with_parallel(
-            ParallelConfig(
-                workers=workers, columnar=True, batch_queries=batch_queries
-            )
-        )
+        col_builder.with_parallel(ParallelConfig(workers=workers))
         result = col_builder.build().run(docs)
-        assert result_bytes(result) == baseline
-        # The columnar run must actually have produced the id columns.
+        assert result_digest(result) == GOLDEN_RESULT_SHA256
+        # The run must actually have produced the id columns.
         assert result.annotated.columns is not None
         assert len(result.annotated.columns) == len(docs)
 
-    def test_columnar_process_backend_matches(self, col_builder, docs, baseline):
+    def test_columnar_process_backend_matches(self, col_builder, docs):
         """Exercises the shared-memory background segment end to end."""
-        col_builder.with_parallel(
-            ParallelConfig(workers=2, backend="process", columnar=True)
-        )
-        assert result_bytes(col_builder.build().run(docs)) == baseline
+        col_builder.with_parallel(ParallelConfig(workers=2, backend="process"))
+        assert result_digest(col_builder.build().run(docs)) == GOLDEN_RESULT_SHA256
 
-    def test_incremental_append_matches(self, col_builder, docs, baseline):
-        col_builder.with_parallel(ParallelConfig(workers=2, columnar=True))
+    def test_incremental_append_matches(self, col_builder, docs):
+        col_builder.with_parallel(ParallelConfig(workers=2))
         extractor = col_builder.build_incremental()
         extractor.append(docs[:17])
         extractor.append(docs[17:])
-        assert result_bytes(extractor.snapshot_result()) == baseline
+        assert result_digest(extractor.snapshot_result()) == GOLDEN_RESULT_SHA256
 
-    def test_serving_artifact_checksum_matches(
-        self, col_builder, docs, baseline, tmp_path
-    ):
+    def test_serving_artifact_checksum_matches(self, col_builder, docs, tmp_path):
         """The compiled serving payload is identical, byte for byte."""
-        col_builder.with_parallel(
-            ParallelConfig(workers=1, columnar=False, batch_queries=False)
-        )
-        off = col_builder.build().run(docs)
-        col_builder.with_parallel(ParallelConfig(workers=4, columnar=True))
-        on = col_builder.build().run(docs)
-        with FacetIndex.build(off, path=str(tmp_path / "off.db")) as index_off:
-            with FacetIndex.build(on, path=str(tmp_path / "on.db")) as index_on:
-                assert index_on.checksum == index_off.checksum
+        col_builder.with_parallel(ParallelConfig(workers=4))
+        result = col_builder.build().run(docs)
+        with FacetIndex.build(result, path=str(tmp_path / "index.db")) as index:
+            assert index.checksum == GOLDEN_INDEX_CHECKSUM

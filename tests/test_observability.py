@@ -443,6 +443,19 @@ class TestPipelineIntegration:
         for stats in result.resource_stats.values():
             assert isinstance(stats, ResourceStats)
 
+    def test_resource_stats_count_only_their_own_run(self, builder, snyt):
+        """A second run on one pipeline reports its own lookups, not totals."""
+        pipeline = builder.build()
+        documents = snyt.documents[:20]
+        first = pipeline.run(documents)
+        second = pipeline.run(documents)
+        assert second.resource_stats.keys() == first.resource_stats.keys()
+        for name, stats in second.resource_stats.items():
+            # Every answer is memoized by the first run.
+            assert stats.misses == 0
+            assert stats.queries == first.resource_stats[name].queries
+        assert sum(s.queries for s in second.resource_stats.values()) > 0
+
     def test_trace_matches_result_timings(self, instrumented_run):
         obs, result = instrumented_run
         recovered = SpanTimings.from_spans(obs.tracer.roots)
@@ -484,20 +497,7 @@ class TestPipelineIntegration:
 
 
 class TestDeprecationShims:
-    def test_stage_timings_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="StageTimings"):
-            from repro.core.pipeline import StageTimings
-        assert StageTimings is SpanTimings
-
-    def test_cache_stats_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="CacheStats"):
-            from repro.core.pipeline import CacheStats
-        assert CacheStats is ResourceStats
-
-    def test_result_cache_stats_property_warns(self, instrumented_run):
-        _, result = instrumented_run
-        with pytest.warns(DeprecationWarning, match="cache_stats"):
-            assert result.cache_stats is result.resource_stats
+    """``repro.core.pipeline`` resolves no names it does not define."""
 
     def test_unknown_attribute_still_raises(self):
         from repro.core import pipeline
