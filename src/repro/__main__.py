@@ -30,9 +30,10 @@ Commands
     ``serving on http://host:port`` once bound (``--port 0`` = any
     free port).
 ``lint [PATH...]``
-    Run the project-invariant static analyzer (determinism,
-    thread-safety, cache hygiene; see :mod:`repro.devtools`) and exit
-    non-zero on findings — the same gate CI enforces.
+    Run the project-invariant static analyzer (determinism, taint,
+    event-loop and thread safety, resource leaks, contract drift; see
+    :mod:`repro.devtools`) and exit non-zero on findings — the same gate
+    CI enforces.
 
 Scale with ``--scale`` (or the REPRO_SCALE environment variable);
 parallelize with ``--workers`` (or REPRO_WORKERS).  Diagnostics go to

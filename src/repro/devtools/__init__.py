@@ -1,21 +1,23 @@
 """repro.devtools — whole-program static analysis for project invariants.
 
-PR 1 and PR 2 made promises that ordinary tests cannot economically
-guard: parallel output is bit-for-bit identical to serial, worker
-payloads are picklable, disabled observability is zero-cost, and cache
-entries are immutable.  This package turns those invariants into an
-AST-based lint pass — ``python -m repro lint`` — that runs as a
-blocking CI job.  PR 4 grew it from a per-file matcher into a
-whole-program flow-analysis engine: a project model with a cross-module
+``python -m repro lint`` runs an AST-based analyzer as a blocking CI
+job.  It never imports the code it checks.  Eight of its nine rules
+found a real bug in this tree; SQL001 guards the SQL the storage layer
+is still changing.  They run on a project model with a cross-module
 call graph, per-function control-flow graphs with reaching-definitions
-data-flow, and a declarative taint framework the FLOW/RACE rules are
-written against.
+data-flow, a declarative taint framework, a must-close lifecycle
+analysis, and a database of the SQL, payload-schema and config
+contracts the code declares.
+
+This package re-exports nothing: import from the submodule that defines
+a name.  Importing ``repro.devtools`` (or building the ``lint``
+subparser through :mod:`repro.devtools.cli`) loads no analysis code.
 
 Layout
 ------
 :mod:`~repro.devtools.findings`
-    :class:`Severity`, the immutable :class:`Finding` record, and
-    :class:`Fix` spans for ``--fix``.
+    :class:`Severity`, the immutable :class:`Finding` record and its
+    :class:`TraceStep` explanation path.
 :mod:`~repro.devtools.imports`
     Lightweight per-module import tracker used to resolve qualified
     names (``Span`` → ``repro.observability.tracing.Span``) without
@@ -25,8 +27,8 @@ Layout
     need — parent links, ``# repro: noqa[...]`` suppressions, and
     ``# order:`` determinism comments.
 :mod:`~repro.devtools.project`
-    :class:`ProjectModel`: symbol table and conservative call graph
-    over the whole tree, parsed once.
+    :class:`ProjectModel`: symbol table and kind-aware call graph over
+    the whole tree, parsed once.
 :mod:`~repro.devtools.cfg` / :mod:`~repro.devtools.dataflow`
     Basic-block control-flow graphs and the reaching-definitions
     solver the flow rules run on.
@@ -37,97 +39,26 @@ Layout
 :mod:`~repro.devtools.lifecycle`
     Path-sensitive must-close analysis: acquire/close/escape lattice
     over the CFG with exception edges (:class:`LifecycleAnalysis`).
-:mod:`~repro.devtools.rules` / :mod:`~repro.devtools.flow_rules` /
-:mod:`~repro.devtools.concurrency_rules` /
-:mod:`~repro.devtools.contract_rules`
-    The self-registering :class:`Rule` base class, the syntactic rules
-    (DET001/PAR001/OBS001/CACHE001/API001), the flow rules
-    (FLOW001/FLOW002/RACE001 and the data-flow DET002), the
-    concurrency/lifecycle rules (ASYNC001-003/LEAK001/RACE002) built on
-    the kind-aware call graph, and the contract drift rules
-    (SQL001/SCHEMA001/OBS002/CFG002/CLI002).
 :mod:`~repro.devtools.contracts`
-    Static extraction of the program's declared contracts — SQL DDL
-    and queries, versioned payload schemas, observability names,
-    config fields, CLI flags — into the deterministic
-    ``repro.contracts/1`` database the contract rules check.
+    Static extraction of SQL DDL and queries, versioned payload
+    schemas and config fields into the deterministic contracts
+    database the contract rules check.
+:mod:`~repro.devtools.rules`
+    The self-registering :class:`Rule` base class and the rule table;
+    the rules live in :mod:`~repro.devtools.flow_rules` (DET002,
+    FLOW001, FLOW002), :mod:`~repro.devtools.concurrency_rules`
+    (ASYNC001, LEAK001, RACE002) and
+    :mod:`~repro.devtools.contract_rules` (SQL001, SCHEMA001, CFG002).
 :mod:`~repro.devtools.analyzer`
     :class:`Analyzer`: module rules per file, project rules per
     program, suppression filtering, timing stats.
-:mod:`~repro.devtools.cache`
-    Incremental result cache (mtime + content hash per file, one
-    project hash for the whole-program tier).
-:mod:`~repro.devtools.baseline`
-    Baseline files: record existing findings once, fail only on new
-    ones.
-:mod:`~repro.devtools.fixer`
-    ``--fix``: span rewrites (DET002 → ``sorted(...)``) and
-    ``# repro: noqa`` suppression insertion.
 :mod:`~repro.devtools.reporting` / :mod:`~repro.devtools.sarif`
     Text/JSON reporters and deterministic SARIF 2.1.0 output.
 :mod:`~repro.devtools.cli`
     The ``python -m repro lint`` entry point.
 
 Suppression syntax: a trailing ``# repro: noqa`` silences every rule on
-that line; ``# repro: noqa[DET001,API001]`` silences just those rules.
+that line; ``# repro: noqa[LEAK001,FLOW002]`` silences just those rules.
 DET002 additionally honours an explicit ordering comment — ``# order:
 <why this iteration is order-safe>`` on the line or the line above.
 """
-
-from __future__ import annotations
-
-from .analyzer import AnalysisStats, Analyzer
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .cache import LintCache
-from .cfg import CFG
-from .context import ModuleContext
-from .contracts import (
-    CONTRACTS_SCHEMA,
-    ProjectContracts,
-    contracts_for,
-    extract_contracts,
-)
-from .dataflow import ReachingDefinitions
-from .findings import Finding, Fix, Severity, TraceStep
-from .fixer import apply_fixes
-from .imports import ImportTracker
-from .lifecycle import LifecycleAnalysis, ResourceSpec
-from .project import CallEdge, ProjectModel
-from .reporting import render_json, render_text
-from .rules import Rule, all_rules, expand_rule_patterns
-from .sarif import render_sarif
-from .taint import TaintEngine, TaintSpec
-
-__all__ = [
-    "AnalysisStats",
-    "Analyzer",
-    "CFG",
-    "CONTRACTS_SCHEMA",
-    "CallEdge",
-    "Finding",
-    "Fix",
-    "ImportTracker",
-    "LifecycleAnalysis",
-    "LintCache",
-    "ModuleContext",
-    "ProjectContracts",
-    "ProjectModel",
-    "ReachingDefinitions",
-    "ResourceSpec",
-    "Rule",
-    "Severity",
-    "TaintEngine",
-    "TaintSpec",
-    "TraceStep",
-    "all_rules",
-    "apply_baseline",
-    "apply_fixes",
-    "contracts_for",
-    "expand_rule_patterns",
-    "extract_contracts",
-    "load_baseline",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "write_baseline",
-]

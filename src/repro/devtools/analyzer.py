@@ -4,27 +4,21 @@ The analyzer is pure — it never imports the code under analysis, only
 parses it — so it is safe to point at arbitrary trees (the CI job, the
 test fixtures' temp packages, a contributor's work in progress).
 
-Execution has two tiers:
-
-* **module rules** run per file and are cached per file content hash;
-* **project rules** (``requires_project``) run once over a
-  :class:`~repro.devtools.project.ProjectModel` built from every parsed
-  module, and are cached under a whole-project hash — any edit anywhere
-  invalidates them, which is exactly their soundness requirement.
-
-``# repro: noqa[...]`` suppression applies to both tiers; project-rule
-findings are mapped back to their module's context for the check.
+Module rules run per file; project rules (``requires_project``) run
+once over a :class:`~repro.devtools.project.ProjectModel` built from
+every parsed module.  ``# repro: noqa[...]`` suppression applies to
+both; project-rule findings are mapped back to their module's context
+for the check.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cache import LintCache, engine_signature
-from .context import ModuleContext
+from .context import ModuleContext, python_files
 from .contracts import contracts_for
 from .findings import Finding, Severity
 from .project import ProjectModel
@@ -39,11 +33,6 @@ class AnalysisStats:
     """Where an analyzer run spent its time."""
 
     files_total: int = 0
-    files_reanalyzed: int = 0
-    files_from_cache: int = 0
-    project_from_cache: bool = False
-    project_rules_ran: bool = False
-    contracts_from_cache: bool = False
     duration_s: float = 0.0
     rule_seconds: dict[str, float] = field(default_factory=dict)
     rule_findings: dict[str, int] = field(default_factory=dict)
@@ -56,14 +45,7 @@ class AnalysisStats:
 
     def render(self) -> str:
         """Human-readable summary for ``repro lint --stats``."""
-        lines = [
-            f"files: {self.files_total} total, "
-            f"{self.files_reanalyzed} analyzed, "
-            f"{self.files_from_cache} from cache",
-        ]
-        if self.project_rules_ran:
-            source = "cache" if self.project_from_cache else "fresh run"
-            lines.append(f"project rules: {source}")
+        lines = [f"files: {self.files_total}"]
         for rule_id in sorted(
             self.rule_seconds, key=lambda r: -self.rule_seconds[r]
         ):
@@ -78,13 +60,9 @@ class AnalysisStats:
 class Analyzer:
     """Runs a ruleset over source files, modules, or whole trees.
 
-    Parameters
-    ----------
-    rules:
-        Rule instances to run; defaults to the full registry.
-    select / ignore:
-        Rule ids or fnmatch globs (``FLOW*``) applied on top; unknown
-        ``select`` patterns raise :class:`ValueError`.
+    ``rules`` defaults to the full registry; ``select``/``ignore`` take
+    rule ids or fnmatch globs (``FLOW*``) and raise :class:`ValueError`
+    on a pattern that matches no registered rule.
     """
 
     def __init__(
@@ -95,153 +73,45 @@ class Analyzer:
     ) -> None:
         chosen = list(rules) if rules is not None else all_rules()
         if select is not None:
-            wanted = expand_rule_patterns(
-                {rule_id.upper() for rule_id in select}
-            )
+            wanted = expand_rule_patterns({rule_id.upper() for rule_id in select})
             chosen = [rule for rule in chosen if rule.rule_id in wanted]
         if ignore is not None:
-            dropped = expand_rule_patterns(
-                {rule_id.upper() for rule_id in ignore}, strict=False
-            )
+            dropped = expand_rule_patterns({rule_id.upper() for rule_id in ignore})
             chosen = [rule for rule in chosen if rule.rule_id not in dropped]
         self.rules = chosen
         self.module_rules = [r for r in chosen if not r.requires_project]
         self.project_rules = [r for r in chosen if r.requires_project]
 
-    @property
-    def signature(self) -> str:
-        """Cache signature of this analyzer configuration."""
-        return engine_signature([rule.rule_id for rule in self.rules])
-
-    # -- entry points ------------------------------------------------------------
-
     def analyze_paths(
         self,
         paths: "list[str | Path]",
-        cache: "LintCache | None" = None,
         stats: "AnalysisStats | None" = None,
         contracts_out: "dict | None" = None,
     ) -> list[Finding]:
         """Analyze files and/or directory trees (``*.py``, sorted).
 
         When ``contracts_out`` is a dict, it is filled in place with the
-        extracted ``repro.contracts/1`` payload for the analyzed tree
-        (served from the cache when the tree is unchanged).
+        extracted contracts payload for the analyzed tree.
         """
         stats = stats if stats is not None else AnalysisStats()
         started = time.perf_counter()
         findings: list[Finding] = []
-        file_hashes: dict[str, str] = {}
-        pending: list[tuple[str, int, str, str]] = []
-        for file_path in self._collect(paths):
+        contexts: list[ModuleContext] = []
+        for file_path in python_files(paths):
+            stats.files_total += 1
             key = str(file_path)
             try:
-                raw = file_path.read_bytes()
-                mtime_ns = file_path.stat().st_mtime_ns
+                text = file_path.read_bytes().decode("utf-8", errors="replace")
+                contexts.append(ModuleContext(text, path=key))
             except OSError as exc:
-                findings.append(
-                    self._parse_failure(key, 1, f"unreadable: {exc}")
-                )
-                continue
-            digest = hashlib.sha256(raw).hexdigest()
-            file_hashes[key] = digest
-            pending.append(
-                (key, mtime_ns, digest, raw.decode("utf-8", errors="replace"))
-            )
-        stats.files_total = len(pending)
-        project_hash = LintCache.project_hash(file_hashes)
-        project_cached: "list[Finding] | None" = None
-        if cache is not None and self.project_rules:
-            project_cached = cache.lookup_project(project_hash)
-        need_project_run = bool(self.project_rules) and project_cached is None
-        contracts_cached: "dict | None" = None
-        if cache is not None and contracts_out is not None:
-            contracts_cached = cache.lookup_contracts(project_hash)
-        need_contracts_run = contracts_out is not None and contracts_cached is None
-        # Either project-wide consumer forces a full parse: cached
-        # per-file findings alone cannot rebuild the ProjectModel.
-        need_parse_all = need_project_run or need_contracts_run
-
-        contexts: dict[str, ModuleContext] = {}
-        for key, mtime_ns, digest, text in pending:
-            cached = (
-                cache.lookup_file(key, mtime_ns, digest)
-                if cache is not None
-                else None
-            )
-            if cached is not None and not need_parse_all:
-                findings.extend(cached)
-                stats.files_from_cache += 1
-                continue
-            try:
-                ctx = ModuleContext(text, path=key)
+                findings.append(_parse_failure(key, 1, f"unreadable: {exc}"))
             except SyntaxError as exc:
-                if cached is not None:
-                    findings.extend(cached)
-                    stats.files_from_cache += 1
-                else:
-                    failure = [
-                        self._parse_failure(
-                            key, exc.lineno or 1, f"syntax error: {exc.msg}"
-                        )
-                    ]
-                    if cache is not None:
-                        cache.store_file(key, mtime_ns, digest, failure)
-                    findings.extend(failure)
-                    stats.files_reanalyzed += 1
-                continue
-            contexts[key] = ctx
-            if cached is not None:
-                findings.extend(cached)
-                stats.files_from_cache += 1
-                continue
-            file_findings = self._run_module_rules(ctx, stats)
-            if cache is not None:
-                cache.store_file(key, mtime_ns, digest, file_findings)
-            findings.extend(file_findings)
-            stats.files_reanalyzed += 1
-
-        project_model: "ProjectModel | None" = None
-        if need_parse_all:
-            project_model = ProjectModel(list(contexts.values()))
-
-        if self.project_rules:
-            stats.project_rules_ran = True
-            if project_cached is not None:
-                stats.project_from_cache = True
-                findings.extend(project_cached)
-            else:
-                assert project_model is not None
-                project_findings = self._run_project_rules(
-                    project_model, contexts, stats
+                findings.append(
+                    _parse_failure(key, exc.lineno or 1, f"syntax error: {exc.msg}")
                 )
-                if cache is not None:
-                    cache.store_project(project_hash, project_findings)
-                findings.extend(project_findings)
-
-        if contracts_out is not None:
-            if contracts_cached is not None:
-                stats.contracts_from_cache = True
-                payload = contracts_cached
-            else:
-                assert project_model is not None
-                payload = contracts_for(project_model).to_payload()
-                if cache is not None:
-                    cache.store_contracts(project_hash, payload)
-            contracts_out.clear()
-            contracts_out.update(payload)
-
-        findings.sort(key=Finding.sort_key)
+        findings.extend(self._run(contexts, stats, contracts_out))
         stats.duration_s = time.perf_counter() - started
-        return findings
-
-    def analyze_file(self, path: "str | Path") -> list[Finding]:
-        file_path = Path(path)
-        try:
-            source = file_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            return [self._parse_failure(str(file_path), 1, f"unreadable: {exc}")]
-        return self.analyze_source(source, path=str(file_path))
+        return sorted(findings, key=Finding.sort_key)
 
     def analyze_source(
         self,
@@ -259,93 +129,49 @@ class Analyzer:
         try:
             ctx = ModuleContext(source, path=path, module=module)
         except SyntaxError as exc:
-            return [
-                self._parse_failure(
-                    path, exc.lineno or 1, f"syntax error: {exc.msg}"
-                )
-            ]
-        stats = AnalysisStats()
-        findings = self._run_module_rules(ctx, stats)
-        if self.project_rules:
-            findings.extend(
-                self._run_project_rules(
-                    ProjectModel([ctx]), {ctx.path: ctx}, stats
-                )
-            )
-        findings.sort(key=Finding.sort_key)
-        return findings
+            return [_parse_failure(path, exc.lineno or 1, f"syntax error: {exc.msg}")]
+        return sorted(self._run([ctx], AnalysisStats()), key=Finding.sort_key)
 
-    # -- execution ---------------------------------------------------------------
-
-    def _run_module_rules(
-        self, ctx: ModuleContext, stats: AnalysisStats
-    ) -> list[Finding]:
-        findings: list[Finding] = []
-        for rule in self.module_rules:
-            if not rule.applies_to(ctx.module):
-                continue
-            rule_started = time.perf_counter()
-            collected = [
-                finding
-                for finding in rule.check(ctx)
-                if not ctx.is_suppressed(finding.line, finding.rule_id)
-            ]
-            stats.record(
-                rule.rule_id,
-                time.perf_counter() - rule_started,
-                len(collected),
-            )
-            findings.extend(collected)
-        findings.sort(key=Finding.sort_key)
-        return findings
-
-    def _run_project_rules(
+    def _run(
         self,
-        project: ProjectModel,
-        contexts: "dict[str, ModuleContext]",
+        contexts: "list[ModuleContext]",
         stats: AnalysisStats,
+        contracts_out: "dict | None" = None,
     ) -> list[Finding]:
+        by_path = {ctx.path: ctx for ctx in contexts}
         findings: list[Finding] = []
-        for rule in self.project_rules:
-            rule_started = time.perf_counter()
-            collected = []
-            for finding in rule.check_project(project):
-                ctx = contexts.get(finding.path)
-                if ctx is not None and ctx.is_suppressed(
-                    finding.line, finding.rule_id
-                ):
-                    continue
-                collected.append(finding)
-            stats.record(
-                rule.rule_id,
-                time.perf_counter() - rule_started,
-                len(collected),
-            )
-            findings.extend(collected)
-        findings.sort(key=Finding.sort_key)
+
+        def collect(rule: Rule, produced: "Iterable[Finding]") -> None:
+            started = time.perf_counter()
+            kept = []
+            for finding in produced:
+                ctx = by_path.get(finding.path)
+                if ctx is None or not ctx.is_suppressed(finding.line, finding.rule_id):
+                    kept.append(finding)
+            stats.record(rule.rule_id, time.perf_counter() - started, len(kept))
+            findings.extend(kept)
+
+        for ctx in contexts:
+            for rule in self.module_rules:
+                if rule.applies_to(ctx.module):
+                    collect(rule, rule.check(ctx))
+        if self.project_rules or contracts_out is not None:
+            project = ProjectModel(contexts)
+            for rule in self.project_rules:
+                collect(rule, rule.check_project(project))
+            if contracts_out is not None:
+                contracts_out.clear()
+                contracts_out.update(contracts_for(project).to_payload())
         return findings
 
-    # -- helpers -----------------------------------------------------------------
 
-    @staticmethod
-    def _collect(paths: "list[str | Path]") -> list[Path]:
-        files: list[Path] = []
-        for raw in paths:
-            path = Path(raw)
-            if path.is_dir():
-                files.extend(sorted(path.rglob("*.py")))
-            else:
-                files.append(path)
-        return files
-
-    @staticmethod
-    def _parse_failure(path: str, line: int, message: str) -> Finding:
-        return Finding(
-            path=path,
-            line=line,
-            col=1,
-            rule_id=PARSE_ERROR,
-            severity=Severity.ERROR,
-            message=message,
-            hint="fix the file so it parses; analysis skipped it",
-        )
+def _parse_failure(path: str, line: int, message: str) -> Finding:
+    return Finding(
+        path=path,
+        line=line,
+        col=1,
+        rule_id=PARSE_ERROR,
+        severity=Severity.ERROR,
+        message=message,
+        hint="fix the file so it parses; analysis skipped it",
+    )

@@ -1,9 +1,9 @@
 """Intra-procedural control-flow graphs over Python ASTs.
 
-The flow rules (FLOW001/FLOW002/RACE001 and the data-flow DET002) need
-to reason about *paths*, not just syntax: "does a definition written in
-one branch reach this loop?", "does every path through this ``except``
-handler log or re-raise?".  This module builds the classic basic-block
+DET002, the FLOW001 taint engine and the LEAK001 must-close analysis
+reason about *paths*, not just syntax: "does a definition written in
+one branch reach this loop?", "is this handle closed on every path out,
+exception edges included?".  This module builds the classic basic-block
 CFG those questions are answered on.
 
 The graph is deliberately statement-granular and conservative:

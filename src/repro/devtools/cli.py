@@ -1,8 +1,11 @@
 """``python -m repro lint`` — the static-analysis CLI surface.
 
 Exit codes: 0 when no finding reaches the ``--fail-on`` threshold,
-1 when at least one does, 2 on bad usage (unknown rule patterns, an
-unreadable baseline).
+1 when at least one does, 2 on bad usage (unknown rule ids or patterns).
+
+Building the parser imports nothing else from :mod:`repro.devtools`:
+every ``python -m repro`` command builds the ``lint`` subparser, and
+only ``lint`` itself should pay for loading the analyzer.
 """
 
 from __future__ import annotations
@@ -12,24 +15,13 @@ import json
 import sys
 from pathlib import Path
 
-from .analyzer import AnalysisStats, Analyzer
-from .baseline import BaselineError, apply_baseline, load_baseline, write_baseline
-from .cache import LintCache
-from .findings import Severity
-from .fixer import apply_fixes
-from .reporting import render_json, render_text
-from .rules import Rule, all_rules
-from .sarif import render_sarif
-
-#: Default location of the incremental result cache.
-DEFAULT_CACHE_DIR = ".repro-lint-cache"
-
 _EXIT_CODES_EPILOG = """\
 exit codes:
   0  no finding at or above --fail-on (or --fail-on never)
   1  at least one finding at or above --fail-on
-  2  usage error (unknown rule id/pattern, unreadable baseline)
+  2  usage error (unknown rule id or pattern)
 """
+
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the lint options to a (sub)parser."""
@@ -75,56 +67,16 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="lowest severity that fails the run (default: warning)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="record the current findings as the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply available fixes (DET002: wrap iterables in sorted())",
-    )
-    parser.add_argument(
-        "--fix-mode",
-        default="sorted",
-        choices=["sorted", "suppress"],
-        help="fix strategy: machine fixes, or append "
-        "'# repro: noqa[RULE]' suppressions (default: sorted)",
-    )
-    parser.add_argument(
-        "--diff",
-        action="store_true",
-        help="with --fix: print the unified diff instead of writing files",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
-        help="print per-rule timing and cache statistics to stderr",
+        help="print per-rule timing to stderr",
     )
     parser.add_argument(
         "--contracts-out",
         default=None,
         metavar="FILE",
-        help="write the extracted contract database (repro.contracts/1) "
-        "to FILE as deterministic JSON",
+        help="write the extracted contract database to FILE as "
+        "deterministic JSON",
     )
     parser.add_argument(
         "--list-rules",
@@ -139,29 +91,26 @@ def _split_ids(raw: str | None) -> "set[str] | None":
     return {part.strip().upper() for part in raw.split(",") if part.strip()}
 
 
-def _family(rule: Rule) -> str:
-    prefix = rule.rule_id.rstrip("0123456789")
-    return prefix or rule.rule_id
-
-
 def list_rules() -> str:
     """Rules grouped by family, with scope and project/module kind.
 
     Family headers are data-driven: each family's description is the
-    first nonempty :attr:`Rule.family_description` among its members
-    (id order), so a new rule family registers its own group header.
+    first nonempty ``Rule.family_description`` among its members (id
+    order), so a new rule family registers its own group header.
     """
-    by_family: dict[str, list[Rule]] = {}
+    from .rules import all_rules
+
+    by_family: dict[str, list] = {}
     for rule in all_rules():
-        by_family.setdefault(_family(rule), []).append(rule)
+        family = rule.rule_id.rstrip("0123456789") or rule.rule_id
+        by_family.setdefault(family, []).append(rule)
     lines = []
     for family in sorted(by_family):
         description = next(
             (r.family_description for r in by_family[family] if r.family_description),
             "",
         )
-        header = f"{family} — {description}" if description else family
-        lines.append(header)
+        lines.append(f"{family} — {description}" if description else family)
         for rule in by_family[family]:
             scope = ", ".join(rule.scopes) if rule.scopes else "all modules"
             kind = "project" if rule.requires_project else "module"
@@ -172,16 +121,13 @@ def list_rules() -> str:
     return "\n".join(lines)
 
 
-def _render(args: argparse.Namespace, findings, analyzer: Analyzer) -> str:
-    if args.output_format == "json":
-        return render_json(findings)
-    if args.output_format == "sarif":
-        return render_sarif(findings, analyzer.rules)
-    return render_text(findings)
-
-
 def run_lint(args: argparse.Namespace) -> int:
     """Execute the lint command; returns the process exit code."""
+    from .analyzer import AnalysisStats, Analyzer
+    from .findings import Severity
+    from .reporting import render_json, render_text
+    from .sarif import render_sarif
+
     if args.list_rules:
         print(list_rules())
         return 0
@@ -193,69 +139,31 @@ def run_lint(args: argparse.Namespace) -> int:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
 
-    cache: "LintCache | None" = None
-    if not args.no_cache:
-        cache = LintCache(args.cache_dir, analyzer.signature)
     stats = AnalysisStats()
-    paths = list(args.paths)
     contracts_out: "dict | None" = {} if args.contracts_out else None
     findings = analyzer.analyze_paths(
-        paths, cache=cache, stats=stats, contracts_out=contracts_out
+        list(args.paths), stats=stats, contracts_out=contracts_out
     )
-    if cache is not None:
-        cache.save()
-    if args.contracts_out and contracts_out is not None:
+    if contracts_out is not None:
         Path(args.contracts_out).write_text(
             json.dumps(contracts_out, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
 
-    if args.write_baseline:
-        count = write_baseline(findings, args.write_baseline)
-        print(
-            f"baseline written: {args.write_baseline} "
-            f"({count} fingerprint(s))"
-        )
-        return 0
-
-    suppressed = 0
-    if args.baseline:
-        try:
-            known = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"lint: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed = apply_baseline(findings, known)
-
-    if args.fix:
-        result = apply_fixes(findings, mode=args.fix_mode, dry_run=args.diff)
-        if args.diff:
-            if result.diff:
-                print(result.diff, end="")
-            print(f"would apply {result.summary()}", file=sys.stderr)
-        else:
-            print(f"applied {result.summary()}", file=sys.stderr)
-            if result.changed_files:
-                # Report the post-fix state: re-analyze (the cache
-                # invalidates the rewritten files automatically).
-                findings = analyzer.analyze_paths(paths, cache=cache)
-                if args.baseline:
-                    findings, suppressed = apply_baseline(findings, known)
-                if cache is not None:
-                    cache.save()
-
-    report = _render(args, findings, analyzer)
+    if args.output_format == "json":
+        report = render_json(findings)
+    elif args.output_format == "sarif":
+        report = render_sarif(findings, analyzer.rules)
+    else:
+        report = render_text(findings)
     if args.output:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
     else:
         print(report)
-    if suppressed:
-        print(f"({suppressed} baselined finding(s) hidden)", file=sys.stderr)
     if args.stats:
         print(stats.render(), file=sys.stderr)
 
     if args.fail_on == "never":
         return 0
-    threshold = Severity.parse(args.fail_on)
-    blocking = [f for f in findings if f.severity >= threshold]
-    return 1 if blocking else 0
+    threshold = Severity[args.fail_on.upper()]
+    return 1 if any(f.severity >= threshold for f in findings) else 0

@@ -1,28 +1,21 @@
-"""Concurrency- and lifecycle-aware rules (the PR-8 engine layer).
+"""Concurrency- and lifecycle-aware rules.
 
 ========  ==============================================================
-ASYNC001  blocking call *transitively* reachable from an async view
-          without an executor/thread hop — the interprocedural form of
-          syntactic SRV001, which only sees the call written directly
-          inside the coroutine
-ASYNC002  coroutine called but the returned awaitable is discarded —
-          the body never runs, the classic missing-``await``
-ASYNC003  ``await`` while holding a synchronous ``threading.Lock`` —
-          the lock blocks every other loop task until resumption
+ASYNC001  blocking call reachable from a coroutine — written in it or
+          any number of synchronous calls below it — without an
+          executor/thread hop
 LEAK001   acquired resource (connection/file/socket/executor/temp
-          file) not closed on some CFG path, exception edges included;
-          ``--fix`` wraps the acquisition in ``with``/``closing``
+          file) not closed on some CFG path, exception edges included
 RACE002   shared mutable instance attribute reached from both the
           asyncio event loop and worker-thread call paths without a
-          lock — RACE001 generalized beyond module globals
+          lock
 ========  ==============================================================
 
-ASYNC001/ASYNC002/RACE002 need the kind-aware call graph
+ASYNC001 and RACE002 need the kind-aware call graph
 (:class:`~repro.devtools.project.ProjectModel.call_edges`) and register
-as **project rules**; ASYNC003 and LEAK001 are per-module and stay
-cacheable per file.  The interprocedural rules attach a
-:class:`~repro.devtools.findings.TraceStep` chain so SARIF consumers
-render the whole path (``codeFlows``), not just the endpoint.
+as **project rules**; LEAK001 is per-module.  The interprocedural rules
+attach a :class:`~repro.devtools.findings.TraceStep` chain so SARIF
+consumers render the whole path (``codeFlows``), not just the endpoint.
 """
 
 from __future__ import annotations
@@ -33,28 +26,44 @@ from dataclasses import replace
 from typing import ClassVar
 
 from .context import ModuleContext
-from .findings import Finding, Fix, Severity, TraceStep
+from .findings import Finding, Severity, TraceStep
 from .lifecycle import Leak, LifecycleAnalysis
 from .project import EDGE_DIRECT, FunctionInfo, ProjectModel
-from .rules import _SRV001_BLOCKING, NonBlockingAsyncViewRule, Rule
+from .rules import Rule
 
 # ---------------------------------------------------------------------------
 # ASYNC001 — blocking call transitively reachable from a coroutine
 # ---------------------------------------------------------------------------
 
-#: Blocking calls the event loop must never make — SRV001's syntactic
-#: set plus the process-spawning and shell waits an executor hop makes
-#: harmless.  ``open`` is deliberately absent: flagging every config
-#: read at startup would drown the real findings.
-_ASYNC001_BLOCKING: dict[str, str] = {
-    **_SRV001_BLOCKING,
+#: Blocking calls the event loop must never make.  ``open`` is
+#: deliberately absent: flagging every config read at startup would
+#: drown the real findings.
+_BLOCKING_CALLS: dict[str, str] = {
+    "time.sleep": "sleeps on the event loop",
+    "sqlite3.connect": "opens a database connection on the event loop",
+    "urllib.request.urlopen": "does synchronous network I/O",
+    "urllib.request.urlretrieve": "does synchronous network I/O",
+    "socket.create_connection": "does synchronous network I/O",
     "subprocess.run": "waits on a child process",
     "subprocess.call": "waits on a child process",
     "subprocess.check_call": "waits on a child process",
     "subprocess.check_output": "waits on a child process",
     "os.system": "waits on a shell",
-    "urllib.request.urlretrieve": "does synchronous network I/O",
 }
+
+
+def _walk_same_context(root: ast.AST) -> Iterator[ast.AST]:
+    """Walk ``root``'s body without descending into nested defs.
+
+    Nested ``async def``s are analyzed as coroutines of their own;
+    nested sync ``def``s run wherever they are dispatched to, so their
+    bodies are not part of the enclosing function's execution.
+    """
+    for child in ast.iter_child_nodes(root):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield child
+        yield from _walk_same_context(child)
 
 
 def _short(qualname: str) -> str:
@@ -69,8 +78,8 @@ class TransitiveBlockingCallRule(Rule):
     ``async def``, following only *direct* edges — an executor or
     thread dispatch (``run_in_executor``/``to_thread``/``submit``/
     ``threading.Thread``/``run_in_thread``) legitimately moves the work
-    off-loop and ends the traversal.  SRV001 remains as the fast
-    syntactic tier for calls written directly inside serving views."""
+    off-loop and ends the traversal.  A blocking call written directly
+    inside the coroutine is the depth-0 case of the same walk."""
 
     rule_id = "ASYNC001"
     severity = Severity.ERROR
@@ -83,9 +92,6 @@ class TransitiveBlockingCallRule(Rule):
     requires_project: ClassVar[bool] = True
     family_description = "asyncio/event-loop safety"
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
     def check_project(self, project: ProjectModel) -> Iterator[Finding]:
         roots = project.async_functions()
         if not roots:
@@ -97,11 +103,11 @@ class TransitiveBlockingCallRule(Rule):
             if not self.applies_to(info.module):
                 continue
             ctx = project.context_for(info)
-            for node in NonBlockingAsyncViewRule._walk_same_context(info.node):
+            for node in _walk_same_context(info.node):
                 if not isinstance(node, ast.Call):
                     continue
                 qualified = ctx.resolve(node.func)
-                reason = _ASYNC001_BLOCKING.get(qualified or "")
+                reason = _BLOCKING_CALLS.get(qualified or "")
                 if reason is None:
                     continue
                 key = (ctx.path, node.lineno, node.col_offset)
@@ -165,116 +171,6 @@ class TransitiveBlockingCallRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# ASYNC002 — coroutine called but never awaited or scheduled
-# ---------------------------------------------------------------------------
-
-
-class UnawaitedCoroutineRule(Rule):
-    """ASYNC002: calling an ``async def`` builds a coroutine object; if
-    the result is discarded as a bare expression statement the body
-    never executes and CPython only complains — at best — with a
-    runtime "never awaited" warning nobody reads in production logs.
-    Awaiting, assigning, returning, or handing the coroutine to a
-    scheduler (``create_task``/``gather``/...) all count as consumed;
-    only the provably-dropped case is flagged, keeping false positives
-    at zero."""
-
-    rule_id = "ASYNC002"
-    severity = Severity.ERROR
-    summary = "coroutine result must be awaited or scheduled, not dropped"
-    hint = (
-        "await it, or hand it to the loop: asyncio.create_task(coro()) / "
-        "asyncio.gather(...) — a bare call never runs the body"
-    )
-    requires_project: ClassVar[bool] = True
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: ProjectModel) -> Iterator[Finding]:
-        for qualname in sorted(project.functions):
-            info = project.functions[qualname]
-            if not self.applies_to(info.module):
-                continue
-            ctx = project.context_for(info)
-            for node in NonBlockingAsyncViewRule._walk_same_context(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                resolved = project.resolve_call(info, node)
-                if resolved is None or not resolved.is_async:
-                    continue
-                parent = ctx.parent(node)
-                if isinstance(parent, ast.Expr):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"coroutine {_short(resolved.qualname)}() is called "
-                        "but its result is discarded — the body never runs",
-                    )
-
-
-# ---------------------------------------------------------------------------
-# ASYNC003 — await while holding a synchronous lock
-# ---------------------------------------------------------------------------
-
-
-class AwaitUnderSyncLockRule(Rule):
-    """ASYNC003: a ``with self._lock:`` block inside a coroutine holds a
-    *thread* lock across any ``await`` in its body; every other task
-    that touches the same lock then blocks the loop thread itself — the
-    one-line recipe for a convoyed or deadlocked server.  Either keep
-    the critical section await-free, or switch to ``asyncio.Lock`` with
-    ``async with``."""
-
-    rule_id = "ASYNC003"
-    severity = Severity.ERROR
-    summary = "no await while holding a synchronous threading lock"
-    hint = (
-        "move the await outside the critical section, or use "
-        "asyncio.Lock with 'async with' — threading locks must never "
-        "span a suspension point"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.AsyncFunctionDef):
-                yield from self._check_coroutine(ctx, node)
-
-    def _check_coroutine(
-        self, ctx: ModuleContext, func: ast.AsyncFunctionDef
-    ) -> Iterator[Finding]:
-        for node in NonBlockingAsyncViewRule._walk_same_context(func):
-            # ast.AsyncWith is a separate type: 'async with' (an
-            # asyncio.Lock) is exactly the correct pattern and passes.
-            if not isinstance(node, ast.With):
-                continue
-            lock_expr = self._lock_item(node)
-            if lock_expr is None:
-                continue
-            for inner in NonBlockingAsyncViewRule._walk_same_context(node):
-                if isinstance(inner, ast.Await):
-                    yield self.finding(
-                        ctx,
-                        inner,
-                        f"await inside 'with {lock_expr}:' holds a "
-                        "synchronous lock across a suspension point in "
-                        f"coroutine {func.name!r}",
-                    )
-                    break
-
-    @staticmethod
-    def _lock_item(node: ast.With) -> "str | None":
-        for item in node.items:
-            try:
-                rendered = ast.unparse(item.context_expr)
-            except Exception:  # pragma: no cover - unparse edge case
-                continue
-            if "lock" in rendered.lower():
-                return rendered
-        return None
-
-
-# ---------------------------------------------------------------------------
 # LEAK001 — resource not closed on every path
 # ---------------------------------------------------------------------------
 
@@ -284,10 +180,9 @@ class ResourceLeakRule(Rule):
     (:mod:`repro.devtools.lifecycle`).  A connection, socket, executor,
     or temp file acquired in a function must be released on *every* CFG
     path out of it — including the exception edges — unless ownership
-    escapes (returned, stored on ``self``, passed along).  Under
-    sustained serving traffic an exception-path leak is a slow
-    file-descriptor exhaustion that no test catches and every incident
-    review finds."""
+    escapes (returned, stored on ``self``, passed along).  An
+    exception-path leak is a slow file-descriptor exhaustion that no
+    functional test catches."""
 
     rule_id = "LEAK001"
     severity = Severity.ERROR
@@ -300,21 +195,16 @@ class ResourceLeakRule(Rule):
     family_description = "resource lifecycle (must-close)"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        scopes: list[tuple[ast.AST | None, list[ast.stmt]]] = [
-            (None, ctx.tree.body)
+        bodies = [ctx.tree.body] + [
+            node.body
+            for node in ast.walk(ctx.tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append((node, node.body))
-        for scope_root, body in scopes:
-            analysis = LifecycleAnalysis(body, ctx.resolve)
-            for leak in analysis.leaks():
-                yield self._render(ctx, scope_root, leak)
+        for body in bodies:
+            for leak in LifecycleAnalysis(body, ctx.resolve).leaks():
+                yield self._render(ctx, leak)
 
-    def _render(
-        self, ctx: ModuleContext, scope_root: "ast.AST | None", leak: Leak
-    ) -> Finding:
-        site = leak.site
+    def _render(self, ctx: ModuleContext, leak: Leak) -> Finding:
         if leak.closed_somewhere:
             detail = (
                 "is closed on some paths but leaks on others (an "
@@ -322,126 +212,16 @@ class ResourceLeakRule(Rule):
             )
         else:
             detail = "is never closed on any path"
-        finding = self.finding(
-            ctx,
-            site.node,
-            f"{site.spec.label} acquired here {detail}",
+        return self.finding(
+            ctx, leak.site.node, f"{leak.site.spec.label} acquired here {detail}"
         )
-        fix = self._wrap_fix(ctx, scope_root, leak)
-        if fix is not None:
-            finding = replace(finding, fix=fix)
-        return finding
-
-    def _wrap_fix(
-        self, ctx: ModuleContext, scope_root: "ast.AST | None", leak: Leak
-    ) -> "Fix | None":
-        """Rewrite ``name = ACQ(...)`` + rest-of-suite into a ``with``.
-
-        Only offered for the simple single-name binding whose name is
-        never used after the suite (the rewrite closes at suite exit).
-        """
-        site = leak.site
-        stmt = site.stmt
-        if (
-            site.name is None
-            or not isinstance(stmt, ast.Assign)
-            or stmt.value is not site.node
-        ):
-            return None
-        suite = self._enclosing_suite(ctx, stmt)
-        if suite is None:
-            return None
-        index = next(
-            (i for i, candidate in enumerate(suite) if candidate is stmt), None
-        )
-        if index is None or index + 1 >= len(suite):
-            return None
-        following = suite[index + 1 :]
-        last = following[-1]
-        end_line = getattr(last, "end_lineno", None)
-        end_col = getattr(last, "end_col_offset", None)
-        stmt_end = getattr(stmt, "end_lineno", None)
-        if end_line is None or end_col is None or stmt_end is None:
-            return None  # pragma: no cover - real statements carry spans
-        if self._used_after(ctx, scope_root, site.name, end_line):
-            return None
-        acquire_src = ast.get_source_segment(ctx.source, site.node)
-        if acquire_src is None:
-            return None  # pragma: no cover - real calls carry spans
-        header = self._header(ctx, site, acquire_src)
-        if header is None:
-            return None
-        body_lines = []
-        for raw in ctx.lines[stmt_end : end_line - 1]:
-            body_lines.append(f"    {raw}" if raw.strip() else raw)
-        last_line = ctx.lines[end_line - 1][:end_col]
-        body_lines.append(f"    {last_line}" if last_line.strip() else last_line)
-        return Fix(
-            start_line=stmt.lineno,
-            start_col=stmt.col_offset,
-            end_line=end_line,
-            end_col=end_col,
-            replacement=header + "\n" + "\n".join(body_lines),
-        )
-
-    @staticmethod
-    def _header(
-        ctx: ModuleContext, site, acquire_src: str
-    ) -> "str | None":
-        if site.spec.with_closes:
-            return f"with {acquire_src} as {site.name}:"
-        # sqlite3: `with conn:` is a transaction, not a close — wrap in
-        # contextlib.closing, but only when the module can name it.
-        wrapper = None
-        for stmt in ctx.tree.body:
-            if isinstance(stmt, ast.ImportFrom) and stmt.module == "contextlib":
-                if any(alias.name == "closing" for alias in stmt.names):
-                    wrapper = "closing"
-                    break
-            if isinstance(stmt, ast.Import) and any(
-                alias.name == "contextlib" for alias in stmt.names
-            ):
-                wrapper = "contextlib.closing"
-        if wrapper is None:
-            return None
-        return f"with {wrapper}({acquire_src}) as {site.name}:"
-
-    @staticmethod
-    def _enclosing_suite(
-        ctx: ModuleContext, stmt: ast.stmt
-    ) -> "list[ast.stmt] | None":
-        parent = ctx.parent(stmt)
-        if parent is None:
-            return None
-        for attr in ("body", "orelse", "finalbody"):
-            suite = getattr(parent, attr, None)
-            if isinstance(suite, list) and any(s is stmt for s in suite):
-                return suite
-        return None
-
-    @staticmethod
-    def _used_after(
-        ctx: ModuleContext,
-        scope_root: "ast.AST | None",
-        name: str,
-        end_line: int,
-    ) -> bool:
-        root = scope_root if scope_root is not None else ctx.tree
-        for node in ast.walk(root):
-            if (
-                isinstance(node, ast.Name)
-                and node.id == name
-                and getattr(node, "lineno", 0) > end_line
-            ):
-                return True
-        return False
 
 
 # ---------------------------------------------------------------------------
 # RACE002 — shared attribute reached from loop and worker-thread paths
 # ---------------------------------------------------------------------------
 
-#: Method calls that mutate their receiver in place (RACE001's set).
+#: Method calls that mutate their receiver in place.
 _MUTATORS = frozenset(
     {
         "append",
@@ -461,14 +241,31 @@ _MUTATORS = frozenset(
 )
 
 
+def _mutable_kind(node: ast.AST) -> str | None:
+    """What fresh mutable container ``node`` builds, if any."""
+    if isinstance(node, (ast.List, ast.ListComp)):
+        return "a list"
+    if isinstance(node, (ast.Dict, ast.DictComp)):
+        return "a dict"
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return "a set"
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("list", "dict", "set", "bytearray")
+    ):
+        return f"a {node.func.id}"
+    return None
+
+
 class LoopThreadSharedAttrRule(Rule):
     """RACE002: the serving stack runs coroutines on the loop thread
     and query builders on executor threads; an instance attribute
     holding a list/dict/set that one side mutates while the other reads
     is a data race no asyncio guarantee covers (only *loop-internal*
-    state is single-threaded).  RACE001 finds this for module globals;
-    this rule walks both call-path sides of the kind-aware call graph
-    and flags unlocked mutations of shared ``self.*`` containers."""
+    state is single-threaded).  This rule walks both call-path sides of
+    the kind-aware call graph and flags unlocked mutations of shared
+    ``self.*`` containers."""
 
     rule_id = "RACE002"
     severity = Severity.ERROR
@@ -479,9 +276,7 @@ class LoopThreadSharedAttrRule(Rule):
     )
     excludes = ("repro.devtools",)
     requires_project: ClassVar[bool] = True
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        return iter(())
+    family_description = "shared-state safety"
 
     def check_project(self, project: ProjectModel) -> Iterator[Finding]:
         loop_paths = project.reachable_via(
@@ -506,8 +301,6 @@ class LoopThreadSharedAttrRule(Rule):
     @staticmethod
     def _mutable_attrs(cls_info) -> "dict[str, str]":
         """attr name → kind for ``self.x = <mutable>`` in ``__init__``."""
-        from .rules import _mutable_kind
-
         init = cls_info.methods.get("__init__")
         if init is None:
             return {}
@@ -549,11 +342,8 @@ class LoopThreadSharedAttrRule(Rule):
             if not sides:
                 continue
             ctx = project.context_for(info)
-            for node, is_mutation in self._attr_accesses(
-                info, mutable_attrs
-            ):
+            for node, attr, is_mutation in self._attr_accesses(info, mutable_attrs):
                 locked = self._under_lock(ctx, node)
-                attr = self._attr_name(node)
                 for side in sides:
                     accesses.setdefault(attr, {}).setdefault(side, []).append(
                         (info, node, is_mutation, locked)
@@ -614,61 +404,49 @@ class LoopThreadSharedAttrRule(Rule):
         return tuple(steps)
 
     @staticmethod
-    def _attr_name(node: ast.AST) -> str:
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        if isinstance(node, ast.Call):
-            return node.func.value.attr  # type: ignore[union-attr]
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
-            if isinstance(target, ast.Subscript):
-                return target.value.attr  # type: ignore[union-attr]
-            return target.attr  # type: ignore[union-attr]
-        raise AssertionError(f"unexpected access node {node!r}")
-
-    @classmethod
     def _attr_accesses(
-        cls, info: FunctionInfo, mutable_attrs: "dict[str, str]"
-    ) -> "list[tuple[ast.AST, bool]]":
-        """(node, is_mutation) for every ``self.<attr>`` touch."""
+        info: FunctionInfo, mutable_attrs: "dict[str, str]"
+    ) -> "list[tuple[ast.AST, str, bool]]":
+        """(node, attr, is_mutation) for every ``self.<attr>`` touch."""
 
-        def is_self_attr(node: ast.AST) -> bool:
-            return (
+        def self_attr(node: ast.AST) -> "str | None":
+            if (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "self"
                 and node.attr in mutable_attrs
-            )
+            ):
+                return node.attr
+            return None
 
-        out: list[tuple[ast.AST, bool]] = []
-        mutation_nodes: set[int] = set()
+        out: list[tuple[ast.AST, str, bool]] = []
+        mutated: set[int] = set()
         for node in ast.walk(info.node):
+            receivers: list[ast.AST] = []
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _MUTATORS
-                and is_self_attr(node.func.value)
             ):
-                out.append((node, True))
-                mutation_nodes.add(id(node.func.value))
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Subscript) and is_self_attr(
-                        target.value
-                    ):
-                        out.append((node, True))
-                        mutation_nodes.add(id(target.value))
-                        break
-                    if is_self_attr(target):
-                        out.append((node, True))
-                        mutation_nodes.add(id(target))
-                        break
+                receivers = [node.func.value]
+            elif isinstance(node, ast.Assign):
+                receivers = node.targets
+            elif isinstance(node, ast.AugAssign):
+                receivers = [node.target]
+            for receiver in receivers:
+                if isinstance(node, (ast.Assign, ast.AugAssign)) and isinstance(
+                    receiver, ast.Subscript
+                ):
+                    receiver = receiver.value
+                attr = self_attr(receiver)
+                if attr is not None:
+                    out.append((node, attr, True))
+                    mutated.add(id(receiver))
+                    break
         for node in ast.walk(info.node):
-            if is_self_attr(node) and id(node) not in mutation_nodes:
-                out.append((node, False))
+            attr = self_attr(node)
+            if attr is not None and id(node) not in mutated:
+                out.append((node, attr, False))
         return out
 
     @staticmethod

@@ -15,13 +15,22 @@ from pathlib import Path
 
 from .imports import ImportTracker
 
-#: ``# repro: noqa`` or ``# repro: noqa[DET001,API001]``.
+#: ``# repro: noqa`` or ``# repro: noqa[LEAK001,FLOW002]``.
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Za-z0-9_,\s-]+)\])?", re.IGNORECASE
 )
 
 #: ``# order: <free-text reason this iteration is order-safe>``.
 _ORDER_RE = re.compile(r"#\s*order\s*:", re.IGNORECASE)
+
+
+def python_files(paths: "list[str | Path]") -> list[Path]:
+    """Each path as given, directories expanded to their ``*.py`` (sorted)."""
+    files: list[Path] = []
+    for raw in paths:
+        path = Path(raw)
+        files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
+    return files
 
 
 def infer_module_name(path: "str | Path") -> str:
@@ -71,11 +80,6 @@ class ModuleContext:
             for child in ast.iter_child_nodes(parent):
                 self._parents[id(child)] = parent
         self._noqa = self._collect_noqa()
-
-    @classmethod
-    def from_file(cls, path: "str | Path") -> "ModuleContext":
-        file_path = Path(path)
-        return cls(file_path.read_text(encoding="utf-8"), path=str(file_path))
 
     # -- AST navigation ----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Cross-layer contract drift rules (SQL/SCHEMA/OBS/CFG/CLI families).
+"""Cross-layer contract drift rules (SQL/SCHEMA/CFG families).
 
 These project-tier rules check both sides of every contract surface
 harvested by :mod:`repro.devtools.contracts`:
@@ -11,16 +11,12 @@ SQL001     query references a table/column absent from the extracted DDL,
            table owned by a versioned artifact module
 SCHEMA001  payload key written under a schema id but never read by any
            consumer of that id, and vice versa
-OBS002     metric/span name emitted in exactly one place with a
-           near-duplicate elsewhere (edit distance ≤ 2, or a singleton
-           prefix family shadowing an established one)
 CFG002     config field defined but never read, or ``getattr`` read of a
            field no config class defines
-CLI002     declared CLI flag whose dest is never consumed by any handler
 ========== =================================================================
 
 Every finding carries a trace pointing at the other side of the broken
-contract (the DDL, the reader/writer, the near-duplicate emit site), so
+contract (the DDL, the reader/writer, the config class), so
 the SARIF output renders the drift as a code flow.
 """
 
@@ -32,7 +28,6 @@ from typing import ClassVar
 
 from .contracts import (
     DYNAMIC,
-    ObsName,
     PayloadSite,
     ProjectContracts,
     SqlQuery,
@@ -101,9 +96,6 @@ class _ContractRule(Rule):
     """
 
     requires_project: ClassVar[bool] = True
-
-    def check(self, ctx) -> Iterator[Finding]:  # pragma: no cover - project tier
-        return iter(())
 
     def check_project(self, project: ProjectModel) -> Iterator[Finding]:
         yield from self.check_contracts(contracts_for(project))
@@ -412,98 +404,6 @@ class SchemaKeyDriftRule(_ContractRule):
             )
 
 
-class ObsNameDriftRule(_ContractRule):
-    """OBS002 — singleton metric/span names near an established name."""
-
-    rule_id: ClassVar[str] = "OBS002"
-    severity: ClassVar[Severity] = Severity.WARNING
-    summary: ClassVar[str] = (
-        "metric/span name emitted in exactly one place with a near-duplicate "
-        "elsewhere (likely typo drift splitting one series in two)"
-    )
-    hint: ClassVar[str] = (
-        "move the name into repro.observability.names and emit the shared "
-        "constant from both sites"
-    )
-    family_description: ClassVar[str] = "observability name hygiene"
-
-    #: Maximum edit distance treated as a near-duplicate.
-    max_distance: ClassVar[int] = 2
-
-    def check_contracts(self, contracts: ProjectContracts) -> Iterator[Finding]:
-        sites: dict[tuple[str, str], list[ObsName]] = {}
-        for name in contracts.obs_names:
-            if name.kind == "log" or name.dynamic:
-                continue
-            sites.setdefault((name.kind, name.name), []).append(name)
-        for (kind, value), emits in sorted(sites.items()):
-            if len(emits) != 1:
-                continue
-            site = emits[0]
-            if site.declared or value in contracts.declared_obs_values:
-                continue
-            yield from self._check_singleton(kind, value, site, sites)
-
-    def _check_singleton(
-        self,
-        kind: str,
-        value: str,
-        site: ObsName,
-        sites: dict[tuple[str, str], list[ObsName]],
-    ) -> Iterator[Finding]:
-        peers = {
-            name: emits
-            for (peer_kind, name), emits in sites.items()
-            if peer_kind == kind and name != value
-        }
-        near = sorted(
-            name
-            for name in peers
-            if _levenshtein(value, name, self.max_distance) <= self.max_distance
-        )
-        if near:
-            yield self.make_finding(
-                site.path,
-                site.line,
-                site.col,
-                f"{kind} name {value!r} is emitted exactly once and is within "
-                f"edit distance {self.max_distance} of {near[0]!r}; the two "
-                "series look like one name with a typo",
-                trace=_trace(
-                    (emit.path, emit.line, f"{kind} {name!r} emitted here")
-                    for name in near
-                    for emit in peers[name]
-                ),
-            )
-            return
-        family = _name_family(value)
-        families: dict[str, set[str]] = {}
-        for name in peers:
-            families.setdefault(_name_family(name), set()).add(name)
-        if family in families:
-            return  # established family: singleton members are fine
-        for peer_family, members in sorted(families.items()):
-            if (
-                len(members) >= 2
-                and _levenshtein(family, peer_family, self.max_distance)
-                <= self.max_distance
-            ):
-                yield self.make_finding(
-                    site.path,
-                    site.line,
-                    site.col,
-                    f"{kind} name {value!r} starts a one-member family "
-                    f"{family!r} next to established family {peer_family!r} "
-                    f"({len(members)} names); the prefix looks misspelled",
-                    trace=_trace(
-                        (emit.path, emit.line, f"{kind} {name!r} emitted here")
-                        for name in sorted(members)[:3]
-                        for emit in peers[name]
-                    ),
-                )
-                return
-
-
 class ConfigFieldDriftRule(_ContractRule):
     """CFG002 — config fields must be read; getattr reads must exist."""
 
@@ -556,77 +456,3 @@ class ConfigFieldDriftRule(_ContractRule):
                 ),
                 hint="fix the field name or add the field to the config class",
             )
-
-
-class CliFlagDriftRule(_ContractRule):
-    """CLI002 — every declared CLI flag's dest must be consumed."""
-
-    rule_id: ClassVar[str] = "CLI002"
-    severity: ClassVar[Severity] = Severity.WARNING
-    summary: ClassVar[str] = (
-        "CLI flag declared via add_argument but its dest is never consumed "
-        "by any handler"
-    )
-    hint: ClassVar[str] = (
-        "read args.<dest> in the handler or delete the flag; accepted-but-"
-        "ignored options mislead users"
-    )
-    family_description: ClassVar[str] = "CLI flag consumption"
-
-    def check_contracts(self, contracts: ProjectContracts) -> Iterator[Finding]:
-        if contracts.cli_consumes_all or not contracts.cli_flags:
-            return
-        for flag in contracts.cli_flags:
-            if flag.dest in contracts.cli_consumed:
-                continue
-            if flag.dest in contracts.attribute_reads:
-                # Read through a receiver we don't model (e.g. a config
-                # object hydrated from the namespace) — give the benefit
-                # of the doubt.
-                continue
-            yield self.make_finding(
-                flag.path,
-                flag.line,
-                flag.col,
-                f"CLI flag {flag.option!r} stores into dest {flag.dest!r} "
-                "but no handler ever reads it",
-                trace=_trace(
-                    [
-                        (
-                            flag.path,
-                            flag.line,
-                            f"flag declared here; no args.{flag.dest} read "
-                            "anywhere in the project",
-                        )
-                    ]
-                ),
-            )
-
-
-def _levenshtein(a: str, b: str, cap: int) -> int:
-    """Edit distance between ``a`` and ``b``, short-circuited at ``cap+1``."""
-    if abs(len(a) - len(b)) > cap:
-        return cap + 1
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        best = i
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            value = min(
-                previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost
-            )
-            current.append(value)
-            best = min(best, value)
-        if best > cap:
-            return cap + 1
-        previous = current
-    return previous[-1]
-
-
-def _name_family(name: str) -> str:
-    """The leading segment of a dotted/colon-separated emit name."""
-    for separator in (":", "."):
-        if separator in name:
-            return name.split(separator, 1)[0]
-    return name

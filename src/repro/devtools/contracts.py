@@ -2,10 +2,10 @@
 
 The reproduction's subsystems talk to each other through interfaces the
 type checker never sees: SQLite DDL embedded in string literals, JSON
-payloads tagged with versioned schema ids, free-string metric/span/log
-names, dataclass config fields, and argparse flags.  Drift between the
-two sides of any of these contracts (a writer and a reader, a query and
-its DDL, a flag and its handler) only surfaces at runtime.
+payloads tagged with versioned schema ids, and dataclass config fields.
+Drift between the two sides of any of these contracts (a writer and a
+reader, a query and its DDL, a field and its readers) only surfaces at
+runtime.
 
 This module harvests every such contract from a parsed
 :class:`~repro.devtools.project.ProjectModel` — purely syntactically,
@@ -26,22 +26,16 @@ Extracted surfaces:
   value is a versioned id (``repro.index/1``-style) are *writers*;
   functions comparing a value against such an id are *readers*.  Key
   sets are harvested on both sides.
-* **Observability names** — literals passed to
-  ``metrics.increment/gauge/record_time/observe``, ``Span.begin`` /
-  ``tracer.span``, and structured-log calls; names resolved through the
-  :mod:`repro.observability.names` registry are marked *declared*.
 * **Config** — fields of ``*Config`` dataclasses versus attribute reads
   anywhere in the program (``__post_init__`` bodies excluded, so
   validation-only reads don't mask dead fields).
-* **CLI** — every ``add_argument`` dest versus the union of
-  ``args.<dest>`` / ``getattr(args, "<dest>")`` reads project-wide.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .context import ModuleContext
 from .project import ProjectModel
@@ -55,12 +49,11 @@ __all__ = [
 ]
 
 #: Schema tag of the contracts payload (bump on layout changes).
-CONTRACTS_SCHEMA = "repro.contracts/1"
+CONTRACTS_SCHEMA = "repro.contracts/2"
 
 #: Marker substituted for each interpolated f-string fragment in a
-#: harvested SQL string or observability name.  Literal braces cannot
-#: survive unescaped in f-string text, so the marker never collides
-#: with real content.
+#: harvested SQL string.  Literal braces cannot survive unescaped in
+#: f-string text, so the marker never collides with real content.
 DYNAMIC = "{*}"
 
 #: A versioned payload schema id: ``repro.index/1``, ``repro.bench_lint/1``.
@@ -86,19 +79,6 @@ _DDL_CONSTRAINT_STARTERS = frozenset(
 )
 
 _SQL_EXECUTE_METHODS = frozenset({"execute", "executemany", "executescript"})
-_METRIC_METHODS = frozenset({"increment", "gauge", "record_time", "observe"})
-_LOG_METHODS = frozenset(
-    {"debug", "info", "warning", "error", "exception", "critical"}
-)
-_LOG_RECEIVERS = frozenset({"log", "logger"})
-
-#: Conventional names an ``argparse.Namespace`` travels under.
-_ARGS_NAMES = frozenset({"args", "options", "namespace", "ns", "opts"})
-
-
-def _is_registry_module(module: str) -> bool:
-    """Whether ``module`` is an observability-name registry module."""
-    return module == "names" or module.endswith(".names")
 
 
 # ---------------------------------------------------------------------------
@@ -155,20 +135,6 @@ class PayloadSite:
 
 
 @dataclass(frozen=True)
-class ObsName:
-    """One metric/span/log name emit site."""
-
-    name: str
-    kind: str  # "metric" | "span" | "log"
-    module: str
-    path: str
-    line: int
-    col: int
-    dynamic: bool
-    declared: bool
-
-
-@dataclass(frozen=True)
 class ConfigClassDef:
     """One ``*Config`` dataclass definition."""
 
@@ -200,18 +166,6 @@ class ConfigGetattr:
     col: int
 
 
-@dataclass(frozen=True)
-class CliFlag:
-    """One ``add_argument`` declaration and its computed dest."""
-
-    dest: str
-    option: str
-    module: str
-    path: str
-    line: int
-    col: int
-
-
 @dataclass
 class ProjectContracts:
     """Every contract harvested from one project — the rules' database."""
@@ -227,18 +181,11 @@ class ProjectContracts:
     #: Modules that declare a versioned schema-id string constant —
     #: ``SELECT *`` against their tables is a drift hazard.
     versioned_modules: frozenset[str] = frozenset()
-    obs_names: tuple[ObsName, ...] = ()
-    #: Name values declared in the observability-names registry.
-    declared_obs_values: frozenset[str] = frozenset()
     config_classes: tuple[ConfigClassDef, ...] = ()
     config_fields: tuple[ConfigField, ...] = ()
     #: Every attribute name read anywhere (``__post_init__`` excluded).
     attribute_reads: frozenset[str] = frozenset()
     config_getattrs: tuple[ConfigGetattr, ...] = ()
-    cli_flags: tuple[CliFlag, ...] = ()
-    cli_consumed: frozenset[str] = frozenset()
-    #: ``vars(args)`` seen somewhere: every dest counts as consumed.
-    cli_consumes_all: bool = False
 
     # -- lookup helpers ----------------------------------------------------------
 
@@ -254,144 +201,38 @@ class ProjectContracts:
     # -- serialization -----------------------------------------------------------
 
     def to_payload(self) -> dict:
-        """Deterministic JSON-ready payload (schema ``repro.contracts/1``).
+        """Deterministic JSON-ready payload (schema :data:`CONTRACTS_SCHEMA`).
 
-        Every collection is sorted, every value a JSON scalar/list/dict,
-        so ``json.dumps(..., sort_keys=True)`` is byte-stable across
-        runs and across a cache round-trip.
+        Every collection is sorted, so ``json.dumps(..., sort_keys=True)``
+        is byte-stable across runs.
         """
+
+        def rows(records, key) -> list[dict]:
+            return [asdict(record) for record in sorted(records, key=key)]
+
         return {
             "schema": CONTRACTS_SCHEMA,
             "sql": {
-                "tables": [
-                    {
-                        "name": t.name,
-                        "module": t.module,
-                        "path": t.path,
-                        "line": t.line,
-                        "columns": list(t.columns),
-                    }
-                    for t in sorted(
-                        self.tables, key=lambda t: (t.module, t.name, t.line)
-                    )
-                ],
-                "indexes": [
-                    {
-                        "name": i.name,
-                        "table": i.table,
-                        "module": i.module,
-                        "path": i.path,
-                        "line": i.line,
-                        "columns": list(i.columns),
-                    }
-                    for i in sorted(
-                        self.indexes, key=lambda i: (i.module, i.name, i.line)
-                    )
-                ],
-                "queries": [
-                    {
-                        "sql": q.sql,
-                        "module": q.module,
-                        "path": q.path,
-                        "line": q.line,
-                        "col": q.col,
-                        "dynamic": q.dynamic,
-                    }
-                    for q in sorted(
-                        self.queries, key=lambda q: (q.path, q.line, q.col, q.sql)
-                    )
-                ],
+                "tables": rows(self.tables, lambda t: (t.module, t.name, t.line)),
+                "indexes": rows(self.indexes, lambda i: (i.module, i.name, i.line)),
+                "queries": rows(
+                    self.queries, lambda q: (q.path, q.line, q.col, q.sql)
+                ),
             },
-            "payload_schemas": [
-                {
-                    "schema_id": s.schema_id,
-                    "role": s.role,
-                    "module": s.module,
-                    "path": s.path,
-                    "function": s.function,
-                    "line": s.line,
-                    "keys": sorted(s.keys),
-                }
-                for s in sorted(
-                    self.payload_sites,
-                    key=lambda s: (s.schema_id, s.role, s.path, s.line),
-                )
-            ],
-            "observability": {
-                "names": [
-                    {
-                        "name": n.name,
-                        "kind": n.kind,
-                        "module": n.module,
-                        "path": n.path,
-                        "line": n.line,
-                        "col": n.col,
-                        "dynamic": n.dynamic,
-                        "declared": n.declared,
-                    }
-                    for n in sorted(
-                        self.obs_names,
-                        key=lambda n: (n.kind, n.name, n.path, n.line, n.col),
-                    )
-                ],
-                "declared": sorted(self.declared_obs_values),
-            },
+            "payload_schemas": rows(
+                self.payload_sites, lambda s: (s.schema_id, s.role, s.path, s.line)
+            ),
             "config": {
-                "classes": [
-                    {
-                        "cls": c.cls,
-                        "module": c.module,
-                        "path": c.path,
-                        "line": c.line,
-                    }
-                    for c in sorted(
-                        self.config_classes, key=lambda c: (c.module, c.cls)
-                    )
-                ],
+                "classes": rows(self.config_classes, lambda c: (c.module, c.cls)),
                 "fields": [
-                    {
-                        "cls": f.cls,
-                        "name": f.name,
-                        "module": f.module,
-                        "path": f.path,
-                        "line": f.line,
-                        "read": f.name in self.attribute_reads,
-                    }
-                    for f in sorted(
-                        self.config_fields,
-                        key=lambda f: (f.module, f.cls, f.line),
+                    {**row, "read": row["name"] in self.attribute_reads}
+                    for row in rows(
+                        self.config_fields, lambda f: (f.module, f.cls, f.line)
                     )
                 ],
-                "getattr_reads": [
-                    {
-                        "name": g.name,
-                        "module": g.module,
-                        "path": g.path,
-                        "line": g.line,
-                    }
-                    for g in sorted(
-                        self.config_getattrs,
-                        key=lambda g: (g.path, g.line, g.name),
-                    )
-                ],
-            },
-            "cli": {
-                "flags": [
-                    {
-                        "dest": f.dest,
-                        "option": f.option,
-                        "module": f.module,
-                        "path": f.path,
-                        "line": f.line,
-                        "consumed": self.cli_consumes_all
-                        or f.dest in self.cli_consumed,
-                    }
-                    for f in sorted(
-                        self.cli_flags, key=lambda f: (f.path, f.line, f.dest)
-                    )
-                ],
-                "consumed": sorted(self.cli_consumed),
-                "consumes_all": self.cli_consumes_all,
+                "getattr_reads": rows(
+                    self.config_getattrs, lambda g: (g.path, g.line, g.name)
+                ),
             },
         }
 
@@ -399,7 +240,7 @@ class ProjectContracts:
 def contracts_for(project: ProjectModel) -> ProjectContracts:
     """Extract (or reuse) the contracts of ``project``.
 
-    Memoized on the project instance so the five contract rules and the
+    Memoized on the project instance so the contract rules and the
     ``--contracts-out`` serialization share one extraction pass.
     """
     cached = getattr(project, "_contracts_cache", None)
@@ -454,15 +295,10 @@ class _Harvest:
         self._payload_sites: list[PayloadSite] = []
         self._module_read_keys: dict[str, frozenset[str]] = {}
         self._versioned_modules: set[str] = set()
-        self._obs_names: list[ObsName] = []
-        self._declared_obs: set[str] = set()
         self._config_classes: list[ConfigClassDef] = []
         self._config_fields: list[ConfigField] = []
         self._attribute_reads: set[str] = set()
         self._config_getattrs: list[ConfigGetattr] = []
-        self._cli_flags: list[CliFlag] = []
-        self._cli_consumed: set[str] = set()
-        self._cli_consumes_all = False
 
     def build(self) -> ProjectContracts:
         return ProjectContracts(
@@ -472,15 +308,10 @@ class _Harvest:
             payload_sites=tuple(self._payload_sites),
             module_read_keys=self._module_read_keys,
             versioned_modules=frozenset(self._versioned_modules),
-            obs_names=tuple(self._obs_names),
-            declared_obs_values=frozenset(self._declared_obs),
             config_classes=tuple(self._config_classes),
             config_fields=tuple(self._config_fields),
             attribute_reads=frozenset(self._attribute_reads),
             config_getattrs=tuple(self._config_getattrs),
-            cli_flags=tuple(self._cli_flags),
-            cli_consumed=frozenset(self._cli_consumed),
-            cli_consumes_all=self._cli_consumes_all,
         )
 
     # -- per-module scan ---------------------------------------------------------
@@ -490,8 +321,6 @@ class _Harvest:
         for value in module_consts.values():
             if _SCHEMA_ID_RE.match(value):
                 self._versioned_modules.add(ctx.module)
-        if _is_registry_module(ctx.module):
-            self._declared_obs.update(module_consts.values())
 
         # DDL from module-level constants (the ``_SCHEMA = "..."`` idiom).
         for node in ctx.tree.body:
@@ -515,13 +344,6 @@ class _Harvest:
                 self._scan_compare(ctx, node)
             elif isinstance(node, ast.ClassDef):
                 self._scan_class(ctx, node)
-            elif (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in _ARGS_NAMES
-            ):
-                self._cli_consumed.add(node.attr)
         self._module_read_keys[ctx.module] = frozenset(
             _constant_read_keys(ctx.tree)
         )
@@ -563,25 +385,15 @@ class _Harvest:
         if isinstance(func, ast.Attribute):
             if func.attr in _SQL_EXECUTE_METHODS and node.args:
                 self._scan_execute(ctx, node)
-            if func.attr == "add_argument":
-                self._scan_add_argument(ctx, node)
-            self._scan_obs_call(ctx, node, func)
         elif isinstance(func, ast.Name):
             if func.id == "getattr" and len(node.args) >= 2:
                 self._scan_getattr(ctx, node)
-            if (
-                func.id == "vars"
-                and node.args
-                and isinstance(node.args[0], ast.Name)
-                and node.args[0].id in _ARGS_NAMES
-            ):
-                self._cli_consumes_all = True
 
     def _scan_execute(self, ctx: ModuleContext, node: ast.Call) -> None:
         resolved = self._string_value(ctx, node.args[0])
         if resolved is None:
             return
-        text, dynamic, _declared = resolved
+        text, dynamic = resolved
         lowered = text.lower()
         if "create table" in lowered or "create index" in lowered:
             # DDL applied inline (not via a module constant): harvest it
@@ -674,43 +486,6 @@ class _Harvest:
             )
         )
 
-    # -- observability names -----------------------------------------------------
-
-    def _scan_obs_call(
-        self, ctx: ModuleContext, node: ast.Call, func: ast.Attribute
-    ) -> None:
-        kind = None
-        if func.attr in _METRIC_METHODS:
-            kind = "metric"
-        elif func.attr == "span" and _receiver_is_tracer(func.value):
-            kind = "span"
-        elif func.attr == "begin" and _receiver_is_span_type(ctx, func.value):
-            kind = "span"
-        elif (
-            func.attr in _LOG_METHODS
-            and isinstance(func.value, ast.Name)
-            and func.value.id in _LOG_RECEIVERS
-        ):
-            kind = "log"
-        if kind is None or not node.args:
-            return
-        resolved = self._string_value(ctx, node.args[0])
-        if resolved is None:
-            return
-        text, dynamic, declared = resolved
-        self._obs_names.append(
-            ObsName(
-                name=text,
-                kind=kind,
-                module=ctx.module,
-                path=ctx.path,
-                line=node.lineno,
-                col=node.col_offset + 1,
-                dynamic=dynamic,
-                declared=declared,
-            )
-        )
-
     # -- config ------------------------------------------------------------------
 
     def _scan_class(self, ctx: ModuleContext, node: ast.ClassDef) -> None:
@@ -745,11 +520,7 @@ class _Harvest:
         ):
             return
         name = name_arg.value
-        receiver_text = ast.unparse(receiver).lower()
-        if isinstance(receiver, ast.Name) and receiver.id in _ARGS_NAMES:
-            self._cli_consumed.add(name)
-            return
-        if "config" in receiver_text:
+        if "config" in ast.unparse(receiver).lower():
             self._attribute_reads.add(name)
             self._config_getattrs.append(
                 ConfigGetattr(
@@ -761,56 +532,19 @@ class _Harvest:
                 )
             )
 
-    # -- CLI ---------------------------------------------------------------------
-
-    def _scan_add_argument(self, ctx: ModuleContext, node: ast.Call) -> None:
-        dest = None
-        for keyword in node.keywords:
-            if keyword.arg == "dest" and isinstance(keyword.value, ast.Constant):
-                dest = str(keyword.value.value)
-        options = [
-            arg.value
-            for arg in node.args
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-        ]
-        if not options and dest is None:
-            return
-        option = options[0] if options else dest or ""
-        if "-h" in options or "--help" in options:
-            return
-        if dest is None:
-            longs = [o for o in options if o.startswith("--")]
-            if longs:
-                dest = longs[0].lstrip("-").replace("-", "_")
-            elif options[0].startswith("-"):
-                dest = options[0].lstrip("-").replace("-", "_")
-            else:
-                dest = options[0].replace("-", "_")
-        self._cli_flags.append(
-            CliFlag(
-                dest=dest,
-                option=option,
-                module=ctx.module,
-                path=ctx.path,
-                line=node.lineno,
-                col=node.col_offset + 1,
-            )
-        )
-
     # -- string resolution -------------------------------------------------------
 
     def _string_value(
         self, ctx: ModuleContext, node: ast.AST
-    ) -> "tuple[str, bool, bool] | None":
-        """Resolve a string expression → ``(text, dynamic, declared)``.
+    ) -> "tuple[str, bool] | None":
+        """Resolve a string expression → ``(text, dynamic)``.
 
-        ``declared`` marks values resolved through an observability-name
-        registry module; ``dynamic`` marks f-strings (interpolations are
-        replaced by :data:`DYNAMIC`) and registry helper calls.
+        ``dynamic`` marks f-strings, whose interpolations are replaced by
+        :data:`DYNAMIC`; names resolve through module string constants.
         """
         if isinstance(node, ast.Constant):
             if isinstance(node.value, str):
-                return node.value, False, False
+                return node.value, False
             return None
         if isinstance(node, ast.JoinedStr):
             parts = []
@@ -821,26 +555,18 @@ class _Harvest:
                 else:
                     parts.append(DYNAMIC)
                     dynamic = True
-            return "".join(parts), dynamic, False
+            return "".join(parts), dynamic
         if isinstance(node, (ast.Name, ast.Attribute)):
             qualified = ctx.resolve(node)
             if qualified is not None and "." in qualified:
                 module, attr = qualified.rsplit(".", 1)
                 value = self._consts.get(module, {}).get(attr)
                 if value is not None:
-                    return value, False, _is_registry_module(module)
+                    return value, False
             if isinstance(node, ast.Name):
                 value = self._consts.get(ctx.module, {}).get(node.id)
                 if value is not None:
-                    return value, False, _is_registry_module(ctx.module)
-            return None
-        if isinstance(node, ast.Call):
-            qualified = ctx.resolve(node.func)
-            if qualified is not None and "." in qualified:
-                module = qualified.rsplit(".", 1)[0]
-                if _is_registry_module(module):
-                    return DYNAMIC, True, True
-            return None
+                    return value, False
         return None
 
 
@@ -852,9 +578,9 @@ class _Harvest:
 def _attribute_reads(tree: ast.AST) -> set[str]:
     """Attribute names read anywhere outside ``__post_init__`` bodies.
 
-    CLI consumption (``args.<dest>``) and config-field liveness both key
-    off this; ``__post_init__`` is excluded so a field that is *only*
-    validated at construction still counts as never read.
+    Config-field liveness keys off this; ``__post_init__`` is excluded
+    so a field that is *only* validated at construction still counts as
+    never read.
     """
     out: set[str] = set()
 
@@ -938,19 +664,6 @@ def _enclosing_function(
         if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return ancestor.name, ancestor
     return None
-
-
-def _receiver_is_tracer(value: ast.AST) -> bool:
-    if isinstance(value, ast.Attribute):
-        return value.attr == "tracer"
-    return isinstance(value, ast.Name) and value.id == "tracer"
-
-
-def _receiver_is_span_type(ctx: ModuleContext, value: ast.AST) -> bool:
-    if isinstance(value, ast.Name) and value.id == "Span":
-        return True
-    qualified = ctx.resolve(value)
-    return qualified is not None and qualified.rsplit(".", 1)[-1] == "Span"
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -2,8 +2,8 @@
 
 Two layers live here:
 
-* a tiny generic **worklist solver** for forward may-analyses whose
-  facts are sets (:func:`solve_forward`);
+* a tiny generic **forward fixed-point solver** over any abstract
+  domain (:func:`solve_forward_env`);
 * **reaching definitions** built on it: for every statement, which
   definitions of each local name may still be live when the statement
   executes.  This is what lets the flow rules answer "was this variable
@@ -27,9 +27,7 @@ from .cfg import CFG
 __all__ = [
     "Definition",
     "ReachingDefinitions",
-    "assigned_names",
     "pruned_walk",
-    "solve_forward",
     "solve_forward_env",
 ]
 
@@ -77,36 +75,6 @@ class Definition:
         return getattr(self.node, "lineno", 0)
 
 
-def solve_forward(
-    cfg: CFG,
-    gen: dict[int, frozenset],
-    kill: dict[int, frozenset],
-) -> "tuple[dict[int, frozenset], dict[int, frozenset]]":
-    """Classic union/worklist forward solver.
-
-    ``in[b] = U out[p] for p in preds; out[b] = gen[b] | (in[b] - kill[b])``.
-    Returns ``(in_sets, out_sets)``; iteration order is reverse postorder
-    so most graphs converge in two passes.
-    """
-    order = cfg.reverse_postorder()
-    in_sets: dict[int, frozenset] = {b: frozenset() for b in cfg.blocks}
-    out_sets: dict[int, frozenset] = {b: frozenset() for b in cfg.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for block_id in order:
-            block = cfg.blocks[block_id]
-            incoming = frozenset().union(
-                *(out_sets[p] for p in block.predecessors)
-            ) if block.predecessors else frozenset()
-            outgoing = gen[block_id] | (incoming - kill[block_id])
-            if incoming != in_sets[block_id] or outgoing != out_sets[block_id]:
-                in_sets[block_id] = incoming
-                out_sets[block_id] = outgoing
-                changed = True
-    return in_sets, out_sets
-
-
 def solve_forward_env(
     cfg: CFG,
     transfer,
@@ -120,7 +88,8 @@ def solve_forward_env(
     given a non-empty list); ``initial`` is the entry in-state *and* the
     bottom state for blocks with no predecessors.  States must be
     hashable-free value objects compared with ``==``; the solver
-    iterates in reverse postorder until nothing changes.  Used by the
+    iterates in reverse postorder until nothing changes.  Used by
+    reaching definitions (sets of definition indices) and by the
     must-close lattice in :mod:`repro.devtools.lifecycle`.
     """
     order = cfg.reverse_postorder()
@@ -216,27 +185,6 @@ def statement_definitions(stmt: ast.stmt) -> "list[Definition]":
     return defs
 
 
-def assigned_names(body: "list[ast.stmt]") -> "set[str]":
-    """Every name bound anywhere in ``body`` (shallow per statement but
-    recursing through compound-statement bodies, not nested defs)."""
-    names: set[str] = set()
-    stack: list[ast.stmt] = list(body)
-    while stack:
-        stmt = stack.pop()
-        for definition in statement_definitions(stmt):
-            names.add(definition.name)
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                stack.append(child)
-            elif isinstance(child, (ast.ExceptHandler,)):
-                if child.name:
-                    names.add(child.name)
-                stack.extend(child.body)
-    return names
-
-
 # -- reaching definitions -----------------------------------------------------------
 
 
@@ -296,7 +244,12 @@ class ReachingDefinitions:
                     self._defs[i].name == name for i in gen[entry]
                 )
             )
-        self.block_in, self.block_out = solve_forward(cfg, gen, kill)
+        self.block_in, self.block_out = solve_forward_env(
+            cfg,
+            lambda block_id, incoming: gen[block_id] | (incoming - kill[block_id]),
+            lambda states: frozenset().union(*states),
+            frozenset(),
+        )
 
     def definition(self, index: int) -> Definition:
         return self._defs[index]

@@ -13,56 +13,9 @@ class Severity(enum.IntEnum):
     WARNING = 20
     ERROR = 30
 
-    @classmethod
-    def parse(cls, value: "str | Severity") -> "Severity":
-        """Accept ``"error"``/``"WARNING"``/an existing member."""
-        if isinstance(value, Severity):
-            return value
-        try:
-            return cls[value.strip().upper()]
-        except KeyError:
-            valid = ", ".join(member.name.lower() for member in cls)
-            raise ValueError(
-                f"unknown severity {value!r}; expected one of: {valid}"
-            ) from None
-
     @property
     def label(self) -> str:
         return self.name.lower()
-
-
-@dataclass(frozen=True, slots=True)
-class Fix:
-    """A source-span replacement that repairs a finding.
-
-    Lines are 1-based, columns 0-based (matching ``ast`` offsets); the
-    span covers ``[start, end)`` in the original text.
-    """
-
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-    replacement: str
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "start_line": self.start_line,
-            "start_col": self.start_col,
-            "end_line": self.end_line,
-            "end_col": self.end_col,
-            "replacement": self.replacement,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "Fix":
-        return cls(
-            start_line=int(payload["start_line"]),  # type: ignore[arg-type]
-            start_col=int(payload["start_col"]),  # type: ignore[arg-type]
-            end_line=int(payload["end_line"]),  # type: ignore[arg-type]
-            end_col=int(payload["end_col"]),  # type: ignore[arg-type]
-            replacement=str(payload["replacement"]),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,14 +35,6 @@ class TraceStep:
     def to_dict(self) -> dict[str, object]:
         return {"path": self.path, "line": self.line, "message": self.message}
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "TraceStep":
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[arg-type]
-            message=str(payload["message"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Finding:
@@ -102,7 +47,6 @@ class Finding:
     severity: Severity
     message: str
     hint: str = ""
-    fix: "Fix | None" = None
     trace: "tuple[TraceStep, ...]" = ()
 
     def sort_key(self) -> tuple[str, int, int, str]:
@@ -128,26 +72,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-        if self.fix is not None:
-            payload["fix"] = self.fix.to_dict()
         if self.trace:
             payload["trace"] = [step.to_dict() for step in self.trace]
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "Finding":
-        fix = payload.get("fix")
-        trace = payload.get("trace")
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[arg-type]
-            col=int(payload["col"]),  # type: ignore[arg-type]
-            rule_id=str(payload["rule_id"]),
-            severity=Severity.parse(str(payload["severity"])),
-            message=str(payload["message"]),
-            hint=str(payload.get("hint", "")),
-            fix=Fix.from_dict(fix) if isinstance(fix, dict) else None,
-            trace=tuple(TraceStep.from_dict(step) for step in trace)
-            if isinstance(trace, list)
-            else (),
-        )

@@ -5,23 +5,20 @@ FLOW001   raw external-resource responses must be validated before any
           cache-write sink (``put``/``_memory_put``)
 FLOW002   exceptions caught in resource/db paths must be re-raised,
           logged, or converted to a degrade event — no silent swallow
-RACE001   module-level mutable state must not be mutated on a parallel
-          worker path without lock evidence
 DET002    (reimplemented) unordered set/dict-view iteration feeding
           ordered output, tracked through assignments via reaching
           definitions instead of per-line syntax
 ========  ==============================================================
 
-FLOW001 and RACE001 need the whole program (method resolution, call
-graph) and register as **project rules** (``requires_project = True``);
-FLOW002 and DET002 are per-module and stay cacheable per file.
+FLOW001 needs the whole program (method resolution, call graph) and
+registers as a **project rule** (``requires_project = True``); FLOW002
+and DET002 are per-module.
 """
 
 from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from dataclasses import replace
 from typing import ClassVar
 
 from .cfg import CFG
@@ -29,13 +26,12 @@ from .context import ModuleContext
 from .dataflow import (
     Definition,
     ReachingDefinitions,
-    assigned_names,
     pruned_walk,
     shallow_expressions,
 )
-from .findings import Finding, Fix, Severity
+from .findings import Finding, Severity
 from .project import ProjectModel
-from .rules import _ORDER_SAFE_CONSUMERS, Rule, _mutable_kind
+from .rules import Rule
 from .taint import TaintEngine, TaintSpec
 
 # ---------------------------------------------------------------------------
@@ -75,9 +71,6 @@ class UnvalidatedResourceFlowRule(Rule):
     scopes = ("repro.resources", "repro.db")
     requires_project: ClassVar[bool] = True
     family_description = "data-flow (taint) invariants"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        return iter(())
 
     def check_project(self, project: ProjectModel) -> Iterator[Finding]:
         engine = TaintEngine(project, FLOW001_SPEC)
@@ -172,240 +165,6 @@ class SilentSwallowRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RACE001 — shared mutable state on worker paths
-# ---------------------------------------------------------------------------
-
-#: Method calls that mutate their receiver in place.
-_MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "remove",
-        "discard",
-        "clear",
-        "appendleft",
-        "extendleft",
-    }
-)
-
-#: Dotted suffixes of functions that fan work out to a pool.
-_POOL_ENTRYPOINTS = (".map_chunks", ".parallel_map")
-
-
-class WorkerSharedStateRule(Rule):
-    """RACE001: worker payloads run concurrently (threads) or in other
-    processes; a module-level list/dict/set they mutate is a data race
-    on the thread backend and silently-divergent state on the process
-    backend — both break the deterministic-merge contract.  Guard the
-    mutation with a lock (``with ..lock..:``) or make the state
-    immutable/worker-local."""
-
-    rule_id = "RACE001"
-    severity = Severity.ERROR
-    summary = "no unguarded module-level mutation on worker paths"
-    hint = (
-        "hold a lock around the mutation, pass state through the chunk "
-        "payload instead, or make the module value immutable"
-    )
-    excludes = ("repro.devtools",)
-    requires_project: ClassVar[bool] = True
-    family_description = "shared-state safety"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: ProjectModel) -> Iterator[Finding]:
-        globals_by_name = self._module_level_mutables(project)
-        if not globals_by_name:
-            return
-        provenance = self._reachable_from_payloads(project)
-        for qualname in sorted(provenance):
-            info = project.functions.get(qualname)
-            if info is None or not self.applies_to(info.module):
-                continue
-            ctx = project.context_for(info)
-            yield from self._check_function(
-                project, ctx, info, globals_by_name, provenance[qualname]
-            )
-
-    # -- shared-state registry ---------------------------------------------------
-
-    @staticmethod
-    def _module_level_mutables(project: ProjectModel) -> "dict[str, str]":
-        """``module.name`` -> kind for every module-level mutable binding."""
-        registry: dict[str, str] = {}
-        for module, ctx in project.modules.items():
-            for stmt in ctx.tree.body:
-                targets: list[ast.expr] = []
-                value: "ast.expr | None" = None
-                if isinstance(stmt, ast.Assign):
-                    targets, value = stmt.targets, stmt.value
-                elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                    targets, value = [stmt.target], stmt.value
-                if value is None:
-                    continue
-                kind = _mutable_kind(value)
-                if kind is None:
-                    continue
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        registry[f"{module}.{target.id}"] = kind
-        return registry
-
-    # -- payload roots and reachability ------------------------------------------
-
-    def _payload_roots(self, project: ProjectModel) -> "list[str]":
-        roots: set[str] = set()
-        # 1. __call__ of classes defined in a parallel module.
-        for cls_info in project.classes.values():
-            last = cls_info.module.rsplit(".", 1)[-1]
-            if last == "parallel" and "__call__" in cls_info.methods:
-                roots.add(cls_info.methods["__call__"].qualname)
-        # 2. First argument of pool fan-out calls.
-        for info in project.functions.values():
-            ctx = project.context_for(info)
-            for node in ast.walk(info.node):
-                if not isinstance(node, ast.Call) or not node.args:
-                    continue
-                if not self._is_pool_entrypoint(project, ctx, node):
-                    continue
-                payload = node.args[0]
-                target: "str | None" = None
-                if isinstance(payload, ast.Call):
-                    resolved = project.resolve_call(info, payload)
-                    if resolved is not None and resolved.name == "__init__":
-                        class_qualname = resolved.qualname.rsplit(".", 1)[0]
-                        method = project.lookup_method(class_qualname, "__call__")
-                        if method is not None:
-                            target = method.qualname
-                    elif resolved is not None:
-                        target = resolved.qualname
-                else:
-                    qualified = project.resolve_symbol(ctx, payload)
-                    if qualified in project.functions:
-                        target = qualified
-                    elif qualified in project.classes:
-                        method = project.lookup_method(qualified, "__call__")
-                        if method is not None:
-                            target = method.qualname
-                if target is not None:
-                    roots.add(target)
-        return sorted(roots)
-
-    @staticmethod
-    def _is_pool_entrypoint(
-        project: ProjectModel, ctx: ModuleContext, node: ast.Call
-    ) -> bool:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "submit":
-            return True
-        qualified = project.resolve_symbol(ctx, func)
-        if qualified is None:
-            return False
-        return any(
-            qualified.endswith(suffix) or qualified == suffix[1:]
-            for suffix in _POOL_ENTRYPOINTS
-        )
-
-    def _reachable_from_payloads(self, project: ProjectModel) -> "dict[str, str]":
-        """function qualname -> the payload root it is reachable from."""
-        provenance: dict[str, str] = {}
-        for root in self._payload_roots(project):
-            for reached in sorted(project.reachable([root])):
-                provenance.setdefault(reached, root)
-        return provenance
-
-    # -- mutation scan -----------------------------------------------------------
-
-    def _check_function(
-        self,
-        project: ProjectModel,
-        ctx: ModuleContext,
-        info,
-        registry: "dict[str, str]",
-        root: str,
-    ) -> Iterator[Finding]:
-        local_names = assigned_names(info.node.body)
-        declared_global: set[str] = set()
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Global):
-                declared_global.update(node.names)
-        parents: dict[int, ast.AST] = {}
-        for parent in ast.walk(info.node):
-            for child in ast.iter_child_nodes(parent):
-                parents[id(child)] = parent
-
-        def resolve_shared(base: ast.expr) -> "str | None":
-            """``module.name`` key when ``base`` refers to a registered
-            module-level mutable (bare global or imported attribute)."""
-            if isinstance(base, ast.Name):
-                name = base.id
-                if name in local_names and name not in declared_global:
-                    return None
-                key = f"{info.module}.{name}" if info.module else name
-                return key if key in registry else None
-            qualified = project.resolve_symbol(ctx, base)
-            if qualified is not None and qualified in registry:
-                return qualified
-            return None
-
-        def under_lock(node: ast.AST) -> bool:
-            current = parents.get(id(node))
-            while current is not None:
-                if isinstance(current, (ast.With, ast.AsyncWith)):
-                    for item in current.items:
-                        if "lock" in ast.unparse(item.context_expr).lower():
-                            return True
-                current = parents.get(id(current))
-            return False
-
-        for node in ast.walk(info.node):
-            shared: "str | None" = None
-            what = ""
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATOR_METHODS
-            ):
-                shared = resolve_shared(node.func.value)
-                what = f".{node.func.attr}(...)"
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Subscript):
-                        shared = shared or resolve_shared(target.value)
-                        what = "[...] = ..."
-                    elif (
-                        isinstance(target, ast.Name)
-                        and target.id in declared_global
-                    ):
-                        key = (
-                            f"{info.module}.{target.id}"
-                            if info.module
-                            else target.id
-                        )
-                        if key in registry:
-                            shared = shared or key
-                            what = "rebinding"
-            if shared is None or under_lock(node):
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                f"{registry[shared]} {shared!r} mutated ({what}) on a "
-                f"worker path reachable from {root} without a lock",
-            )
-
-
-# ---------------------------------------------------------------------------
 # DET002 — unordered iteration feeding ordered output (data-flow form)
 # ---------------------------------------------------------------------------
 
@@ -423,6 +182,11 @@ _ORDER_SENSITIVE_CALLS = frozenset(
 
 #: Ordered-container conversions that freeze iteration order.
 _ORDERING_CONVERSIONS = frozenset({"list", "tuple"})
+
+#: Consumers whose result cannot depend on iteration order.
+_ORDER_SAFE_CONSUMERS = frozenset(
+    {"sorted", "len", "min", "max", "any", "all", "set", "frozenset"}
+)
 
 
 class UnorderedIterationRule(Rule):
@@ -442,6 +206,7 @@ class UnorderedIterationRule(Rule):
         "on (or above) the line when insertion order is provably stable"
     )
     scopes = ("repro.core",)
+    family_description = "determinism"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         yield from self._check_scope(ctx, CFG.from_statements(ctx.tree.body), None)
@@ -513,33 +278,11 @@ class UnorderedIterationRule(Rule):
                         yield self._flag(ctx, node, node.args[0])
 
     def _flag(self, ctx: ModuleContext, site: ast.AST, iterable: ast.AST) -> Finding:
-        try:
-            rendered = ast.unparse(iterable)
-        except Exception:  # pragma: no cover
-            rendered = "<iterable>"
-        finding = self.finding(
+        return self.finding(
             ctx,
             site,
             "iteration order of an unordered collection leaks into "
-            f"ordered output ({rendered})",
-        )
-        fix = self._sorted_fix(iterable, rendered)
-        if fix is not None:
-            finding = replace(finding, fix=fix)
-        return finding
-
-    @staticmethod
-    def _sorted_fix(iterable: ast.AST, rendered: str) -> "Fix | None":
-        end_line = getattr(iterable, "end_lineno", None)
-        end_col = getattr(iterable, "end_col_offset", None)
-        if end_line is None or end_col is None:
-            return None  # pragma: no cover - all real exprs carry spans
-        return Fix(
-            start_line=iterable.lineno,
-            start_col=iterable.col_offset,
-            end_line=end_line,
-            end_col=end_col,
-            replacement=f"sorted({rendered})",
+            f"ordered output ({ast.unparse(iterable)})",
         )
 
     # -- unordered-ness classification -------------------------------------------

@@ -74,14 +74,6 @@ class ImportTracker:
             parts.extend(node.module.split("."))
         return ".".join(parts)
 
-    def bound_names(self) -> dict[str, str]:
-        """A copy of the local-name → qualified-name map."""
-        return dict(self._names)
-
-    def resolve_name(self, name: str) -> str | None:
-        """Qualified form of a bare local name, if an import bound it."""
-        return self._names.get(name)
-
     def resolve(self, node: ast.AST) -> str | None:
         """Qualified dotted name of a Name/Attribute chain, or None.
 

@@ -2,10 +2,9 @@
 
 The serving and incremental stacks hold real OS state — SQLite
 connections, sockets, executors, temp files — and a handle that is not
-released on *every* CFG path (including the exception edges the
-:mod:`repro.devtools.cfg` graphs now model) is a slow leak under the
-millions-of-requests traffic the ROADMAP targets.  This module tracks
-each acquisition **site** through a tiny abstract domain:
+released on *every* CFG path, exception edges included, is a slow leak
+under sustained traffic.  This module tracks each acquisition **site**
+through a tiny abstract domain:
 
 ``open``
     acquired on some path and still our responsibility;
@@ -27,10 +26,8 @@ in ``contextlib.closing``.
 
 The analysis is intra-procedural and purely syntactic on locals:
 attributes (``self._conn``) are treated as escapes, so object-held
-handles are the owning class's job (``close()`` methods) rather than a
-per-function leak.  That keeps the false-positive rate near zero at the
-cost of missing whole-object leaks — the right trade for a blocking CI
-gate.
+handles are the owning class's job (``close()`` methods).  That keeps
+false positives near zero at the cost of missing whole-object leaks.
 """
 
 from __future__ import annotations
@@ -128,8 +125,6 @@ class Site:
     spec: ResourceSpec
     #: Local name bound at the acquire (None for unbound expressions).
     name: "str | None"
-    #: The statement the acquire appears in (fix anchoring).
-    stmt: "ast.stmt | None"
 
 
 @dataclass(frozen=True)
@@ -205,7 +200,6 @@ class LifecycleAnalysis:
                         node=node,
                         spec=spec,
                         name=self._bound_name(stmt, node),
-                        stmt=stmt,
                     )
                     self._sites.append(site)
                     self._sites_by_node[id(node)] = site

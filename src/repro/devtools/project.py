@@ -1,16 +1,14 @@
 """Whole-program project model: symbol table and cross-module call graph.
 
-PR 3's analyzer saw one module at a time, so every invariant it checked
-had to be visible in a single file.  The flow rules need more: "is this
+The project rules ask questions no single file answers: "is this
 ``self._instrumented_query`` call the method defined 40 lines up?",
-"which functions can a parallel worker payload reach?".  This module
-parses the whole tree **once** into:
+"which functions can a coroutine reach without an executor hop?".  This
+module parses the whole tree **once** into:
 
 * a module table (dotted name → :class:`~repro.devtools.context.ModuleContext`),
 * a symbol table of functions, methods, and classes keyed by qualified
   name (``repro.resources.base.ExternalResource.context_terms``),
-* a conservative **call graph**: for every function, the set of project
-  functions its calls could resolve to.
+* a conservative **call graph** of :class:`CallEdge` records.
 
 Resolution strategy (purely static, never imports the analyzed code):
 
@@ -27,8 +25,7 @@ Unresolvable calls (higher-order values, ``getattr`` tricks, foreign
 libraries) produce no edge; rules treat absence of an edge as "unknown",
 never as proof of safety or guilt.
 
-The call graph is **concurrency-aware** (PR 8): every edge carries a
-:class:`CallEdge` record with the *kind* of control transfer —
+Every edge carries the *kind* of control transfer:
 
 ``direct``
     an ordinary call (or an awaited coroutine call): the callee runs on
@@ -41,9 +38,9 @@ The call graph is **concurrency-aware** (PR 8): every edge carries a
     the callee is a thread entry point: ``threading.Thread(target=f)``
     or a ``run_in_thread(f)``-style helper.
 
-The async rules (ASYNC001/RACE002) walk ``direct`` edges to decide what
-runs on the loop and treat ``executor``/``thread`` edges as hops onto
-worker threads.
+ASYNC001 and RACE002 walk ``direct`` edges to decide what runs on the
+loop and treat ``executor``/``thread`` edges as hops onto worker
+threads.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .context import ModuleContext, infer_module_name
+from .context import ModuleContext, infer_module_name, python_files
 
 __all__ = ["CallEdge", "FunctionInfo", "ClassInfo", "ProjectModel"]
 
@@ -61,9 +58,9 @@ EDGE_DIRECT = "direct"
 EDGE_EXECUTOR = "executor"
 EDGE_THREAD = "thread"
 
-#: Dotted-name suffixes of helpers that run their first argument on a
-#: dedicated thread (the serving bridge's ``run_in_thread`` pattern).
-_THREAD_HELPERS = (".run_in_thread",)
+#: Dotted-name suffix of the helper that runs its first argument on a
+#: dedicated thread (the serving bridge's ``run_in_thread``).
+_THREAD_HELPER = ".run_in_thread"
 
 
 @dataclass(frozen=True)
@@ -94,10 +91,6 @@ class FunctionInfo:
     @property
     def name(self) -> str:
         return self.node.name
-
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
 
     @property
     def is_async(self) -> bool:
@@ -132,8 +125,6 @@ class ProjectModel:
         for ctx in contexts:
             self._index_module(ctx)
         self._resolve_bases()
-        #: caller qualname -> frozenset of callee qualnames
-        self._calls: dict[str, frozenset[str]] = {}
         #: caller qualname -> ordered CallEdge records (kind-aware)
         self._edges: dict[str, tuple[CallEdge, ...]] = {}
         #: caller qualname -> tuple of unresolved callee expressions
@@ -151,16 +142,10 @@ class ProjectModel:
         already reports them as ``PARSE`` findings.
         """
         contexts: list[ModuleContext] = []
-        files: list[Path] = []
-        for raw in paths:
-            path = Path(raw)
-            if path.is_dir():
-                files.extend(sorted(path.rglob("*.py")))
-            else:
-                files.append(path)
-        for file_path in files:
+        for file_path in python_files(paths):
             try:
-                contexts.append(ModuleContext.from_file(file_path))
+                text = file_path.read_text(encoding="utf-8")
+                contexts.append(ModuleContext(text, path=str(file_path)))
             except (OSError, SyntaxError):
                 continue
         return cls(contexts)
@@ -230,11 +215,6 @@ class ProjectModel:
                 return cls_info.methods[method]
             queue.extend(cls_info.bases)
         return None
-
-    def enclosing_class(self, info: FunctionInfo) -> "ClassInfo | None":
-        if info.class_name is None:
-            return None
-        return self.classes.get(f"{info.module}.{info.class_name}")
 
     # -- call graph -------------------------------------------------------------
 
@@ -313,48 +293,30 @@ class ProjectModel:
             return None
         func = call.func
         attr = func.attr if isinstance(func, ast.Attribute) else None
-        # loop.run_in_executor(executor, fn, *args)
-        if attr == "run_in_executor" and len(call.args) >= 2:
-            target = self._callable_target(caller, call.args[1])
-            if target is not None:
-                return target, EDGE_EXECUTOR
-            return None
-        # executor.submit(fn, *args)
-        if attr == "submit" and call.args:
-            target = self._callable_target(caller, call.args[0])
-            if target is not None:
-                return target, EDGE_EXECUTOR
-            return None
         qualified = self.resolve_symbol(ctx, func)
-        # asyncio.to_thread(fn, *args)
-        if qualified == "asyncio.to_thread" and call.args:
-            target = self._callable_target(caller, call.args[0])
-            if target is not None:
-                return target, EDGE_EXECUTOR
-            return None
-        # threading.Thread(target=fn)
-        if qualified == "threading.Thread":
-            for keyword in call.keywords:
-                if keyword.arg == "target":
-                    target = self._callable_target(caller, keyword.value)
-                    if target is not None:
-                        return target, EDGE_THREAD
-            return None
-        # run_in_thread(fn, ...)-style helpers
-        if qualified is not None and (
-            any(qualified.endswith(s) for s in _THREAD_HELPERS)
-            or qualified == "run_in_thread"
+        handed: "ast.expr | None" = None
+        kind = EDGE_EXECUTOR
+        if attr == "run_in_executor" and len(call.args) >= 2:
+            handed = call.args[1]  # loop.run_in_executor(executor, fn, ...)
+        elif (attr == "submit" or qualified == "asyncio.to_thread") and call.args:
+            handed = call.args[0]  # executor.submit(fn) / to_thread(fn)
+        elif qualified == "threading.Thread":
+            kind = EDGE_THREAD
+            handed = next(
+                (kw.value for kw in call.keywords if kw.arg == "target"), None
+            )
+        elif qualified is not None and call.args and (
+            qualified.endswith(_THREAD_HELPER) or qualified == _THREAD_HELPER[1:]
         ):
-            if call.args:
-                target = self._callable_target(caller, call.args[0])
-                if target is not None:
-                    return target, EDGE_THREAD
+            kind = EDGE_THREAD
+            handed = call.args[0]  # run_in_thread(fn, ...)
+        if handed is None:
             return None
-        return None
+        target = self._callable_target(caller, handed)
+        return None if target is None else (target, kind)
 
     def _index_calls(self, info: FunctionInfo) -> None:
         edges: list[CallEdge] = []
-        seen: set[str] = set()
         unresolved: list[str] = []
         awaited_calls = {
             id(node.value)
@@ -375,7 +337,6 @@ class ProjectModel:
                         awaited=id(node) in awaited_calls,
                     )
                 )
-                seen.add(target.qualname)
                 continue
             resolved = self.resolve_call(info, node)
             if resolved is not None:
@@ -387,18 +348,17 @@ class ProjectModel:
                         awaited=id(node) in awaited_calls,
                     )
                 )
-                seen.add(resolved.qualname)
             else:
                 try:
                     unresolved.append(ast.unparse(node.func))
                 except Exception:  # pragma: no cover - unparse edge case
                     unresolved.append("<?>")
-        self._calls[info.qualname] = frozenset(seen)
         self._edges[info.qualname] = tuple(edges)
         self._unresolved[info.qualname] = tuple(unresolved)
 
     def callees(self, qualname: str) -> frozenset[str]:
-        return self._calls.get(qualname, frozenset())
+        """Qualnames ``qualname`` calls or dispatches, any edge kind."""
+        return frozenset(edge.callee for edge in self.call_edges(qualname))
 
     def call_edges(self, qualname: str) -> "tuple[CallEdge, ...]":
         """Kind-aware edges out of ``qualname`` in call-site order."""
@@ -414,15 +374,15 @@ class ProjectModel:
             if info.is_async
         )
 
-    def dispatch_targets(self, kinds: "tuple[str, ...]" = (EDGE_EXECUTOR, EDGE_THREAD)) -> "set[str]":
+    def dispatch_targets(self) -> "set[str]":
         """Functions handed to an executor or thread anywhere in the
         project — the roots of worker-thread call paths."""
-        targets: set[str] = set()
-        for edges in self._edges.values():
-            for edge in edges:
-                if edge.kind in kinds:
-                    targets.add(edge.callee)
-        return targets
+        return {
+            edge.callee
+            for edges in self._edges.values()
+            for edge in edges
+            if edge.kind != EDGE_DIRECT
+        }
 
     def reachable_via(
         self, roots: "list[str] | set[str]", kinds: "tuple[str, ...]" = (EDGE_DIRECT,)
@@ -456,21 +416,6 @@ class ProjectModel:
 
     def unresolved_calls(self, qualname: str) -> "tuple[str, ...]":
         return self._unresolved.get(qualname, ())
-
-    def reachable(self, roots: "list[str]") -> "set[str]":
-        """Every function reachable from ``roots`` via resolved edges
-        (roots included when they exist in the project)."""
-        seen: set[str] = set()
-        queue = [root for root in roots if root in self.functions]
-        while queue:
-            current = queue.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            queue.extend(self._calls.get(current, frozenset()))
-        return seen
-
-    # -- summaries used by the taint engine --------------------------------------
 
     def context_for(self, info: FunctionInfo) -> ModuleContext:
         return self.modules[info.module]

@@ -1,9 +1,9 @@
-"""The rule registry and the initial project-invariant ruleset.
+"""The rule registry and the ``Rule`` base class.
 
 A rule is a class with a ``rule_id``, a severity, optional module
 scoping, and a :meth:`Rule.check` generator over one
 :class:`~repro.devtools.context.ModuleContext`.  Defining a subclass
-registers it — adding a check in a future PR is ~30 lines:
+registers it:
 
     class DET999(Rule):
         rule_id = "DET999"
@@ -19,49 +19,36 @@ registers it — adding a check in a future PR is ~30 lines:
 
 Rules come in two flavours:
 
-* **module rules** check one file at a time via :meth:`Rule.check` —
-  they are cheap and cacheable per file;
+* **module rules** check one file at a time via :meth:`Rule.check`;
 * **project rules** (``requires_project = True``) check the whole
   program via :meth:`Rule.check_project` over a
   :class:`~repro.devtools.project.ProjectModel` — call-graph and
   cross-module taint questions live there.
 
-Current ruleset (syntactic rules here; flow rules in
-:mod:`repro.devtools.flow_rules`, concurrency/lifecycle rules in
-:mod:`repro.devtools.concurrency_rules`):
+The ruleset — every rule but SQL001 found a real bug in this tree, and
+SQL001 guards the SQL the storage layer is still changing:
 
-========  ==========================================================
-DET001    no wall clocks / unseeded randomness in core stages
-DET002    no unordered iteration feeding ordered output (data-flow)
-PAR001    process-pool payloads must not close over unpicklables
-OBS001    spans/tracers are built via the no-op-safe bundle only
-CACHE001  cache writes must store immutable values
-API001    public API functions carry complete type annotations
-CKPT001   incremental-state writes go through the atomic helper
-FLOW001   resource responses validated before cache writes (taint)
-FLOW002   no silent exception swallow in resource/db paths
-RACE001   no unguarded shared-state mutation on worker paths
-SRV001    no blocking I/O inside async view handlers (syntactic)
-ASYNC001  no blocking call transitively reachable from a coroutine
-ASYNC002  coroutine results must be awaited or scheduled
-ASYNC003  no await while holding a synchronous threading lock
-LEAK001   acquired resources must be closed on every path
-RACE002   no unlocked shared-attribute mutation across loop/thread
-SQL001    queries must agree with the extracted CREATE TABLE DDL
-SCHEMA001 writer/reader key sets of a schema id must agree
-OBS002    no singleton metric/span name near-duplicating another
-CFG002    config fields must be read; getattr reads must exist
-CLI002    every declared CLI flag's dest must be consumed
-========  ==========================================================
+=========  ==========================================================
+DET002     no unordered iteration feeding ordered output (data-flow)
+FLOW001    resource responses validated before cache writes (taint)
+FLOW002    no silent exception swallow in resource/db paths
+ASYNC001   no blocking call reachable from a coroutine
+LEAK001    acquired resources must be closed on every path
+RACE002    no unlocked shared-attribute mutation across loop/thread
+SQL001     queries must agree with the extracted CREATE TABLE DDL
+SCHEMA001  writer/reader key sets of a schema id must agree
+CFG002     config fields must be read; getattr reads must exist
+=========  ==========================================================
 
-The SQL/SCHEMA/OBS002/CFG/CLI tier lives in
-:mod:`repro.devtools.contract_rules`, driven by the contract database
-:mod:`repro.devtools.contracts` extracts.
+DET002 and the FLOW rules live in :mod:`repro.devtools.flow_rules`,
+ASYNC001/LEAK001/RACE002 in :mod:`repro.devtools.concurrency_rules`,
+and SQL001/SCHEMA001/CFG002 in :mod:`repro.devtools.contract_rules`,
+driven by the contract database :mod:`repro.devtools.contracts`
+extracts.
 """
 
 from __future__ import annotations
 
-import abc
 import ast
 from collections.abc import Iterator
 from fnmatch import fnmatchcase
@@ -82,30 +69,24 @@ def all_rules() -> list["Rule"]:
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 
-def rule_ids() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-def expand_rule_patterns(
-    patterns: "set[str] | frozenset[str]", strict: bool = True
-) -> set[str]:
+def expand_rule_patterns(patterns: "set[str] | frozenset[str]") -> set[str]:
     """Expand ids and globs (``FLOW*``, ``DET00?``) against the registry.
 
-    With ``strict`` (the default) a pattern matching nothing raises
-    :class:`ValueError`, so typos fail loudly instead of silently
-    selecting an empty ruleset.
+    A pattern matching nothing raises :class:`ValueError`, so typos and
+    ids of deleted rules fail loudly instead of silently selecting (or
+    ignoring) nothing.
     """
-    known = rule_ids()
+    known = sorted(_REGISTRY)
     selected: set[str] = set()
     for pattern in patterns:
         matched = [rule_id for rule_id in known if fnmatchcase(rule_id, pattern)]
-        if not matched and strict:
+        if not matched:
             raise ValueError(f"unknown rule id or pattern: {pattern}")
         selected.update(matched)
     return selected
 
 
-class Rule(abc.ABC):
+class Rule:
     """Base class: subclassing with a ``rule_id`` self-registers."""
 
     rule_id: ClassVar[str] = ""
@@ -146,9 +127,9 @@ class Rule(abc.ABC):
             return False
         return not self.scopes or self._in_scope(module, self.scopes)
 
-    @abc.abstractmethod
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        """Yield findings for one module."""
+        """Yield findings for one module (module rules only)."""
+        return iter(())
 
     def check_project(self, project: "ProjectModel") -> Iterator[Finding]:
         """Yield findings needing the whole program (project rules only)."""
@@ -168,526 +149,6 @@ class Rule(abc.ABC):
         )
 
 
-# ---------------------------------------------------------------------------
-# DET001 — wall clocks and unseeded randomness in deterministic stages
-# ---------------------------------------------------------------------------
-
-#: Calls that inject wall-clock time or process-unique entropy.  The
-#: monotonic clocks (``time.perf_counter``/``time.monotonic``) are
-#: deliberately absent: they only ever feed telemetry durations.
-_DET001_BANNED = {
-    "time.time": "wall-clock timestamp",
-    "time.time_ns": "wall-clock timestamp",
-    "os.urandom": "OS entropy",
-    "uuid.uuid1": "host/time-derived UUID",
-    "uuid.uuid4": "random UUID",
-    "random.random": "global unseeded RNG",
-    "random.randint": "global unseeded RNG",
-    "random.randrange": "global unseeded RNG",
-    "random.randbytes": "global unseeded RNG",
-    "random.getrandbits": "global unseeded RNG",
-    "random.choice": "global unseeded RNG",
-    "random.choices": "global unseeded RNG",
-    "random.shuffle": "global unseeded RNG",
-    "random.sample": "global unseeded RNG",
-    "random.uniform": "global unseeded RNG",
-    "random.gauss": "global unseeded RNG",
-    "datetime.datetime.now": "wall-clock timestamp",
-    "datetime.datetime.utcnow": "wall-clock timestamp",
-    "datetime.datetime.today": "wall-clock timestamp",
-    "datetime.date.today": "wall-clock timestamp",
-}
-
-
-class DeterministicClockRule(Rule):
-    """DET001: Shift_f/Shift_r and the Dunning LLR scores (PAPER.md §3)
-    must be byte-stable across runs, so the stages that produce them may
-    not read wall clocks or the global RNG.  Seeded generators
-    (``config.rng(namespace)``, ``random.Random(seed)``) are fine."""
-
-    rule_id = "DET001"
-    severity = Severity.ERROR
-    summary = "no wall clocks or unseeded randomness in deterministic stages"
-    hint = (
-        "derive randomness from ReproConfig.rng(namespace) and timestamps "
-        "from the observability layer; monotonic telemetry clocks "
-        "(time.perf_counter/time.monotonic) are allowed"
-    )
-    scopes = ("repro.core", "repro.extractors", "repro.resources")
-    family_description = "determinism"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qualified = ctx.resolve(node.func)
-            if qualified is None:
-                continue
-            reason = _DET001_BANNED.get(qualified)
-            if reason is not None:
-                yield self.finding(
-                    ctx, node, f"call to {qualified}() injects {reason}"
-                )
-            elif qualified == "random.Random" and not node.args and not node.keywords:
-                yield self.finding(
-                    ctx,
-                    node,
-                    "random.Random() without a seed is nondeterministic",
-                    hint="seed it: random.Random(config.seed) or config.rng(name)",
-                )
-
-
-# ---------------------------------------------------------------------------
-# DET002 moved to repro.devtools.flow_rules (data-flow reimplementation)
-# ---------------------------------------------------------------------------
-
-#: Consumers whose result cannot depend on iteration order.
-_ORDER_SAFE_CONSUMERS = frozenset(
-    {"sorted", "len", "min", "max", "any", "all", "set", "frozenset"}
-)
-
-
-# ---------------------------------------------------------------------------
-# PAR001 — process-pool payloads closing over unpicklables
-# ---------------------------------------------------------------------------
-
-#: Constructors whose results do not survive pickling to a worker.
-_UNPICKLABLE = {
-    "threading.Lock": "a lock",
-    "threading.RLock": "a re-entrant lock",
-    "threading.Condition": "a condition variable",
-    "threading.Semaphore": "a semaphore",
-    "threading.BoundedSemaphore": "a semaphore",
-    "threading.Event": "an event",
-    "threading.local": "thread-local storage",
-    "sqlite3.connect": "an open database connection",
-}
-
-
-class PicklablePayloadRule(Rule):
-    """PAR001: anything submitted to the process-pool backend is
-    pickled; :mod:`repro.parallel` chunk payloads are callables, so any
-    class defining ``__call__`` that stores a lock, an open file, a
-    connection, or a tracer handle on ``self`` must also define
-    ``__getstate__`` to drop it (the pattern
-    :class:`repro.db.resource_cache.PersistentResourceCache` uses)."""
-
-    rule_id = "PAR001"
-    severity = Severity.ERROR
-    summary = "pool payloads must not close over locks/files/tracers"
-    hint = (
-        "drop the handle in __getstate__ and rebuild it in __setstate__ "
-        "(see PersistentResourceCache), or keep it out of the payload"
-    )
-    family_description = "parallelism"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            methods = {
-                item.name
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            if "__call__" not in methods or "__getstate__" in methods:
-                continue
-            yield from self._check_payload_class(ctx, node)
-
-    def _check_payload_class(
-        self, ctx: ModuleContext, cls_node: ast.ClassDef
-    ) -> Iterator[Finding]:
-        for node in ast.walk(cls_node):
-            if not isinstance(node, ast.Assign):
-                continue
-            targets = [
-                target
-                for target in node.targets
-                if isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ]
-            if not targets:
-                continue
-            what = self._risky(ctx, node.value)
-            if what is None:
-                continue
-            attrs = ", ".join(f"self.{target.attr}" for target in targets)
-            yield self.finding(
-                ctx,
-                node,
-                f"payload class {cls_node.name!r} (defines __call__) stores "
-                f"{what} on {attrs} without a __getstate__",
-            )
-
-    @staticmethod
-    def _risky(ctx: ModuleContext, value: ast.AST) -> str | None:
-        if not isinstance(value, ast.Call):
-            return None
-        func = value.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            return "an open file handle"
-        qualified = ctx.resolve(func)
-        if qualified is None:
-            return None
-        if qualified in _UNPICKLABLE:
-            return _UNPICKLABLE[qualified]
-        if "observability" in qualified and qualified.endswith(".Tracer"):
-            return "a tracer handle"
-        return None
-
-
-# ---------------------------------------------------------------------------
-# OBS001 — observability must stay no-op-safe in hot paths
-# ---------------------------------------------------------------------------
-
-
-class NoOpSafeObservabilityRule(Rule):
-    """OBS001: instrumented hot paths go through the
-    :class:`~repro.observability.Observability` bundle
-    (``obs.tracer.span(...)`` is free when disabled) or the
-    ``Span.begin(...)``/``span.finish()`` factory pair.  Constructing
-    ``Span``/``Tracer`` directly outside :mod:`repro.observability`
-    re-introduces per-call allocation — and a wall-clock read — even
-    when observability is off."""
-
-    rule_id = "OBS001"
-    severity = Severity.WARNING
-    summary = "construct spans/tracers via the no-op-safe bundle only"
-    hint = (
-        "use obs.tracer.span(name, **tags) or Span.begin(name, **tags) / "
-        "span.finish(); direct Span()/Tracer() calls belong in "
-        "repro.observability"
-    )
-    excludes = ("repro.observability", "repro.devtools")
-    family_description = "observability"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qualified = ctx.resolve(node.func)
-            if qualified is None or "observability" not in qualified:
-                continue
-            final = qualified.rsplit(".", 1)[-1]
-            if final in ("Span", "Tracer"):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"direct {final}(...) construction outside the "
-                    "observability layer bypasses the no-op bundle",
-                )
-
-
-# ---------------------------------------------------------------------------
-# CACHE001 — cache values must be immutable
-# ---------------------------------------------------------------------------
-
-#: Expressions that produce freshly mutable containers.
-_MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray"})
-
-
-def _mutable_kind(node: ast.AST) -> str | None:
-    if isinstance(node, (ast.List, ast.ListComp)):
-        return "a list"
-    if isinstance(node, (ast.Dict, ast.DictComp)):
-        return "a dict"
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "a set"
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in _MUTABLE_CALLS
-    ):
-        return f"a {node.func.id}"
-    return None
-
-
-class ImmutableCacheValueRule(Rule):
-    """CACHE001: the PR-1 ``context_terms`` cache-poisoning bug, as a
-    lint rule.  A value stored in :class:`PersistentResourceCache` or an
-    LRU tier is shared by every later reader; storing a mutable
-    container lets one caller's in-place edit corrupt everyone else's
-    answer.  Store tuples, frozensets, or ``frozen=True`` dataclasses."""
-
-    rule_id = "CACHE001"
-    severity = Severity.ERROR
-    summary = "cache entries must be immutable values"
-    hint = (
-        "convert before storing: tuple(...), frozenset(...), or a "
-        "frozen dataclass — and return fresh copies to callers"
-    )
-    family_description = "cache hygiene"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_put(ctx, node)
-            elif isinstance(node, ast.Assign):
-                yield from self._check_subscript_store(ctx, node)
-
-    def _check_put(self, ctx: ModuleContext, node: ast.Call) -> Iterator[Finding]:
-        func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr not in (
-            "put",
-            "_memory_put",
-        ):
-            return
-        value = self._value_argument(node)
-        if value is None:
-            return
-        kind = _mutable_kind(value)
-        if kind is not None:
-            yield self.finding(
-                ctx,
-                node,
-                f"{func.attr}() stores {kind}; cache entries must be "
-                "immutable (tuple/frozenset/frozen dataclass)",
-            )
-
-    @staticmethod
-    def _value_argument(node: ast.Call) -> ast.AST | None:
-        for keyword in node.keywords:
-            if keyword.arg in ("terms", "value"):
-                return keyword.value
-        if node.args:
-            return node.args[-1]
-        return None
-
-    def _check_subscript_store(
-        self, ctx: ModuleContext, node: ast.Assign
-    ) -> Iterator[Finding]:
-        kind = _mutable_kind(node.value)
-        if kind is None:
-            return
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Attribute)
-                and "cache" in target.value.attr.lower()
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"assignment into {ast.unparse(target.value)}[...] stores "
-                    f"{kind}; cache entries must be immutable",
-                )
-
-
-# ---------------------------------------------------------------------------
-# API001 — complete annotations on the public API surface
-# ---------------------------------------------------------------------------
-
-
-class PublicApiAnnotationRule(Rule):
-    """API001: the public entry points (``repro.api``, ``repro.config``,
-    ``repro.core.pipeline``) are what users and the mypy gate read
-    first; every public function and method there must annotate every
-    parameter and its return type."""
-
-    rule_id = "API001"
-    severity = Severity.WARNING
-    summary = "public API functions need complete type annotations"
-    hint = "annotate every parameter and the return type"
-    scopes = ("repro.api", "repro.config", "repro.core.pipeline")
-    family_description = "public API hygiene"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        yield from self._check_body(ctx, ctx.tree.body, method=False)
-        for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                yield from self._check_body(ctx, node.body, method=True)
-
-    def _check_body(
-        self, ctx: ModuleContext, body: list[ast.stmt], method: bool
-    ) -> Iterator[Finding]:
-        for node in body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            public = not node.name.startswith("_") or node.name == "__init__"
-            if not public:
-                continue
-            missing = self._missing_annotations(node, method)
-            skip_return = node.name == "__init__"
-            if node.returns is None and not skip_return:
-                missing.append("return")
-            if missing:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"public function {node.name!r} is missing type "
-                    f"annotations for: {', '.join(missing)}",
-                )
-
-    @staticmethod
-    def _missing_annotations(
-        node: "ast.FunctionDef | ast.AsyncFunctionDef", method: bool
-    ) -> list[str]:
-        args = node.args
-        ordered = [*args.posonlyargs, *args.args]
-        if method and ordered and ordered[0].arg in ("self", "cls"):
-            ordered = ordered[1:]
-        ordered.extend(args.kwonlyargs)
-        missing = [arg.arg for arg in ordered if arg.annotation is None]
-        if args.vararg is not None and args.vararg.annotation is None:
-            missing.append(f"*{args.vararg.arg}")
-        if args.kwarg is not None and args.kwarg.annotation is None:
-            missing.append(f"**{args.kwarg.arg}")
-        return missing
-
-
-# ---------------------------------------------------------------------------
-# CKPT001 — checkpoint writes must be atomic
-# ---------------------------------------------------------------------------
-
-
-class AtomicCheckpointWriteRule(Rule):
-    """CKPT001: a crash during a plain ``open(path, "w")`` write leaves a
-    half-written file that a resume would read as the latest state.  All
-    file writes under :mod:`repro.incremental` must therefore go through
-    :func:`repro.incremental.checkpoint.atomic_write_text` /
-    ``atomic_write_json`` (temp file + fsync + ``os.replace``); the
-    checkpoint module itself, which implements that helper, is the only
-    exemption."""
-
-    rule_id = "CKPT001"
-    severity = Severity.ERROR
-    summary = "incremental-state writes must use the atomic write helper"
-    hint = (
-        "write through atomic_write_text/atomic_write_json "
-        "(repro.incremental.checkpoint): temp file + fsync + os.replace"
-    )
-    scopes = ("repro.incremental",)
-    excludes = ("repro.incremental.checkpoint",)
-    family_description = "checkpoint durability"
-
-    #: ``open`` mode characters that create or truncate the target.
-    _WRITE_MODES = ("w", "a", "x", "+")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "open":
-                mode = self._open_mode(node)
-                if mode is not None and any(
-                    ch in mode for ch in self._WRITE_MODES
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"open(..., {mode!r}) writes in place; a crash "
-                        "mid-write leaves a torn file for resume to read",
-                    )
-            elif isinstance(func, ast.Attribute) and func.attr in (
-                "write_text",
-                "write_bytes",
-            ):
-                qualified = ctx.resolve(func)
-                if qualified in (
-                    "repro.incremental.checkpoint.atomic_write_text",
-                    "repro.incremental.checkpoint.atomic_write_json",
-                ):  # pragma: no cover - defensive; helpers are functions
-                    continue
-                yield self.finding(
-                    ctx,
-                    node,
-                    f".{func.attr}(...) writes in place; a crash mid-write "
-                    "leaves a torn file for resume to read",
-                )
-
-    @staticmethod
-    def _open_mode(node: ast.Call) -> str | None:
-        """The literal mode of an ``open`` call (None = default read)."""
-        mode: ast.AST | None = None
-        if len(node.args) >= 2:
-            mode = node.args[1]
-        for keyword in node.keywords:
-            if keyword.arg == "mode":
-                mode = keyword.value
-        if mode is None:
-            return None
-        if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-            return mode.value
-        # Dynamic mode expression: assume the worst.
-        return "w"
-
-
-# ---------------------------------------------------------------------------
-# SRV001 — no blocking I/O inside async view handlers
-# ---------------------------------------------------------------------------
-
-#: Calls that stall the serving event loop when made from a coroutine.
-_SRV001_BLOCKING = {
-    "time.sleep": "sleeps on the event loop",
-    "sqlite3.connect": "opens a database connection on the event loop",
-    "urllib.request.urlopen": "does synchronous network I/O",
-    "socket.create_connection": "does synchronous network I/O",
-}
-
-
-class NonBlockingAsyncViewRule(Rule):
-    """SRV001: every request to the serving layer shares one event loop,
-    so a single blocking call inside an ``async def`` view stalls all
-    concurrent requests.  Backend queries must be dispatched through
-    ``loop.run_in_executor`` under ``asyncio.wait_for`` (the
-    :class:`repro.serving.app.FacetApp` pattern); per-request
-    ``sqlite3.connect`` belongs in :class:`FacetIndex`'s thread-local
-    connection pool, never in a view.  Synchronous helper functions are
-    exempt — they already run on executor threads."""
-
-    rule_id = "SRV001"
-    severity = Severity.ERROR
-    summary = "no blocking I/O inside async view handlers"
-    hint = (
-        "run blocking work on the executor: await asyncio.wait_for("
-        "loop.run_in_executor(None, fn), timeout); open SQLite "
-        "connections inside FacetIndex's thread-local pool"
-    )
-    scopes = ("repro.serving",)
-    family_description = "serving/event-loop hygiene"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.AsyncFunctionDef):
-                yield from self._check_coroutine(ctx, node)
-
-    def _check_coroutine(
-        self, ctx: ModuleContext, func: ast.AsyncFunctionDef
-    ) -> Iterator[Finding]:
-        for node in self._walk_same_context(func):
-            if not isinstance(node, ast.Call):
-                continue
-            qualified = ctx.resolve(node.func)
-            reason = _SRV001_BLOCKING.get(qualified or "")
-            if reason is not None:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{qualified}() inside async view "
-                    f"{func.name!r} {reason}, stalling every in-flight "
-                    "request",
-                )
-
-    @classmethod
-    def _walk_same_context(cls, root: ast.AST) -> Iterator[ast.AST]:
-        """Walk ``root``'s body without descending into nested defs.
-
-        Nested ``async def``s are visited by the outer scan; nested sync
-        ``def``s run on executor threads, where blocking is the point.
-        """
-        for child in ast.iter_child_nodes(root):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            yield child
-            yield from cls._walk_same_context(child)
-
-
-# Register the flow-aware rules (FLOW001/FLOW002/RACE001/DET002), the
-# concurrency/lifecycle rules (ASYNC001-003/LEAK001/RACE002), and the
-# contract drift rules (SQL001/SCHEMA001/OBS002/CFG002/CLI002); the
-# imports are for their registration side effects.
+# Register the rules; the imports are for their registration side
+# effects.
 from . import concurrency_rules, contract_rules, flow_rules  # noqa: E402,F401

@@ -5,7 +5,7 @@ viewers can show summaries/hints for rules with zero results this run)
 and one ``result`` per finding.  The document is **deterministic**:
 no timestamps, no absolute paths, no environment capture — the same
 findings always serialize to the same bytes, which is what lets CI
-assert that a warm-cache run is byte-identical to a cold one.
+assert that two runs over the same tree are byte-identical.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ def _rule_descriptor(rule: Rule) -> dict:
     return descriptor
 
 
+def _location(path: str, region: dict) -> dict:
+    uri = path.replace("\\", "/")
+    return {"physicalLocation": {"artifactLocation": {"uri": uri}, "region": region}}
+
+
 def render_sarif(
     findings: "list[Finding]", rules: "list[Rule] | None" = None
 ) -> str:
@@ -78,48 +83,25 @@ def render_sarif(
             "level": _LEVELS[finding.severity],
             "message": {"text": message},
             "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path.replace("\\", "/"),
-                        },
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col,
-                        },
-                    }
-                }
+                _location(
+                    finding.path,
+                    {"startLine": finding.line, "startColumn": finding.col},
+                )
             ],
         }
         if finding.trace:
             # Interprocedural findings carry their call/flow path; SARIF
             # renders it as one codeFlow with a single threadFlow.
-            result["codeFlows"] = [
+            steps = [
                 {
-                    "threadFlows": [
-                        {
-                            "locations": [
-                                {
-                                    "location": {
-                                        "physicalLocation": {
-                                            "artifactLocation": {
-                                                "uri": step.path.replace(
-                                                    "\\", "/"
-                                                ),
-                                            },
-                                            "region": {
-                                                "startLine": step.line,
-                                            },
-                                        },
-                                        "message": {"text": step.message},
-                                    }
-                                }
-                                for step in finding.trace
-                            ]
-                        }
-                    ]
+                    "location": {
+                        **_location(step.path, {"startLine": step.line}),
+                        "message": {"text": step.message},
+                    }
                 }
+                for step in finding.trace
             ]
+            result["codeFlows"] = [{"threadFlows": [{"locations": steps}]}]
         results.append(result)
     document = {
         "$schema": SARIF_SCHEMA_URI,

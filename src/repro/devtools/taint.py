@@ -3,11 +3,11 @@
 A :class:`TaintSpec` names three pattern sets:
 
 * **sources** — calls whose result is suspect (a raw external-resource
-  response, an unordered collection, ...);
+  response);
 * **sanitizers** — calls that clean a suspect value
-  (``validate_context_terms``, ``sorted`` for ordering taint);
+  (``validate_context_terms``);
 * **sinks** — calls a suspect value must never reach unclean
-  (``PersistentResourceCache.put``, store writes).
+  (``PersistentResourceCache.put``).
 
 Patterns come in two forms:
 
@@ -43,7 +43,7 @@ from .context import ModuleContext
 from .dataflow import pruned_walk, shallow_expressions
 from .project import FunctionInfo, ProjectModel
 
-__all__ = ["TaintSpec", "TaintHit", "TaintEngine", "matches_pattern"]
+__all__ = ["TaintSpec", "TaintHit", "TaintEngine"]
 
 #: Builtins that return a rearrangement of their (first) argument — they
 #: carry taint through instead of cleaning it.
@@ -63,19 +63,13 @@ class TaintSpec:
 
 @dataclass(frozen=True)
 class TaintHit:
-    """A tainted value reaching a sink."""
+    """A tainted value reaching a sink call."""
 
-    function: str
     node: ast.Call
-    sink: str
     source_label: str
 
-    @property
-    def line(self) -> int:
-        return self.node.lineno
 
-
-def matches_pattern(
+def _matches(
     call: ast.Call,
     patterns: "tuple[str, ...]",
     project: ProjectModel,
@@ -205,61 +199,45 @@ class _FunctionTaint:
     # -- expression labelling ----------------------------------------------------
 
     def _expr_label(self, node: "ast.expr | None", env: dict[str, str]) -> "str | None":
-        if node is None:
-            return None
         if isinstance(node, ast.Name):
             return env.get(node.id)
         if isinstance(node, ast.Call):
             return self._call_label(node, env)
-        if isinstance(node, ast.Attribute):
-            return self._expr_label(node.value, env)
-        if isinstance(node, ast.Subscript):
-            return self._expr_label(node.value, env)
-        if isinstance(node, ast.Starred):
-            return self._expr_label(node.value, env)
-        if isinstance(node, ast.Await):
+        if isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred, ast.Await)):
             return self._expr_label(node.value, env)
         if isinstance(node, ast.BinOp):
-            return self._expr_label(node.left, env) or self._expr_label(
-                node.right, env
-            )
-        if isinstance(node, ast.BoolOp):
-            for value in node.values:
-                label = self._expr_label(value, env)
-                if label is not None:
-                    return label
+            parts = [node.left, node.right]
+        elif isinstance(node, ast.IfExp):
+            parts = [node.body, node.orelse]
+        elif isinstance(node, ast.BoolOp):
+            parts = node.values
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            parts = node.elts
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            parts = [generator.iter for generator in node.generators]
+        elif isinstance(node, ast.JoinedStr):
+            parts = [
+                value.value
+                for value in node.values
+                if isinstance(value, ast.FormattedValue)
+            ]
+        else:
             return None
-        if isinstance(node, ast.IfExp):
-            return self._expr_label(node.body, env) or self._expr_label(
-                node.orelse, env
-            )
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            for element in node.elts:
-                label = self._expr_label(element, env)
-                if label is not None:
-                    return label
-            return None
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            for generator in node.generators:
-                label = self._expr_label(generator.iter, env)
-                if label is not None:
-                    return label
-            return None
-        if isinstance(node, ast.JoinedStr):
-            for value in node.values:
-                if isinstance(value, ast.FormattedValue):
-                    label = self._expr_label(value.value, env)
-                    if label is not None:
-                        return label
-            return None
+        return self._first_label(parts, env)
+
+    def _first_label(self, nodes: "list[ast.expr]", env: dict[str, str]) -> "str | None":
+        for node in nodes:
+            label = self._expr_label(node, env)
+            if label is not None:
+                return label
         return None
 
     def _call_label(self, call: ast.Call, env: dict[str, str]) -> "str | None":
         spec = self.engine.spec
         project = self.engine.project
-        if matches_pattern(call, spec.sanitizers, project, self.ctx) is not None:
+        if _matches(call, spec.sanitizers, project, self.ctx) is not None:
             return None
-        source = matches_pattern(call, spec.sources, project, self.ctx)
+        source = _matches(call, spec.sources, project, self.ctx)
         if source is not None:
             try:
                 rendered = ast.unparse(call.func)
@@ -269,11 +247,7 @@ class _FunctionTaint:
         # Taint-through builtins: tuple(x), sorted(x), ...
         func = call.func
         if isinstance(func, ast.Name) and func.id in _PROPAGATING_BUILTINS:
-            for arg in call.args:
-                label = self._expr_label(arg, env)
-                if label is not None:
-                    return label
-            return None
+            return self._first_label(call.args, env)
         # One level inter-procedural: a project callee whose return
         # value is tainted taints this call site.
         callee = project.resolve_call(self.info, call)
@@ -287,23 +261,13 @@ class _FunctionTaint:
         for node in self._shallow_nodes(stmt):
             if not isinstance(node, ast.Call):
                 continue
-            sink = matches_pattern(
-                node, self.engine.spec.sinks, self.engine.project, self.ctx
-            )
-            if sink is None:
+            if _matches(node, self.engine.spec.sinks, self.engine.project, self.ctx) is None:
                 continue
-            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-                label = self._expr_label(arg, env)
-                if label is not None:
-                    self.hits.append(
-                        TaintHit(
-                            function=self.info.qualname,
-                            node=node,
-                            sink=sink,
-                            source_label=label,
-                        )
-                    )
-                    break
+            label = self._first_label(
+                [*node.args, *(kw.value for kw in node.keywords)], env
+            )
+            if label is not None:
+                self.hits.append(TaintHit(node=node, source_label=label))
 
     @staticmethod
     def _shallow_nodes(stmt: ast.stmt):

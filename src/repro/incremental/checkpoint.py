@@ -6,8 +6,7 @@ through :func:`atomic_write_text`: the payload lands in a temp file that
 is fsynced and then :func:`os.replace`-d over the target, so a reader
 never observes a half-written checkpoint — a crash leaves either the
 old file, the new file, or a stray ``*.tmp`` that the store removes on
-open.  The lint rule CKPT001 enforces that no other module under
-:mod:`repro.incremental` opens checkpoint files for writing directly.
+open.
 
 Recovery scans the run directory for the highest-sequence snapshot whose
 schema and content checksum validate, falling back to earlier snapshots

@@ -83,7 +83,7 @@ class FaultInjector:
 def write_batch_file(path: str | Path, documents: list[Document]) -> Path:
     """Write one batch file: one canonical-JSON document per line.
 
-    Written atomically (CKPT001): a producer crash must never leave a
+    Written atomically: a producer crash must never leave a
     half-written batch for the supervisor to ingest.
     """
     path = Path(path)

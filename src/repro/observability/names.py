@@ -8,10 +8,8 @@ literals, which buys two things:
 
 * a single place to read the whole observable surface of the program
   (dashboards and tests grep one file, not the tree), and
-* machine-checkable hygiene — the contract extractor
-  (:mod:`repro.devtools.contracts`) marks names resolved through this
-  module as *declared*, and the OBS002 lint rule only hunts for typo
-  near-misses among names that bypass the registry.
+* typo safety — a misspelled constant fails at import time, where a
+  misspelled free string would silently split one series in two.
 
 Naming convention: metric names are dot-separated
 (``subsystem.event``), span names are colon-separated

@@ -19,23 +19,44 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import Analyzer, Severity, all_rules, render_json, render_text
-from repro.devtools.analyzer import PARSE_ERROR
+from repro.devtools.analyzer import PARSE_ERROR, Analyzer
 from repro.devtools.context import ModuleContext, infer_module_name
+from repro.devtools.findings import Severity
 from repro.devtools.imports import ImportTracker
+from repro.devtools.reporting import render_json, render_text
+from repro.devtools.rules import all_rules
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+#: The ruleset: every rule kept because it found a real bug in this tree.
 EXPECTED_RULES = {
-    "DET001",
     "DET002",
+    "FLOW001",
+    "FLOW002",
+    "ASYNC001",
+    "LEAK001",
+    "RACE002",
+    "SQL001",
+    "SCHEMA001",
+    "CFG002",
+}
+
+#: Rules deleted for never having fired on the tree; their ids must be
+#: usage errors now, not silently-empty selections.
+DELETED_RULES = (
+    "DET001",
     "PAR001",
     "OBS001",
     "CACHE001",
     "API001",
     "CKPT001",
     "SRV001",
-}
+    "RACE001",
+    "ASYNC002",
+    "ASYNC003",
+    "OBS002",
+    "CLI002",
+)
 
 
 def check(source: str, module: str) -> list:
@@ -53,7 +74,7 @@ def rule_ids(findings: list) -> set[str]:
 
 
 def test_registry_has_the_full_initial_ruleset():
-    assert {rule.rule_id for rule in all_rules()} >= EXPECTED_RULES
+    assert {rule.rule_id for rule in all_rules()} == EXPECTED_RULES
 
 
 def test_rules_carry_metadata():
@@ -100,79 +121,6 @@ def test_module_name_inference_walks_packages(tmp_path):
     (pkg / "stages.py").write_text("")
     assert infer_module_name(pkg / "stages.py") == "repro.core.stages"
     assert infer_module_name(pkg / "__init__.py") == "repro.core"
-
-
-# -- DET001 -----------------------------------------------------------------------
-
-
-def test_det001_flags_wall_clock_in_core():
-    findings = check(
-        """
-        import time
-
-        def stage():
-            return time.time()
-        """,
-        "repro.core.stages",
-    )
-    assert rule_ids(findings) == {"DET001"}
-    assert findings[0].severity is Severity.ERROR
-    assert "time.time" in findings[0].message
-
-
-def test_det001_flags_unseeded_random_and_urandom():
-    findings = check(
-        """
-        import os
-        import random
-
-        def extract():
-            random.shuffle([])
-            r = random.Random()
-            return os.urandom(8)
-        """,
-        "repro.extractors.fancy",
-    )
-    assert len(findings) == 3
-    assert rule_ids(findings) == {"DET001"}
-
-
-def test_det001_allows_seeded_rngs_and_monotonic_clocks():
-    findings = check(
-        """
-        import random
-        import time
-
-        def stage(seed: int) -> float:
-            rng = random.Random(seed)
-            start = time.perf_counter()
-            rng.random()
-            return time.perf_counter() - start
-        """,
-        "repro.core.stages",
-    )
-    assert findings == []
-
-
-def test_det001_out_of_scope_module_is_ignored():
-    findings = check(
-        "import time\n\ndef f():\n    return time.time()\n",
-        "repro.harness.timers",
-    )
-    assert findings == []
-
-
-def test_det001_suppressed_by_noqa():
-    findings = check(
-        """
-        import time
-
-        def stage():
-            return time.time()  # repro: noqa[DET001]
-        """,
-        "repro.core.stages",
-    )
-    assert findings == []
 
 
 # -- DET002 -----------------------------------------------------------------------
@@ -250,342 +198,21 @@ def test_det002_only_applies_to_core():
     assert findings == []
 
 
-# -- PAR001 -----------------------------------------------------------------------
-
-
-def test_par001_flags_lock_in_callable_payload():
+def test_det002_suppressed_by_noqa():
     findings = check(
         """
-        import threading
-
-        class ChunkPayload:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def __call__(self, chunk):
-                return chunk
+        def merge(p, q):
+            out = []
+            for term in set(p) | set(q):  # repro: noqa[DET002]
+                out.append(term)
+            return out
         """,
-        "repro.parallel_ext",
-    )
-    assert rule_ids(findings) == {"PAR001"}
-    assert "self._lock" in findings[0].message
-
-
-def test_par001_flags_open_file_and_tracer_handles():
-    findings = check(
-        """
-        from repro.observability import Tracer
-
-        class Payload:
-            def __init__(self, path):
-                self.handle = open(path)
-                self.tracer = Tracer()
-
-            def __call__(self, chunk):
-                return chunk
-        """,
-        "repro.workers",
-    )
-    assert "PAR001" in rule_ids(findings)
-    par = [f for f in findings if f.rule_id == "PAR001"]
-    assert len(par) == 2
-
-
-def test_par001_getstate_makes_payload_clean():
-    findings = check(
-        """
-        import threading
-
-        class Payload:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def __call__(self, chunk):
-                return chunk
-
-            def __getstate__(self):
-                state = self.__dict__.copy()
-                state["_lock"] = None
-                return state
-        """,
-        "repro.workers",
+        "repro.core.distributional",
     )
     assert findings == []
 
 
-def test_par001_non_callable_classes_are_ignored():
-    findings = check(
-        """
-        import threading
-
-        class NotAPayload:
-            def __init__(self):
-                self._lock = threading.Lock()
-        """,
-        "repro.workers",
-    )
-    assert findings == []
-
-
-# -- OBS001 -----------------------------------------------------------------------
-
-
-def test_obs001_flags_direct_span_construction():
-    findings = check(
-        """
-        from repro.observability.tracing import Span
-
-        def hot_path():
-            span = Span(name="work", start=0.0)
-            return span
-        """,
-        "repro.core.stages",
-    )
-    assert "OBS001" in rule_ids(findings)
-
-
-def test_obs001_allows_factory_and_observability_internals():
-    clean = check(
-        """
-        from repro.observability.tracing import Span
-
-        def hot_path():
-            span = Span.begin("work", items=3)
-            span.finish()
-            return span
-        """,
-        "repro.core.stages",
-    )
-    assert clean == []
-    internal = check(
-        """
-        from .tracing import Span
-
-        def helper():
-            return Span(name="x")
-        """,
-        "repro.observability.helpers",
-    )
-    assert internal == []
-
-
-# -- CACHE001 ---------------------------------------------------------------------
-
-
-def test_cache001_flags_mutable_put_values():
-    findings = check(
-        """
-        def store(cache, namespace, key, values):
-            cache.put(namespace, key, list(values))
-            cache.put(namespace, key, [v for v in values])
-        """,
-        "repro.resources.custom",
-    )
-    assert len(findings) == 2
-    assert rule_ids(findings) == {"CACHE001"}
-
-
-def test_cache001_flags_mutable_subscript_store():
-    findings = check(
-        """
-        class Resource:
-            def remember(self, key, values):
-                self._cache[key] = list(values)
-        """,
-        "repro.resources.custom",
-    )
-    assert rule_ids(findings) == {"CACHE001"}
-
-
-def test_cache001_tuple_values_are_clean():
-    findings = check(
-        """
-        def store(cache, namespace, key, values):
-            cache.put(namespace, key, tuple(values))
-        """,
-        "repro.resources.custom",
-    )
-    assert findings == []
-
-
-# -- API001 -----------------------------------------------------------------------
-
-
-def test_api001_flags_missing_annotations_in_public_api():
-    findings = check(
-        """
-        def run(documents, top_k=10):
-            return documents[:top_k]
-        """,
-        "repro.api",
-    )
-    assert rule_ids(findings) == {"API001"}
-    assert "documents" in findings[0].message
-    assert "return" in findings[0].message
-
-
-def test_api001_checks_init_params_but_not_private_helpers():
-    findings = check(
-        """
-        class Pipeline:
-            def __init__(self, top_k, validator=None) -> None:
-                self._top_k = top_k
-
-        def _helper(x):
-            return x
-        """,
-        "repro.core.pipeline",
-    )
-    assert rule_ids(findings) == {"API001"}
-    assert len(findings) == 1
-
-
-def test_api001_fully_annotated_is_clean():
-    findings = check(
-        """
-        def run(documents: list[str], top_k: int = 10) -> list[str]:
-            return documents[:top_k]
-        """,
-        "repro.api",
-    )
-    assert findings == []
-
-
-def test_api001_out_of_scope_module_is_ignored():
-    findings = check("def f(x):\n    return x\n", "repro.harness.tables")
-    assert findings == []
-
-
-# -- CKPT001 ----------------------------------------------------------------------
-
-
-def test_ckpt001_flags_plain_write_mode_open():
-    findings = check(
-        """
-        def save(path, text):
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        """,
-        "repro.incremental.state",
-    )
-    assert rule_ids(findings) == {"CKPT001"}
-    assert findings[0].severity is Severity.ERROR
-    assert "torn file" in findings[0].message
-
-
-def test_ckpt001_flags_path_write_text_and_dynamic_mode():
-    findings = check(
-        """
-        def save(path, payload, mode):
-            path.write_text(payload)
-            open(path, mode)
-        """,
-        "repro.incremental.supervisor",
-    )
-    # The discarded ``open(path, mode)`` handle is also a genuine leak,
-    # so LEAK001 fires alongside the two torn-write findings.
-    assert rule_ids(findings) == {"CKPT001", "LEAK001"}
-    assert len([f for f in findings if f.rule_id == "CKPT001"]) == 2
-
-
-def test_ckpt001_read_mode_and_atomic_helper_are_clean():
-    findings = check(
-        """
-        from .checkpoint import atomic_write_json
-
-        def roundtrip(path, payload):
-            atomic_write_json(path, payload)
-            with open(path, encoding="utf-8") as handle:
-                return handle.read()
-        """,
-        "repro.incremental.state",
-    )
-    assert findings == []
-
-
-def test_ckpt001_suppressed_by_noqa():
-    findings = check(
-        """
-        def save(path, text):
-            path.write_text(text)  # repro: noqa[CKPT001]
-        """,
-        "repro.incremental.state",
-    )
-    assert findings == []
-
-
-def test_ckpt001_checkpoint_module_and_out_of_scope_are_exempt():
-    snippet = """
-        def save(path, text):
-            with open(path, "w") as handle:
-                handle.write(text)
-        """
-    assert "CKPT001" not in rule_ids(check(snippet, "repro.incremental.checkpoint"))
-    assert "CKPT001" not in rule_ids(check(snippet, "repro.core.persistence"))
-
-
-# -- SRV001 -----------------------------------------------------------------------
-
-
-def test_srv001_flags_blocking_calls_in_async_views():
-    findings = check(
-        """
-        import sqlite3
-        import time
-
-        async def view(request):
-            time.sleep(0.1)
-            connection = sqlite3.connect("index.db")
-            return connection
-        """,
-        "repro.serving.app",
-    )
-    # ASYNC001 (the transitive tier) also covers the depth-0 case, so
-    # both rules fire on a blocking call made directly in the view.
-    assert rule_ids(findings) == {"ASYNC001", "SRV001"}
-    srv = [f for f in findings if f.rule_id == "SRV001"]
-    assert len(srv) == 2
-    assert srv[0].severity is Severity.ERROR
-    assert "event loop" in srv[0].message
-
-
-def test_srv001_executor_dispatch_and_sync_helpers_are_clean():
-    findings = check(
-        """
-        import asyncio
-        import sqlite3
-        import time
-
-        def query(path):
-            # sync helper: runs on an executor thread, blocking is fine
-            connection = sqlite3.connect(path)
-            time.sleep(0)
-            return connection
-
-        async def view(request):
-            loop = asyncio.get_running_loop()
-            return await asyncio.wait_for(
-                loop.run_in_executor(None, query, "index.db"), timeout=5.0
-            )
-        """,
-        "repro.serving.app",
-    )
-    assert findings == []
-
-
-def test_srv001_nested_sync_def_inside_async_view_is_exempt():
-    findings = check(
-        """
-        import sqlite3
-
-        async def view(request):
-            def connect():
-                return sqlite3.connect("index.db")
-            return connect
-        """,
-        "repro.serving.app",
-    )
-    assert findings == []
+# -- blocking calls in async views (SRV001, folded into ASYNC001) ------------------
 
 
 def test_srv001_suppressed_by_noqa_and_scoped_to_serving():
@@ -594,7 +221,7 @@ def test_srv001_suppressed_by_noqa_and_scoped_to_serving():
         import time
 
         async def view(request):
-            time.sleep(0.1)  # repro: noqa[SRV001,ASYNC001]
+            time.sleep(0.1)  # repro: noqa[ASYNC001]
         """,
         "repro.serving.app",
     )
@@ -605,24 +232,28 @@ def test_srv001_suppressed_by_noqa_and_scoped_to_serving():
         async def worker():
             time.sleep(0.1)
         """
-    assert "SRV001" not in rule_ids(check(snippet, "repro.parallel.pool"))
+    # The serving-only SRV001 is gone; ASYNC001 covers every module.
+    outside_serving = rule_ids(check(snippet, "repro.parallel.pool"))
+    assert "SRV001" not in outside_serving
+    assert "ASYNC001" in outside_serving
 
 
-# -- analyzer machinery -----------------------------------------------------------
+_SET_ITERATION = "def f(xs):\n    return [x for x in set(xs)]\n"
 
 
 def test_select_and_ignore_filter_rules():
-    source = "import time\n\ndef f(x):\n    return time.time()\n"
-    only_det = Analyzer(select={"DET001"}).analyze_source(
-        source, module="repro.core.stages"
+    only_det = Analyzer(select={"DET002"}).analyze_source(
+        _SET_ITERATION, module="repro.core.stages"
     )
-    assert rule_ids(only_det) == {"DET001"}
-    without_det = Analyzer(ignore={"DET001"}).analyze_source(
-        source, module="repro.core.stages"
+    assert rule_ids(only_det) == {"DET002"}
+    without_det = Analyzer(ignore={"DET*"}).analyze_source(
+        _SET_ITERATION, module="repro.core.stages"
     )
-    assert "DET001" not in rule_ids(without_det)
+    assert "DET002" not in rule_ids(without_det)
     with pytest.raises(ValueError):
         Analyzer(select={"NOPE999"})
+    with pytest.raises(ValueError):
+        Analyzer(ignore={"NOPE999"})
 
 
 def test_syntax_error_becomes_parse_finding():
@@ -635,10 +266,8 @@ def test_syntax_error_becomes_parse_finding():
 def test_blanket_noqa_suppresses_every_rule():
     findings = check(
         """
-        import time
-
-        def f():
-            return time.time()  # repro: noqa
+        def f(xs):
+            return [x for x in set(xs)]  # repro: noqa
         """,
         "repro.core.stages",
     )
@@ -647,12 +276,12 @@ def test_blanket_noqa_suppresses_every_rule():
 
 def test_context_tracks_ordering_comments_and_noqa():
     ctx = ModuleContext(
-        "x = 1  # repro: noqa[DET001,API001]\n# order: stable\ny = 2\n",
+        "x = 1  # repro: noqa[DET002,LEAK001]\n# order: stable\ny = 2\n",
         module="repro.core.x",
     )
-    assert ctx.is_suppressed(1, "DET001")
-    assert ctx.is_suppressed(1, "api001")
-    assert not ctx.is_suppressed(1, "OBS001")
+    assert ctx.is_suppressed(1, "DET002")
+    assert ctx.is_suppressed(1, "leak001")
+    assert not ctx.is_suppressed(1, "FLOW002")
     assert ctx.has_ordering_comment(2)
     assert ctx.has_ordering_comment(3)
     assert not ctx.has_ordering_comment(1)
@@ -664,10 +293,10 @@ def test_context_tracks_ordering_comments_and_noqa():
 def _sample_findings() -> list:
     return check(
         """
-        import time
+        import sqlite3
 
-        def f():
-            return time.time()
+        def f(path):
+            return sqlite3.connect(path).total_changes
         """,
         "repro.core.stages",
     )
@@ -677,7 +306,7 @@ def test_text_reporter_formats_location_and_rule():
     findings = _sample_findings()
     text = render_text(findings)
     assert "repro/core/stages.py:5:" in text
-    assert "DET001" in text
+    assert "LEAK001" in text
     assert "finding(s)" in text
     assert render_text([]) == "no findings"
 
@@ -688,7 +317,7 @@ def test_json_reporter_schema():
     assert report["version"] == 1
     assert set(report) == {"version", "findings", "summary"}
     assert report["summary"]["total"] == len(findings)
-    assert report["summary"]["by_rule"]["DET001"] == 1
+    assert report["summary"]["by_rule"]["LEAK001"] == 1
     assert report["summary"]["by_severity"]["error"] == 1
     for entry in report["findings"]:
         assert set(entry) == {
@@ -729,13 +358,13 @@ def _write_violating_package(root: Path) -> Path:
     (core / "bad.py").write_text(
         textwrap.dedent(
             """
-            import time
+            import sqlite3
 
-            def stage(p, q):
+            def stage(p, q, path):
                 out = []
                 for term in set(p) | set(q):
                     out.append(term)
-                return out, time.time()
+                return out, sqlite3.connect(path).total_changes
             """
         )
     )
@@ -746,7 +375,7 @@ def test_cli_exits_nonzero_on_violating_package(tmp_path):
     package = _write_violating_package(tmp_path)
     result = _run_lint(str(package))
     assert result.returncode == 1
-    assert "DET001" in result.stdout
+    assert "LEAK001" in result.stdout
     assert "DET002" in result.stdout
     assert "bad.py:" in result.stdout
 
@@ -777,10 +406,211 @@ def test_cli_fail_on_never_reports_but_passes(tmp_path):
     package = _write_violating_package(tmp_path)
     result = _run_lint(str(package), "--fail-on", "never")
     assert result.returncode == 0
-    assert "DET001" in result.stdout
+    assert "LEAK001" in result.stdout
 
 
 def test_cli_unknown_rule_id_is_usage_error():
     result = _run_lint("--select", "NOPE999")
     assert result.returncode == 2
     assert "unknown rule" in result.stderr
+
+
+@pytest.mark.parametrize("flag", ["--select", "--ignore"])
+def test_cli_deleted_or_mistyped_rule_id_is_usage_error(flag):
+    # A script still passing an id of a deleted rule (or a typo such as
+    # SRV01) must fail loudly instead of silently checking everything.
+    for rule_id in (*DELETED_RULES, "SRV01"):
+        result = _run_lint("src/repro", flag, rule_id)
+        assert result.returncode == 2, (flag, rule_id)
+        assert f"unknown rule id or pattern: {rule_id}" in result.stderr
+
+
+def test_only_the_lint_command_loads_the_analyzer():
+    # Every command builds the full parser, including the lint
+    # subparser; that must not import the analyzer, rules or reporters.
+    probe = textwrap.dedent(
+        """
+        import sys
+        from repro.__main__ import _build_parser
+
+        parser = _build_parser()
+        parser.parse_args(["serve", "index.db"])
+        try:
+            parser.parse_args(["serve", "--help"])
+        except SystemExit:
+            pass
+        print(sorted(m for m in sys.modules if m.startswith("repro.devtools")))
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.strip().splitlines()[-1]
+    assert loaded == "['repro.devtools', 'repro.devtools.cli']"
+
+
+# -- regression net: every recorded in-tree finding -------------------------------
+
+#: One minimal fixture per bug the linter found in this tree, shaped
+#: like the code it was found in: (rule, module, source).  Deleting a
+#: rule or a piece of analysis must never make one of these go silent.
+TRUE_FINDINGS = {
+    "det002-persistence-set-rows": (
+        "DET002",
+        "repro.core.persistence",
+        """
+        def original_term_rows(document_id, original_terms):
+            rows = []
+            for term in set(original_terms):
+                rows.append((document_id, term))
+            return rows
+        """,
+    ),
+    "flow001-unvalidated-context-terms": (
+        "FLOW001",
+        "repro.resources.base",
+        """
+        class ExternalResource:
+            def _query(self, term):
+                return [term]
+
+            def context_terms(self, term):
+                terms = self._query(term)
+                self._memory_put(term, terms)
+                return terms
+        """,
+    ),
+    "flow002-swallowed-close-failure": (
+        "FLOW002",
+        "repro.db.resource_cache",
+        """
+        import sqlite3
+
+        class PersistentResourceCache:
+            def close(self):
+                try:
+                    self._conn.close()
+                except sqlite3.Error:
+                    pass
+        """,
+    ),
+    "async001-healthz-probe-on-the-loop": (
+        "ASYNC001",
+        "repro.serving.app",
+        """
+        import sqlite3
+
+        class FacetApp:
+            async def _healthz(self):
+                return self._probe()
+
+            def _probe(self):
+                return self._count(sqlite3.connect(self.path))
+
+            def _count(self, connection):
+                return connection
+        """,
+    ),
+    "leak001-unshut-probe-executor": (
+        "LEAK001",
+        "repro.serving.app",
+        """
+        from concurrent.futures import ThreadPoolExecutor
+
+        def probe(index):
+            executor = ThreadPoolExecutor(max_workers=1)
+            future = executor.submit(index.document_count)
+            return future.result()
+        """,
+    ),
+    "race002-connection-registry": (
+        "RACE002",
+        "repro.serving.artifact",
+        """
+        import threading
+
+        class FacetIndex:
+            def __init__(self):
+                self._connections = []
+
+            def start(self):
+                threading.Thread(target=self._connection).start()
+
+            def _connection(self):
+                connection = object()
+                self._connections.append(connection)
+                return connection
+
+            async def close(self):
+                self._connections.clear()
+        """,
+    ),
+    "schema001-manifest-posting-count": (
+        "SCHEMA001",
+        "repro.serving.artifact",
+        """
+        INDEX_SCHEMA = "repro.index/1"
+
+        def build_manifest(documents, postings):
+            return {
+                "schema": INDEX_SCHEMA,
+                "document_count": len(documents),
+                "posting_count": len(postings),
+            }
+
+        def verify(manifest, documents):
+            if manifest.get("schema") != INDEX_SCHEMA:
+                return False
+            return manifest["document_count"] == len(documents)
+        """,
+    ),
+    "schema001-checkpoint-sequence": (
+        "SCHEMA001",
+        "repro.incremental.checkpoint",
+        """
+        CHECKPOINT_SCHEMA = "repro.incremental-checkpoint/1"
+
+        def snapshot(state, sequence):
+            return {"schema": CHECKPOINT_SCHEMA, "sequence": sequence, "state": state}
+
+        def load(payload):
+            if payload.get("schema") != CHECKPOINT_SCHEMA:
+                raise ValueError("not a checkpoint")
+            return payload["state"]
+        """,
+    ),
+    "cfg002-unapplied-memory-cache-size": (
+        "CFG002",
+        "repro.config",
+        """
+        from dataclasses import dataclass
+
+        @dataclass
+        class ParallelConfig:
+            workers: int = 1
+            memory_cache_size: int = 4096
+
+        def build(parallel):
+            return parallel.workers
+        """,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUE_FINDINGS))
+def test_every_recorded_true_finding_still_fires(case):
+    rule_id, module, source = TRUE_FINDINGS[case]
+    findings = Analyzer().analyze_source(
+        textwrap.dedent(source),
+        path=f"{module.replace('.', '/')}.py",
+        module=module,
+    )
+    assert rule_id in rule_ids(findings), (case, findings)

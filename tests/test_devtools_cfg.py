@@ -10,7 +10,6 @@ from repro.devtools.cfg import CFG
 from repro.devtools.dataflow import (
     Definition,
     ReachingDefinitions,
-    assigned_names,
     pruned_walk,
     shallow_expressions,
     statement_definitions,
@@ -190,19 +189,6 @@ def test_statement_definitions_cover_binding_forms():
         stmt = ast.parse(source).body[0]
         names = sorted(d.name for d in statement_definitions(stmt))
         assert names == sorted(expected), source
-
-
-def test_assigned_names_recurses_compounds_not_nested_defs():
-    body = ast.parse(
-        "x = 1\n"
-        "for i in r:\n"
-        "    y = 2\n"
-        "def g():\n"
-        "    z = 3\n"
-    ).body
-    names = assigned_names(body)
-    assert {"x", "i", "y", "g"} <= names
-    assert "z" not in names
 
 
 # -- reaching definitions -----------------------------------------------------------

@@ -1,11 +1,10 @@
 """Tests for contract extraction and the cross-layer drift rules.
 
-Each of the five contract rules (SQL001, SCHEMA001, OBS002, CFG002,
-CLI002) gets a fixture snippet that must fire, one that must not, and
-one suppressed with ``# repro: noqa``.  The extraction layer itself is
-tested for determinism: the ``contracts.json`` payload must be
-byte-identical between a cold run and a warm (cache-backed) run, and an
-engine-version bump must invalidate the cached contract database.
+Each contract rule (SQL001, SCHEMA001, CFG002) gets a fixture snippet
+that must fire, one that must not, and one suppressed with
+``# repro: noqa``.  The extraction layer itself is tested for
+determinism: the ``contracts.json`` payload must be byte-identical
+between two runs over the same tree.
 """
 
 from __future__ import annotations
@@ -14,21 +13,13 @@ import json
 import textwrap
 from pathlib import Path
 
-from repro.devtools import (
-    AnalysisStats,
-    Analyzer,
-    LintCache,
-    all_rules,
-    render_sarif,
-)
-from repro.devtools.cache import engine_signature
-from repro.devtools.contracts import (
-    CONTRACTS_SCHEMA,
-    extract_contracts,
-)
+from repro.devtools.analyzer import AnalysisStats, Analyzer
+from repro.devtools.contracts import CONTRACTS_SCHEMA, extract_contracts
 from repro.devtools.project import ProjectModel
+from repro.devtools.rules import all_rules
+from repro.devtools.sarif import render_sarif
 
-CONTRACT_RULES = {"SQL001", "SCHEMA001", "OBS002", "CFG002", "CLI002"}
+CONTRACT_RULES = {"SQL001", "SCHEMA001", "CFG002"}
 
 
 def _findings(source: str, module: str, select: "set[str] | None" = None):
@@ -255,74 +246,6 @@ def test_schema001_noqa_suppresses():
     assert ids == []
 
 
-# -- OBS002: observability name near-misses ---------------------------------------
-
-
-_OBS_MODULE = "repro.core.demo"
-
-
-def test_obs002_near_duplicate_metric_fires():
-    findings = _findings(
-        """
-        def run(metrics):
-            metrics.increment("pipeline.documents")
-
-        def other(metrics):
-            metrics.increment("pipeline.docuemnts")
-        """,
-        _OBS_MODULE,
-        select={"OBS002"},
-    )
-    # The near-miss is symmetric: each singleton is flagged, pointing
-    # at the other.
-    assert [f.rule_id for f in findings] == ["OBS002", "OBS002"]
-    for finding in findings:
-        assert finding.trace, "OBS002 must point at the sibling name"
-
-
-def test_obs002_repeated_name_is_clean():
-    ids = _rule_ids(
-        """
-        def run(metrics):
-            metrics.increment("pipeline.documents")
-
-        def other(metrics):
-            metrics.increment("pipeline.documents")
-        """,
-        _OBS_MODULE,
-        select={"OBS002"},
-    )
-    assert ids == []
-
-
-def test_obs002_distinct_names_are_clean():
-    ids = _rule_ids(
-        """
-        def run(metrics):
-            metrics.increment("pipeline.documents")
-            metrics.increment("serving.requests")
-        """,
-        _OBS_MODULE,
-        select={"OBS002"},
-    )
-    assert ids == []
-
-
-def test_obs002_noqa_suppresses():
-    ids = _rule_ids(
-        """
-        def run(metrics):
-            metrics.increment("pipeline.documents")  # repro: noqa: OBS002
-
-        def other(metrics):
-            metrics.increment("pipeline.docuemnts")  # repro: noqa: OBS002
-        """,
-        _OBS_MODULE,
-        select={"OBS002"},
-    )
-    assert ids == []
-
-
 # -- CFG002: config field liveness ------------------------------------------------
 
 
@@ -427,96 +350,6 @@ def test_cfg002_noqa_suppresses():
     assert ids == []
 
 
-# -- CLI002: flag consumption -----------------------------------------------------
-
-
-_CLI_MODULE = "repro.cli_demo"
-
-
-def test_cli002_unconsumed_flag_fires():
-    findings = _findings(
-        """
-        import argparse
-
-        def build():
-            parser = argparse.ArgumentParser()
-            parser.add_argument("--used")
-            parser.add_argument("--dead-flag")
-            return parser
-
-        def main():
-            args = build().parse_args()
-            return args.used
-        """,
-        _CLI_MODULE,
-        select={"CLI002"},
-    )
-    assert [f.rule_id for f in findings] == ["CLI002"]
-    assert "dead_flag" in findings[0].message
-
-
-def test_cli002_all_flags_consumed_is_clean():
-    ids = _rule_ids(
-        """
-        import argparse
-
-        def build():
-            parser = argparse.ArgumentParser()
-            parser.add_argument("--used")
-            parser.add_argument("--other", dest="renamed")
-            return parser
-
-        def main():
-            args = build().parse_args()
-            return args.used, getattr(args, "renamed")
-        """,
-        _CLI_MODULE,
-        select={"CLI002"},
-    )
-    assert ids == []
-
-
-def test_cli002_vars_args_consumes_everything():
-    ids = _rule_ids(
-        """
-        import argparse
-
-        def build():
-            parser = argparse.ArgumentParser()
-            parser.add_argument("--anything")
-            return parser
-
-        def main():
-            args = build().parse_args()
-            return dict(vars(args))
-        """,
-        _CLI_MODULE,
-        select={"CLI002"},
-    )
-    assert ids == []
-
-
-def test_cli002_noqa_suppresses():
-    ids = _rule_ids(
-        """
-        import argparse
-
-        def build():
-            parser = argparse.ArgumentParser()
-            parser.add_argument("--used")
-            parser.add_argument("--dead-flag")  # repro: noqa: CLI002
-            return parser
-
-        def main():
-            args = build().parse_args()
-            return args.used
-        """,
-        _CLI_MODULE,
-        select={"CLI002"},
-    )
-    assert ids == []
-
-
 # -- SARIF traces -----------------------------------------------------------------
 
 
@@ -547,7 +380,7 @@ def test_contract_finding_traces_serialize_to_sarif_code_flows():
     assert any("writer" in message for message in messages)
 
 
-# -- extraction determinism + cache lifecycle -------------------------------------
+# -- extraction determinism -------------------------------------------------------
 
 
 _PKG_SOURCES = {
@@ -570,15 +403,17 @@ def load(payload):
         raise ValueError("bad schema")
     return payload["rows"]
 """,
-    "cli.py": """\
-import argparse
+    "config.py": """\
+from dataclasses import dataclass
 
 
-def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--limit", type=int, default=10)
-    args = parser.parse_args()
-    return args.limit
+@dataclass
+class PkgConfig:
+    limit: int = 10
+
+
+def limit(config):
+    return config.limit
 """,
 }
 
@@ -591,56 +426,26 @@ def _write_package(root: Path) -> Path:
     return package
 
 
-def _run(analyzer: Analyzer, cache_dir: Path, package: Path):
-    cache = LintCache(cache_dir, analyzer.signature)
-    stats = AnalysisStats()
+def _run(analyzer: Analyzer, package: Path):
     contracts: dict = {}
-    findings = analyzer.analyze_paths(
-        [package], cache=cache, stats=stats, contracts_out=contracts
-    )
-    cache.save()
-    return findings, stats, contracts
+    findings = analyzer.analyze_paths([package], contracts_out=contracts)
+    return findings, contracts
 
 
-def test_contracts_payload_cold_vs_warm_is_byte_identical(tmp_path):
+def test_contracts_payload_is_byte_identical_across_runs(tmp_path):
     package = _write_package(tmp_path)
     analyzer = Analyzer()
-    cold_findings, cold_stats, cold = _run(analyzer, tmp_path / "cache", package)
-    warm_findings, warm_stats, warm = _run(analyzer, tmp_path / "cache", package)
+    first_findings, first = _run(analyzer, package)
+    second_findings, second = _run(analyzer, package)
 
-    assert cold_stats.contracts_from_cache is False
-    assert warm_stats.contracts_from_cache is True
-    assert warm_findings == cold_findings
-    cold_bytes = json.dumps(cold, indent=2, sort_keys=True)
-    warm_bytes = json.dumps(warm, indent=2, sort_keys=True)
-    assert cold_bytes == warm_bytes
-    assert cold["schema"] == CONTRACTS_SCHEMA
-    table_names = [t["name"] for t in cold["sql"]["tables"]]
+    assert second_findings == first_findings
+    first_bytes = json.dumps(first, indent=2, sort_keys=True)
+    second_bytes = json.dumps(second, indent=2, sort_keys=True)
+    assert first_bytes == second_bytes
+    assert first["schema"] == CONTRACTS_SCHEMA
+    table_names = [t["name"] for t in first["sql"]["tables"]]
     assert table_names == ["rows"]
-    assert [f["dest"] for f in cold["cli"]["flags"]] == ["limit"]
-
-
-def test_engine_version_bump_invalidates_cached_contracts(tmp_path, monkeypatch):
-    package = _write_package(tmp_path)
-    analyzer = Analyzer()
-    original = analyzer.signature
-    _run(analyzer, tmp_path / "cache", package)
-
-    from repro.devtools import cache as cache_module
-
-    monkeypatch.setattr(cache_module, "ENGINE_VERSION", "bumped-for-test")
-    bumped = engine_signature([rule.rule_id for rule in analyzer.rules])
-    assert bumped != original
-
-    cache = LintCache(tmp_path / "cache", bumped)
-    stats = AnalysisStats()
-    contracts: dict = {}
-    analyzer.analyze_paths(
-        [package], cache=cache, stats=stats, contracts_out=contracts
-    )
-    assert stats.contracts_from_cache is False
-    assert stats.files_from_cache == 0
-    assert contracts["schema"] == CONTRACTS_SCHEMA
+    assert [f["name"] for f in first["config"]["fields"]] == ["limit"]
 
 
 def test_extract_contracts_is_deterministic_across_instances(tmp_path):
@@ -654,5 +459,5 @@ def test_real_tree_is_clean_of_contract_drift():
     src = Path(__file__).resolve().parent.parent / "src" / "repro"
     analyzer = Analyzer(select=CONTRACT_RULES)
     stats = AnalysisStats()
-    findings = analyzer.analyze_paths([src], cache=None, stats=stats)
+    findings = analyzer.analyze_paths([src], stats=stats)
     assert findings == []

@@ -91,8 +91,9 @@ def test_unresolved_calls_are_recorded_not_guessed(project):
 
 
 def test_reachability_walks_transitive_edges(project):
-    reached = project.reachable(["pkg.main.free"])
-    assert reached == {"pkg.main.free", "pkg.main.local"}
+    reached = project.reachable_via(["pkg.main.free"])
+    assert set(reached) == {"pkg.main.free", "pkg.main.local"}
+    assert reached["pkg.main.local"] == ("pkg.main.free", "pkg.main.local")
 
 
 def test_lookup_method_walks_base_classes(project):

@@ -1,4 +1,4 @@
-"""Production ergonomics: incremental cache, baseline, SARIF, --fix, CLI."""
+"""SARIF output and the lint CLI surface."""
 
 from __future__ import annotations
 
@@ -8,23 +8,9 @@ import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.devtools import (
-    AnalysisStats,
-    Analyzer,
-    Finding,
-    LintCache,
-    Severity,
-    apply_baseline,
-    apply_fixes,
-    load_baseline,
-    render_sarif,
-    write_baseline,
-)
-from repro.devtools.findings import TraceStep
-from repro.devtools.baseline import BaselineError, fingerprint
-from repro.devtools.fixer import fix_source
+from repro.devtools.analyzer import Analyzer
+from repro.devtools.findings import Finding, Severity, TraceStep
+from repro.devtools.sarif import render_sarif
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -64,90 +50,6 @@ def _run_lint(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
-# -- incremental cache --------------------------------------------------------------
-
-
-def test_warm_cache_reuses_every_file_and_matches_cold_findings(tmp_path):
-    tree = _core_tree(tmp_path)
-    analyzer = Analyzer()
-    cache = LintCache(tmp_path / "cache", analyzer.signature)
-    cold_stats = AnalysisStats()
-    cold = analyzer.analyze_paths([tree], cache=cache, stats=cold_stats)
-    cache.save()
-
-    warm_cache = LintCache(tmp_path / "cache", analyzer.signature)
-    warm_stats = AnalysisStats()
-    warm = analyzer.analyze_paths([tree], cache=warm_cache, stats=warm_stats)
-
-    assert warm == cold
-    assert cold_stats.files_from_cache == 0
-    assert warm_stats.files_from_cache == warm_stats.files_total
-    assert warm_stats.project_from_cache is True
-
-
-def test_editing_a_file_invalidates_its_entry_and_the_project_tier(tmp_path):
-    tree = _core_tree(tmp_path)
-    analyzer = Analyzer()
-    cache = LintCache(tmp_path / "cache", analyzer.signature)
-    first = analyzer.analyze_paths([tree], cache=cache, stats=AnalysisStats())
-    assert [f.rule_id for f in first] == ["DET002"]
-    cache.save()
-
-    (tree / "core" / "stage.py").write_text(
-        "def f(xs):\n    s = sorted(set(xs))\n    return [x for x in s]\n",
-        encoding="utf-8",
-    )
-    cache2 = LintCache(tmp_path / "cache", analyzer.signature)
-    stats = AnalysisStats()
-    second = analyzer.analyze_paths([tree], cache=cache2, stats=stats)
-    assert second == []
-    assert stats.project_from_cache is False
-    # The untouched __init__ files still came from the cache.
-    assert stats.files_from_cache == 2
-
-
-def test_changed_ruleset_signature_starts_cold(tmp_path):
-    tree = _core_tree(tmp_path)
-    full = Analyzer()
-    cache = LintCache(tmp_path / "cache", full.signature)
-    full.analyze_paths([tree], cache=cache, stats=AnalysisStats())
-    cache.save()
-
-    narrow = Analyzer(select={"DET001"})
-    assert narrow.signature != full.signature
-    cache2 = LintCache(tmp_path / "cache", narrow.signature)
-    stats = AnalysisStats()
-    narrow.analyze_paths([tree], cache=cache2, stats=stats)
-    assert stats.files_from_cache == 0
-
-
-def test_corrupt_cache_file_degrades_to_cold_run(tmp_path):
-    directory = tmp_path / "cache"
-    directory.mkdir()
-    (directory / "cache.json").write_text("{not json", encoding="utf-8")
-    analyzer = Analyzer()
-    cache = LintCache(directory, analyzer.signature)
-    tree = _core_tree(tmp_path)
-    findings = analyzer.analyze_paths([tree], cache=cache, stats=AnalysisStats())
-    assert [f.rule_id for f in findings] == ["DET002"]
-
-
-def test_finding_round_trips_through_cache_serialization():
-    finding = Finding(
-        path="a.py",
-        line=3,
-        col=5,
-        rule_id="DET002",
-        severity=Severity.WARNING,
-        message="msg",
-        hint="hint",
-    )
-    assert Finding.from_dict(finding.to_dict()) == finding
-
-
-# -- baseline -----------------------------------------------------------------------
-
-
 def _finding(path="a.py", line=1, rule="FLOW001", message="m") -> Finding:
     return Finding(
         path=path,
@@ -157,32 +59,6 @@ def _finding(path="a.py", line=1, rule="FLOW001", message="m") -> Finding:
         severity=Severity.ERROR,
         message=message,
     )
-
-
-def test_baseline_round_trip_suppresses_known_findings(tmp_path):
-    known = [_finding(message="old debt")]
-    baseline_path = tmp_path / "baseline.json"
-    assert write_baseline(known, baseline_path) == 1
-    fingerprints = load_baseline(baseline_path)
-    fresh, suppressed = apply_baseline(
-        [known[0], _finding(message="new bug")], fingerprints
-    )
-    assert suppressed == 1
-    assert [f.message for f in fresh] == ["new bug"]
-
-
-def test_baseline_fingerprint_ignores_line_numbers():
-    assert fingerprint(_finding(line=10)) == fingerprint(_finding(line=99))
-    assert fingerprint(_finding(message="a")) != fingerprint(_finding(message="b"))
-
-
-def test_missing_or_malformed_baseline_raises(tmp_path):
-    with pytest.raises(BaselineError):
-        load_baseline(tmp_path / "absent.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"schema": 99}', encoding="utf-8")
-    with pytest.raises(BaselineError):
-        load_baseline(bad)
 
 
 # -- SARIF --------------------------------------------------------------------------
@@ -223,7 +99,7 @@ def test_sarif_severity_levels_map():
 
 
 def test_sarif_output_is_deterministic():
-    findings = [_finding(rule="FLOW001"), _finding(rule="DET001", line=2)]
+    findings = [_finding(rule="FLOW001"), _finding(rule="DET002", line=2)]
     rules = Analyzer().rules
     assert render_sarif(findings, rules) == render_sarif(findings, rules)
 
@@ -238,7 +114,7 @@ def test_sarif_code_flows_carry_the_finding_trace():
         path="a.py", line=3, col=5, rule_id="ASYNC001",
         severity=Severity.ERROR, message="blocking call", trace=trace,
     )
-    plain = _finding(rule="DET001")
+    plain = _finding(rule="DET002")
     document = json.loads(render_sarif([with_trace, plain], []))
     results = document["runs"][0]["results"]
     flows = results[0]["codeFlows"]
@@ -251,57 +127,6 @@ def test_sarif_code_flows_carry_the_finding_trace():
         assert entry["location"]["message"]["text"] == step.message
     # Trace-free findings must not grow an empty codeFlows key.
     assert "codeFlows" not in results[1]
-
-
-# -- fixer --------------------------------------------------------------------------
-
-
-def test_fix_sorted_mode_wraps_the_iterable(tmp_path):
-    tree = _core_tree(tmp_path)
-    findings = Analyzer().analyze_paths([tree])
-    assert [f.rule_id for f in findings] == ["DET002"]
-    result = apply_fixes(findings, mode="sorted")
-    assert result.applied == 1
-    fixed = (tree / "core" / "stage.py").read_text(encoding="utf-8")
-    assert "for x in sorted(s)" in fixed
-    assert Analyzer().analyze_paths([tree]) == []
-
-
-def test_fix_suppress_mode_appends_noqa(tmp_path):
-    tree = _core_tree(tmp_path)
-    findings = Analyzer().analyze_paths([tree])
-    result = apply_fixes(findings, mode="suppress")
-    assert result.applied == 1
-    fixed = (tree / "core" / "stage.py").read_text(encoding="utf-8")
-    assert "# repro: noqa[DET002]" in fixed
-    assert Analyzer().analyze_paths([tree]) == []
-
-
-def test_fix_dry_run_produces_diff_without_writing(tmp_path):
-    tree = _core_tree(tmp_path)
-    before = (tree / "core" / "stage.py").read_text(encoding="utf-8")
-    findings = Analyzer().analyze_paths([tree])
-    result = apply_fixes(findings, mode="sorted", dry_run=True)
-    assert "+    return [x for x in sorted(s)]" in result.diff
-    assert (tree / "core" / "stage.py").read_text(encoding="utf-8") == before
-
-
-def test_fix_source_skips_overlapping_and_unfixable():
-    source = "x = 1\n"
-    finding = _finding(path="mem.py")  # no fix attached
-    updated, applied, skipped = fix_source(source, [finding], mode="sorted")
-    assert updated == source
-    assert applied == 0
-
-
-def test_suppress_existing_noqa_line_is_not_doubled():
-    source = "do()  # repro: noqa[OTHER]\n"
-    updated, applied, skipped = fix_source(
-        source, [_finding(path="m.py", line=1)], mode="suppress"
-    )
-    assert updated == source
-    assert applied == 0
-    assert skipped == 1
 
 
 # -- CLI surface --------------------------------------------------------------------
@@ -318,37 +143,22 @@ def test_cli_list_rules_groups_by_family(tmp_path):
 def test_cli_select_glob_runs_family(tmp_path):
     tree = _core_tree(tmp_path)
     result = _run_lint(
-        "--select", "DET*", "--no-cache", str(tree), cwd=tmp_path
+        "--select", "DET*", str(tree), cwd=tmp_path
     )
     assert result.returncode == 1
     assert "DET002" in result.stdout
 
 
 def test_cli_unknown_select_pattern_exits_2(tmp_path):
-    result = _run_lint("--select", "NOPE*", "--no-cache", ".", cwd=tmp_path)
+    result = _run_lint("--select", "NOPE*", ".", cwd=tmp_path)
     assert result.returncode == 2
     assert "unknown rule id or pattern" in result.stderr
-
-
-def test_cli_baseline_workflow(tmp_path):
-    tree = _core_tree(tmp_path)
-    wrote = _run_lint(
-        str(tree), "--no-cache", "--write-baseline", "lint-baseline.json",
-        cwd=tmp_path,
-    )
-    assert wrote.returncode == 0
-    gated = _run_lint(
-        str(tree), "--no-cache", "--baseline", "lint-baseline.json",
-        cwd=tmp_path,
-    )
-    assert gated.returncode == 0, gated.stdout + gated.stderr
-    assert "no findings" in gated.stdout
 
 
 def test_cli_sarif_output_file(tmp_path):
     tree = _core_tree(tmp_path)
     result = _run_lint(
-        str(tree), "--no-cache", "--format", "sarif",
+        str(tree), "--format", "sarif",
         "--output", "out.sarif", "--fail-on", "never",
         cwd=tmp_path,
     )
@@ -357,21 +167,11 @@ def test_cli_sarif_output_file(tmp_path):
     assert document["runs"][0]["results"][0]["ruleId"] == "DET002"
 
 
-def test_cli_warm_run_is_byte_identical_and_cached(tmp_path):
+def test_cli_two_runs_are_byte_identical(tmp_path):
     tree = _core_tree(tmp_path)
     argv = (str(tree), "--format", "sarif", "--fail-on", "never", "--stats")
     first = _run_lint(*argv, cwd=tmp_path)
     second = _run_lint(*argv, cwd=tmp_path)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
-    assert "0 from cache" in first.stderr
-    assert "3 from cache" in second.stderr
-
-
-def test_cli_fix_rewrites_and_reports_clean(tmp_path):
-    tree = _core_tree(tmp_path)
-    result = _run_lint(str(tree), "--no-cache", "--fix", cwd=tmp_path)
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "no findings" in result.stdout
-    fixed = (tree / "core" / "stage.py").read_text(encoding="utf-8")
-    assert "sorted(s)" in fixed
+    assert "files: 3" in first.stderr
