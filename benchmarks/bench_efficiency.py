@@ -1,77 +1,28 @@
-"""EXP-EFF — Section V-D: per-stage throughput, serial vs parallel.
+"""EXP-EFF — Section V-D: per-stage throughput.
 
 Paper account: >= 100 docs/s for local term extraction, the Yahoo web
 service at 2-3 s/doc is the bottleneck; expansion with local resources
 >= 100 docs/s vs ~1 s/doc for Google; selection takes milliseconds and
 hierarchy construction a couple of seconds.
 
-On top of the paper's numbers, the benchmark measures the batch engine
-(``repro.parallel``): contextualization over a remote (simulated-latency)
-resource run serially, sharded across a thread pool, and replayed
-against a warm persistent SQLite cache.  The warm cache must answer
-every distinct term without a round trip and beat the cold serial run —
-the quantitative case for the paper's "perform term and context
-extraction offline" recommendation.  (The pool itself gains little:
-the batched engine already answers each term shard with one bulk round
-trip, so serial and pooled runs differ by a handful of round trips.)
-
-Besides the human-readable table, the benchmark writes a
-machine-readable payload to ``benchmarks/results/efficiency.json`` and
-mirrors it to ``BENCH_efficiency.json`` at the repo root
-(schema ``repro.bench_efficiency/3``, validated in CI by
-``benchmarks/check_bench_json.py efficiency``).
+This regenerates the paper's table; it makes no speed claim about this
+system.  The system's own end-to-end and per-layer numbers come from
+``bench/`` (``python3 bench/run.py --workload extract-snyt`` for the
+per-stage split, ``--workload extract-remote`` for pooled workers over
+remote resources with a SQLite cache).
 """
-
-import dataclasses
-import pathlib
 
 from repro.corpus.datasets import DatasetName
 from repro.corpus import build_corpus
 from repro.eval.efficiency import EfficiencyStudy
 
-#: Documents used by the serial-vs-parallel comparison (kept smaller
-#: than the per-stage sample).
-PARALLEL_SAMPLE = 60
 
-#: Schema tag of the machine-readable payload (bump on layout changes).
-JSON_SCHEMA = "repro.bench_efficiency/3"
-
-#: Repo-root mirror of the efficiency payload.
-ROOT_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_efficiency.json"
-
-
-def test_efficiency(benchmark, config, builder, save_result, save_json):
+def test_efficiency(benchmark, config, builder, save_result):
     corpus = build_corpus(DatasetName.SNYT, config)
     sample = corpus.documents[: min(200, len(corpus))]
     study = EfficiencyStudy(config, builder)
     report = benchmark.pedantic(lambda: study.run(sample), rounds=1, iterations=1)
-
-    parallel_sample = corpus.documents[: min(PARALLEL_SAMPLE, len(corpus))]
-    parallel_report = study.run_parallel_comparison(parallel_sample, workers=4)
-    instrumented = study.run_instrumented(parallel_sample, workers=4)
-    save_result(
-        "efficiency",
-        report.format_summary()
-        + "\n\n"
-        + parallel_report.format_summary()
-        + "\n\n"
-        + instrumented.format_summary(),
-    )
-    save_json(
-        "efficiency",
-        {
-            "schema": JSON_SCHEMA,
-            "scale": config.scale,
-            "per_stage": dataclasses.asdict(report),
-            "parallel": {
-                **dataclasses.asdict(parallel_report),
-                "speedup": parallel_report.speedup,
-                "warm_speedup": parallel_report.warm_speedup,
-            },
-            "instrumented": instrumented.as_dict(),
-        },
-        extra_path=ROOT_JSON,
-    )
+    save_result("efficiency", report.format_summary())
 
     assert report.extraction_local_docs_per_s > 100
     assert report.extraction_with_yahoo_s_per_doc > 2.0
@@ -79,24 +30,3 @@ def test_efficiency(benchmark, config, builder, save_result, save_json):
     assert report.expansion_with_google_s_per_doc >= 1.0
     assert report.selection_s < 2.0
     assert report.hierarchy_s < 5.0
-
-    # The batch engine: a warm persistent cache must answer every
-    # distinct term without a single simulated round trip.
-    assert parallel_report.warm_persistent_hits > 0
-    assert parallel_report.warm_s < parallel_report.serial_s
-
-    # The instrumented run sources its breakdown from the metrics
-    # registry: every stage timer must be present and the resources must
-    # have recorded their cache traffic.
-    assert set(instrumented.stage_seconds) == {
-        "annotation",
-        "contextualization",
-        "selection",
-        "hierarchy",
-    }
-    assert all(s > 0 for s in instrumented.stage_seconds.values())
-    assert instrumented.resource_counters
-    assert any(
-        name.endswith(".misses") or name.endswith(".memory_hits")
-        for name in instrumented.resource_counters
-    )

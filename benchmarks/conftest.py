@@ -4,10 +4,9 @@ All benchmarks share one configuration (honouring ``REPRO_SCALE``) and
 one :class:`~repro.builder.FacetPipelineBuilder`, so the simulated
 Wikipedia/web/WordNet substrates and the corpus/gold caches are built
 once per session.  Every benchmark writes the table/figure it
-regenerates to ``benchmarks/results/<name>.txt`` in addition to timing;
-machine-readable payloads go to ``benchmarks/results/<name>.json`` via
-``save_json`` so CI (and regression tooling) can gate on numbers instead
-of scraping text.
+regenerates to ``benchmarks/results/<name>.txt``; ``save_json`` adds a
+machine-readable ``benchmarks/results/<name>.json`` where one is kept.
+The system's own performance is measured by ``bench/``, not here.
 """
 
 from __future__ import annotations
@@ -49,22 +48,11 @@ def save_result():
 
 @pytest.fixture(scope="session")
 def save_json():
-    """Persist a machine-readable result under benchmarks/results/.
-
-    ``extra_path`` mirrors the same payload to a second location (the
-    efficiency benchmark drops ``BENCH_efficiency.json`` at the repo
-    root, where CI picks it up without knowing the results layout).
-    """
+    """Persist a machine-readable result under benchmarks/results/."""
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    def _save(
-        name: str,
-        payload: dict,
-        extra_path: pathlib.Path | None = None,
-    ) -> None:
+    def _save(name: str, payload: dict) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         (RESULTS_DIR / f"{name}.json").write_text(text)
-        if extra_path is not None:
-            extra_path.write_text(text)
 
     return _save

@@ -48,6 +48,7 @@ import argparse
 import sys
 
 from .config import ParallelConfig, ReproConfig
+from .errors import ConfigError, ReproError
 from .observability import (
     Observability,
     ResourceStats,
@@ -547,6 +548,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     configure_logging(log_format=args.log_format, level=args.log_level)
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        # Bad settings are usage errors (exit 2, as argparse does); any
+        # other project error (a missing artifact, ...) is a failed run.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 1
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

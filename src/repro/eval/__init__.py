@@ -24,7 +24,7 @@ from .recall import RecallStudy
 from .precision import PrecisionStudy
 from .qualification import QualificationTest
 from .user_study import UserStudy, UserStudyResult
-from .efficiency import EfficiencyStudy, ParallelEfficiencyReport
+from .efficiency import EfficiencyStudy
 from .agreement import AgreementReport, measure_agreement
 from .hierarchy_metrics import HierarchyMetrics, hierarchy_metrics
 
@@ -41,7 +41,6 @@ __all__ = [
     "UserStudy",
     "UserStudyResult",
     "EfficiencyStudy",
-    "ParallelEfficiencyReport",
     "AgreementReport",
     "measure_agreement",
     "HierarchyMetrics",

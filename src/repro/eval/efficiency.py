@@ -22,29 +22,20 @@ import time
 from dataclasses import dataclass
 
 from ..builder import FacetPipelineBuilder
-from ..config import ParallelConfig, ReproConfig
+from ..config import ReproConfig
 from ..corpus.document import Document
 from ..core.annotate import annotate_database
 from ..core.contextualize import contextualize
 from ..core.hierarchy import build_facet_hierarchies
-from ..core.pipeline import STAGES
 from ..core.selection import select_facet_terms
-from ..db.resource_cache import PersistentResourceCache
 from ..extractors.base import ExtractorName
 from ..extractors.registry import build_extractors
 from ..extractors.significant_terms import SIMULATED_LATENCY_SECONDS
-from ..observability import Observability
 from ..resources.base import ResourceName
-from ..resources.registry import build_resource, build_resources
-from ..resources.resilience import SimulatedLatencyResource
+from ..resources.registry import build_resources
 
 #: Modeled per-document latency of Google expansion (Section V-D: ~1 s).
 GOOGLE_LATENCY_SECONDS = 1.0
-
-#: Round-trip latency used by the serial-vs-parallel comparison; kept
-#: small so the benchmark finishes quickly — the *ratio* between serial
-#: and parallel wall-clock is what matters, not the absolute latency.
-COMPARISON_LATENCY_SECONDS = 0.01
 
 
 @dataclass
@@ -85,107 +76,6 @@ class EfficiencyReport:
                 f"  hierarchy construction: {self.hierarchy_s:.2f} s",
             ]
         )
-
-
-@dataclass
-class ParallelEfficiencyReport:
-    """Serial-vs-parallel contextualization over remote resources.
-
-    ``serial_s`` and ``parallel_s`` both start from a cold cache;
-    ``serial_queries`` and ``parallel_queries`` count simulated round
-    trips (one per resolved term shard);
-    ``warm_s`` re-runs with a fresh resource instance over the persistent
-    store the parallel run populated, so its hits come entirely from the
-    SQLite tier.
-    """
-
-    documents: int
-    workers: int
-    latency_seconds: float
-    serial_s: float
-    parallel_s: float
-    warm_s: float
-    serial_queries: int
-    parallel_queries: int
-    warm_persistent_hits: int
-    warm_queries: int
-
-    @property
-    def speedup(self) -> float:
-        return self.serial_s / max(self.parallel_s, 1e-9)
-
-    @property
-    def warm_speedup(self) -> float:
-        return self.serial_s / max(self.warm_s, 1e-9)
-
-    def format_summary(self) -> str:
-        return "\n".join(
-            [
-                f"Serial vs parallel expansion over {self.documents} documents "
-                f"(remote resource, {self.latency_seconds * 1000:.0f} ms/round trip):",
-                f"  serial (1 worker, cold cache):   {self.serial_s:.2f} s "
-                f"({self.serial_queries} round trips)",
-                f"  parallel ({self.workers} workers, cold cache): "
-                f"{self.parallel_s:.2f} s "
-                f"({self.parallel_queries} round trips) — "
-                f"{self.speedup:.1f}x speedup",
-                f"  parallel ({self.workers} workers, warm persistent cache): "
-                f"{self.warm_s:.2f} s "
-                f"({self.warm_persistent_hits} distinct terms answered from "
-                f"SQLite across {self.warm_queries} lookups) — "
-                f"{self.warm_speedup:.1f}x speedup",
-            ]
-        )
-
-
-@dataclass
-class InstrumentedEfficiencyReport:
-    """Per-stage / per-resource breakdown sourced from the metrics registry.
-
-    Unlike :class:`EfficiencyReport`, which hand-times each stage with
-    ``perf_counter`` around explicit calls, this report runs the real
-    pipeline once under :class:`~repro.observability.Observability` and
-    reads everything back out of the registry the instrumentation
-    populated — the same numbers ``extract --metrics`` prints.
-    """
-
-    documents: int
-    workers: int
-    stage_seconds: dict[str, float]
-    resource_counters: dict[str, int]
-    cache_counters: dict[str, int]
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.stage_seconds.values())
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "documents": self.documents,
-            "workers": self.workers,
-            "stage_seconds": dict(self.stage_seconds),
-            "resource_counters": dict(self.resource_counters),
-            "cache_counters": dict(self.cache_counters),
-        }
-
-    def format_summary(self) -> str:
-        lines = [
-            f"Instrumented pipeline over {self.documents} documents "
-            f"({self.workers} workers), from the metrics registry:"
-        ]
-        for stage in STAGES:
-            seconds = self.stage_seconds.get(stage, 0.0)
-            share = seconds / max(self.total_seconds, 1e-9)
-            lines.append(f"  stage {stage:<18} {seconds:8.3f} s  ({share:5.1%})")
-        if self.resource_counters:
-            lines.append("  per-resource cache traffic:")
-            for name, value in sorted(self.resource_counters.items()):
-                lines.append(f"    {name:<40} {value:>8}")
-        if self.cache_counters:
-            lines.append("  persistent cache:")
-            for name, value in sorted(self.cache_counters.items()):
-                lines.append(f"    {name:<40} {value:>8}")
-        return "\n".join(lines)
 
 
 class EfficiencyStudy:
@@ -263,114 +153,4 @@ class EfficiencyStudy:
             expansion_with_google_s_per_doc=expansion_with_google,
             selection_s=selection_s,
             hierarchy_s=hierarchy_s,
-        )
-
-    def run_instrumented(
-        self,
-        documents: list[Document],
-        workers: int = 1,
-    ) -> InstrumentedEfficiencyReport:
-        """Run the full pipeline once, instrumented, and report from the registry.
-
-        Stage wall-clock comes from the ``stage.<name>.seconds`` timers
-        and cache traffic from the ``resource.*`` / ``cache.persistent.*``
-        counters that the pipeline's own instrumentation records — no
-        hand-rolled timers around individual stages.
-        """
-        obs = Observability.enabled()
-        previous_parallel = self.builder._parallel
-        try:
-            self.builder.with_parallel(
-                ParallelConfig(workers=workers)
-            ).with_observability(obs)
-            self.builder.build().run(documents)
-        finally:
-            self.builder.with_parallel(previous_parallel)
-            self.builder.with_observability(None)
-
-        stage_seconds: dict[str, float] = {}
-        for stage in STAGES:
-            timer = obs.metrics.timer_value(f"stage.{stage}.seconds")
-            stage_seconds[stage] = timer.total if timer is not None else 0.0
-        counters = obs.metrics.counters
-        resource_counters = {
-            name: int(value)
-            for name, value in counters.items()
-            if name.startswith("resource.")
-        }
-        cache_counters = {
-            name: int(value)
-            for name, value in counters.items()
-            if name.startswith("cache.persistent.")
-        }
-        return InstrumentedEfficiencyReport(
-            documents=len(documents),
-            workers=workers,
-            stage_seconds=stage_seconds,
-            resource_counters=resource_counters,
-            cache_counters=cache_counters,
-        )
-
-    def run_parallel_comparison(
-        self,
-        documents: list[Document],
-        workers: int = 4,
-        latency_seconds: float = COMPARISON_LATENCY_SECONDS,
-        cache_path: str = ":memory:",
-    ) -> ParallelEfficiencyReport:
-        """Measure contextualization serial vs parallel vs warm-cache.
-
-        Expansion over a remote resource is latency-bound: each term
-        shard costs one (simulated) bulk round trip.  A thread pool
-        overlaps those round trips, and a warm persistent cache removes
-        them entirely — the two deployment levers of Section V-D.
-        """
-        substrates = self.builder.substrates
-        extractors = build_extractors(
-            [ExtractorName.NAMED_ENTITIES, ExtractorName.WIKIPEDIA],
-            wikipedia=substrates.wikipedia,
-        )
-        annotated = annotate_database(documents, extractors)
-
-        def remote_google() -> SimulatedLatencyResource:
-            return SimulatedLatencyResource(
-                build_resource(ResourceName.GOOGLE, substrates, self.config),
-                latency_seconds=latency_seconds,
-            )
-
-        # Serial, cold cache — no persistent tier, so the parallel run
-        # below starts equally cold.
-        serial = remote_google()
-        start = time.perf_counter()
-        contextualize(annotated, [serial], ParallelConfig(workers=1))
-        serial_s = time.perf_counter() - start
-
-        # Parallel, cold cache — populates the shared persistent store.
-        store = PersistentResourceCache(cache_path)
-        parallel = remote_google()
-        parallel.attach_cache(store)
-        start = time.perf_counter()
-        contextualize(annotated, [parallel], ParallelConfig(workers=workers))
-        parallel_s = time.perf_counter() - start
-
-        # Parallel, warm cache — a *fresh* resource instance over the
-        # now-populated store: every distinct term is a persistent hit.
-        warm = remote_google()
-        warm.attach_cache(store)
-        start = time.perf_counter()
-        contextualize(annotated, [warm], ParallelConfig(workers=workers))
-        warm_s = time.perf_counter() - start
-
-        warm_stats = warm.cache_stats
-        return ParallelEfficiencyReport(
-            documents=len(documents),
-            workers=workers,
-            latency_seconds=latency_seconds,
-            serial_s=serial_s,
-            parallel_s=parallel_s,
-            warm_s=warm_s,
-            serial_queries=serial.simulated_calls,
-            parallel_queries=parallel.simulated_calls,
-            warm_persistent_hits=warm_stats.persistent_hits,
-            warm_queries=warm_stats.queries,
         )

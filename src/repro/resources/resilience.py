@@ -13,7 +13,8 @@ module makes the pipeline robust to that:
   whole extraction run;
 * :class:`SimulatedLatencyResource` — a wrapper that sleeps per
   uncached query, modelling the remote round trip the paper measured
-  (used by the efficiency benchmark to show worker-pool speedups).
+  (the ``extract-remote`` workload of ``bench/`` puts every resource
+  behind one to time batching, pooled workers and the SQLite cache).
 
 All wrappers compose with the shared two-tier cache: they answer under
 the *inner* resource's cache namespace (their answers are the inner

@@ -132,6 +132,33 @@ class TestCli:
         assert "skipped 2" in out
 
 
+@pytest.mark.parametrize(
+    ("argv", "env_scale", "code", "message"),
+    [
+        (["extract", "--workers", "0"], None, 2, "workers must be >= 1"),
+        (["extract", "--chunk-size", "0"], None, 2, "chunk_size must be >= 1"),
+        (["serve", "--limit", "0", "{tmp}/x.idx"], None, 2, "default_limit"),
+        (["extract"], "abc", 2, "REPRO_SCALE must be a number"),
+        (["serve", "{tmp}/missing.idx"], None, 1, "no index artifact"),
+    ],
+    ids=["workers-0", "chunk-size-0", "serve-limit-0", "bad-scale", "missing-index"],
+)
+def test_project_errors_exit_cleanly(
+    argv, env_scale, code, message, capsys, monkeypatch, tmp_path
+):
+    """Config and storage errors print one line on stderr, no traceback."""
+    if env_scale is None:
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_SCALE", env_scale)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {argv[0]}: error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def _run_cli(*args: str, cwd: str | None = None) -> subprocess.CompletedProcess:
     """Invoke ``python -m repro`` the way a user would."""
     env = dict(os.environ)

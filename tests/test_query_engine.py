@@ -10,7 +10,8 @@ Covers the engine added around the resource layer:
   parameter limit, and upsert on conflict;
 * ``context_terms_many`` answers exactly like per-term
   ``context_terms``, and batched contextualization reproduces the
-  recorded output of the per-term path at any worker count;
+  recorded output of the per-term path at any worker count, and a
+  pooled rerun over a filled persistent store makes no round trip;
 * the vectorized selection tables (``ShiftTables``,
   ``LikelihoodTables``) reproduce the scalar reference bit for bit;
 * prefetch only warms caches — a 4-thread run, which prefetches,
@@ -257,6 +258,17 @@ class TestBatchedContextualization:
         annotated = annotate_database(corpus.documents, extractors)
         return config, builder, annotated
 
+    @staticmethod
+    def _context_digest(database) -> str:
+        payload = {
+            "context": database.context_terms,
+            "expanded": {
+                doc_id: sorted(terms)
+                for doc_id, terms in database.expanded_sets.items()
+            },
+        }
+        return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
     def test_batched_equals_per_term_at_any_worker_count(self):
         """The per-term path's output is recorded as ``GOLDEN_CONTEXT_SHA256``."""
         config, builder, annotated = self._pipeline_pieces()
@@ -271,17 +283,37 @@ class TestBatchedContextualization:
             database = contextualize(
                 annotated, resources, ParallelConfig(workers=workers)
             )
-            payload = {
-                "context": database.context_terms,
-                "expanded": {
-                    doc_id: sorted(terms)
-                    for doc_id, terms in database.expanded_sets.items()
-                },
-            }
-            digest = hashlib.sha256(
-                canonical_json(payload).encode("utf-8")
-            ).hexdigest()
-            assert digest == GOLDEN_CONTEXT_SHA256
+            assert self._context_digest(database) == GOLDEN_CONTEXT_SHA256
+
+    def test_warm_persistent_cache_answers_without_round_trips(self, tmp_path):
+        """A pooled run over a filled store makes no remote round trip."""
+        config, builder, annotated = self._pipeline_pieces()
+        from repro.resources.registry import build_resource
+
+        store = PersistentResourceCache(str(tmp_path / "cache.db"))
+
+        def remote_resources() -> list[SimulatedLatencyResource]:
+            wrapped = []
+            for name in (ResourceName.WIKI_GRAPH, ResourceName.WORDNET):
+                resource = SimulatedLatencyResource(
+                    build_resource(name, builder.substrates, config),
+                    latency_seconds=0.0,
+                )
+                resource.attach_cache(store)
+                wrapped.append(resource)
+            return wrapped
+
+        cold = remote_resources()
+        database = contextualize(annotated, cold, ParallelConfig(workers=4))
+        assert self._context_digest(database) == GOLDEN_CONTEXT_SHA256
+        assert all(resource.simulated_calls > 0 for resource in cold)
+
+        warm = remote_resources()
+        database = contextualize(annotated, warm, ParallelConfig(workers=4))
+        assert self._context_digest(database) == GOLDEN_CONTEXT_SHA256
+        for resource in warm:
+            assert resource.simulated_calls == 0
+            assert resource.cache_stats.persistent_hits > 0
 
 
 class TestVectorizedSelection:

@@ -2,13 +2,15 @@
 
 Views are driven in-process through :class:`AsgiClient` (the real
 scope/receive/send path — routing, executor dispatch, timeouts, ETags)
-plus one socket-level test of the stdlib HTTP bridge.
+plus socket-level tests of the stdlib HTTP bridge, one of them with
+eight concurrent keep-alive clients.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 
 import pytest
@@ -285,6 +287,53 @@ class TestHttpBridge:
             second.read()
             assert second.status == 304
             connection.close()
+
+    def test_concurrent_keepalive_clients_match_in_process_bytes(
+        self, index, interface, client
+    ):
+        names = interface.facet_names()
+        doc = interface.dice([])[0]
+        paths = ["/facets"]
+        paths += [f"/facets/{name}/children" for name in names[:3]]
+        paths += [f"/drilldown?facet={name}&limit=10" for name in names[:2]]
+        paths += ["/drilldown?q=minister&limit=10", f"/documents/{doc.doc_id}"]
+        expected = {path: client.get(path) for path in paths}
+        assert all(response.status == 200 for response in expected.values())
+
+        clients, per_client = 8, 10
+        results: list[tuple[str, int, bytes]] = []
+        errors: list[Exception] = []
+        barrier = threading.Barrier(clients)
+
+        def client_worker(host: str, port: int, offset: int) -> None:
+            connection = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                barrier.wait()
+                for i in range(per_client):
+                    path = paths[(offset + i) % len(paths)]
+                    connection.request("GET", path)
+                    response = connection.getresponse()
+                    results.append((path, response.status, response.read()))
+            except Exception as exc:  # surfaced by the main thread
+                errors.append(exc)
+            finally:
+                connection.close()
+
+        with run_in_thread(FacetApp(index)) as (host, port):
+            threads = [
+                threading.Thread(target=client_worker, args=(host, port, offset))
+                for offset in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+        assert errors == []
+        assert len(results) == clients * per_client
+        for path, status, body in results:
+            assert status == 200, path
+            assert body == expected[path].body, path
 
     def test_bad_request_line_rejected(self, index):
         app = FacetApp(index)
