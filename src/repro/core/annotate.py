@@ -6,10 +6,9 @@ pass also records the original database's term statistics, which Step 3
 compares against the contextualized database.
 
 The pass runs on the columnar data plane (:mod:`repro.core.columnar`):
-chunk workers memoize the pure text functions, the statistics fold into
-an id-indexed :class:`~repro.core.columnar.ColumnarVocabulary` plus
-per-document id columns, and process-pool extraction reads the
-background statistics from a shared read-only memory segment.
+chunk workers memoize the pure text functions, and the statistics fold
+into an id-indexed :class:`~repro.core.columnar.ColumnarVocabulary` plus
+per-document id columns.
 """
 
 from __future__ import annotations
@@ -39,13 +38,7 @@ from ..text.interning import (
 from ..text.phrases import phrases_from_words
 from ..text.stopwords import is_stopword
 from ..text.vocabulary import TermInterner, Vocabulary
-from .columnar import (
-    ColumnarVocabulary,
-    DocumentColumns,
-    SharedVocabularyView,
-    attach_segment,
-    pack_vocabulary,
-)
+from .columnar import ColumnarVocabulary, DocumentColumns
 
 
 def document_terms(document: Document) -> list[str]:
@@ -192,18 +185,6 @@ def merge_important(outputs: Iterable[list[str]]) -> list[str]:
     return merged
 
 
-def _columnar_worker_init(segment_name: str | None = None) -> None:
-    """Pool initializer of process-backed extraction: memo + segment.
-
-    Arms the worker's persistent text memo and, when the extraction pass
-    published the background vocabulary as a shared segment, pre-attaches
-    it so the first chunk does not pay the attach.
-    """
-    install_worker_memo()
-    if segment_name is not None:
-        attach_segment(segment_name)
-
-
 def _extract_chunk(
     extractors: list[TermExtractor], documents: list[Document]
 ) -> list[tuple[str, list[str]]]:
@@ -235,10 +216,8 @@ def annotate_database(
     the output is bit-for-bit identical at every worker count.
 
     The statistics fold into an id-indexed columnar vocabulary plus
-    per-document id columns, chunk workers memoize the pure text
-    functions, and a process-backed extraction pass reads the background
-    statistics from a shared read-only segment (falling back to pickling
-    when shared memory is unavailable).
+    per-document id columns, and chunk workers memoize the pure text
+    functions.
 
     An active ``obs`` bundle records a chunk span per shard and
     per-chunk worker-local metrics (see :func:`repro.parallel.map_chunks`);
@@ -283,16 +262,19 @@ def annotate_database(
                 term_sets[doc_id] = set(normalized)
         for extractor in extractors:
             extractor.use_background(vocabulary)
-        important = _extract_pass(
-            extractors,
-            vocabulary,
+        # Second pass: important-term extraction.  A process pool gets
+        # the adopted background vocabulary pickled with each chunk job.
+        important: dict[str, list[str]] = {}
+        for chunk_result in map_chunks(
+            MemoizedChunk(partial(_extract_chunk, extractors)),
             chunks,
-            settings,
             parallel,
-            obs,
-            on_important,
-            pool_initializer,
-        )
+            obs=obs,
+            on_result=on_important,
+            initializer=pool_initializer,
+        ):
+            for doc_id, merged in chunk_result:
+                important[doc_id] = merged
     metrics = current_metrics()
     if metrics is not None:
         metrics.increment("annotate.documents", len(documents))
@@ -310,57 +292,3 @@ def annotate_database(
         term_sets=term_sets,
         columns=columns,
     )
-
-
-def _extract_pass(
-    extractors: list[TermExtractor],
-    vocabulary: Vocabulary,
-    chunks: list[list[Document]],
-    settings: ParallelConfig,
-    parallel: ParallelConfig | None,
-    obs: Observability | None,
-    on_important: Callable[[list[tuple[str, list[str]]]], None] | None,
-    pool_initializer: Callable[[], None] | None,
-) -> dict[str, list[str]]:
-    """The second annotation pass: important-term extraction."""
-    # Second pass: important-term extraction.  A process-backed run
-    # publishes the statistics as a shared read-only segment and
-    # rebinds adopted backgrounds to a view of it, so workers attach
-    # instead of unpickling the term table; the real vocabulary is
-    # restored afterwards.
-    metrics = current_metrics()
-    segment = None
-    initializer = pool_initializer
-    if settings.backend == "process" and settings.enabled and len(chunks) > 1:
-        segment = pack_vocabulary(vocabulary)
-        if segment is not None:
-            view = SharedVocabularyView(segment.name)
-            for extractor in extractors:
-                extractor.rebind_background(view)
-            initializer = partial(_columnar_worker_init, segment.name)
-            if metrics is not None:
-                metrics.increment(obs_names.COLUMNAR_SHARED_SEGMENTS)
-                metrics.increment(
-                    obs_names.COLUMNAR_SHARED_SEGMENT_BYTES, segment.size
-                )
-        elif metrics is not None:
-            metrics.increment(obs_names.COLUMNAR_PICKLE_FALLBACKS)
-    important: dict[str, list[str]] = {}
-    extract = MemoizedChunk(partial(_extract_chunk, extractors))
-    try:
-        for chunk_result in map_chunks(
-            extract,
-            chunks,
-            parallel,
-            obs=obs,
-            on_result=on_important,
-            initializer=initializer,
-        ):
-            for doc_id, merged in chunk_result:
-                important[doc_id] = merged
-    finally:
-        if segment is not None:
-            for extractor in extractors:
-                extractor.rebind_background(vocabulary)
-            segment.unlink()
-    return important

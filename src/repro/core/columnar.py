@@ -13,11 +13,7 @@ moves everything in between onto flat integer columns:
   (:class:`ColumnarVocabulary`), exposed to the existing
   ``ShiftTables``/``LikelihoodTables`` consumers through zero-copy
   :class:`~collections.abc.Mapping` views (:class:`ColumnarCountMap`,
-  :class:`ColumnarRankMap`);
-* process-pool workers receive the background vocabulary as a read-only
-  ``multiprocessing.shared_memory`` segment
-  (:class:`SharedVocabularyView`) instead of a pickled dict — with a
-  graceful fallback to plain pickling when shared memory is unavailable.
+  :class:`ColumnarRankMap`).
 
 A numpy fast path accelerates the whole-vocabulary scans when numpy is
 importable (and ``REPRO_NO_NUMPY`` is unset); the pure-stdlib ``array``
@@ -32,7 +28,6 @@ golden-output tests in ``tests/test_columnar_equivalence.py``.
 
 from __future__ import annotations
 
-import json
 import os
 from array import array
 from collections.abc import Iterator, Mapping
@@ -126,7 +121,8 @@ class IntVector:
         The view is cached between resizes — per-document folds call
         this on every document, and rebuilding the buffer export
         dominates the cost of the fancy-indexed updates themselves.
-        Writes through ``__setitem__`` stay coherent (shared memory);
+        Writes through ``__setitem__`` stay coherent (the view shares
+        the array's buffer);
         any resize drops the cache.
         """
         if _np is None:  # pragma: no cover - guarded by callers
@@ -554,256 +550,6 @@ class DocumentColumns:
                     posting = inverted[term_id] = IntVector()
                 posting.append(index)
         return inverted
-
-
-# -- shared read-only segments ------------------------------------------------
-
-#: Process-local cache of attached segments, keyed by segment name, so
-#: every chunk a worker runs reuses one attachment.
-_ATTACHED: dict[str, "SharedSegment"] = {}
-
-#: Process-local cache of decoded vocabulary views, keyed by segment
-#: name (see :meth:`SharedVocabularyView._load`).
-_LOADED_VIEWS: dict[str, tuple[dict[str, int], "array", "array", int]] = {}
-
-
-class SharedSegment:
-    """One read-only shared-memory block of named byte sections.
-
-    Layout: ``8-byte little-endian index length | JSON index
-    {name: [offset, length]} | payload bytes``.  The creating process
-    owns the segment and must call :meth:`unlink`; attaching processes
-    get zero-copy :class:`memoryview` sections.
-    """
-
-    __slots__ = ("name", "_shm", "_index", "_payload_start")
-
-    def __init__(self, shm, index: dict[str, list[int]], start: int) -> None:
-        self.name: str = shm.name
-        self._shm = shm
-        self._index = index
-        self._payload_start = start
-
-    @classmethod
-    def create(cls, sections: dict[str, bytes]) -> "SharedSegment | None":
-        """Publish ``sections``; None when shared memory is unavailable."""
-        index: dict[str, list[int]] = {}
-        offset = 0
-        for name, payload in sections.items():
-            index[name] = [offset, len(payload)]
-            offset += len(payload)
-        header = json.dumps(index, sort_keys=True).encode("utf-8")
-        total = 8 + len(header) + offset
-        try:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        except (ImportError, OSError, ValueError):
-            return None
-        buffer = shm.buf
-        buffer[0:8] = len(header).to_bytes(8, "little")
-        buffer[8 : 8 + len(header)] = header
-        start = 8 + len(header)
-        for name, payload in sections.items():
-            begin = start + index[name][0]
-            buffer[begin : begin + len(payload)] = payload
-        return cls(shm, index, start)
-
-    @classmethod
-    def attach(cls, name: str) -> "SharedSegment":
-        """Attach to an existing segment (cached per process)."""
-        cached = _ATTACHED.get(name)
-        if cached is not None:
-            return cached
-        from multiprocessing import shared_memory
-
-        # The creator owns the segment's lifetime, so the attachment
-        # must not be resource-tracked: under fork every process shares
-        # one tracker whose name cache is a set, and a register +
-        # unregister pair from any worker would erase the creator's own
-        # registration (KeyError at unlink); under spawn a tracked
-        # attachment makes the worker's tracker unlink the segment when
-        # the worker exits.  Python 3.13+ supports track=False; older
-        # versions need register suppressed for the attach call.
-        try:
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # pragma: no cover - Python < 3.13
-            from multiprocessing import resource_tracker
-
-            original_register = resource_tracker.register
-
-            def _skip_shared_memory(resource_name: str, rtype: str) -> None:
-                if rtype != "shared_memory":
-                    original_register(resource_name, rtype)
-
-            resource_tracker.register = _skip_shared_memory
-            try:
-                shm = shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = original_register
-        header_len = int.from_bytes(bytes(shm.buf[0:8]), "little")
-        index = json.loads(bytes(shm.buf[8 : 8 + header_len]).decode("utf-8"))
-        segment = cls(shm, index, 8 + header_len)
-        _ATTACHED[name] = segment
-        return segment
-
-    @property
-    def size(self) -> int:
-        """Total bytes allocated for the segment."""
-        return self._shm.size
-
-    def section(self, name: str) -> memoryview:
-        """Zero-copy view of one named section."""
-        offset, length = self._index[name]
-        begin = self._payload_start + offset
-        return self._shm.buf[begin : begin + length]
-
-    def close(self) -> None:
-        _ATTACHED.pop(self.name, None)
-        _LOADED_VIEWS.pop(self.name, None)
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - lingering exported views
-            pass
-
-    def unlink(self) -> None:
-        """Destroy the segment (creator only); safe to call once."""
-        self.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-def pack_vocabulary(vocabulary: Vocabulary) -> SharedSegment | None:
-    """Publish a vocabulary's statistics as a shared read-only segment.
-
-    Sections: the newline-joined term blob, the id-indexed df/tf
-    columns, and a small JSON meta section (document count).  Returns
-    None — callers fall back to pickling the vocabulary itself — when
-    shared memory is unavailable on the platform.
-    """
-    if isinstance(vocabulary, ColumnarVocabulary):
-        terms = vocabulary.interner.terms()
-        size = len(terms)
-        df = vocabulary.df_column(size).tobytes()
-        tf_column = IntVector(size)
-        for term_id, term in enumerate(terms):
-            tf_column[term_id] = vocabulary.tf(term)
-        tf = tf_column.tobytes()
-    else:
-        terms = vocabulary.terms()
-        df_column = IntVector(len(terms))
-        tf_column = IntVector(len(terms))
-        for term_id, term in enumerate(terms):
-            df_column[term_id] = vocabulary.df(term)
-            tf_column[term_id] = vocabulary.tf(term)
-        df = df_column.tobytes()
-        tf = tf_column.tobytes()
-    meta = json.dumps(
-        {"documents": vocabulary.document_count, "terms": len(terms)}
-    ).encode("utf-8")
-    return SharedSegment.create(
-        {
-            "terms": "\n".join(terms).encode("utf-8"),
-            "df": df,
-            "tf": tf,
-            "meta": meta,
-        }
-    )
-
-
-class SharedVocabularyView:
-    """Read-only vocabulary facade over a :class:`SharedSegment`.
-
-    Pickles as just the segment name: process-pool workers attach the
-    segment on first use instead of deserializing the full term table —
-    that is the "workers receive read-only index segments" half of the
-    columnar plane.  Implements the accessors extraction needs
-    (``df``/``tf``/``document_count``/containment); it is a *background*
-    statistics view, never the pipeline's authoritative vocabulary.
-    """
-
-    __slots__ = ("_segment_name", "_ids", "_df", "_tf", "_documents")
-
-    def __init__(self, segment_name: str) -> None:
-        self._segment_name = segment_name
-        self._ids: dict[str, int] | None = None
-        self._df: array | None = None
-        self._tf: array | None = None
-        self._documents = 0
-
-    def __getstate__(self) -> str:
-        return self._segment_name
-
-    def __setstate__(self, state: str) -> None:
-        self._segment_name = state
-        self._ids = None
-        self._df = None
-        self._tf = None
-        self._documents = 0
-
-    def _load(self) -> dict[str, int]:
-        if self._ids is None:
-            # Decode once per process, not once per chunk: every chunk
-            # job re-pickles the extractors (and so this view), but the
-            # decoded tables are immutable and keyed by segment name.
-            cached = _LOADED_VIEWS.get(self._segment_name)
-            if cached is None:
-                segment = SharedSegment.attach(self._segment_name)
-                blob = bytes(segment.section("terms")).decode("utf-8")
-                terms = blob.split("\n") if blob else []
-                ids = {term: i for i, term in enumerate(terms)}
-                df = array("i", bytes(segment.section("df")))
-                tf = array("i", bytes(segment.section("tf")))
-                meta = json.loads(
-                    bytes(segment.section("meta")).decode("utf-8")
-                )
-                cached = (ids, df, tf, meta["documents"])
-                _LOADED_VIEWS[self._segment_name] = cached
-            self._ids, self._df, self._tf, self._documents = cached
-        return self._ids
-
-    @property
-    def document_count(self) -> int:
-        self._load()
-        return self._documents
-
-    @property
-    def term_count(self) -> int:
-        return len(self)
-
-    def __len__(self) -> int:
-        self._load()
-        assert self._df is not None
-        return sum(1 for count in self._df if count)
-
-    def __contains__(self, term: str) -> bool:
-        return self.df(term) > 0
-
-    def terms(self) -> list[str]:
-        ids = self._load()
-        assert self._df is not None
-        df = self._df
-        return [term for term, term_id in ids.items() if df[term_id]]
-
-    def df(self, term: str) -> int:
-        term_id = self._load().get(term)
-        assert self._df is not None
-        return self._df[term_id] if term_id is not None else 0
-
-    def tf(self, term: str) -> int:
-        term_id = self._load().get(term)
-        assert self._tf is not None
-        return self._tf[term_id] if term_id is not None else 0
-
-
-def attach_segment(name: str) -> None:
-    """Pool initializer: pre-attach a shared segment in a fresh worker."""
-    try:
-        SharedSegment.attach(name)
-    except FileNotFoundError:  # pragma: no cover - creator already gone
-        pass
 
 
 # -- whole-vocabulary fast paths ---------------------------------------------

@@ -72,7 +72,6 @@ def build_subsumption_hierarchy(
     max_df_ratio: float | None = None,
     max_parent_df: int | None = None,
     edge_validator: Callable[[str, str], bool] | None = None,
-    overlap: Callable[[str, str], int] | None = None,
 ) -> SubsumptionHierarchy:
     """Build the hierarchy for ``terms``.
 
@@ -100,23 +99,11 @@ def build_subsumption_hierarchy(
         Optional independent-evidence check ``f(child, parent)``; when
         given, subsumption edges lacking evidence are rejected (see
         :class:`repro.core.evidence.LinkEvidence`).
-    overlap:
-        Optional co-occurrence provider ``f(x, y) -> |docs(x) & docs(y)|``.
-        The default intersects the ``doc_sets`` entries directly; the
-        incremental pipeline supplies a version-cached provider so
-        unchanged pairs are not re-intersected.  Any provider must
-        return exactly the intersection size — the hierarchy is then
-        identical by construction.
     """
     if not 0 < threshold <= 1:
         raise HierarchyError(f"threshold must be in (0, 1], got {threshold}")
     if max_df_ratio is not None and max_df_ratio < 1:
         raise HierarchyError(f"max_df_ratio must be >= 1, got {max_df_ratio}")
-    if overlap is None:
-
-        def overlap(x: str, y: str) -> int:
-            return len(doc_sets[x] & doc_sets[y])
-
     present = [t for t in terms if doc_sets.get(t)]
     hierarchy = SubsumptionHierarchy(
         parents={t: None for t in present},
@@ -134,7 +121,7 @@ def build_subsumption_hierarchy(
             docs_x = doc_sets[x]
             if max_parent_df is not None and len(docs_x) > max_parent_df:
                 continue
-            shared = overlap(x, y)
+            shared = len(docs_x & docs_y)
             p_x_given_y = shared / len(docs_y)
             p_y_given_x = shared / len(docs_x)
             if max_df_ratio is not None and len(docs_x) > max_df_ratio * len(docs_y):

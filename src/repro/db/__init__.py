@@ -12,7 +12,6 @@ from .store import DocumentStore
 from .inverted_index import InvertedIndex, Posting
 from .resource_cache import PersistentResourceCache
 from .search import BM25Searcher, SearchResult
-from .sql_index import SqlInvertedIndex
 
 __all__ = [
     "DocumentStore",
@@ -20,6 +19,5 @@ __all__ = [
     "Posting",
     "BM25Searcher",
     "SearchResult",
-    "SqlInvertedIndex",
     "PersistentResourceCache",
 ]

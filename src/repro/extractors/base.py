@@ -35,16 +35,6 @@ class TermExtractor(abc.ABC):
         Yahoo stand-in) override it, others ignore it.
         """
 
-    def rebind_background(self, vocabulary) -> None:
-        """Swap an *adopted* background for an equivalent statistics view.
-
-        The columnar annotation pass uses this to hand process-pool
-        workers a shared-memory view of the statistics adopted via
-        :meth:`use_background`, and to restore the real vocabulary once
-        the pass ends.  Extractors holding an explicitly-configured
-        background (and extractors without one) ignore it.
-        """
-
     def extract_many(self, documents: list[Document]) -> dict[str, list[str]]:
         """Extract for many documents: doc_id -> terms."""
         return {doc.doc_id: self.extract(doc) for doc in documents}

@@ -70,17 +70,6 @@ class SignificantTermsExtractor(TermExtractor):
             self._background = vocabulary
             self._adopted_background = True
 
-    def rebind_background(self, vocabulary) -> None:
-        """Swap an adopted background for an equivalent statistics view.
-
-        Only adopted backgrounds move (an explicit one is caller-owned
-        configuration); the replacement must answer ``df`` and
-        ``document_count`` identically, which the columnar plane's
-        shared-memory view does by construction.
-        """
-        if self._adopted_background:
-            self._background = vocabulary
-
     @property
     def background(self) -> Vocabulary | None:
         """The background corpus currently scoring idf (None = flat idf)."""

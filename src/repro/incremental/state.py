@@ -10,8 +10,7 @@ between batches:
 * the postings index ``term -> {doc_id}`` over the expanded term sets
   (what the hierarchy stage reads instead of scanning every document);
 * the selection pre-test set (terms with ``df_C > df`` — the only
-  possible shift candidates) maintained from per-batch df deltas;
-* per-term version counters driving the subsumption pair-overlap cache.
+  possible shift candidates) maintained from per-batch df deltas.
 
 Serialization is deliberately minimal: only the document payloads and
 per-document caches are written (sets sorted, canonical JSON upstream);
@@ -70,7 +69,6 @@ class IncrementalState:
         self.original_vocabulary = Vocabulary()
         self.contextualized_vocabulary = Vocabulary()
         self.postings: dict[str, set[str]] = {}
-        self.term_versions: dict[str, int] = {}
         self.pretest: set[str] = set()
         self.batches_done: list[str] = []
 
@@ -88,7 +86,6 @@ class IncrementalState:
         if docs is None:
             docs = self.postings[term] = set()
         docs.add(doc_id)
-        self.term_versions[term] = self.term_versions.get(term, 0) + 1
 
     def remove_posting(self, term: str, doc_id: str) -> None:
         docs = self.postings.get(term)
@@ -97,7 +94,6 @@ class IncrementalState:
         docs.discard(doc_id)
         if not docs:
             del self.postings[term]
-        self.term_versions[term] = self.term_versions.get(term, 0) + 1
 
     def update_pretest(self, touched: set[str]) -> int:
         """Re-test ``df_C > df`` membership for the touched terms only.

@@ -88,27 +88,11 @@ INCREMENTAL_RESCORED_CANDIDATES: Final = "incremental.rescored_candidates"
 #: Counter: terms scored during selection.
 INCREMENTAL_SCORED_TERMS: Final = "incremental.scored_terms"
 
-#: Counter: subsumption pair-cache hits during hierarchy rebuild.
-INCREMENTAL_PAIR_CACHE_HITS: Final = "incremental.pair_cache_hits"
-
-#: Counter: subsumption pair-cache misses during hierarchy rebuild.
-INCREMENTAL_PAIR_CACHE_MISSES: Final = "incremental.pair_cache_misses"
-
 
 # -- columnar data plane -----------------------------------------------------
 
 #: Gauge: distinct terms interned by the columnar plane in one run.
 COLUMNAR_INTERNED_TERMS: Final = "columnar.interned_terms"
-
-#: Counter: shared read-only vocabulary segments published to workers.
-COLUMNAR_SHARED_SEGMENTS: Final = "columnar.shared_segments"
-
-#: Counter: bytes published through shared vocabulary segments.
-COLUMNAR_SHARED_SEGMENT_BYTES: Final = "columnar.shared_segment_bytes"
-
-#: Counter: times shared memory was unavailable and workers fell back
-#: to receiving the pickled vocabulary.
-COLUMNAR_PICKLE_FALLBACKS: Final = "columnar.pickle_fallbacks"
 
 
 # -- external resources ------------------------------------------------------

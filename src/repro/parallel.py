@@ -115,8 +115,8 @@ def _run_jobs(
     order regardless of completion order.
 
     ``initializer`` runs once in every pool worker before its first
-    chunk (the columnar plane pre-attaches shared memory segments with
-    it); inline runs skip it — it must be an optimization only, never a
+    chunk (the annotation pass arms each worker's text memo with it);
+    inline runs skip it — it must be an optimization only, never a
     correctness requirement.
     """
     if not config.enabled or len(jobs) <= 1:

@@ -26,10 +26,10 @@ class TermInterner:
     """Append-only bidirectional string ↔ ``int32`` id table.
 
     Ids are assigned in first-seen order and never change or get
-    reused, so any structure keyed by id (df vectors, postings arrays,
-    shared segments) stays valid as the vocabulary grows.  The table
-    also memoizes :func:`~repro.text.tokenizer.normalize_term` per
-    distinct *surface* form: the regex runs once per distinct string
+    reused, so any structure keyed by id (df vectors, postings arrays)
+    stays valid as the vocabulary grows.  The table also memoizes
+    :func:`~repro.text.tokenizer.normalize_term` per distinct
+    *surface* form: the regex runs once per distinct string
     per interner, not once per occurrence.
     """
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -155,3 +158,15 @@ class TestPublicSurface:
 
     def test_version(self):
         assert repro.__version__ == "1.3.0"
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is 3.11+")
+    def test_pyproject_takes_the_version_from_the_package(self):
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with pyproject.open("rb") as handle:
+            data = tomllib.load(handle)
+        assert "version" not in data["project"]
+        assert "version" in data["project"]["dynamic"]
+        dynamic = data["tool"]["setuptools"]["dynamic"]
+        assert dynamic["version"] == {"attr": "repro.__version__"}

@@ -4,16 +4,15 @@ The plane's contract is *representation only*: every columnar structure
 must answer exactly what its dict-of-strings counterpart answers.  This
 module pins the contract piece by piece — interner id stability, the
 columnar vocabulary against the Counter-backed reference, the zero-copy
-df/rank map views, shared-memory round trips (including worker-crash
-cleanup), the numpy/stdlib selection pretest agreement, and the two
+df/rank map views, the numpy/stdlib selection pretest agreement, the
 text-layer lemmas the fast paths rely on (normalize fixed points and
-the memo's output neutrality).  The end-to-end byte-identity matrix
+the memo's output neutrality), and memoized extractor output against
+the memo-less reference branches.  The end-to-end byte-identity matrix
 lives in ``tests/test_columnar_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import pytest
@@ -26,18 +25,18 @@ from repro.core.columnar import (
     ColumnarVocabulary,
     DocumentColumns,
     IntVector,
-    SharedSegment,
-    SharedVocabularyView,
     columnar_candidate_ids,
-    pack_vocabulary,
 )
 from repro.core.shifts import ShiftTables
+from repro.corpus import build_mnyt, build_snb, build_snyt
 from repro.corpus.document import Document
+from repro.extractors.named_entities import NamedEntityExtractor
 from repro.text.interning import TextMemo, use_text_memo
 from repro.text.tokenizer import normalize_term as raw_normalize_term
 from repro.text.tokenizer import sentences as raw_sentences
 from repro.text.tokenizer import tokenize as raw_tokenize
 from repro.text.vocabulary import TermInterner, Vocabulary
+from repro.wikipedia.titles import TitleMatcher
 
 WORDS = [
     "election",
@@ -234,80 +233,6 @@ class TestDocumentColumns:
         assert set(restricted) == {storm}
 
 
-class TestSharedSegments:
-    def test_vocabulary_view_round_trips_through_pickle(self):
-        vocabulary = ColumnarVocabulary()
-        for doc in random_documents(5, count=15):
-            vocabulary.add_document(doc)
-        segment = pack_vocabulary(vocabulary)
-        if segment is None:
-            pytest.skip("shared memory unavailable on this platform")
-        try:
-            view = SharedVocabularyView(segment.name)
-            # Workers receive the view pickled; only the name travels.
-            assert len(pickle.dumps(view)) < 200
-            remote = pickle.loads(pickle.dumps(view))
-            assert remote.document_count == vocabulary.document_count
-            assert remote.term_count == vocabulary.term_count
-            assert sorted(remote.terms()) == sorted(vocabulary.terms())
-            for term in [*WORDS, "never-seen"]:
-                assert remote.df(term) == vocabulary.df(term)
-                assert remote.tf(term) == vocabulary.tf(term)
-                assert (term in remote) == (term in vocabulary)
-        finally:
-            segment.unlink()
-
-    def test_pack_plain_vocabulary_matches_too(self):
-        vocabulary = Vocabulary()
-        for doc in random_documents(6, count=10):
-            vocabulary.add_document(doc)
-        segment = pack_vocabulary(vocabulary)
-        if segment is None:
-            pytest.skip("shared memory unavailable on this platform")
-        try:
-            view = SharedVocabularyView(segment.name)
-            for term in WORDS:
-                assert view.df(term) == vocabulary.df(term)
-                assert view.tf(term) == vocabulary.tf(term)
-            assert view.document_count == vocabulary.document_count
-        finally:
-            segment.unlink()
-
-    def test_creator_cleanup_survives_a_crashed_consumer(self):
-        """A worker dying mid-read must not leak the segment."""
-        vocabulary = ColumnarVocabulary()
-        vocabulary.add_document(["storm"])
-        segment = pack_vocabulary(vocabulary)
-        if segment is None:
-            pytest.skip("shared memory unavailable on this platform")
-        name = segment.name
-        view = SharedVocabularyView(name)
-        with pytest.raises(RuntimeError, match="simulated worker crash"):
-            # The consumer attaches (holding views into the buffer) and
-            # dies without any cleanup of its own.
-            view.df("storm")
-            raise RuntimeError("simulated worker crash")
-        segment.unlink()  # creator-side cleanup must still succeed
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        segment.unlink()  # idempotent
-
-    def test_attach_is_cached_per_process(self):
-        segment = SharedSegment.create({"blob": b"payload"})
-        if segment is None:
-            pytest.skip("shared memory unavailable on this platform")
-        try:
-            first = SharedSegment.attach(segment.name)
-            second = SharedSegment.attach(segment.name)
-            assert first is second
-            assert bytes(first.section("blob")) == b"payload"
-            first.close()
-        finally:
-            segment.unlink()
-
-
 class TestSelectionPretest:
     """The vectorized shift pretest equals the scalar Figure 3 test."""
 
@@ -376,8 +301,18 @@ DOC = Document(
 )
 
 
+@pytest.fixture(scope="module")
+def corpus_heads(config) -> list[Document]:
+    """The first stories of each generated corpus (SNYT, SNB, MNYT)."""
+    return [
+        document
+        for build in (build_snyt, build_snb, build_mnyt)
+        for document in build(config).documents[:20]
+    ]
+
+
 class TestTextLayerLemmas:
-    """The two equivalences the columnar fast paths are built on."""
+    """The equivalences the columnar fast paths are built on."""
 
     def test_document_terms_are_normalize_fixed_points(self):
         """_columnar_stats_chunk may skip normalization entirely."""
@@ -409,11 +344,21 @@ class TestTextLayerLemmas:
             for surface in ("U.S. Senate", "Hurricane  Season", "3,000"):
                 assert normalize_term(surface) == raw_normalize_term(surface)
 
-    def test_title_matcher_fast_scan_is_output_neutral(self, wikipedia):
-        from repro.wikipedia.titles import TitleMatcher
+    @pytest.mark.parametrize("extractor", ["named-entities", "title-matcher"])
+    def test_memo_fast_path_is_output_neutral(
+        self, extractor, wikipedia, corpus_heads
+    ):
+        """The memo-less branch is the reference the fast path must match."""
+        if extractor == "named-entities":
+            extract = NamedEntityExtractor().extract
+        else:
+            matcher = TitleMatcher(wikipedia)
 
-        matcher = TitleMatcher(wikipedia)
-        plain = matcher.matches(DOC.text)
-        with use_text_memo(TextMemo()):
-            fast = matcher.matches(DOC.text)
-        assert fast == plain
+            def extract(document):
+                return matcher.matches(document.text)
+
+        for document in [DOC, *corpus_heads]:
+            plain = extract(document)
+            with use_text_memo(TextMemo()):
+                fast = extract(document)
+            assert fast == plain, document.doc_id

@@ -7,8 +7,8 @@ checked in as a digest (:mod:`tests.golden`), and this module certifies
 it across:
 
 * worker counts {1, 4} on the thread backend;
-* the process backend (which exercises the shared-memory background
-  segment end to end, pickle fallback included);
+* the process backend (workers get the adopted background vocabulary
+  pickled with each chunk job);
 * incremental appends (the columnar memo also runs under the
   incremental extractor's chunk workers);
 * the serving artifact: the SQLite payload compiled from a run must
@@ -63,7 +63,7 @@ class TestColumnarDifferential:
         assert len(result.annotated.columns) == len(docs)
 
     def test_columnar_process_backend_matches(self, col_builder, docs):
-        """Exercises the shared-memory background segment end to end."""
+        """Exercises the pickled background-vocabulary handoff end to end."""
         col_builder.with_parallel(ParallelConfig(workers=2, backend="process"))
         assert result_digest(col_builder.build().run(docs)) == GOLDEN_RESULT_SHA256
 
