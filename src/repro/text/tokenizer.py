@@ -66,7 +66,9 @@ def tokenize(text: str) -> list[Token]:
 
 def word_tokens(text: str) -> list[str]:
     """Return just the lower-cased word strings of ``text``."""
-    return [token.lower for token in tokenize(text)]
+    # The pattern has no groups, so ``findall`` yields whole matches: the
+    # same words as ``tokenize`` without building a Token per word.
+    return [word.lower() for word in _WORD_RE.findall(text)]
 
 
 def _merge_abbreviation_splits(pieces: list[str]) -> Iterator[str]:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
-from ..text.stopwords import is_stopword
-from ..text.tokenizer import normalize_term, word_tokens
+from ..text.stopwords import STOPWORDS
+from ..text.tokenizer import word_tokens
 from .pages import WebPage
 
 #: Snippet length in words around the first query match.
@@ -28,100 +30,118 @@ class SearchEngineSim:
     def __init__(self, pages: list[WebPage]) -> None:
         self._pages = pages
         self._postings: dict[str, dict[int, int]] = defaultdict(dict)
+        # A page's tokens are its title's followed by its text's: the first
+        # ``_title_lengths[i]`` entries of ``_page_words[i]`` are the title,
+        # so a hit's title and snippet words are slices, never re-tokenized.
         self._page_words: list[list[str]] = []
-        self._title_words: list[set[str]] = []
+        self._title_lengths: list[int] = []
+        self._title_postings: dict[str, set[int]] = defaultdict(set)
         for index, page in enumerate(pages):
-            words = word_tokens(f"{page.title} {page.text}")
+            title = word_tokens(page.title)
+            words = title + word_tokens(page.text)
             self._page_words.append(words)
-            self._title_words.append(set(word_tokens(page.title)))
+            self._title_lengths.append(len(title))
+            for word in title:
+                self._title_postings[word].add(index)
             for word in words:
                 entry = self._postings[word]
                 entry[index] = entry.get(index, 0) + 1
 
     def search(self, query: str, limit: int = 10) -> list[Snippet]:
         """Top pages for ``query``, with snippets around the match."""
-        terms = [w for w in word_tokens(query) if not is_stopword(w)]
+        terms = [w for w in word_tokens(query) if w not in STOPWORDS]
+        results: list[Snippet] = []
+        for page_index in self._rank(terms, limit):
+            page = self._pages[page_index]
+            start = self._snippet_start(page_index, terms)
+            words = self._page_words[page_index][start : start + SNIPPET_WINDOW]
+            results.append(
+                Snippet(url=page.url, title=page.title, text=" ".join(words))
+            )
+        return results
+
+    def _rank(self, terms: list[str], limit: int) -> list[int]:
+        """Indices of the ``limit`` best-scoring pages for ``terms``."""
         if not terms:
             return []
         scores: Counter[int] = Counter()
         for term in terms:
-            for page_index, tf in self._postings.get(term, {}).items():
-                scores[page_index] += tf
+            scores.update(self._postings.get(term, {}))
         # Title boost: pages whose title contains every query term rank
         # first, as on a real engine — Google("People") should return
         # pages *about* people, not pages that merely mention the word.
-        for page_index in list(scores):
-            if all(term in self._title_words[page_index] for term in terms):
-                scores[page_index] += 25
-        phrase = normalize_term(query)
-        results: list[Snippet] = []
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-        for page_index, _ in ranked[:limit]:
-            page = self._pages[page_index]
-            results.append(
-                Snippet(
-                    url=page.url,
-                    title=page.title,
-                    text=self._snippet(page_index, terms, phrase),
-                )
-            )
-        return results
+        # A title's words are page words, so every such page is scored.
+        titled = [self._title_postings.get(term, set()) for term in terms]
+        for page_index in set.intersection(*titled):
+            scores[page_index] += 25
+        ranked = heapq.nsmallest(
+            limit, scores.items(), key=lambda item: (-item[1], item[0])
+        )
+        return [page_index for page_index, _ in ranked]
 
-    def _snippet(self, page_index: int, terms: list[str], phrase: str) -> str:
+    def _snippet_start(self, page_index: int, terms: list[str]) -> int:
+        """Start of the snippet window around the first query-term match."""
         words = self._page_words[page_index]
-        anchor = 0
-        for position, word in enumerate(words):
-            if word in terms:
-                anchor = position
-                break
-        start = max(0, anchor - SNIPPET_WINDOW // 2)
-        return " ".join(words[start : start + SNIPPET_WINDOW])
+        anchor = min(words.index(term) for term in set(terms) if term in words)
+        return max(0, anchor - SNIPPET_WINDOW // 2)
 
     def frequent_snippet_terms(
         self, query: str, limit: int = 10, result_count: int = 10
     ) -> list[str]:
-        """Most frequent non-query words/bigrams in the result snippets.
+        """Most frequent non-query words, bigrams and trigrams in the hits.
 
         This is the context-term extraction the paper performs on Google
         results: only titles and snippets are mined, never full pages.
         """
-        snippets = self.search(query, limit=result_count)
-        query_words = set(word_tokens(query))
-        counts: Counter[str] = Counter()
-        for snippet in snippets:
-            words = [
+        if limit <= 0:
+            return []
+        terms = [w for w in word_tokens(query) if w not in STOPWORDS]
+        query_words = set(terms)
+        unigrams: Counter[str] = Counter()
+        bigrams: Counter[tuple[str, str]] = Counter()
+        trigrams: Counter[tuple[str, str, str]] = Counter()
+        for page_index in self._rank(terms, result_count):
+            words = self._page_words[page_index]
+            start = self._snippet_start(page_index, terms)
+            mined = [
                 w
-                for w in word_tokens(f"{snippet.title} {snippet.text}")
-                if not is_stopword(w) and w not in query_words
+                for w in chain(
+                    words[: self._title_lengths[page_index]],
+                    words[start : start + SNIPPET_WINDOW],
+                )
+                if w not in STOPWORDS and w not in query_words
             ]
-            counts.update(words)
-            for i in range(len(words) - 1):
-                counts[f"{words[i]} {words[i + 1]}"] += 1
-            for i in range(len(words) - 2):
-                counts[f"{words[i]} {words[i + 1]} {words[i + 2]}"] += 1
+            unigrams.update(mined)
+            bigrams.update(zip(mined, mined[1:]))
+            trigrams.update(zip(mined, mined[1:], mined[2:]))
         # Subsumed-fragment suppression (as in C-value phrase mining):
         # a term that almost always occurs inside a longer counted
         # phrase ("united" inside "united states") is a fragment, not a
-        # context term of its own.
-        longer_by_word: Counter[str] = Counter()
-        for term, count in counts.items():
-            words_in_term = term.split()
-            if len(words_in_term) > 1:
-                for word in words_in_term:
-                    longer_by_word[word] = max(longer_by_word[word], count)
-                if len(words_in_term) == 2:
-                    longer_by_word[term] = 0  # bigrams checked vs trigrams below
-        for term, count in counts.items():
-            if len(term.split()) == 3:
-                for i in range(2):
-                    bigram = " ".join(term.split()[i : i + 2])
-                    longer_by_word[bigram] = max(longer_by_word[bigram], count)
-        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        results = []
-        for term, count in ranked:
-            if longer_by_word.get(term, 0) >= count * 0.8:
-                continue
-            results.append(term)
-            if len(results) >= limit:
-                break
-        return results
+        # context term of its own.  A word's most frequent cover is a
+        # bigram: every trigram occurrence holds a bigram occurrence
+        # around each of its words, so no trigram outcounts them.
+        word_cover: dict[str, int] = {}
+        for pair, count in bigrams.items():
+            for word in pair:
+                if word_cover.get(word, 0) < count:
+                    word_cover[word] = count
+        bigram_cover: dict[tuple[str, str], int] = {}
+        for triple, count in trigrams.items():
+            for pair in (triple[:2], triple[1:]):
+                if bigram_cover.get(pair, 0) < count:
+                    bigram_cover[pair] = count
+        # A term's survival depends only on its own count, so filter
+        # first and keep the top ``limit``.  Tokens sort above the space,
+        # so tuple order is the order of the joined strings.
+        survivors: list[tuple[int, tuple[str, ...]]] = [
+            (-count, (word,))
+            for word, count in unigrams.items()
+            if word_cover.get(word, 0) < count * 0.8
+        ]
+        survivors += [
+            (-count, pair)
+            for pair, count in bigrams.items()
+            if bigram_cover.get(pair, 0) < count * 0.8
+        ]
+        survivors += [(-count, triple) for triple, count in trigrams.items()]
+        return [" ".join(term) for _, term in heapq.nsmallest(limit, survivors)]

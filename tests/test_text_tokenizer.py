@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from repro.text.tokenizer import normalize_term, sentences, tokenize, word_tokens
 
+from .test_columnar import DOC
+
 
 class TestTokenize:
     def test_simple_words(self):
@@ -59,6 +61,19 @@ class TestTokenize:
         tokens = tokenize(text)
         assert len(tokens) == 1
         assert tokens[0].text == text
+
+
+class TestWordTokens:
+    """``word_tokens`` skips the Token objects but yields the same words."""
+
+    def test_matches_tokenize_on_newswire(self, snyt):
+        texts = [DOC.text] + [document.text for document in snyt.documents[:50]]
+        for text in texts:
+            assert word_tokens(text) == [token.lower for token in tokenize(text)]
+
+    @given(st.text(max_size=200))
+    def test_matches_tokenize_on_any_text(self, text):
+        assert word_tokens(text) == [token.lower for token in tokenize(text)]
 
 
 class TestSentences:

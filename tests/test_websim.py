@@ -2,10 +2,34 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.websim.engine import SearchEngineSim
 from repro.websim.pages import BOILERPLATE, WebPage, build_web_corpus
+
+
+#: sha256 of :func:`_query_digest` over every entity name and taxonomy
+#: term of the ``ReproConfig(scale=0.1)`` world, recorded before the
+#: engine mined token slices: any change to a hit or a mined term fails.
+ENGINE_QUERY_SHA256 = (
+    "2d16f6ad827d7411088802cbd8a9d2ec7badae77ed34ab76aceb9fc966c62ff8"
+)
+
+
+def _query_digest(engine: SearchEngineSim, queries: list[str]) -> str:
+    payload = [
+        [
+            query,
+            engine.frequent_snippet_terms(query, limit=30, result_count=10),
+            [[hit.url, hit.title, hit.text] for hit in engine.search(query)],
+        ]
+        for query in queries
+    ]
+    encoded = json.dumps(payload, ensure_ascii=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("ascii")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -75,18 +99,30 @@ class TestContextMining:
     def test_limit(self, engine):
         assert len(engine.frequent_snippet_terms("France", limit=5)) <= 5
 
-    def test_fragment_suppression(self):
-        # "united" occurs only inside "united states" -> suppressed.
+    @staticmethod
+    def _anthem_engine() -> SearchEngineSim:
         pages = [
-            WebPage(f"u{i}", "United States", "United States . United States")
+            WebPage(f"u{i}", "Anthem", "United States . United States")
             for i in range(3)
         ]
-        engine = SearchEngineSim(pages)
-        terms = engine.frequent_snippet_terms("america usa united", limit=20)
-        # Query words excluded; remaining mined phrases should prefer
-        # the full phrase over the fragment "states".
-        if "states" in terms and "united states" in terms:
-            assert terms.index("united states") < terms.index("states")
+        return SearchEngineSim(pages)
+
+    def test_fragment_suppression(self):
+        # "united" and "states" occur only inside "united states", which
+        # is counted because neither word is a query word -> both are
+        # fragments and suppressed; the full phrase is mined.
+        terms = self._anthem_engine().frequent_snippet_terms("anthem", limit=20)
+        assert terms == [
+            "united states",
+            "states united states",
+            "united states united",
+        ]
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_non_positive_limit_mines_nothing(self, limit):
+        engine = self._anthem_engine()
+        assert engine.frequent_snippet_terms("anthem", limit=limit) == []
+        assert engine.frequent_snippet_terms("anthem", limit=1) == ["united states"]
 
     def test_some_noise_present(self, engine):
         """Google context should contain SOME boilerplate (the paper's
@@ -96,3 +132,11 @@ class TestContextMining:
             terms = engine.frequent_snippet_terms(query, limit=30)
             noise += sum(1 for t in terms if t in BOILERPLATE)
         assert noise >= 1
+
+
+class TestQueryParity:
+    def test_every_entity_and_taxonomy_query_is_unchanged(self, world, engine):
+        queries = [entity.name for entity in world.entities]
+        queries += list(world.taxonomy.terms())
+        assert len(queries) > 500
+        assert _query_digest(engine, queries) == ENGINE_QUERY_SHA256
