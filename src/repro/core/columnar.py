@@ -15,10 +15,9 @@ moves everything in between onto flat integer columns:
   :class:`~collections.abc.Mapping` views (:class:`ColumnarCountMap`,
   :class:`ColumnarRankMap`).
 
-A numpy fast path accelerates the whole-vocabulary scans when numpy is
-importable (and ``REPRO_NO_NUMPY`` is unset); the pure-stdlib ``array``
-fallback produces identical results — both operate on the same integer
-columns and all floats are derived from the same integers.
+Columns are plain stdlib ``array('i')`` — contiguous machine ints with
+the buffer protocol (zero-copy ``memoryview`` slices) and compact
+pickles — so the plane needs nothing beyond the standard library.
 
 Everything here is a *representation* change: emitted facets,
 hierarchies, and serving payloads are byte-identical to those of the
@@ -28,111 +27,17 @@ golden-output tests in ``tests/test_columnar_equivalence.py``.
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections.abc import Iterator, Mapping
 
 from ..text.vocabulary import TermInterner, Vocabulary
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    if os.environ.get("REPRO_NO_NUMPY"):
-        _np = None
-    else:
-        import numpy as _np  # type: ignore[no-redef]
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
 
-#: True when the numpy fast path is active for whole-vocabulary scans.
-HAVE_NUMPY = _np is not None
-
-
-class IntVector:
-    """A growable ``int32`` column over ``array('i')``.
-
-    The stdlib ``array`` stores machine ints contiguously, supports the
-    buffer protocol (zero-copy :meth:`memoryview` / numpy views), and
-    pickles compactly — everything the data plane needs without a hard
-    numpy dependency.
-    """
-
-    __slots__ = ("_data", "_view")
-
-    def __init__(self, size: int = 0) -> None:
-        self._data = array("i", bytes(4 * size)) if size else array("i")
-        self._view = None
-
-    @classmethod
-    def from_iterable(cls, values) -> "IntVector":
-        vector = cls()
-        vector._data.extend(values)
-        return vector
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __getitem__(self, index):
-        return self._data[index]
-
-    def __setitem__(self, index: int, value: int) -> None:
-        self._data[index] = value
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._data)
-
-    def append(self, value: int) -> None:
-        self._view = None
-        self._data.append(value)
-
-    def extend(self, values) -> None:
-        self._view = None
-        self._data.extend(values)
-
-    def grow_to(self, size: int) -> None:
-        """Zero-extend the column to at least ``size`` entries."""
-        missing = size - len(self._data)
-        if missing > 0:
-            # Drop the cached numpy view first: resizing an array while
-            # a buffer export is alive raises BufferError.
-            self._view = None
-            self._data.frombytes(bytes(4 * missing))
-
-    def memoryview(self) -> memoryview:
-        """Zero-copy read view of the underlying int32 storage."""
-        return memoryview(self._data)
-
-    def tobytes(self) -> bytes:
-        return self._data.tobytes()
-
-    def copy(self) -> "IntVector":
-        clone = IntVector()
-        clone._data = array("i", self._data)
-        return clone
-
-    def __getstate__(self):
-        return self._data
-
-    def __setstate__(self, state) -> None:
-        self._data = state
-        self._view = None
-
-    def to_numpy(self):
-        """Zero-copy numpy view (requires :data:`HAVE_NUMPY`).
-
-        The view is cached between resizes — per-document folds call
-        this on every document, and rebuilding the buffer export
-        dominates the cost of the fancy-indexed updates themselves.
-        Writes through ``__setitem__`` stay coherent (the view shares
-        the array's buffer);
-        any resize drops the cache.
-        """
-        if _np is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("numpy fast path is unavailable")
-        view = self._view
-        if view is None:
-            if not len(self._data):
-                return _np.zeros(0, dtype=_np.int32)
-            view = self._view = _np.frombuffer(self._data, dtype=_np.int32)
-        return view
+def _zero_extend(column: array, size: int) -> None:
+    """Zero-extend ``column`` in place to at least ``size`` entries."""
+    missing = size - len(column)
+    if missing > 0:
+        column.frombytes(bytes(4 * missing))
 
 
 class ColumnarCountMap(Mapping[str, int]):
@@ -145,14 +50,15 @@ class ColumnarCountMap(Mapping[str, int]):
     exact access pattern ``ShiftTables`` relies on.
     """
 
-    __slots__ = ("_interner", "_counts", "_nonzero")
+    __slots__ = ("_vocabulary", "_interner", "_counts")
 
-    def __init__(
-        self, interner: TermInterner, counts: IntVector, nonzero: int
-    ) -> None:
-        self._interner = interner
-        self._counts = counts
-        self._nonzero = nonzero
+    def __init__(self, vocabulary: "ColumnarVocabulary") -> None:
+        # Live, like the base class's MappingProxyType: counts are read
+        # from the vocabulary's column (grown in place) and the length
+        # from its nonzero count, so later adds show through.
+        self._vocabulary = vocabulary
+        self._interner = vocabulary.interner
+        self._counts = vocabulary._df_ids
 
     def __getitem__(self, term: str) -> int:
         term_id = self._interner.id_of(term)
@@ -181,7 +87,7 @@ class ColumnarCountMap(Mapping[str, int]):
         return isinstance(term, str) and self.get(term) is not None
 
     def __len__(self) -> int:
-        return self._nonzero
+        return self._vocabulary.term_count
 
 
 class ColumnarRankMap(Mapping[str, int]):
@@ -196,7 +102,7 @@ class ColumnarRankMap(Mapping[str, int]):
     __slots__ = ("_interner", "_ranks", "_nonzero")
 
     def __init__(
-        self, interner: TermInterner, ranks: IntVector, nonzero: int
+        self, interner: TermInterner, ranks: array, nonzero: int
     ) -> None:
         self._interner = interner
         self._ranks = ranks  # 0 marks "no rank" (df == 0)
@@ -252,11 +158,11 @@ class ColumnarVocabulary(Vocabulary):
 
     def __init__(self, interner: TermInterner | None = None) -> None:
         self.interner = interner if interner is not None else TermInterner()
-        self._df_ids = IntVector()
-        self._tf_ids = IntVector()
+        self._df_ids = array("i")
+        self._tf_ids = array("i")
         self._nonzero = 0
         self._documents = 0
-        self._rank_ids: IntVector | None = None
+        self._rank_ids: array | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -272,9 +178,6 @@ class ColumnarVocabulary(Vocabulary):
         self._rank_ids = None
         if not ids:
             return
-        if _np is not None and len(ids) >= 32:
-            self._add_document_ids_numpy(ids)
-            return
         self._grow(max(ids) + 1)
         tf = self._tf_ids
         df = self._df_ids
@@ -286,46 +189,17 @@ class ColumnarVocabulary(Vocabulary):
                 self._nonzero += 1
             df[term_id] += 1
 
-    def _add_document_ids_numpy(self, ids: list) -> None:
-        """Vectorized fold of one document's term ids into tf/df.
-
-        ``unique`` gives the document's distinct ids with their
-        occurrence counts in work proportional to the *document*, not to
-        the vocabulary (a per-document ``bincount`` would scan an array
-        as long as the highest id).  Adding integer counts to integer
-        columns is the same arithmetic the scalar loop does, in a
-        different (irrelevant) order.
-        """
-        distinct, counts = _np.unique(
-            _np.asarray(ids, dtype=_np.int64), return_counts=True
-        )
-        self._grow(int(distinct[-1]) + 1)
-        tf = self._tf_ids.to_numpy()
-        df = self._df_ids.to_numpy()
-        tf[distinct] += counts.astype(_np.int32)
-        self._nonzero += int((df[distinct] == 0).sum())
-        df[distinct] += 1
-
     def add_document_distinct_ids(self, term_ids) -> None:
         """Register one document given its *distinct* term ids.
 
         Contract: no id repeats (the caller folds a set).  Each id then
         contributes exactly +1 to both tf and df, so the fold skips the
-        per-document ``bincount`` of :meth:`add_document_ids`.
+        per-document de-duplication of :meth:`add_document_ids`.
         """
         ids = list(term_ids)
         self._documents += 1
         self._rank_ids = None
         if not ids:
-            return
-        if _np is not None and len(ids) >= 32:
-            index = _np.asarray(ids, dtype=_np.int64)
-            self._grow(int(index.max()) + 1)
-            tf = self._tf_ids.to_numpy()
-            df = self._df_ids.to_numpy()
-            tf[index] += 1
-            self._nonzero += int((df[index] == 0).sum())
-            df[index] += 1
             return
         self._grow(max(ids) + 1)
         tf = self._tf_ids
@@ -368,15 +242,15 @@ class ColumnarVocabulary(Vocabulary):
 
     def copy(self) -> "ColumnarVocabulary":
         clone = ColumnarVocabulary(self.interner)
-        clone._df_ids = self._df_ids.copy()
-        clone._tf_ids = self._tf_ids.copy()
+        clone._df_ids = array("i", self._df_ids)
+        clone._tf_ids = array("i", self._tf_ids)
         clone._nonzero = self._nonzero
         clone._documents = self._documents
         return clone
 
     def _grow(self, size: int) -> None:
-        self._df_ids.grow_to(size)
-        self._tf_ids.grow_to(size)
+        _zero_extend(self._df_ids, size)
+        _zero_extend(self._tf_ids, size)
 
     # -- size accessors -------------------------------------------------------
 
@@ -400,7 +274,7 @@ class ColumnarVocabulary(Vocabulary):
 
     # -- frequency accessors ----------------------------------------------------
 
-    def _count_by_id(self, column: IntVector, term: str) -> int:
+    def _count_by_id(self, column: array, term: str) -> int:
         term_id = self.interner.id_of(term)
         if term_id is None or term_id >= len(column):
             return 0
@@ -412,34 +286,14 @@ class ColumnarVocabulary(Vocabulary):
     def df(self, term: str) -> int:
         return self._count_by_id(self._df_ids, term)
 
-    def df_by_id(self, term_id: int) -> int:
-        """``df`` addressed by interned id (columnar fast paths)."""
-        return self._df_ids[term_id] if term_id < len(self._df_ids) else 0
-
-    def df_column(self, size: int | None = None) -> IntVector:
-        """The id-indexed df column, zero-padded to ``size`` entries.
-
-        Padding mutates the live column (appending zeros never changes
-        any count), so the return is a zero-copy view, not a copy.
-        """
-        if size is not None:
-            self._grow(size)
-        return self._df_ids
-
-    def rank_column(self, size: int | None = None) -> IntVector:
+    def _rank_column(self) -> array:
         """Id-indexed 1-based ranks; 0 marks absent (df == 0) terms."""
-        ranks = self._rank_column()
-        if size is not None and len(ranks) < size:
-            ranks.grow_to(size)
-        return ranks
-
-    def _rank_column(self) -> IntVector:
         if self._rank_ids is None:
             df = self._df_ids
             all_terms = self._interner_terms()
             present = [i for i in range(len(df)) if df[i]]
             present.sort(key=lambda i: (-df[i], all_terms[i]))
-            ranks = IntVector(len(df))
+            ranks = array("i", bytes(4 * len(df)))
             for position, term_id in enumerate(present):
                 ranks[term_id] = position + 1
             self._rank_ids = ranks
@@ -453,13 +307,13 @@ class ColumnarVocabulary(Vocabulary):
         return ranks[term_id]
 
     def df_map(self) -> Mapping[str, int]:
-        return ColumnarCountMap(self.interner, self._df_ids, self._nonzero)
+        return ColumnarCountMap(self)
 
     def rank_map(self) -> Mapping[str, int]:
         # Snapshot semantics, like the base class: hand out a private
         # copy so later adds cannot mutate what ShiftTables captured.
         return ColumnarRankMap(
-            self.interner, self._rank_column().copy(), self._nonzero
+            self.interner, array("i", self._rank_column()), self._nonzero
         )
 
     def most_common(self, n: int | None = None) -> list[tuple[str, int]]:
@@ -490,8 +344,8 @@ class DocumentColumns:
     def __init__(self, interner: TermInterner) -> None:
         self.interner = interner
         self.doc_ids: list[str] = []
-        self.offsets = IntVector.from_iterable([0])
-        self.term_ids = IntVector()
+        self.offsets = array("i", [0])
+        self.term_ids = array("i")
         self._doc_index: dict[str, int] | None = None
 
     def __len__(self) -> int:
@@ -515,7 +369,7 @@ class DocumentColumns:
 
     def ids_of(self, index: int) -> memoryview:
         """Zero-copy id slice of document ``index``."""
-        return self.term_ids.memoryview()[
+        return memoryview(self.term_ids)[
             self.offsets[index] : self.offsets[index + 1]
         ]
 
@@ -530,7 +384,7 @@ class DocumentColumns:
             }
         return self._doc_index.get(doc_id)
 
-    def postings(self, term_ids=None) -> dict[int, IntVector]:
+    def postings(self, term_ids=None) -> dict[int, array]:
         """term id → ascending document positions (distinct per doc).
 
         ``term_ids`` restricts the inversion to the given ids (the
@@ -539,7 +393,7 @@ class DocumentColumns:
         id column.
         """
         wanted = None if term_ids is None else set(term_ids)
-        inverted: dict[int, IntVector] = {}
+        inverted: dict[int, array] = {}
         for index in range(len(self.doc_ids)):
             row = set(self.ids_of(index))
             if wanted is not None:
@@ -547,50 +401,7 @@ class DocumentColumns:
             for term_id in sorted(row):
                 posting = inverted.get(term_id)
                 if posting is None:
-                    posting = inverted[term_id] = IntVector()
+                    posting = inverted[term_id] = array("i")
                 posting.append(index)
         return inverted
 
-
-# -- whole-vocabulary fast paths ---------------------------------------------
-
-
-def columnar_candidate_ids(
-    original: ColumnarVocabulary,
-    contextualized: ColumnarVocabulary,
-    require_both_shifts: bool,
-    bins_original,
-    bins_contextualized,
-) -> list[int] | None:
-    """Vectorized Figure 3 shift pretest over the shared id space.
-
-    Returns the ascending term ids passing the shift test(s) — exactly
-    the terms the scalar selection loop would keep, in the same order it
-    visits them (``terms()`` yields id order) — or None when the numpy
-    fast path is unavailable and the caller should run the scalar loop.
-    All quantities are integers; no float enters the comparison, so the
-    two paths agree bit for bit.
-    """
-    if _np is None or original.interner is not contextualized.interner:
-        return None
-    size = len(original.interner)
-    if size == 0:
-        return []
-    df_o = original.df_column(size).to_numpy()
-    df_c = contextualized.df_column(size).to_numpy()
-    mask = df_c > df_o
-    if require_both_shifts:
-        unknown_o = len(original) + 1
-        unknown_c = len(contextualized) + 1
-        ranks_o = original.rank_column(size).to_numpy().copy()
-        ranks_c = contextualized.rank_column(size).to_numpy().copy()
-        ranks_o[ranks_o == 0] = unknown_o
-        ranks_c[ranks_c == 0] = unknown_c
-        table_o = _np.asarray(bins_original, dtype=_np.int64)
-        table_c = _np.asarray(bins_contextualized, dtype=_np.int64)
-        shift_r = table_o[ranks_o] - table_c[ranks_c]
-        mask &= shift_r > 0
-    # Selection only ever scores terms present in the contextualized
-    # database (it iterates contextualized.terms()).
-    mask &= df_c > 0
-    return [int(term_id) for term_id in _np.nonzero(mask)[0]]

@@ -21,7 +21,6 @@ import math
 from collections.abc import Mapping
 
 from ..text.vocabulary import Vocabulary
-from .columnar import ColumnarVocabulary
 
 #: Lee's alpha: skew divergence is KL(p || a*q + (1-a)*p).
 DEFAULT_ALPHA = 0.99
@@ -29,20 +28,6 @@ DEFAULT_ALPHA = 0.99
 
 def collection_distribution(vocabulary: Vocabulary) -> dict[str, float]:
     """Document-frequency distribution of a collection's terms."""
-    if isinstance(vocabulary, ColumnarVocabulary):
-        # Columnar fast path: one scan of the df column instead of one
-        # id lookup per term.  Same integer sum, same divisions, and
-        # nonzero-id order equals terms() order — identical dict.
-        df = vocabulary.df_column()
-        terms = vocabulary.interner.terms()
-        total = sum(df)
-        if total == 0:
-            return {}
-        return {
-            terms[term_id]: df[term_id] / total
-            for term_id in range(len(df))
-            if df[term_id]
-        }
     total = sum(vocabulary.df(term) for term in vocabulary.terms())
     if total == 0:
         return {}

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..observability.context import current_metrics
-from .columnar import ColumnarVocabulary, columnar_candidate_ids
 from .contextualize import ContextualizedDatabase
 from .likelihood import LikelihoodTables
 from .shifts import ShiftTables
@@ -82,28 +81,7 @@ def select_facet_terms(
         else tables.chi_square
     )
     candidates: list[FacetTermCandidate] = []
-    # Columnar fast path: run the shift pretest as vectorized integer
-    # comparisons over the shared id space, then score only the
-    # survivors.  The ids come back in the order the scalar loop visits
-    # terms, and every quantity is an integer derived from the same
-    # columns, so both paths build the identical candidate list.
-    candidate_ids = None
-    if isinstance(original, ColumnarVocabulary) and isinstance(
-        contextualized, ColumnarVocabulary
-    ):
-        candidate_ids = columnar_candidate_ids(
-            original,
-            contextualized,
-            require_both_shifts,
-            shifts.bins_original,
-            shifts.bins_contextualized,
-        )
-    if candidate_ids is not None:
-        terms_by_id = original.interner.terms()
-        term_iter = (terms_by_id[term_id] for term_id in candidate_ids)
-    else:
-        term_iter = iter(contextualized.terms())
-    for term in term_iter:
+    for term in contextualized.terms():
         df = shifts.df_original(term)
         df_c = shifts.df_contextualized(term)
         shift_f = df_c - df

@@ -3,8 +3,8 @@
 The digests below were recorded from the dict-of-strings reference
 implementation (serial, one resource round trip per term) before the
 columnar data plane became the only one; the same bytes came out of
-every execution mode it was compared against, with numpy and on the
-stdlib fallback.  Every surviving mode must keep reproducing them.
+every execution mode it was compared against.  Every surviving mode
+must keep reproducing them.
 
 Scores are serialized as IEEE-754 hex so not even a ULP of drift
 passes; hierarchies carry their full document populations.

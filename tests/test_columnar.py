@@ -3,30 +3,38 @@
 The plane's contract is *representation only*: every columnar structure
 must answer exactly what its dict-of-strings counterpart answers.  This
 module pins the contract piece by piece — interner id stability, the
-columnar vocabulary against the Counter-backed reference, the zero-copy
-df/rank map views, the numpy/stdlib selection pretest agreement, the
-text-layer lemmas the fast paths rely on (normalize fixed points and
-the memo's output neutrality), and memoized extractor output against
-the memo-less reference branches.  The end-to-end byte-identity matrix
+column zero-extend helper, the columnar vocabulary against the
+Counter-backed reference, the zero-copy df/rank map views, Figure 3
+selection against the per-term shift functions and over the reference
+vocabulary, the text-layer lemmas the fast paths rely on (normalize
+fixed points and the memo's output neutrality), and memoized extractor
+output against the memo-less reference branches; it also checks that
+the entry points load no numpy.  The end-to-end byte-identity matrix
 lives in ``tests/test_columnar_equivalence.py``.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from array import array
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.annotate import document_terms
 from repro.core.columnar import (
-    HAVE_NUMPY,
     ColumnarCountMap,
     ColumnarRankMap,
     ColumnarVocabulary,
     DocumentColumns,
-    IntVector,
-    columnar_candidate_ids,
+    _zero_extend,
 )
+from repro.core.selection import select_facet_terms
 from repro.core.shifts import ShiftTables
 from repro.corpus import build_mnyt, build_snb, build_snyt
 from repro.corpus.document import Document
@@ -98,27 +106,13 @@ class TestTermInterner:
         assert len(interner) == 0  # the sentinel never enters the table
 
 
-class TestIntVector:
+class TestZeroExtend:
     def test_grow_to_zero_extends(self):
-        vector = IntVector.from_iterable([3, 1])
-        vector.grow_to(5)
-        assert list(vector) == [3, 1, 0, 0, 0]
-        vector.grow_to(2)  # never shrinks
-        assert len(vector) == 5
-
-    def test_copy_is_independent(self):
-        vector = IntVector.from_iterable([1, 2])
-        clone = vector.copy()
-        clone[0] = 9
-        assert vector[0] == 1
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-    def test_to_numpy_is_zero_copy(self):
-        vector = IntVector.from_iterable([4, 5, 6])
-        view = vector.to_numpy()
-        assert list(view) == [4, 5, 6]
-        vector[1] = 50  # mutation shows through the view: shared buffer
-        assert view[1] == 50
+        column = array("i", [3, 1])
+        _zero_extend(column, 5)
+        assert list(column) == [3, 1, 0, 0, 0]
+        _zero_extend(column, 2)  # never shrinks
+        assert len(column) == 5
 
 
 class TestColumnarVocabularyEquivalence:
@@ -166,6 +160,16 @@ class TestColumnarVocabularyEquivalence:
             df_view["never-seen"]
         with pytest.raises(KeyError):
             rank_view["never-seen"]
+        # df_map() is live, like the reference's proxy: a map taken
+        # before the last add sees it (order within a reference document
+        # follows set hashing, so compare sorted).
+        reference_view = reference.df_map()
+        for vocabulary in (reference, columnar):
+            vocabulary.add_document(["never-seen", "storm"])
+        assert len(df_view) == len(reference_view) == len(reference.df_map())
+        assert sorted(df_view) == sorted(reference_view)
+        assert "never-seen" in df_view
+        assert "never-seen" in reference_view
 
     def test_rank_map_is_a_snapshot(self):
         """Adds after rank_map() must not mutate the captured ranks."""
@@ -211,6 +215,21 @@ class TestColumnarVocabularyEquivalence:
         assert columnar.df("storm") == 1
         assert clone.df("storm") == 2
 
+    def test_copy_is_independent(self):
+        """The clone's columns are its own copies, in both directions."""
+        columnar = ColumnarVocabulary()
+        columnar.add_document(["storm", "election"])
+        clone = columnar.copy()
+        clone.add_document(["storm"])
+        clone.add_document(["storm", "storm", "senate"])  # grows the clone
+        assert columnar.df("storm") == 1
+        assert columnar.tf("storm") == 1
+        assert "senate" not in columnar
+        assert clone.df("storm") == 3
+        assert clone.tf("storm") == 4
+        columnar.remove_document(["storm", "election"])
+        assert clone.df("election") == 1  # and the other way round
+
 
 class TestDocumentColumns:
     def test_round_trip_and_postings(self):
@@ -233,13 +252,11 @@ class TestDocumentColumns:
         assert set(restricted) == {storm}
 
 
-class TestSelectionPretest:
-    """The vectorized shift pretest equals the scalar Figure 3 test."""
+class TestSelectionLoop:
+    """Figure 3's one candidate loop over the columnar vocabularies."""
 
-    def build_pair(self, seed: int):
-        interner = TermInterner()
-        original = ColumnarVocabulary(interner)
-        contextualized = ColumnarVocabulary(interner)
+    def build_pair(self, seed: int, make_vocabulary):
+        original, contextualized = make_vocabulary(), make_vocabulary()
         rng = random.Random(seed)
         for doc in random_documents(seed, count=30):
             original.add_document(doc)
@@ -247,47 +264,74 @@ class TestSelectionPretest:
             contextualized.add_document(set(expanded))
         return original, contextualized
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+    @staticmethod
+    def select(original, contextualized, require_both=True):
+        database = SimpleNamespace(
+            annotated=SimpleNamespace(
+                vocabulary=original,
+                documents=[None] * original.document_count,
+            ),
+            vocabulary=contextualized,
+        )
+        return select_facet_terms(
+            database, top_k=None, require_both_shifts=require_both
+        )
+
     @pytest.mark.parametrize("require_both", [True, False])
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_candidates_equal_the_scalar_shift_test(self, seed, require_both):
-        original, contextualized = self.build_pair(seed)
-        shifts = ShiftTables(original, contextualized)
-        candidates = columnar_candidate_ids(
-            original,
-            contextualized,
-            require_both,
-            shifts.bins_original,
-            shifts.bins_contextualized,
+        interner = TermInterner()
+        original, contextualized = self.build_pair(
+            seed, lambda: ColumnarVocabulary(interner)
         )
-        assert candidates is not None
-        terms = original.interner.terms()
-        scalar = [
-            term_id
-            for term_id in range(len(terms))
-            if contextualized.df_by_id(term_id) > 0
-            and shifts.frequency_shift(terms[term_id]) > 0
-            and (not require_both or shifts.rank_shift(terms[term_id]) > 0)
-        ]
-        assert candidates == scalar
-        assert candidates == sorted(candidates)  # scalar visit order
+        shifts = ShiftTables(original, contextualized)
+        selected = {
+            candidate.term
+            for candidate in self.select(original, contextualized, require_both)
+        }
+        scalar = {
+            term
+            for term in original.interner.terms()
+            if contextualized.df(term) > 0
+            and shifts.frequency_shift(term) > 0
+            and (not require_both or shifts.rank_shift(term) > 0)
+        }
+        assert scalar  # non-trivial input
+        assert selected == scalar
 
-    def test_distinct_interners_fall_back_to_the_scalar_loop(self):
-        original = ColumnarVocabulary()
-        contextualized = ColumnarVocabulary()
-        original.add_document(["storm"])
-        contextualized.add_document(["storm", "election"])
-        shifts = ShiftTables(original, contextualized)
-        assert (
-            columnar_candidate_ids(
-                original,
-                contextualized,
-                True,
-                shifts.bins_original,
-                shifts.bins_contextualized,
-            )
-            is None
-        )
+    def test_columnar_and_reference_vocabularies_select_alike(self):
+        columnar = self.build_pair(24, ColumnarVocabulary)
+        reference = self.build_pair(24, Vocabulary)
+        selected = self.select(*columnar)
+        assert selected  # non-trivial input
+        assert selected == self.select(*reference)
+
+
+def test_entry_points_do_not_load_numpy():
+    """The data plane is stdlib-only: no entry point may import numpy."""
+    probe = textwrap.dedent(
+        """
+        import sys
+
+        import repro.__main__
+        import repro.builder
+        import repro.incremental
+        import repro.serving.app
+
+        print("numpy" in sys.modules)
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "False"
 
 
 DOC = Document(

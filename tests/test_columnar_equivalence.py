@@ -14,7 +14,7 @@ it across:
 * the serving artifact: the SQLite payload compiled from a run must
   carry the recorded content checksum.
 
-CI runs the module both with numpy and with ``REPRO_NO_NUMPY=1``.
+The plane is stdlib-only, so the main tier-1 run covers every path.
 """
 
 from __future__ import annotations
