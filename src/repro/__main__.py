@@ -160,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--run-dir",
         required=True,
         metavar="DIR",
-        help="checkpoint directory for this stream (snapshots + manifest)",
+        help="checkpoint directory for this stream (versioned snapshots)",
     )
     stream.add_argument(
         "--make-batches",

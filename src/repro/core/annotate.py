@@ -89,22 +89,6 @@ class AnnotatedDatabase:
         return self.important_terms.get(doc_id, [])
 
 
-def _stats_chunk(documents: list[Document]) -> list[tuple[str, list[str]]]:
-    """Per-chunk statistics worker of the incremental path: normalized
-    terms per doc.
-
-    Normalization routes through :mod:`repro.text.interning`, so under
-    an active memo each distinct surface form pays the regex once per
-    chunk.
-    """
-    out: list[tuple[str, list[str]]] = []
-    for document in documents:
-        terms = document_terms(document)
-        normalized = [t for t in (normalize_term(t) for t in terms) if t]
-        out.append((document.doc_id, normalized))
-    return out
-
-
 def _columnar_document_terms(document: Document, memo: TextMemo) -> list[str]:
     """:func:`document_terms` over memoized sentence columns.
 
@@ -141,7 +125,8 @@ def _columnar_document_terms(document: Document, memo: TextMemo) -> list[str]:
 def _columnar_stats_chunk(
     documents: list[Document],
 ) -> list[tuple[str, list[str]]]:
-    """Statistics worker of the batch pass: no normalization pass.
+    """Statistics worker of Step 1 (batch and incremental): no
+    normalization pass.
 
     :func:`document_terms` emits lower-cased single tokens and
     space-joined lower-cased token n-grams — every one a fixed point of

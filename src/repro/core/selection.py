@@ -7,9 +7,11 @@ returned as ``Facet(D)``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..observability.context import current_metrics
+from ..text.vocabulary import Vocabulary
 from .contextualize import ContextualizedDatabase
 from .likelihood import LikelihoodTables
 from .shifts import ShiftTables
@@ -64,24 +66,54 @@ def select_facet_terms(
         raise ValueError(f"top_k must be positive, got {top_k}")
     if statistic not in ("log-likelihood", "chi-square"):
         raise ValueError(f"unknown statistic: {statistic!r}")
-    original = database.annotated.vocabulary
     contextualized = database.vocabulary
-    n = max(len(database.annotated.documents), 1)
+    candidates = rank_facet_terms(
+        contextualized.terms(),
+        database.annotated.vocabulary,
+        contextualized,
+        len(database.annotated.documents),
+        statistic=statistic,
+        require_both_shifts=require_both_shifts,
+    )
+    selected = candidates if top_k is None else candidates[:top_k]
+    metrics = current_metrics()
+    if metrics is not None:
+        metrics.increment("selection.terms_considered", len(contextualized))
+        metrics.increment("selection.candidates", len(candidates))
+        metrics.increment("selection.selected", len(selected))
+    return selected
 
-    # One pass over the vocabulary against precomputed tables: df/rank
-    # maps plus a rank → bin array (ShiftTables) and per-(df, df_C)
-    # memoized scores over shared log terms (LikelihoodTables).  Scores
-    # and shifts are bit-for-bit identical to the per-term reference
-    # functions — see those classes.
+
+def rank_facet_terms(
+    terms: Iterable[str],
+    original: Vocabulary,
+    contextualized: Vocabulary,
+    document_count: int,
+    *,
+    statistic: str,
+    require_both_shifts: bool,
+) -> list[FacetTermCandidate]:
+    """The Figure 3 loop over ``terms``: shift tests, score, rank.
+
+    Returns every term that passes the shift tests, sorted by
+    ``(-score, term)``.  The key is total, so the ranking does not
+    depend on the order of ``terms``: the batch selection passes every
+    contextualized term, the incremental pipeline only its pre-test set
+    (the terms with ``df_C > df``), and both get the same list.
+    """
+    # Precomputed tables: df/rank maps plus a rank → bin array
+    # (ShiftTables) and per-(df, df_C) memoized scores over shared log
+    # terms (LikelihoodTables).  Scores and shifts are bit-for-bit
+    # identical to the per-term reference functions — see those classes.
     shifts = ShiftTables(original, contextualized)
-    tables = LikelihoodTables(n)
+    tables = LikelihoodTables(max(document_count, 1))
     score_of = (
         tables.log_likelihood_ratio
         if statistic == "log-likelihood"
         else tables.chi_square
     )
     candidates: list[FacetTermCandidate] = []
-    for term in contextualized.terms():
+    for term in terms:
         df = shifts.df_original(term)
         df_c = shifts.df_contextualized(term)
         shift_f = df_c - df
@@ -90,7 +122,6 @@ def select_facet_terms(
         shift_r = shifts.rank_shift(term)
         if require_both_shifts and shift_r <= 0:
             continue
-        score = score_of(df, df_c)
         candidates.append(
             FacetTermCandidate(
                 term=term,
@@ -98,14 +129,8 @@ def select_facet_terms(
                 df_contextualized=df_c,
                 shift_f=shift_f,
                 shift_r=shift_r,
-                score=score,
+                score=score_of(df, df_c),
             )
         )
     candidates.sort(key=lambda c: (-c.score, c.term))
-    selected = candidates if top_k is None else candidates[:top_k]
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.increment("selection.terms_considered", len(contextualized))
-        metrics.increment("selection.candidates", len(candidates))
-        metrics.increment("selection.selected", len(selected))
-    return selected
+    return candidates

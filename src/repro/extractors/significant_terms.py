@@ -63,6 +63,10 @@ class SignificantTermsExtractor(TermExtractor):
         self._max_terms = max_terms
         self._simulate_latency = simulate_latency
         self._latency_seconds = latency_seconds
+        # (document count, {df: idf}): the memo is only valid for the
+        # document count it was filled at, so a grown background starts
+        # a fresh one instead of serving stale values.
+        self._idf_memo: tuple[int, dict[int, float]] = (0, {})
 
     def use_background(self, vocabulary: Vocabulary) -> None:
         """Adopt corpus statistics unless an explicit background was set."""
@@ -86,12 +90,32 @@ class SignificantTermsExtractor(TermExtractor):
         """
         return self._adopted_background
 
-    def _idf(self, term: str) -> float:
-        if self._background is None or self._background.document_count == 0:
-            return 1.0
-        df = self._background.df(term)
-        n = self._background.document_count
-        return math.log((n + 1) / (df + 1)) + 1.0
+    def _current_idf(self) -> Callable[[str], float]:
+        """Yahoo-style idf against the background as it is now.
+
+        Memoized per df, so scoring a whole corpus pays only as many log
+        evaluations as there are distinct document frequencies.  Resolve
+        it once per scoring pass, not per term: the background's
+        document count is read here, not on every lookup.
+        """
+        background = self._background
+        if background is None or background.document_count == 0:
+            return lambda term: 1.0
+        n = background.document_count
+        memo_n, by_df = self._idf_memo
+        if memo_n != n:
+            by_df = {}
+            self._idf_memo = (n, by_df)
+        df_of = background.df
+
+        def idf(term: str) -> float:
+            df = df_of(term)
+            value = by_df.get(df)
+            if value is None:
+                value = by_df[df] = math.log((n + 1) / (df + 1)) + 1.0
+            return value
+
+        return idf
 
     def candidate_counts(self, document: Document) -> list[tuple[str, int]]:
         """Candidate ``(term, tf)`` pairs of one document, scoring input.
@@ -115,19 +139,15 @@ class SignificantTermsExtractor(TermExtractor):
             counts[phrase] = counts.get(phrase, 0) + 1
         return list(counts.items())
 
-    def score_candidates(
-        self,
-        candidates: list[tuple[str, int]],
-        idf: "Callable[[str], float] | None" = None,
-    ) -> list[str]:
+    def score_candidates(self, candidates: list[tuple[str, int]]) -> list[str]:
         """Rank candidate counts by tf·idf and return the top terms.
 
-        The scoring half of :meth:`extract`; ``idf`` defaults to the
-        extractor's own background statistics.  Both halves together are
-        exactly :meth:`extract`, so re-scoring cached candidates against
-        an updated background reproduces a fresh extraction bit for bit.
+        The scoring half of :meth:`extract`, against the extractor's own
+        background statistics.  Both halves together are exactly
+        :meth:`extract`, so re-scoring cached candidates against an
+        updated background reproduces a fresh extraction bit for bit.
         """
-        idf_of = self._idf if idf is None else idf
+        idf_of = self._current_idf()
         scored = [
             # Weight phrases up slightly: services like Yahoo's favour
             # multi-word key phrases over bare words.

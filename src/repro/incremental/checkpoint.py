@@ -10,8 +10,9 @@ open.
 
 Recovery scans the run directory for the highest-sequence snapshot whose
 schema and content checksum validate, falling back to earlier snapshots
-if the newest is damaged; the ``MANIFEST.json`` pointer is a
-convenience for humans and tooling, never trusted over the scan.
+if the newest is damaged.  The directory listing is the only index: a
+save removes every snapshot with a higher sequence than its own, so the
+newest file on disk always belongs to the current run.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ log = get_logger(__name__)
 
 #: Schema tag carried by every snapshot (bump on layout changes).
 CHECKPOINT_SCHEMA = "repro.checkpoint/1"
-
-#: Schema tag of the manifest pointer file.
-MANIFEST_SCHEMA = "repro.checkpoint-manifest/1"
-
-#: File name of the manifest pointer.
-MANIFEST_NAME = "MANIFEST.json"
 
 _SNAPSHOT_RE = re.compile(r"^checkpoint-(\d{6})\.json$")
 
@@ -183,12 +178,15 @@ class CheckpointStore:
     # -- save ----------------------------------------------------------------
 
     def save(self, state: dict, sequence: int) -> Path:
-        """Write snapshot ``sequence`` and update the manifest pointer.
+        """Write snapshot ``sequence`` atomically, then drop stale ones.
 
         The snapshot carries the schema tag, the sequence, and a
-        checksum over the canonical state; the write order (snapshot
-        first, manifest second, both atomic) guarantees that whatever
-        the crash point, recovery finds a consistent prefix of history.
+        checksum over the canonical state.  Snapshots with a higher
+        sequence are history this run replaced (a restart without
+        resume, or damaged snapshots a restore skipped), so they are
+        deleted before pruning: otherwise pruning would keep them, drop
+        the snapshot just written, and recovery would resume the old
+        history.
         """
         if sequence < 0:
             raise CheckpointError(f"sequence must be >= 0, got {sequence}")
@@ -204,26 +202,23 @@ class CheckpointStore:
             path, payload, before_replace=lambda: self._fire("mid-write")
         )
         self._fire("post-write")
-        atomic_write_json(
-            self.directory / MANIFEST_NAME,
-            {
-                "schema": MANIFEST_SCHEMA,
-                "latest": path.name,
-                "sequence": sequence,
-            },
-        )
+        for stale in self.sequences():
+            if stale > sequence:
+                self._unlink_snapshot(stale)
         self.prune()
         log.info("checkpoint.saved", sequence=sequence, path=str(path))
         return path
 
     def prune(self) -> None:
         """Drop snapshots beyond the newest ``keep_snapshots``."""
-        sequences = self.sequences()
-        for sequence in sequences[: -self.keep_snapshots]:
-            try:
-                self.snapshot_path(sequence).unlink()
-            except OSError:
-                log.warning("checkpoint.prune_failed", sequence=sequence)
+        for sequence in self.sequences()[: -self.keep_snapshots]:
+            self._unlink_snapshot(sequence)
+
+    def _unlink_snapshot(self, sequence: int) -> None:
+        try:
+            self.snapshot_path(sequence).unlink()
+        except OSError:
+            log.warning("checkpoint.prune_failed", sequence=sequence)
 
     # -- load ----------------------------------------------------------------
 

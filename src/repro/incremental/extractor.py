@@ -9,30 +9,32 @@ a from-scratch :meth:`FacetExtractor.run` on the union corpus.  The
 differential harness in ``tests/test_incremental_equivalence.py``
 enforces this across batch schedules and worker counts.
 
-The contract is met by construction, not by luck — every stage reuses
-the exact code the batch pipeline runs:
+The contract is met by construction, not by luck — every stage calls
+the code the batch pipeline runs, never a copy of it:
 
-* Step 1 statistics emit the same normalized terms as the batch pass
-  and update the shared :class:`~repro.text.vocabulary.Vocabulary` in place, which
+* Step 1 statistics run the batch pass's chunk worker
+  (:func:`repro.core.annotate._columnar_stats_chunk`) and update the
+  shared :class:`~repro.text.vocabulary.Vocabulary` in place, which
   keeps the background the Yahoo extractor adopted permanently current.
 * Because that background changes with every batch, *every* cached
   document's tf·idf scores can shift.  Re-tokenizing the corpus would
   defeat the point, so the extractor caches each document's candidate
   ``(term, tf)`` pairs and re-runs only
-  :meth:`~repro.extractors.significant_terms.SignificantTermsExtractor.score_candidates`
-  against the updated statistics (idf memoized per distinct df).
-  Documents whose merged ``I(d)`` actually changed become *dirty*.
+  :meth:`~repro.extractors.significant_terms.SignificantTermsExtractor.score_candidates`,
+  whose idf (memoized per distinct df) reads the updated statistics.
+  Documents whose merged ``I(d)`` actually changed become *dirty*.  No
+  other extractor may depend on the corpus: one that overrides
+  ``use_background`` is rejected at construction.
 * Step 2 re-expands only new + dirty documents through
   :func:`~repro.core.contextualize.expand_items` (resource answers are
   corpus-independent and memoized); the contextualized vocabulary is
   repaired with :meth:`Vocabulary.remove_document` / ``add_document``.
 * Step 3 keeps a *pre-test set* — the terms with ``df_C > df``, the
   only possible shift candidates — maintained from per-batch df deltas,
-  and recomputes shift and likelihood statistics for those terms only
-  (per-batch :class:`~repro.core.shifts.ShiftTables` +
-  :class:`~repro.core.likelihood.LikelihoodTables`).  The final sort
-  key ``(-score, term)`` is total, so iterating the pre-test set in
-  sorted order yields exactly the batch pipeline's ranking.
+  and ranks those terms only through the batch selection's own
+  :func:`~repro.core.selection.rank_facet_terms`.  Its sort key
+  ``(-score, term)`` is total, so the pre-test set yields exactly the
+  batch pipeline's ranking.
 * Hierarchy construction reads per-term document sets from the
   maintained postings index (no corpus scan) and runs the shared
   :func:`~repro.core.hierarchy.build_hierarchies_from_doc_sets`.
@@ -45,19 +47,20 @@ written after every ``checkpoint_every`` batches and
 
 from __future__ import annotations
 
-import math
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 
-from ..core.annotate import AnnotatedDatabase, _stats_chunk, merge_important
+from ..core.annotate import (
+    AnnotatedDatabase,
+    _columnar_stats_chunk,
+    merge_important,
+)
 from ..core.contextualize import ContextualizedDatabase, expand_items
 from ..core.hierarchy import FacetHierarchy, build_hierarchies_from_doc_sets
-from ..core.likelihood import LikelihoodTables
 from ..core.pipeline import FacetExtractionResult, FacetExtractor
-from ..core.selection import FacetTermCandidate
-from ..core.shifts import ShiftTables
+from ..core.selection import FacetTermCandidate, rank_facet_terms
 from ..corpus.document import Document
 from ..extractors.base import TermExtractor
 from ..extractors.significant_terms import SignificantTermsExtractor
@@ -71,13 +74,6 @@ from .checkpoint import CheckpointStore
 from .state import DocumentState, IncrementalState
 
 log = get_logger(__name__)
-
-#: Extractor classification: output never depends on corpus statistics.
-MODE_STATIC = "static"
-#: Corpus-dependent via tf·idf — cached candidates are re-scored.
-MODE_RESCORE = "rescore"
-#: Unknown background consumer — conservatively re-extracted per batch.
-MODE_REEXTRACT = "reextract"
 
 
 @dataclass(frozen=True)
@@ -97,21 +93,21 @@ class IncrementalBatchReport:
 
 def _annotate_chunk(
     extractors: list[TermExtractor],
-    modes: list[str],
+    rescore_indices: tuple[int, ...],
     documents: list[Document],
 ) -> list[tuple[str, list[list[str]], dict[int, list[tuple[str, int]]]]]:
     """Per-chunk Step 1 worker for *new* documents.
 
     Returns, per document, the per-extractor outputs plus the cached
-    scoring candidates of every re-scorable extractor (the expensive
+    scoring candidates of every re-scored extractor (the expensive
     tokenization half, kept so later batches never redo it).
     """
     out: list[tuple[str, list[list[str]], dict[int, list[tuple[str, int]]]]] = []
     for document in documents:
         outputs: list[list[str]] = []
         candidates: dict[int, list[tuple[str, int]]] = {}
-        for index, (extractor, mode) in enumerate(zip(extractors, modes)):
-            if mode == MODE_RESCORE:
+        for index, extractor in enumerate(extractors):
+            if index in rescore_indices:
                 assert isinstance(extractor, SignificantTermsExtractor)
                 pairs = extractor.candidate_counts(document)
                 candidates[index] = pairs
@@ -130,7 +126,11 @@ class IncrementalExtractor:
     pipeline:
         A configured (ideally freshly built) batch pipeline; its
         extractors, resources, selection settings and parallel/
-        observability configuration are all honoured.
+        observability configuration are all honoured.  Its only
+        corpus-dependent extractor may be a
+        :class:`~repro.extractors.significant_terms.SignificantTermsExtractor`;
+        any other extractor that overrides ``use_background`` raises
+        :class:`ValueError`.
     checkpoint:
         Optional checkpoint store; when given, a snapshot is written
         after every ``checkpoint_every``-th batch.
@@ -160,7 +160,7 @@ class IncrementalExtractor:
         self._state = state if state is not None else IncrementalState()
         self._facet_terms: list[FacetTermCandidate] = []
         self._hierarchies: list[FacetHierarchy] = []
-        self._modes = self._bind_extractors()
+        self._rescore_indices = self._bind_extractors()
         if self._state.document_count:
             obs = self._pipeline.observability
             with obs.collect():
@@ -168,29 +168,34 @@ class IncrementalExtractor:
 
     # -- wiring --------------------------------------------------------------
 
-    def _bind_extractors(self) -> list[str]:
-        """Attach the live vocabulary as background and classify extractors."""
+    def _bind_extractors(self) -> tuple[int, ...]:
+        """Attach the live vocabulary as background.
+
+        Returns the indices of the extractors whose outputs depend on
+        it — the ones :meth:`_rescore` refreshes after every batch.
+        """
         vocabulary = self._state.original_vocabulary
-        modes: list[str] = []
-        for extractor in self._pipeline.extractors:
+        indices: list[int] = []
+        for index, extractor in enumerate(self._pipeline.extractors):
+            if not isinstance(extractor, SignificantTermsExtractor):
+                if type(extractor).use_background is not TermExtractor.use_background:
+                    raise ValueError(
+                        f"{type(extractor).__name__} overrides use_background: "
+                        "only SignificantTermsExtractor may score against the "
+                        "corpus in incremental use"
+                    )
+                continue
             extractor.use_background(vocabulary)
-            if isinstance(extractor, SignificantTermsExtractor):
-                if extractor.background_adopted:
-                    if extractor.background is not vocabulary:
-                        raise ValueError(
-                            "pipeline extractor already adopted a different "
-                            "background corpus; build a fresh pipeline for "
-                            "incremental use"
-                        )
-                    modes.append(MODE_RESCORE)
-                else:
-                    # Explicit fixed background: corpus-independent.
-                    modes.append(MODE_STATIC)
-            elif type(extractor).use_background is TermExtractor.use_background:
-                modes.append(MODE_STATIC)
-            else:
-                modes.append(MODE_REEXTRACT)
-        return modes
+            if not extractor.background_adopted:
+                continue  # explicit fixed background: corpus-independent
+            if extractor.background is not vocabulary:
+                raise ValueError(
+                    "pipeline extractor already adopted a different "
+                    "background corpus; build a fresh pipeline for "
+                    "incremental use"
+                )
+            indices.append(index)
+        return tuple(indices)
 
     # -- public surface ------------------------------------------------------
 
@@ -384,12 +389,11 @@ class IncrementalExtractor:
             obs_names.SPAN_INCREMENTAL_ANNOTATION, documents=len(docs)
         ):
             chunks = chunked(docs, max(1, parallel.resolve_chunk_size(len(docs))))
-            # The memo only deduplicates tokenize/sentences/normalize
-            # calls within a chunk — outputs are unchanged, so the
-            # byte-identity contract with the batch pipeline holds.
+            # The batch statistics pass's own worker: the same
+            # normalized terms, so the byte-identity contract holds.
             stats: dict[str, list[str]] = {}
             for chunk_result in map_chunks(
-                MemoizedChunk(_stats_chunk), chunks, parallel, obs=obs
+                MemoizedChunk(_columnar_stats_chunk), chunks, parallel, obs=obs
             ):
                 for doc_id, normalized in chunk_result:
                     stats[doc_id] = normalized
@@ -403,7 +407,11 @@ class IncrementalExtractor:
                 state.original_vocabulary.add_document(normalized)
                 touched.update(normalized)
             extract = MemoizedChunk(
-                partial(_annotate_chunk, self._pipeline.extractors, self._modes)
+                partial(
+                    _annotate_chunk,
+                    self._pipeline.extractors,
+                    self._rescore_indices,
+                )
             )
             for chunk_result in map_chunks(extract, chunks, parallel, obs=obs):
                 for doc_id, outputs, candidates in chunk_result:
@@ -423,15 +431,10 @@ class IncrementalExtractor:
         """
         state = self._state
         extractors = self._pipeline.extractors
-        rescore = [i for i, mode in enumerate(self._modes) if mode == MODE_RESCORE]
-        reextract = [
-            i for i, mode in enumerate(self._modes) if mode == MODE_REEXTRACT
-        ]
         dirty: list[str] = []
-        if not (rescore or reextract) or state.document_count == len(new_ids):
+        if not self._rescore_indices or state.document_count == len(new_ids):
             return dirty
         with obs.tracer.span(obs_names.SPAN_INCREMENTAL_RESCORE) as span:
-            idf = self._memoized_idf()
             rescored = 0
             for document in state.documents:
                 doc_id = document.doc_id
@@ -439,17 +442,12 @@ class IncrementalExtractor:
                     continue
                 doc_state = state.doc_states[doc_id]
                 changed = False
-                for index in rescore:
+                for index in self._rescore_indices:
                     extractor = extractors[index]
                     assert isinstance(extractor, SignificantTermsExtractor)
                     pairs = doc_state.candidates.get(index, [])
                     rescored += len(pairs)
-                    output = extractor.score_candidates(pairs, idf)
-                    if output != doc_state.outputs[index]:
-                        doc_state.outputs[index] = output
-                        changed = True
-                for index in reextract:
-                    output = extractors[index].extract(document)
+                    output = extractor.score_candidates(pairs)
                     if output != doc_state.outputs[index]:
                         doc_state.outputs[index] = output
                         changed = True
@@ -464,29 +462,6 @@ class IncrementalExtractor:
                     obs_names.INCREMENTAL_RESCORED_CANDIDATES, rescored
                 )
         return dirty
-
-    def _memoized_idf(self) -> Callable[[str], float]:
-        """The Yahoo idf against the live background, memoized per df.
-
-        Same expression as
-        :meth:`SignificantTermsExtractor._idf` — re-scoring a whole
-        corpus hits only as many log evaluations as there are distinct
-        document frequencies.
-        """
-        vocabulary = self._state.original_vocabulary
-        n = vocabulary.document_count
-        if n == 0:
-            return lambda term: 1.0
-        by_df: dict[int, float] = {}
-
-        def idf(term: str) -> float:
-            df = vocabulary.df(term)
-            value = by_df.get(df)
-            if value is None:
-                value = by_df[df] = math.log((n + 1) / (df + 1)) + 1.0
-            return value
-
-        return idf
 
     def _expand(
         self, new_ids: set[str], dirty: list[str], obs: Observability
@@ -540,45 +515,18 @@ class IncrementalExtractor:
         state = self._state
         pipeline = self._pipeline
         with obs.tracer.span(obs_names.SPAN_INCREMENTAL_SELECTION) as span:
-            n = max(state.document_count, 1)
-            shifts = ShiftTables(
-                state.original_vocabulary, state.contextualized_vocabulary
+            candidates = rank_facet_terms(
+                state.pretest,
+                state.original_vocabulary,
+                state.contextualized_vocabulary,
+                state.document_count,
+                statistic=pipeline.statistic,
+                require_both_shifts=pipeline.require_both_shifts,
             )
-            tables = LikelihoodTables(n)
-            score_of = (
-                tables.log_likelihood_ratio
-                if pipeline.statistic == "log-likelihood"
-                else tables.chi_square
-            )
-            candidates: list[FacetTermCandidate] = []
-            for term in sorted(state.pretest):
-                df = shifts.df_original(term)
-                df_c = shifts.df_contextualized(term)
-                shift_f = df_c - df
-                if shift_f <= 0:
-                    continue
-                shift_r = shifts.rank_shift(term)
-                if pipeline.require_both_shifts and shift_r <= 0:
-                    continue
-                candidates.append(
-                    FacetTermCandidate(
-                        term=term,
-                        df_original=df,
-                        df_contextualized=df_c,
-                        shift_f=shift_f,
-                        shift_r=shift_r,
-                        score=score_of(df, df_c),
-                    )
-                )
-            candidates.sort(key=lambda c: (-c.score, c.term))
             top_k = pipeline.top_k
             self._facet_terms = candidates if top_k is None else candidates[:top_k]
             span.add("pretest_terms", len(state.pretest))
             span.add("selected", len(self._facet_terms))
-            if obs.metrics is not None:
-                obs.metrics.increment(
-                    obs_names.INCREMENTAL_SCORED_TERMS, len(candidates)
-                )
         self._hierarchies = []
         if pipeline.build_hierarchies:
             with obs.tracer.span(obs_names.SPAN_INCREMENTAL_HIERARCHY) as span:

@@ -227,21 +227,40 @@ def document_payload(document: Document) -> dict:
 
 
 def document_from_payload(payload: dict) -> Document:
-    """Inverse of :func:`document_payload`."""
+    """Inverse of :func:`document_payload`.
+
+    Raises :class:`ValueError` (or :class:`KeyError` for a missing
+    field) on a payload of the wrong shape, never a bare
+    ``TypeError``/``AttributeError``: batch files are external input.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected an object, got {type(payload).__name__}")
     gold_payload = payload.get("gold")
     gold = None
     if gold_payload is not None:
+        if not isinstance(gold_payload, dict):
+            raise ValueError("gold must be an object")
         gold = GoldAnnotation(
             topic=str(gold_payload["topic"]),
-            entity_names=tuple(gold_payload.get("entity_names", [])),
-            facet_terms=tuple(gold_payload.get("facet_terms", [])),
-            leaked_terms=tuple(gold_payload.get("leaked_terms", [])),
+            entity_names=_gold_list(gold_payload, "entity_names"),
+            facet_terms=_gold_list(gold_payload, "facet_terms"),
+            leaked_terms=_gold_list(gold_payload, "leaked_terms"),
         )
+    published = payload["published"]
+    if not isinstance(published, str):
+        raise ValueError("published must be an ISO date string")
     return Document(
         doc_id=str(payload["doc_id"]),
         title=str(payload["title"]),
         body=str(payload["body"]),
         source=str(payload.get("source", "The New York Times")),
-        published=datetime.date.fromisoformat(payload["published"]),
+        published=datetime.date.fromisoformat(published),
         gold=gold,
     )
+
+
+def _gold_list(payload: dict, key: str) -> tuple[str, ...]:
+    values = payload.get(key, [])
+    if not isinstance(values, list):
+        raise ValueError(f"gold {key} must be a list")
+    return tuple(values)

@@ -85,9 +85,6 @@ INCREMENTAL_PRETEST_SIZE: Final = "incremental.pretest_size"
 #: Counter: candidates rescored during the rescore stage.
 INCREMENTAL_RESCORED_CANDIDATES: Final = "incremental.rescored_candidates"
 
-#: Counter: terms scored during selection.
-INCREMENTAL_SCORED_TERMS: Final = "incremental.scored_terms"
-
 
 # -- columnar data plane -----------------------------------------------------
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..corpus.document import Document
+from ..extractors.base import TermExtractor
 from ..text.interning import normalize_term, tokenize
 from .base import ExternalResource, ResourceName
 
@@ -76,11 +77,12 @@ class DomainGlossary:
         return tuple(self._entries)
 
 
-class DomainTermExtractor:
+class DomainTermExtractor(TermExtractor):
     """Marks glossary terms appearing in a document as important.
 
     Multi-word glossary terms are matched longest-first, mirroring the
-    Wikipedia title extractor.
+    Wikipedia title extractor.  Glossary matching needs no corpus
+    statistics, so the inherited no-op ``use_background`` stands.
     """
 
     name = None  # not one of the paper's three named extractors
@@ -88,9 +90,6 @@ class DomainTermExtractor:
     def __init__(self, glossary: DomainGlossary, max_words: int = 4) -> None:
         self._glossary = glossary
         self._max_words = max_words
-
-    def use_background(self, vocabulary) -> None:
-        """Glossary matching needs no corpus statistics."""
 
     def extract(self, document: Document) -> list[str]:
         words = [t.text for t in tokenize(document.text)]

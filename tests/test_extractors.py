@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.corpus.document import Document
@@ -121,6 +125,43 @@ class TestSignificantTermsExtractor:
         assert "vaccine" in terms
         if "report" in terms:
             assert terms.index("vaccine") < terms.index("report")
+
+    def test_idf_memo_follows_the_background_document_count(self):
+        background = Vocabulary()
+        background.add_document(["vaccine", "report"])
+        extractor = SignificantTermsExtractor(background=background)
+        assert extractor._current_idf()("vaccine") == math.log(2 / 2) + 1.0
+        # The corpus grows while df("vaccine") stays 1: a memo keyed by
+        # df alone would return the value for one document.
+        background.add_document(["report"])
+        assert extractor._current_idf()("vaccine") == math.log(3 / 2) + 1.0
+
+    def test_shared_extractor_scores_identically_across_threads(self):
+        from repro.core.annotate import document_terms
+
+        documents = [
+            doc(f"Report {i} on the vaccine trial and market {i % 7}.")
+            for i in range(40)
+        ]
+        background = Vocabulary()
+        for document in documents:
+            background.add_document(document_terms(document))
+        reference = SignificantTermsExtractor(background=background)
+        expected = [reference.extract(document) for document in documents]
+        shared = SignificantTermsExtractor(background=background)
+
+        def extract_all():
+            return [shared.extract(document) for document in documents]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(extract_all) for _ in range(8)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8
 
     def test_use_background_only_fills_empty(self):
         explicit = Vocabulary()

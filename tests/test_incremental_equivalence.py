@@ -7,6 +7,8 @@ after any sequence of appends.  This module certifies it across:
 * batch schedules with k ∈ {1, 2, 5} appends, including an empty batch
   and single-document batches, plus a seeded randomized split;
 * worker counts {1, 4} — the execution modes of the batch pipeline;
+* the selection ablations (chi-square scoring, frequency shift only)
+  and a pipeline of glossary extractor + domain ontology resource;
 * serialization round trips — the state that continues appending after
   a snapshot/restore must land on the same bytes.
 
@@ -25,7 +27,14 @@ from repro.builder import FacetPipelineBuilder
 from repro.config import ParallelConfig, ReproConfig
 from repro.corpus import build_snyt
 from repro.core.export import to_dict
+from repro.core.pipeline import FacetExtractor
+from repro.extractors import SignificantTermsExtractor, TermExtractor
 from repro.incremental import IncrementalExtractor, IncrementalState, canonical_json
+from repro.resources.domain import (
+    DomainTermExtractor,
+    DomainVocabularyResource,
+    financial_glossary,
+)
 
 SCALE = 0.05
 
@@ -134,6 +143,73 @@ class TestDifferentialEquivalence:
         )
         resumed.append(docs[20:])
         assert result_bytes(resumed.snapshot_result()) == baseline[0]
+
+
+class TestConfigurationEquivalence:
+    """Pipeline settings the schedule/worker grid above leaves at default."""
+
+    @pytest.fixture(params=["chi-square", "frequency-shift-only"])
+    def ablated_builder(self, request, inc_builder):
+        inc_builder.with_parallel(ParallelConfig(workers=1))
+        if request.param == "chi-square":
+            inc_builder.with_statistic("chi-square")
+        else:
+            inc_builder.with_shift_requirement(False)
+        yield inc_builder
+        inc_builder.with_statistic("log-likelihood")
+        inc_builder.with_shift_requirement(True)
+
+    def test_selection_ablations_match_full_recompute(
+        self, ablated_builder, docs, baseline
+    ):
+        expected = ablated_builder.build().run(docs)
+        # The ablation must actually change the output under test.
+        assert result_bytes(expected) != baseline[0]
+        extractor = ablated_builder.build_incremental()
+        for batch in schedule(5, docs):
+            extractor.append(batch)
+        snapshot = extractor.snapshot_result()
+        assert result_bytes(snapshot) == result_bytes(expected)
+        assert full_state(snapshot) == full_state(expected)
+
+    def test_domain_glossary_stream_matches_full_recompute(self, docs):
+        glossary = financial_glossary()
+
+        def build() -> FacetExtractor:
+            return FacetExtractor(
+                extractors=[
+                    DomainTermExtractor(glossary),
+                    SignificantTermsExtractor(),
+                ],
+                resources=[DomainVocabularyResource(glossary)],
+            )
+
+        expected = build().run(docs)
+        assert expected.facet_terms  # the glossary matches this corpus
+        extractor = IncrementalExtractor(build())
+        for batch in schedule(5, docs):
+            extractor.append(batch)
+        snapshot = extractor.snapshot_result()
+        assert result_bytes(snapshot) == result_bytes(expected)
+        assert full_state(snapshot) == full_state(expected)
+
+    def test_extractor_overriding_use_background_is_rejected(self):
+        class BackgroundReader(TermExtractor):
+            name = None
+
+            def use_background(self, vocabulary):
+                self.vocabulary = vocabulary
+
+            def extract(self, document):
+                return []
+
+        glossary = financial_glossary()
+        pipeline = FacetExtractor(
+            extractors=[DomainTermExtractor(glossary), BackgroundReader()],
+            resources=[DomainVocabularyResource(glossary)],
+        )
+        with pytest.raises(ValueError, match="overrides use_background"):
+            IncrementalExtractor(pipeline)
 
 
 class TestAppendSemantics:

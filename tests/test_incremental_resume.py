@@ -5,9 +5,10 @@ Faults are injected at the three checkpoint stages ("pre-checkpoint",
 :class:`StreamSupervisor` over the same run directory must recover and
 land on output byte-identical to a from-scratch run of the full corpus.
 The atomic-write contract (temp file + ``os.replace``; the target is
-never half-written) and the recovery policy (scan beats manifest,
-damaged snapshots are skipped, orphan temp files are removed) are each
-pinned individually.
+never half-written) and the recovery policy (the directory scan is the
+only index, damaged snapshots are skipped, a run that starts over
+replaces the old run's snapshots, orphan temp files are removed) are
+each pinned individually.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.incremental import (
     read_batch_file,
     split_into_batches,
 )
-from repro.incremental.checkpoint import MANIFEST_NAME
 
 SCALE = 0.05
 BATCHES = 5
@@ -114,9 +114,8 @@ class TestCrashAndResume:
     def test_post_write_crash_outruns_the_manifest(
         self, inc_config, input_dir, tmp_path
     ):
-        """The scan must trust directory contents over MANIFEST.json."""
-        import json
-
+        """The directory scan finds the snapshot written just before a
+        crash; no pointer file exists for it to disagree with."""
         run_dir = tmp_path / "run"
         supervisor = StreamSupervisor(
             build_pipeline(inc_config),
@@ -125,8 +124,7 @@ class TestCrashAndResume:
         )
         with pytest.raises(CrashInjected):
             supervisor.run(input_dir)
-        manifest = json.loads((run_dir / MANIFEST_NAME).read_text())
-        assert manifest["sequence"] == 2  # stale: snapshot 3 exists
+        assert not (run_dir / "MANIFEST.json").exists()
         latest = supervisor.store.load_latest()
         assert latest is not None and latest[0] == 3
 
@@ -168,11 +166,11 @@ class TestAtomicWrite:
     def test_orphan_tmp_files_removed_on_store_open(self, tmp_path):
         orphan = tmp_path / "checkpoint-000007.json.tmp"
         orphan.write_text("half-written")
-        manifest_orphan = tmp_path / (MANIFEST_NAME + ".tmp")
-        manifest_orphan.write_text("{")
+        batch_orphan = tmp_path / "batch-000003.jsonl.tmp"
+        batch_orphan.write_text("{")
         CheckpointStore(tmp_path)
         assert not orphan.exists()
-        assert not manifest_orphan.exists()
+        assert not batch_orphan.exists()
 
     def test_same_state_saves_identical_bytes(self, tmp_path):
         state = {"b": [3, 1], "a": {"nested": True}, "n": None}
@@ -218,6 +216,36 @@ class TestRecoveryPolicy:
             store.save({"documents": sequence}, sequence=sequence)
         assert store.sequences() == [4, 5]
 
+    def test_fresh_run_replaces_an_old_runs_newer_snapshots(self, tmp_path):
+        """A run that starts over must not lose its snapshots to pruning."""
+        old = CheckpointStore(tmp_path / "run")
+        for sequence in range(3, 6):
+            old.save({"run": "old", "sequence": sequence}, sequence=sequence)
+        fresh = CheckpointStore(tmp_path / "run")
+        fresh.save({"run": "new"}, sequence=1)
+        assert fresh.sequences() == [1]
+        assert fresh.load_latest() == (1, {"run": "new"})
+
+    def test_no_resume_stream_checkpoints_over_an_old_run(
+        self, inc_config, docs, tmp_path
+    ):
+        run_dir = tmp_path / "run"
+        old = CheckpointStore(run_dir)
+        for sequence in range(3, 6):
+            old.save({"run": "old"}, sequence=sequence)
+        input_dir = tmp_path / "input"
+        make_batch_files(input_dir, docs[:6], 2)
+        supervisor = StreamSupervisor(
+            build_pipeline(inc_config), run_dir, resume=False
+        )
+        supervisor.run(input_dir)
+        assert supervisor.store.sequences() == [1, 2]
+        resumed = StreamSupervisor(build_pipeline(inc_config), run_dir)
+        assert resumed.extractor.batches_done == [
+            "batch-000000.jsonl",
+            "batch-000001.jsonl",
+        ]
+
 
 class TestFaultInjector:
     def test_rejects_unknown_stage_and_bad_occurrence(self):
@@ -253,6 +281,20 @@ class TestBatchFiles:
         bad.write_text('{"doc_id": "x"}\nnot json\n')
         with pytest.raises(StorageError, match="bad document"):
             read_batch_file(bad)
+        # Valid JSON of the wrong shape must not escape as a TypeError
+        # or AttributeError either.
+        doc = '"doc_id": "x", "title": "t", "body": "b"'
+        for line in (
+            "[1, 2]",
+            '"x"',
+            '{%s, "published": 20051114}' % doc,
+            '{%s, "published": "2005-11-14", "gold": ["markets"]}' % doc,
+            '{%s, "published": "2005-11-14", '
+            '"gold": {"topic": "markets", "entity_names": 5}}' % doc,
+        ):
+            bad.write_text(line + "\n")
+            with pytest.raises(StorageError, match="bad document"):
+                read_batch_file(bad)
         with pytest.raises(StorageError, match="unreadable batch file"):
             read_batch_file(tmp_path / "missing.jsonl")
 
