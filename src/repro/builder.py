@@ -136,12 +136,10 @@ class FacetPipelineBuilder:
         resources = build_resources(
             list(self._resource_names), self.substrates, self.config
         )
-        for resource in resources:
+        composite = [CompositeResource(resources)] if len(resources) > 1 else []
+        for resource in resources + composite:
             resource.resize_memory_cache(self._parallel.memory_cache_size)
-        if len(resources) > 1:
-            resource_list = [CompositeResource(resources)]
-        else:
-            resource_list = resources
+        resource_list = composite or resources
         log.debug(
             "builder.pipeline_built",
             extractors=[name.value for name in self._extractor_names],

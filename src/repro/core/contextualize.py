@@ -5,18 +5,18 @@ the union of returned context terms ``C(d)`` augments the document.  The
 contextualized database keeps, per document, the original terms plus the
 context terms — the input to the comparative analysis of Step 3.
 
-The expansion runs on the columnar data plane: the run's distinct
-important terms are resolved once (one batch per resource per term
-shard), every answer is normalized and interned once, and the
-per-document merges become integer set operations over precomputed
-``(surface, key-id)`` contribution lists.  The incremental pipeline
-expands its new and dirty documents chunk by chunk through
-:func:`expand_items` instead; both produce the same bytes.
+The expansion runs on the columnar data plane: the distinct important
+terms are resolved once (one batch per resource per term shard), every
+answer is normalized and interned once, and the per-document merges
+become integer set operations over precomputed ``(surface, key-id)``
+contribution lists.  :func:`expand_documents` is that expansion; the
+batch pipeline runs it over the whole corpus and the incremental
+pipeline over each batch's new and dirty documents.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -25,7 +25,7 @@ from ..observability import Observability
 from ..observability.context import current_metrics
 from ..parallel import chunked, map_chunks
 from ..resources.base import ExternalResource
-from ..text.interning import MemoizedChunk, install_worker_memo, normalize_term
+from ..text.interning import MemoizedChunk, install_worker_memo
 from ..text.vocabulary import TermInterner, Vocabulary
 from .annotate import AnnotatedDatabase
 from .columnar import ColumnarVocabulary, DocumentColumns
@@ -50,62 +50,11 @@ class ContextualizedDatabase:
         return self.context_terms.get(doc_id, [])
 
 
-def expand_items(
-    resources: list[ExternalResource],
-    items: list[tuple[str, list[str]]],
-) -> list[tuple[str, list[str], list[str]]]:
-    """Expand ``(doc_id, I(d))`` work items into
-    ``(doc_id, C(d) surface forms, normalized keys in first-seen order)``.
-
-    The incremental pipeline expands only new/dirty documents through
-    this entry point.  The items' distinct important terms (first-seen
-    surface form per normalized key) are answered with a single
-    :meth:`~repro.resources.base.ExternalResource.context_terms_many`
-    call per resource — bulk backend lookups, batched persistent-cache
-    I/O, and single-flight coalescing across concurrent chunks — then
-    merged per document.
-    """
-    ordered_terms: list[str] = []
-    known_keys: set[str] = set()
-    for _doc_id, important in items:
-        for term in important:
-            key = normalize_term(term)
-            if key and key not in known_keys:
-                known_keys.add(key)
-                ordered_terms.append(term)
-    answer_tables: list[dict[str, list[str]]] = []
-    for resource in resources:
-        batch = resource.context_terms_many(ordered_terms)
-        answer_tables.append(
-            {
-                normalize_term(term): answer
-                for term, answer in zip(ordered_terms, batch)
-            }
-        )
-
-    out: list[tuple[str, list[str], list[str]]] = []
-    for doc_id, important in items:
-        merged: list[str] = []
-        seen_keys: list[str] = []
-        seen: set[str] = set()
-        for term in important:
-            key = normalize_term(term)
-            for table in answer_tables:
-                for context_term in table.get(key, []):
-                    context_key = normalize_term(context_term)
-                    if context_key and context_key not in seen:
-                        seen.add(context_key)
-                        seen_keys.append(context_key)
-                        merged.append(context_term)
-        out.append((doc_id, merged, seen_keys))
-    return out
-
-
 def _resolve_chunk(
     resources: list[ExternalResource], terms: list[str]
 ) -> list[list[list[str]]]:
-    """Phase-A worker of :func:`contextualize`: per-resource batched
-    answers for a shard of the run's distinct important terms."""
+    """Phase-A worker of :func:`expand_documents`: per-resource batched
+    answers for a shard of the distinct important terms."""
     return [resource.context_terms_many(terms) for resource in resources]
 
 
@@ -113,49 +62,43 @@ def _resolve_chunk(
 _NO_PAIRS: tuple[tuple[str, int], ...] = ()
 
 
-def contextualize(
-    annotated: AnnotatedDatabase,
+def expand_documents(
+    important: Sequence[list[str]],
     resources: list[ExternalResource],
+    interner: TermInterner,
     parallel: ParallelConfig | None = None,
     obs: Observability | None = None,
-) -> ContextualizedDatabase:
-    """Run Step 2: query every resource with every important term.
+) -> list[tuple[list[str], list[int]]]:
+    """Expand documents given by their important terms ``I(d)``.
 
-    Resources memoize per-term answers, so cost scales with the number
-    of *distinct* important terms, not with corpus size — this is what
-    makes the offline-expansion deployment of Section V-D practical.
+    Returns, per document, its context terms ``C(d)`` (surface forms)
+    and their normalized key ids in ``interner``, both in first-seen
+    order.  The batch pipeline (:func:`contextualize`) and the
+    incremental one (new and dirty documents) both expand through here.
 
-    Phase A resolves the run's distinct important terms once: they are
-    sharded over the worker pool (``parallel.workers > 1``) and each
-    shard is answered with one deduplicated batch per resource — bulk
-    backend lookups, batched persistent-cache I/O and single-flight
-    coalescing.  Phase B merges per document, in document order, with
-    integer set operations over interned ids, so the contextualized
-    database is bit-for-bit identical at every worker count: resource
-    answers are keyed by normalized term (chunking-invariant),
-    contribution lists preserve resource order and answer order, and the
-    per-document filter keeps the first-seen surface form per key.
+    Phase A resolves the documents' distinct important terms once (the
+    first surface form per normalized key): they are sharded over the
+    worker pool (``parallel.workers > 1``) and each shard is answered
+    with one deduplicated batch per resource — bulk backend lookups,
+    batched persistent-cache I/O and single-flight coalescing.  Phase B
+    merges per document, in document order, with integer set operations
+    over interned ids, so the expansion is bit-for-bit identical at
+    every worker count: resource answers are keyed by normalized term
+    (chunking-invariant), contribution lists preserve resource order and
+    answer order, and the per-document filter keeps the first-seen
+    surface form per key.
     """
-    work: list[tuple[str, list[str]]] = [
-        (document.doc_id, annotated.important(document.doc_id))
-        for document in annotated.documents
-    ]
     settings = parallel or ParallelConfig(workers=1)
-    interner = (
-        annotated.columns.interner
-        if annotated.columns is not None
-        else TermInterner()
-    )
-    # Phase A: the run's distinct important terms, first surface per key.
+    # Phase A: the distinct important terms, first surface per key.
     # Per-document key-id lists are kept (dropping empty normalizations)
     # so phase B never re-probes the surface → id table.
     ordered_terms: list[str] = []
     key_ids: list[int] = []
     known: set[int] = set()
     kids_per_doc: list[list[int]] = []
-    for _doc_id, important in work:
+    for terms in important:
         doc_kids: list[int] = []
-        for term, kid in zip(important, interner.normalized_ids(important)):
+        for term, kid in zip(terms, interner.normalized_ids(terms)):
             if kid < 0:
                 continue
             doc_kids.append(kid)
@@ -187,7 +130,7 @@ def contextualize(
             per_resource[r_index].extend(answers)
     # Contribution lists: per key id, the (surface, key id) pairs its
     # answers add, in resource order then answer order — each answer
-    # term normalized and interned exactly once per run.
+    # term normalized and interned exactly once per call.
     pairs: dict[int, list[tuple[str, int]]] = {}
     for position, kid in enumerate(key_ids):
         contributions: list[tuple[str, int]] = []
@@ -202,23 +145,62 @@ def contextualize(
             )
         if contributions:
             pairs[kid] = contributions
-    # Phase B: per-document merges (first-seen over ids) and statistics.
+    # Phase B: per-document merges, first-seen over ids.
+    expansions: list[tuple[list[str], list[int]]] = []
+    for doc_kids in kids_per_doc:
+        merged: list[str] = []
+        seen: set[int] = set()
+        seen_order: list[int] = []
+        for kid in doc_kids:
+            for context_term, context_kid in pairs.get(kid, _NO_PAIRS):
+                if context_kid not in seen:
+                    seen.add(context_kid)
+                    seen_order.append(context_kid)
+                    merged.append(context_term)
+        expansions.append((merged, seen_order))
+    return expansions
+
+
+def contextualize(
+    annotated: AnnotatedDatabase,
+    resources: list[ExternalResource],
+    parallel: ParallelConfig | None = None,
+    obs: Observability | None = None,
+) -> ContextualizedDatabase:
+    """Run Step 2: query every resource with every important term.
+
+    Resources memoize per-term answers, so cost scales with the number
+    of *distinct* important terms, not with corpus size — this is what
+    makes the offline-expansion deployment of Section V-D practical.
+    The expansion itself is :func:`expand_documents`; this function
+    adds each document's original terms and builds the contextualized
+    vocabulary and columns from the result.
+    """
+    work: list[tuple[str, list[str]]] = [
+        (document.doc_id, annotated.important(document.doc_id))
+        for document in annotated.documents
+    ]
+    interner = (
+        annotated.columns.interner
+        if annotated.columns is not None
+        else TermInterner()
+    )
+    expansions = expand_documents(
+        [important for _doc_id, important in work],
+        resources,
+        interner,
+        parallel,
+        obs,
+    )
     terms_by_id = interner.terms()
     context_terms: dict[str, list[str]] = {}
     expanded_sets: dict[str, set[str]] = {}
     vocabulary = ColumnarVocabulary(interner)
     columns = DocumentColumns(interner)
     annotated_columns = annotated.columns
-    for doc_index, (doc_id, _important) in enumerate(work):
-        merged: list[str] = []
-        seen: set[int] = set()
-        seen_order: list[int] = []
-        for kid in kids_per_doc[doc_index]:
-            for context_term, context_kid in pairs.get(kid, _NO_PAIRS):
-                if context_kid not in seen:
-                    seen.add(context_kid)
-                    seen_order.append(context_kid)
-                    merged.append(context_term)
+    for doc_index, ((doc_id, _important), (merged, context_ids)) in enumerate(
+        zip(work, expansions, strict=True)
+    ):
         context_terms[doc_id] = merged
         if (
             annotated_columns is not None
@@ -231,7 +213,7 @@ def contextualize(
                 interner.intern(term)
                 for term in annotated.term_sets.get(doc_id, set())
             }
-        expanded_ids.update(seen_order)
+        expanded_ids.update(context_ids)
         expanded_sets[doc_id] = {terms_by_id[i] for i in expanded_ids}
         vocabulary.add_document_distinct_ids(expanded_ids)
         columns.add_document_ids(doc_id, sorted(expanded_ids))

@@ -11,9 +11,9 @@ Design points:
 * **Thread-safe.** One connection (``check_same_thread=False``) guarded
   by a lock; SQLite's own file locking arbitrates between processes.
 * **Degrades, never aborts.** A corrupted, locked, or unwritable cache
-  file switches the store into a disabled mode where ``get`` misses and
-  ``put`` is a no-op — the pipeline silently falls back to the
-  in-process tier instead of crashing a batch job.
+  file switches the store into a disabled mode where :meth:`get_many`
+  misses and :meth:`put_many` is a no-op — the pipeline silently falls
+  back to the in-process tier instead of crashing a batch job.
 * **Namespaced.** Resources with different semantics (or differently
   configured worlds) write under distinct namespaces so one run can
   never poison another.
@@ -147,30 +147,6 @@ class PersistentResourceCache:
 
     # -- cache operations --------------------------------------------------------
 
-    def get(self, namespace: str, term: str) -> tuple[str, ...] | None:
-        """Cached expansion for ``term``, or None on a miss (or when disabled)."""
-        with self._lock:
-            if self.disabled or self._connection is None:
-                return None
-            try:
-                row = self._connection.execute(
-                    "SELECT terms FROM context_cache WHERE namespace = ? AND term = ?",
-                    (namespace, term),
-                ).fetchone()
-            except sqlite3.Error as exc:
-                self._degrade(exc)
-                return None
-            metrics = current_metrics()
-            if row is None:
-                self.misses += 1
-                if metrics is not None:
-                    metrics.increment("cache.persistent.misses")
-                return None
-            self.hits += 1
-            if metrics is not None:
-                metrics.increment("cache.persistent.hits")
-            return tuple(json.loads(row[0]))
-
     def get_many(
         self, namespace: str, terms: Sequence[str]
     ) -> dict[str, tuple[str, ...]]:
@@ -213,14 +189,11 @@ class PersistentResourceCache:
             )
         return found
 
-    def put(self, namespace: str, term: str, terms: tuple[str, ...]) -> None:
-        """Store an expansion (no-op when disabled; last writer wins)."""
-        self.put_many(namespace, {term: terms})
-
     def put_many(
         self, namespace: str, entries: Mapping[str, Iterable[str]]
     ) -> None:
-        """Upsert a batch of expansions inside a single transaction.
+        """Upsert a batch of expansions inside a single transaction
+        (no-op when disabled; last writer wins).
 
         One ``executemany`` with ``ON CONFLICT ... DO UPDATE`` per call:
         either every entry of the batch commits or none does, and a

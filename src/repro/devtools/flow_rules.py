@@ -38,12 +38,13 @@ from .taint import TaintEngine, TaintSpec
 # FLOW001 — unvalidated resource responses reaching cache writes
 # ---------------------------------------------------------------------------
 
-#: The taint rule FLOW001 runs: raw fetch results (``*._query`` is the
-#: per-resource fetch hook) must pass ``validate_context_terms`` before
-#: any cache-write sink.  ``tuple()``/``sorted()``/comprehensions carry
-#: taint through; the validator is the only sanitizer.
+#: The taint rule FLOW001 runs: raw fetch results (``*._query`` and
+#: ``*.query_many`` are the per-resource fetch hooks) must pass
+#: ``validate_context_terms`` before any cache-write sink.
+#: ``tuple()``/``sorted()``/comprehensions carry taint through; the
+#: validator is the only sanitizer.
 FLOW001_SPEC = TaintSpec(
-    sources=("attr:_query",),
+    sources=("attr:_query", "attr:query_many"),
     sanitizers=(
         "attr:validate_context_terms",
         "*.validate_context_terms",
@@ -55,7 +56,7 @@ FLOW001_SPEC = TaintSpec(
 
 class UnvalidatedResourceFlowRule(Rule):
     """FLOW001: a raw response from a resource fetch (``_query`` and
-    anything that returns one, e.g. ``_instrumented_query``) written
+    anything that returns one, e.g. ``_run_batch_query``) written
     into a cache poisons every later reader of that entry — across
     workers *and* across runs for the persistent tier.  Responses must
     pass :func:`repro.resources.base.validate_context_terms` (or a

@@ -1,7 +1,7 @@
 """Whole-program project model: symbol table and cross-module call graph.
 
 The project rules ask questions no single file answers: "is this
-``self._instrumented_query`` call the method defined 40 lines up?",
+``self._run_batch_query`` call the method defined 40 lines down?",
 "which functions can a coroutine reach without an executor hop?".  This
 module parses the whole tree **once** into:
 

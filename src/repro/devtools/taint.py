@@ -7,7 +7,7 @@ A :class:`TaintSpec` names three pattern sets:
 * **sanitizers** — calls that clean a suspect value
   (``validate_context_terms``);
 * **sinks** — calls a suspect value must never reach unclean
-  (``PersistentResourceCache.put``).
+  (``ExternalResource._memory_put``).
 
 Patterns come in two forms:
 

@@ -25,10 +25,11 @@ the code the batch pipeline runs, never a copy of it:
   Documents whose merged ``I(d)`` actually changed become *dirty*.  No
   other extractor may depend on the corpus: one that overrides
   ``use_background`` is rejected at construction.
-* Step 2 re-expands only new + dirty documents through
-  :func:`~repro.core.contextualize.expand_items` (resource answers are
-  corpus-independent and memoized); the contextualized vocabulary is
-  repaired with :meth:`Vocabulary.remove_document` / ``add_document``.
+* Step 2 re-expands only new + dirty documents through the batch
+  expansion, :func:`~repro.core.contextualize.expand_documents`
+  (resource answers are corpus-independent and memoized); the
+  contextualized vocabulary is repaired with
+  :meth:`Vocabulary.remove_document` / ``add_document``.
 * Step 3 keeps a *pre-test set* — the terms with ``df_C > df``, the
   only possible shift candidates — maintained from per-batch df deltas,
   and ranks those terms only through the batch selection's own
@@ -57,7 +58,7 @@ from ..core.annotate import (
     _columnar_stats_chunk,
     merge_important,
 )
-from ..core.contextualize import ContextualizedDatabase, expand_items
+from ..core.contextualize import ContextualizedDatabase, expand_documents
 from ..core.hierarchy import FacetHierarchy, build_hierarchies_from_doc_sets
 from ..core.pipeline import FacetExtractionResult, FacetExtractor
 from ..core.selection import FacetTermCandidate, rank_facet_terms
@@ -70,6 +71,7 @@ from ..observability.logging import get_logger
 from ..parallel import chunked, map_chunks
 from ..text.interning import MemoizedChunk
 from ..text.tokenizer import normalize_term
+from ..text.vocabulary import TermInterner
 from .checkpoint import CheckpointStore
 from .state import DocumentState, IncrementalState
 
@@ -477,37 +479,44 @@ class IncrementalExtractor:
         touched: set[str] = set()
         if not pending:
             return touched
-        items = [
-            (document.doc_id, state.doc_states[document.doc_id].important)
+        doc_ids = [
+            document.doc_id
             for document in state.documents
             if document.doc_id in pending
         ]
         with obs.tracer.span(
-            obs_names.SPAN_INCREMENTAL_CONTEXTUALIZATION, documents=len(items)
+            obs_names.SPAN_INCREMENTAL_CONTEXTUALIZATION, documents=len(doc_ids)
         ):
-            expand = MemoizedChunk(partial(expand_items, self._pipeline.resources))
-            chunks = chunked(items, max(1, parallel.resolve_chunk_size(len(items))))
-            for chunk_result in map_chunks(expand, chunks, parallel, obs=obs):
-                for doc_id, merged, seen_keys in chunk_result:
-                    doc_state = state.doc_states[doc_id]
-                    doc_state.context_terms = merged
-                    doc_state.seen_keys = seen_keys
-                    expanded = doc_state.expanded_set(state.term_sets[doc_id])
-                    previous = state.expanded_sets.get(doc_id)
-                    if previous is None:
-                        state.contextualized_vocabulary.add_document(expanded)
-                        for term in expanded:
-                            state.add_posting(term, doc_id)
-                        touched.update(expanded)
-                    elif previous != expanded:
-                        state.contextualized_vocabulary.remove_document(previous)
-                        state.contextualized_vocabulary.add_document(expanded)
-                        for term in previous - expanded:
-                            state.remove_posting(term, doc_id)
-                        for term in expanded - previous:
-                            state.add_posting(term, doc_id)
-                        touched.update(previous ^ expanded)
-                    state.expanded_sets[doc_id] = expanded
+            interner = TermInterner()
+            expansions = expand_documents(
+                [state.doc_states[doc_id].important for doc_id in doc_ids],
+                self._pipeline.resources,
+                interner,
+                parallel,
+                obs,
+            )
+            terms_by_id = interner.terms()
+            for doc_id, (merged, context_ids) in zip(
+                doc_ids, expansions, strict=True
+            ):
+                state.doc_states[doc_id].context_terms = merged
+                expanded = set(state.term_sets[doc_id])
+                expanded.update(terms_by_id[i] for i in context_ids)
+                previous = state.expanded_sets.get(doc_id)
+                if previous is None:
+                    state.contextualized_vocabulary.add_document(expanded)
+                    for term in expanded:
+                        state.add_posting(term, doc_id)
+                    touched.update(expanded)
+                elif previous != expanded:
+                    state.contextualized_vocabulary.remove_document(previous)
+                    state.contextualized_vocabulary.add_document(expanded)
+                    for term in previous - expanded:
+                        state.remove_posting(term, doc_id)
+                    for term in expanded - previous:
+                        state.add_posting(term, doc_id)
+                    touched.update(previous ^ expanded)
+                state.expanded_sets[doc_id] = expanded
         return touched
 
     def _select_and_build(self, obs: Observability) -> None:

@@ -14,9 +14,10 @@ between batches:
 
 Serialization is deliberately minimal: only the document payloads and
 per-document caches are written (sets sorted, canonical JSON upstream);
-vocabularies, postings, and the pre-test set are derived data and are
-rebuilt on load.  That keeps snapshots byte-deterministic and makes it
-impossible for a checkpoint to carry internally inconsistent statistics.
+the normalized context keys, vocabularies, postings, and the pre-test
+set are derived data and are rebuilt on load.  That keeps snapshots
+byte-deterministic and makes it impossible for a checkpoint to carry
+internally inconsistent statistics.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 
 from ..corpus.document import Document, GoldAnnotation
 from ..errors import StorageError
+from ..text.interning import TextMemo, normalize_term, use_text_memo
 from ..text.vocabulary import Vocabulary
 
 #: Schema tag of the serialized state section (inside the checkpoint).
@@ -47,15 +49,7 @@ class DocumentState:
     important: list[str] = field(default_factory=list)
     """Merged ``I(d)``."""
     context_terms: list[str] = field(default_factory=list)
-    """``C(d)`` surface forms."""
-    seen_keys: list[str] = field(default_factory=list)
-    """Normalized context keys in first-seen order."""
-
-    def expanded_set(self, term_set: set[str]) -> set[str]:
-        """The document's expanded term set (original ∪ context keys)."""
-        expanded = set(term_set)
-        expanded.update(self.seen_keys)
-        return expanded
+    """``C(d)`` surface forms, one per normalized key."""
 
 
 class IncrementalState:
@@ -135,7 +129,6 @@ class IncrementalState:
                 },
                 "important": list(doc_state.important),
                 "context_terms": list(doc_state.context_terms),
-                "seen_keys": list(doc_state.seen_keys),
             }
         return {
             "schema": STATE_SCHEMA,
@@ -147,7 +140,14 @@ class IncrementalState:
     @classmethod
     def from_payload(cls, payload: dict) -> "IncrementalState":
         """Rebuild the full state (vocabularies, postings, pre-test set)
-        from a snapshot's source-of-truth data."""
+        from a snapshot's source-of-truth data.
+
+        Each document's context keys are derived from its context terms
+        under one :class:`~repro.text.interning.TextMemo`: the archive
+        repeats a few thousand distinct context terms, so each is
+        normalized once.  Older snapshots also stored the keys; that
+        entry is ignored.
+        """
         schema = payload.get("schema")
         if schema != STATE_SCHEMA:
             raise StorageError(
@@ -156,25 +156,27 @@ class IncrementalState:
         state = cls()
         state.batches_done = [str(b) for b in payload.get("batches_done", [])]
         docs_payload = payload.get("docs", {})
-        for doc_payload in payload.get("documents", []):
-            document = document_from_payload(doc_payload)
-            cached = docs_payload.get(document.doc_id)
-            if cached is None:
-                raise StorageError(
-                    f"snapshot missing cache for document {document.doc_id!r}"
+        with use_text_memo(TextMemo()):
+            for doc_payload in payload.get("documents", []):
+                document = document_from_payload(doc_payload)
+                cached = docs_payload.get(document.doc_id)
+                if cached is None:
+                    raise StorageError(
+                        f"snapshot missing cache for document {document.doc_id!r}"
+                    )
+                doc_state = DocumentState(
+                    stats_terms=[str(t) for t in cached["stats_terms"]],
+                    outputs=[
+                        [str(t) for t in terms] for terms in cached["outputs"]
+                    ],
+                    candidates={
+                        int(index): [(str(term), int(tf)) for term, tf in pairs]
+                        for index, pairs in cached.get("candidates", {}).items()
+                    },
+                    important=[str(t) for t in cached["important"]],
+                    context_terms=[str(t) for t in cached["context_terms"]],
                 )
-            doc_state = DocumentState(
-                stats_terms=[str(t) for t in cached["stats_terms"]],
-                outputs=[[str(t) for t in terms] for terms in cached["outputs"]],
-                candidates={
-                    int(index): [(str(term), int(tf)) for term, tf in pairs]
-                    for index, pairs in cached.get("candidates", {}).items()
-                },
-                important=[str(t) for t in cached["important"]],
-                context_terms=[str(t) for t in cached["context_terms"]],
-                seen_keys=[str(t) for t in cached["seen_keys"]],
-            )
-            state.ingest_restored(document, doc_state)
+                state.ingest_restored(document, doc_state)
         state.rebuild_pretest()
         return state
 
@@ -188,7 +190,8 @@ class IncrementalState:
         term_set = set(doc_state.stats_terms)
         self.term_sets[doc_id] = term_set
         self.original_vocabulary.add_document(doc_state.stats_terms)
-        expanded = doc_state.expanded_set(term_set)
+        expanded = set(term_set)
+        expanded.update(map(normalize_term, doc_state.context_terms))
         self.expanded_sets[doc_id] = expanded
         self.contextualized_vocabulary.add_document(expanded)
         for term in expanded:

@@ -99,18 +99,14 @@ def resource_metric(label: str, event: str) -> str:
     """Per-resource counter/timer/histogram (``resource.<label>.<event>``).
 
     ``label`` is :meth:`ExternalResource.metric_label`; ``event`` is one
-    of the fixed event suffixes (``memory_hits``, ``persistent_hits``,
-    ``misses``, ``errors``, ``coalesced_hits``, ``coalesce_retries``,
-    ``coalesce_wait_seconds``, ``batch_queries``,
-    ``batch_query_seconds``, ``batch_size``, ``query_seconds``,
-    ``query_latency``).
+    of the fixed event suffixes the engine emits (``memory_hits``,
+    ``persistent_hits``, ``misses``, ``errors``, ``coalesced_hits``,
+    ``coalesce_retries``, ``coalesce_wait_seconds``, ``batch_queries``,
+    ``batch_query_seconds``, ``batch_size``) or the resilience wrappers
+    emit (``failures``, ``retries``, ``degraded``,
+    ``simulated_round_trips``).
     """
     return f"resource.{label}.{event}"
-
-
-def resource_span(label: str) -> str:
-    """Span name for one uncached resource call."""
-    return f"resource:{label}"
 
 
 def resource_batch_span(label: str) -> str:

@@ -19,13 +19,9 @@ Cached entries are stored as **immutable tuples** and every call returns
 a fresh list, so no caller can poison the cache by mutating an answer —
 neither the list it received nor the list ``_query`` originally returned.
 
-On a miss both the single-term and the batched path go through the
-**batched query engine**:
+Every lookup goes through one **batched query engine**;
+:meth:`ExternalResource.context_terms` is a one-term batch:
 
-* concurrent workers asking for the same fresh ``(namespace, term)``
-  are **single-flight coalesced** — exactly one performs the query,
-  the rest wait for its cached answer instead of re-paying the round
-  trip (see :class:`~repro.resources.engine.SingleFlight`);
 * :meth:`ExternalResource.context_terms_many` answers a whole term
   batch at once: one lock pass over the LRU, one batched
   :meth:`~repro.db.resource_cache.PersistentResourceCache.get_many`,
@@ -33,7 +29,15 @@ On a miss both the single-term and the batched path go through the
   leaders, and one
   :meth:`~repro.db.resource_cache.PersistentResourceCache.put_many`
   write-back.  ``query_many`` defaults to looping :meth:`_query`;
-  resources with a natural bulk lookup override it.
+  resources with a natural bulk lookup override it and answer a single
+  term through it too, so each has one lookup body;
+* concurrent workers asking for the same fresh ``(namespace, term)``
+  are **single-flight coalesced** — exactly one performs the query,
+  the rest wait for its cached answer instead of re-paying the round
+  trip (see :class:`~repro.resources.engine.SingleFlight`);
+* an answer a wrapper marks as degraded (see
+  :mod:`repro.resources.resilience`) stays out of the persistent tier
+  of its own engine and of every engine answering through it.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Sequence
+from contextvars import ContextVar
 
 from ..db.resource_cache import PersistentResourceCache
 from ..errors import ResourceError
@@ -53,6 +58,11 @@ from ..observability.stats import ResourceStats
 from ..observability.tracing import Span
 from ..text.interning import normalize_term
 from .engine import Flight, SingleFlight
+
+#: Set while a batch query runs when one of its answers is degraded
+#: (see :meth:`ExternalResource._mark_do_not_persist`).  Context-local,
+#: so concurrent batches on other threads never see each other's mark.
+_DEGRADED: ContextVar[bool] = ContextVar("repro_resource_degraded", default=False)
 
 #: Default bound of the in-process LRU tier.
 DEFAULT_MEMORY_CACHE_SIZE = 65_536
@@ -127,61 +137,23 @@ class ExternalResource(abc.ABC):
         self._coalesced_hits = 0
         self._coalesce_wait_seconds = 0.0
         self._batch_queries = 0
-        self._no_persist = threading.local()
         self._single_flight = SingleFlight()
 
     # -- the public query path ---------------------------------------------------
 
     def context_terms(self, term: str) -> list[str]:
-        """Context terms for ``term`` (cached on the normalized form)."""
-        key = normalize_term(term)
-        if not key:
-            return []
-        metrics = current_metrics()
-        while True:
-            cached = self._lookup_tiers(key, metrics)
-            if cached is not None:
-                return list(cached)
-            # Miss on both tiers: claim the key.  The leader answers the
-            # query outside the lock (remote queries are slow); everyone
-            # else waits for the leader's cached answer instead of
-            # re-paying the round trip.
-            flight, leader = self._single_flight.claim(key)
-            if not leader:
-                waited = self._wait_for_flight(flight, metrics)
-                if waited is not None:
-                    return list(waited)
-                continue  # the leader failed; retry (possibly as leader)
-            try:
-                result = validate_context_terms(
-                    self._instrumented_query(term, key, metrics)
-                )
-                persist = not self._consume_no_persist()
-                with self._lock:
-                    self._misses += 1
-                    self._memory_put(key, result)
-                if (
-                    persist
-                    and self._persistent is not None
-                    and self._namespace is not None
-                ):
-                    self._persistent.put(self._namespace, key, result)
-            except BaseException:
-                self._single_flight.abandon(key, flight)
-                raise
-            self._single_flight.resolve(key, flight, result)
-            return list(result)
+        """Context terms for ``term``: a one-term batch through the engine."""
+        return self.context_terms_many([term])[0]
 
     def context_terms_many(self, terms: Sequence[str]) -> list[list[str]]:
         """Context terms for a term batch, aligned with the input order.
 
         The batch is deduplicated on normalized form (the first surface
-        form seen for a key is the one queried, matching the single-term
-        path) and resolved in one engine pass per tier: one lock
-        acquisition over the LRU, one batched persistent read, one bulk
-        :meth:`query_many` for the keys this caller leads, one batched
-        persistent write-back.  Keys led by another thread are waited on
-        (coalesced), never re-queried.
+        form seen for a key is the one queried) and resolved in one
+        engine pass per tier: one lock acquisition over the LRU, one
+        batched persistent read, one bulk :meth:`query_many` for the
+        keys this caller leads, one batched persistent write-back.  Keys
+        led by another thread are waited on (coalesced), never re-queried.
         """
         metrics = current_metrics()
         keys = [normalize_term(term) for term in terms]
@@ -254,22 +226,24 @@ class ExternalResource(abc.ABC):
                 # Bulk resources alias one answer list across terms that
                 # resolve to the same entry; validate each distinct list
                 # once (`answers` keeps every list alive, so ids are
-                # stable for the duration of the loop).
+                # stable for the duration of the loop).  Each raw answer
+                # is read, validated and cached in one step, the flow the
+                # FLOW001 lint rule checks.
                 validated_by_id: dict[int, tuple[str, ...]] = {}
                 validated: list[tuple[str, ...]] = []
-                for raw in answers:
-                    value = validated_by_id.get(id(raw))
-                    if value is None:
-                        value = validated_by_id[id(raw)] = validate_context_terms(raw)
-                    validated.append(value)
                 persistable: dict[str, tuple[str, ...]] = {}
                 with self._lock:
-                    for key, value, skip in zip(
-                        leaders, validated, no_persist, strict=True
-                    ):
+                    for position, key in enumerate(leaders):
+                        raw = answers[position]
+                        value = validated_by_id.get(id(raw))
+                        if value is None:
+                            value = validated_by_id[id(raw)] = (
+                                validate_context_terms(raw)
+                            )
+                        validated.append(value)
                         self._misses += 1
                         self._memory_put(key, value)
-                        if not skip:
+                        if not no_persist[position]:
                             persistable[key] = value
                 if metrics is not None:
                     metrics.increment(obs_names.resource_metric(label, "misses"), len(leaders))
@@ -294,29 +268,6 @@ class ExternalResource(abc.ABC):
             else:
                 resolved[key] = value
         return retry
-
-    def _lookup_tiers(self, key: str, metrics) -> tuple[str, ...] | None:
-        """Answer from the LRU or persistent tier, or None on a miss."""
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._memory_hits += 1
-                if metrics is not None:
-                    metrics.increment(obs_names.resource_metric(self.metric_label(), "memory_hits"))
-                return cached
-        if self._persistent is not None and self._namespace is not None:
-            stored = self._persistent.get(self._namespace, key)
-            if stored is not None:
-                with self._lock:
-                    self._persistent_hits += 1
-                    self._memory_put(key, stored)
-                if metrics is not None:
-                    metrics.increment(
-                        obs_names.resource_metric(self.metric_label(), "persistent_hits")
-                    )
-                return stored
-        return None
 
     def _wait_for_flight(self, flight: Flight, metrics) -> tuple[str, ...] | None:
         """Block on another thread's in-flight query.
@@ -352,7 +303,10 @@ class ExternalResource(abc.ABC):
         (wrappers mark individual degraded answers via
         :meth:`_mark_do_not_persist`).  Uses :meth:`query_many` when the
         subclass overrides it (a true bulk lookup), else loops
-        :meth:`_query` so per-term wrapper semantics are preserved.
+        :meth:`_query` so per-term wrapper semantics are preserved.  A
+        marked batch also marks the batch of any engine answering through
+        this one, so a composite or wrapper never persists an answer
+        that lacks a degraded part.
         """
         label = self.metric_label()
         parent = current_span()
@@ -361,18 +315,19 @@ class ExternalResource(abc.ABC):
             span = Span.begin(obs_names.resource_batch_span(label), terms=len(surfaces))
         overridden = type(self).query_many is not ExternalResource.query_many
         start = time.perf_counter()
+        token = _DEGRADED.set(False)
         try:
             with use_span(span):
                 if overridden:
                     answers = self.query_many(list(surfaces))
-                    flagged = self._consume_no_persist()
-                    no_persist = [flagged] * len(surfaces)
+                    no_persist = [_DEGRADED.get()] * len(surfaces)
                 else:
                     answers = []
                     no_persist = []
                     for surface_term in surfaces:
+                        _DEGRADED.set(False)
                         answers.append(self._query(surface_term))
-                        no_persist.append(self._consume_no_persist())
+                        no_persist.append(_DEGRADED.get())
         except BaseException:
             if span is not None:
                 span.finish(status="error")
@@ -380,6 +335,10 @@ class ExternalResource(abc.ABC):
             if metrics is not None:
                 metrics.increment(obs_names.resource_metric(label, "errors"))
             raise
+        finally:
+            _DEGRADED.reset(token)
+        if any(no_persist):
+            _DEGRADED.set(True)
         elapsed = time.perf_counter() - start
         if len(answers) != len(surfaces):
             raise ResourceError(
@@ -402,43 +361,6 @@ class ExternalResource(abc.ABC):
             )
         return answers, no_persist
 
-    def _instrumented_query(self, term: str, key: str, metrics) -> list[str]:
-        """Answer an uncached query, recording latency and a call span.
-
-        The expensive path — an actual resource call — gets a span of
-        its own (nested under the active chunk/stage span) plus a miss
-        counter, a latency timer, and a latency histogram; with
-        observability disabled this is one extra ``None`` check.
-        """
-        parent = current_span()
-        if metrics is None and parent is None:
-            return self._query(term)
-        label = self.metric_label()
-        span: Span | None = None
-        if parent is not None:
-            span = Span.begin(obs_names.resource_span(label), term=key)
-        start = time.perf_counter()
-        try:
-            with use_span(span):
-                result = self._query(term)
-        except BaseException:
-            if span is not None:
-                span.finish(status="error")
-                parent.children.append(span)
-            if metrics is not None:
-                metrics.increment(obs_names.resource_metric(label, "errors"))
-            raise
-        elapsed = time.perf_counter() - start
-        if span is not None:
-            span.finish()
-            span.counters["terms"] = float(len(result))
-            parent.children.append(span)
-        if metrics is not None:
-            metrics.increment(obs_names.resource_metric(label, "misses"))
-            metrics.record_time(obs_names.resource_metric(label, "query_seconds"), elapsed)
-            metrics.observe(obs_names.resource_metric(label, "query_latency"), elapsed)
-        return result
-
     def metric_label(self) -> str:
         """Short stable label used in metric names and call spans."""
         return self.name.value.lower().replace(" ", "_")
@@ -454,8 +376,9 @@ class ExternalResource(abc.ABC):
         natural bulk lookup (the Wikipedia graph/synonym substrates,
         WordNet, or a remote API with a batch endpoint) override this so
         a whole chunk's terms cost one backend pass instead of one round
-        trip each.  Implementations must return exactly one answer list
-        per input term, in order.
+        trip each, and define :meth:`_query` as a one-term call into
+        it.  Implementations must return exactly one answer list per
+        input term, in order.
         """
         return [self._query(term) for term in terms]
 
@@ -520,12 +443,7 @@ class ExternalResource(abc.ABC):
     def _mark_do_not_persist(self) -> None:
         """Called by ``_query`` to keep its current answer out of the
         persistent tier (e.g. a degraded empty answer after retries)."""
-        self._no_persist.flag = True
-
-    def _consume_no_persist(self) -> bool:
-        flagged = getattr(self._no_persist, "flag", False)
-        self._no_persist.flag = False
-        return flagged
+        _DEGRADED.set(True)
 
     # -- introspection -----------------------------------------------------------
 
@@ -573,12 +491,10 @@ class ExternalResource(abc.ABC):
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_lock"] = None
-        state["_no_persist"] = None
         state["_single_flight"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
-        self._no_persist = threading.local()
         self._single_flight = SingleFlight()

@@ -26,23 +26,15 @@ class CompositeResource(ExternalResource):
         return tuple(self._resources)
 
     def _query(self, term: str) -> list[str]:
-        merged: list[str] = []
-        seen: set[str] = set()
-        for resource in self._resources:
-            for context_term in resource.context_terms(term):
-                key = normalize_term(context_term)
-                if key and key not in seen:
-                    seen.add(key)
-                    merged.append(context_term)
-        return merged
+        return self.query_many([term])[0]
 
     def query_many(self, terms: list[str]) -> list[list[str]]:
         """Bulk union: one batched pass per member resource.
 
         Each member answers the whole batch through its own engine
         (LRU, batched persistent reads, single-flight, bulk backend
-        lookups); the per-term union preserves member order exactly as
-        :meth:`_query` does.
+        lookups); the per-term union keeps member order, then answer
+        order, and the first surface form per normalized key.
         """
         member_answers = [
             resource.context_terms_many(terms) for resource in self._resources

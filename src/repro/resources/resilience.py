@@ -19,7 +19,8 @@ module makes the pipeline robust to that:
 All wrappers compose with the shared two-tier cache: they answer under
 the *inner* resource's cache namespace (their answers are the inner
 resource's answers), and :class:`ResilientResource` keeps degraded empty
-answers out of the persistent tier so a transient outage can never
+answers out of the persistent tier — its own and that of any composite
+or wrapper answering through it — so a transient outage can never
 poison later runs.
 """
 
@@ -29,6 +30,7 @@ import random
 import time
 
 from ..errors import ResourceError
+from ..observability import names as obs_names
 from ..observability.context import current_metrics
 from ..observability.logging import get_logger
 from .base import ExternalResource
@@ -60,7 +62,9 @@ class FlakyResource(ExternalResource):
             self.failures += 1
             metrics = current_metrics()
             if metrics is not None:
-                metrics.increment(f"resource.{self.metric_label()}.failures")
+                metrics.increment(
+                    obs_names.resource_metric(self.metric_label(), "failures")
+                )
             raise ResourceError(f"simulated outage answering {term!r}")
         return self._inner.context_terms(term)
 
@@ -104,12 +108,16 @@ class ResilientResource(ExternalResource):
                     self.retries += 1
                     if metrics is not None:
                         metrics.increment(
-                            f"resource.{self.metric_label()}.retries"
+                            obs_names.resource_metric(
+                                self.metric_label(), "retries"
+                            )
                         )
         self.gave_up += 1
         assert last_error is not None
         if metrics is not None:
-            metrics.increment(f"resource.{self.metric_label()}.degraded")
+            metrics.increment(
+                obs_names.resource_metric(self.metric_label(), "degraded")
+            )
         log.warning(
             "resource.degraded",
             resource=self.metric_label(),
@@ -119,7 +127,8 @@ class ResilientResource(ExternalResource):
         )
         # The empty answer is a degradation, not the resource's real
         # answer: keep it in the in-process tier only, never in the
-        # persistent store, so a transient outage cannot poison later
+        # persistent store (nor in the store of an engine answering
+        # through this one), so a transient outage cannot poison later
         # runs that share the cache file.
         self._mark_do_not_persist()
         return []
@@ -154,14 +163,7 @@ class SimulatedLatencyResource(ExternalResource):
         self.simulated_calls = 0
 
     def _query(self, term: str) -> list[str]:
-        self.simulated_calls += 1
-        metrics = current_metrics()
-        if metrics is not None:
-            metrics.increment(
-                f"resource.{self.metric_label()}.simulated_round_trips"
-            )
-        time.sleep(self._latency_seconds)
-        return self._inner.context_terms(term)
+        return self.query_many([term])[0]
 
     def query_many(self, terms: list[str]) -> list[list[str]]:
         """Bulk lookup: a whole batch costs **one** simulated round trip.
@@ -175,7 +177,9 @@ class SimulatedLatencyResource(ExternalResource):
         metrics = current_metrics()
         if metrics is not None:
             metrics.increment(
-                f"resource.{self.metric_label()}.simulated_round_trips"
+                obs_names.resource_metric(
+                    self.metric_label(), "simulated_round_trips"
+                )
             )
         time.sleep(self._latency_seconds)
         return self._inner.context_terms_many(terms)

@@ -27,7 +27,7 @@ class WikipediaGraphResource(ExternalResource):
         self._top_k = top_k
 
     def _query(self, term: str) -> list[str]:
-        return [n.title for n in self._graph.neighbours(term, k=self._top_k)]
+        return self.query_many([term])[0]
 
     def query_many(self, terms: list[str]) -> list[list[str]]:
         """Bulk lookup: one graph pass, shared per-page neighbour scoring.

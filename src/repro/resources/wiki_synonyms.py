@@ -23,12 +23,7 @@ class WikipediaSynonymsResource(ExternalResource):
         self._finder = finder
 
     def _query(self, term: str) -> list[str]:
-        key = normalize_term(term)
-        return [
-            synonym.phrase
-            for synonym in self._finder.synonyms(term)
-            if normalize_term(synonym.phrase) != key
-        ]
+        return self.query_many([term])[0]
 
     def query_many(self, terms: list[str]) -> list[list[str]]:
         """Bulk lookup: variants of one entry expand once per batch.

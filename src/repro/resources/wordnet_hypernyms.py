@@ -22,7 +22,7 @@ class WordNetHypernymResource(ExternalResource):
         self._max_depth = max_depth
 
     def _query(self, term: str) -> list[str]:
-        return self._lookup.hypernyms(term, max_depth=self._max_depth)
+        return self.query_many([term])[0]
 
     def query_many(self, terms: list[str]) -> list[list[str]]:
         """Bulk lookup: hypernym chains are climbed once per batch."""

@@ -136,6 +136,44 @@ def test_flow001_out_of_scope_module_is_ignored():
     assert ids == []
 
 
+_BATCH_ENGINE = """
+def validate_context_terms(raw):
+    return tuple(x for x in raw if x)
+
+class R:
+    def _run_batch_query(self, terms):
+        answers = self.query_many(terms)
+        return answers, [False] * len(terms)
+
+    def resolve(self, keys):
+        answers, no_persist = self._run_batch_query(keys)
+        for position, key in enumerate(keys):
+            raw = answers[position]
+            value = self._seen.get(id(raw))
+            if value is None:
+                value = %s
+            self._memory_put(key, value)
+"""
+
+
+def test_flow001_unvalidated_bulk_answer_fires():
+    """The batch engine's shape: a ``query_many`` answer returned through
+    a helper and cached on the one branch that skips validation."""
+    ids = _rule_ids(
+        _BATCH_ENGINE % "raw", "repro.resources.fake", select={"FLOW001"}
+    )
+    assert ids == ["FLOW001"]
+
+
+def test_flow001_validated_bulk_answer_is_clean():
+    ids = _rule_ids(
+        _BATCH_ENGINE % "validate_context_terms(raw)",
+        "repro.resources.fake",
+        select={"FLOW001"},
+    )
+    assert ids == []
+
+
 def test_flow001_suppressed_by_noqa():
     ids = _rule_ids(
         """

@@ -27,6 +27,7 @@ from repro.incremental import (
     CheckpointStore,
     CrashInjected,
     FaultInjector,
+    IncrementalExtractor,
     StreamSupervisor,
     atomic_write_text,
     canonical_json,
@@ -34,6 +35,7 @@ from repro.incremental import (
     read_batch_file,
     split_into_batches,
 )
+from repro.text.interning import normalize_term
 
 SCALE = 0.05
 BATCHES = 5
@@ -142,6 +144,32 @@ class TestCrashAndResume:
             baseline_bytes
         )
         assert "cold start" in report.format_summary()
+
+
+class TestSnapshotFormat:
+    def test_snapshot_with_stored_context_keys_restores(
+        self, inc_config, docs, baseline_bytes, tmp_path
+    ):
+        """Snapshots of the older format also stored each document's
+        normalized context keys (``seen_keys``); a restore ignores them
+        and derives the keys, landing on the full recompute's bytes."""
+        batches = split_into_batches(docs, BATCHES)
+        store = CheckpointStore(tmp_path / "run")
+        extractor = IncrementalExtractor(build_pipeline(inc_config), checkpoint=store)
+        for batch in batches[:3]:
+            extractor.append(batch)
+        sequence, payload = store.load_latest()
+        for cached in payload["docs"].values():
+            assert "seen_keys" not in cached
+            cached["seen_keys"] = [normalize_term(t) for t in cached["context_terms"]]
+        store.save(payload, sequence + 1)
+        restored = IncrementalExtractor.restore(build_pipeline(inc_config), store)
+        assert restored.document_count == sum(len(b) for b in batches[:3])
+        for batch in batches[3:]:
+            restored.append(batch)
+        assert result_bytes(restored.snapshot_result()) == baseline_bytes
+        _, newest = store.load_latest()
+        assert all("seen_keys" not in cached for cached in newest["docs"].values())
 
 
 class TestAtomicWrite:

@@ -130,6 +130,19 @@ class TestDeterminism:
         assert parallel == serial
 
 
+class TestMemoryCacheBound:
+    def test_bound_reaches_every_resource_of_the_pipeline(self, parallel_builder):
+        """``memory_cache_size`` bounds the composite the pipeline reads,
+        not only the members it wraps."""
+        pipeline = parallel_builder.with_parallel(
+            ParallelConfig(memory_cache_size=8)
+        ).build()
+        (composite,) = pipeline.resources
+        composite.context_terms_many([f"term {i}" for i in range(20)])
+        for resource in (composite, *composite.members):
+            assert resource.cache_size == 8
+
+
 class TestCliDeterminism:
     def test_extract_output_identical_across_worker_counts(self, capsys):
         """`python -m repro extract --workers N` is byte-identical to serial

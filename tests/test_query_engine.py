@@ -197,12 +197,6 @@ class TestBatchedCacheIO:
         found = cache.get_many("ns", list(entries))
         assert found == entries
 
-    def test_put_upserts_in_place(self, tmp_path):
-        cache = PersistentResourceCache(str(tmp_path / "cache.db"))
-        cache.put("ns", "term", ("old",))
-        cache.put("ns", "term", ("new",))
-        assert cache.get("ns", "term") == ("new",)
-
     def test_wal_enabled_on_file_store(self, tmp_path):
         cache = PersistentResourceCache(str(tmp_path / "cache.db"))
         assert cache.wal_enabled

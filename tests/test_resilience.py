@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.config import ParallelConfig
@@ -10,6 +13,7 @@ from repro.core.contextualize import contextualize
 from repro.db.resource_cache import PersistentResourceCache
 from repro.errors import ResourceError
 from repro.resources.base import ExternalResource, ResourceName
+from repro.resources.composite import CompositeResource
 from repro.resources.resilience import (
     FlakyResource,
     ResilientResource,
@@ -202,6 +206,111 @@ class TestParallelResilience:
             == SimulatedLatencyResource(inner, 0.0).cache_namespace()
             == inner.cache_namespace()
         )
+
+
+class PrefixResource(ExternalResource):
+    """Healthy leaf answering ``<prefix> <term>`` under its own namespace."""
+
+    name = ResourceName.GOOGLE
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self._prefix = prefix
+
+    def _query(self, term):
+        return [f"{self._prefix} {term.lower()}"]
+
+    def cache_namespace(self) -> str:
+        return f"PrefixResource({self._prefix})"
+
+
+def _lookup(resource: ExternalResource, term: str, many: bool) -> list[str]:
+    if many:
+        return resource.context_terms_many([term])[0]
+    return resource.context_terms(term)
+
+
+class TestDegradedAnswersThroughEnclosingEngines:
+    """A degraded answer stays out of every persistent store, including
+    the one an enclosing engine (a composite, the latency wrapper)
+    writes its own answer to."""
+
+    @staticmethod
+    def _outage(leaf: ExternalResource) -> ExternalResource:
+        return ResilientResource(FlakyResource(leaf, error_rate=1.0))
+
+    @pytest.mark.parametrize("many", [False, True], ids=["single", "many"])
+    def test_composite_does_not_persist_a_degraded_union(self, many):
+        store = PersistentResourceCache(":memory:")
+        broken = CompositeResource(
+            [self._outage(PrefixResource("ctx")), PrefixResource("other")]
+        )
+        broken.attach_cache(store)
+        assert _lookup(broken, "Paris", many) == ["other paris"]
+        healthy = CompositeResource(
+            [PrefixResource("ctx"), PrefixResource("other")]
+        )
+        assert healthy.cache_namespace() == broken.cache_namespace()
+        healthy.attach_cache(store)
+        assert _lookup(healthy, "Paris", many) == ["ctx paris", "other paris"]
+
+    @pytest.mark.parametrize("many", [False, True], ids=["single", "many"])
+    def test_latency_wrapper_does_not_persist_a_degraded_answer(self, many):
+        store = PersistentResourceCache(":memory:")
+        broken = SimulatedLatencyResource(
+            self._outage(PrefixResource("ctx")), latency_seconds=0.0
+        )
+        broken.attach_cache(store)
+        assert _lookup(broken, "Paris", many) == []
+        healthy = SimulatedLatencyResource(
+            PrefixResource("ctx"), latency_seconds=0.0
+        )
+        healthy.attach_cache(store)
+        assert _lookup(healthy, "Paris", many) == ["ctx paris"]
+
+    def test_concurrent_batches_keep_their_own_marks(self):
+        """The mark is context-local: batches on other threads never
+        clear an outage's mark nor suppress a healthy batch's write."""
+        store = PersistentResourceCache(":memory:")
+        broken = CompositeResource(
+            [self._outage(PrefixResource("ctx")), PrefixResource("other")]
+        )
+        healthy = CompositeResource(
+            [PrefixResource("ctx"), PrefixResource("other")]
+        )
+        broken.attach_cache(store)
+        healthy.attach_cache(store)
+        errors: list[BaseException] = []
+
+        def work(resource: ExternalResource, prefix: str) -> None:
+            try:
+                for index in range(100):
+                    resource.context_terms(f"{prefix} {index}")
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(broken, "down")),
+                threading.Thread(target=work, args=(healthy, "up")),
+                threading.Thread(target=work, args=(broken, "gone")),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        fresh = CompositeResource([PrefixResource("ctx"), PrefixResource("other")])
+        fresh.attach_cache(store)
+        # Only the healthy thread's 100 answers were persisted.
+        assert store.size(fresh.cache_namespace()) == 100
+        assert fresh.context_terms("down 7") == ["ctx down 7", "other down 7"]
+        assert fresh.context_terms("up 7") == ["ctx up 7", "other up 7"]
 
 
 class TestSimulatedLatencyResource:

@@ -10,11 +10,15 @@ and :class:`repro.db.resource_cache.PersistentResourceCache`:
 * cached entries are immutable — no caller (and no resource mutating
   the list its ``_query`` returned) can poison the cache;
 * a corrupted or locked SQLite file degrades gracefully to in-memory
-  mode instead of crashing.
+  mode instead of crashing;
+* every resource of the default pipeline answers every entity name and
+  taxonomy term exactly as recorded, one term at a time and in a batch.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sqlite3
 import threading
 
@@ -22,6 +26,16 @@ import pytest
 
 from repro.db.resource_cache import PersistentResourceCache
 from repro.resources.base import ExternalResource, ResourceName
+from repro.resources.registry import build_all_resources, build_resource
+
+#: sha256 of :func:`_answer_digest` over every entity name and taxonomy
+#: term of the ``ReproConfig(scale=0.1)`` world, for the four leaf
+#: resources and their default composite, recorded while each bulk
+#: resource still had a separate single-term body: any change to one
+#: context term of either path fails.
+RESOURCE_ANSWER_SHA256 = (
+    "0e377839ff93ca7a24cbbe66a3453a13ddf0d55a72e4b3e8ba6fdbd083ec92f7"
+)
 
 
 class CountingResource(ExternalResource):
@@ -195,8 +209,8 @@ class TestPersistentTier:
 
     def test_store_clear_all(self, tmp_path):
         store = PersistentResourceCache(str(tmp_path / "cache.db"))
-        store.put("n1", "t", ("a",))
-        store.put("n2", "t", ("b",))
+        store.put_many("n1", {"t": ("a",)})
+        store.put_many("n2", {"t": ("b",)})
         store.clear()
         assert store.size() == 0
 
@@ -211,12 +225,18 @@ class TestPersistentTier:
 
     def test_store_level_counters(self, tmp_path):
         store = PersistentResourceCache(str(tmp_path / "cache.db"))
-        assert store.get("ns", "missing") is None
-        store.put("ns", "t", ("x",))
-        assert store.get("ns", "t") == ("x",)
+        assert store.get_many("ns", ["missing"]) == {}
+        store.put_many("ns", {"t": ("x",)})
+        assert store.get_many("ns", ["t"]) == {"t": ("x",)}
         assert store.misses == 1
         assert store.hits == 1
         assert store.writes == 1
+
+    def test_put_upserts_in_place(self, tmp_path):
+        cache = PersistentResourceCache(str(tmp_path / "cache.db"))
+        cache.put_many("ns", {"term": ("old",)})
+        cache.put_many("ns", {"term": ("new",)})
+        assert cache.get_many("ns", ["term"]) == {"term": ("new",)}
 
 
 class TestGracefulDegradation:
@@ -227,8 +247,8 @@ class TestGracefulDegradation:
         assert store.disabled
         assert store.error is not None
         # A disabled store is inert, never raising.
-        assert store.get("ns", "t") is None
-        store.put("ns", "t", ("x",))
+        assert store.get_many("ns", ["t"]) == {}
+        store.put_many("ns", {"t": ("x",)})
         store.clear()
         assert store.size() == 0
 
@@ -261,12 +281,12 @@ class TestGracefulDegradation:
 
     def test_runtime_error_degrades_instead_of_raising(self, tmp_path):
         store = PersistentResourceCache(str(tmp_path / "cache.db"))
-        store.put("ns", "t", ("x",))
+        store.put_many("ns", {"t": ("x",)})
         # Corrupt the live connection out from under the store.
         store._connection.close()
-        assert store.get("ns", "t") is None
+        assert store.get_many("ns", ["t"]) == {}
         assert store.disabled
-        store.put("ns", "u", ("y",))  # no-op, no exception
+        store.put_many("ns", {"u": ("y",)})  # no-op, no exception
 
 
 class TestThreadSafety:
@@ -300,3 +320,43 @@ class TestThreadSafety:
         stats = resource.cache_stats
         assert stats.queries == 200
         assert store.size(resource.cache_namespace()) == 10
+
+
+class TestResourceAnswerParity:
+    @staticmethod
+    def _fresh(substrates, config) -> list[tuple[str, ExternalResource]]:
+        resources = [
+            (name.value, build_resource(name, substrates, config))
+            for name in ResourceName
+        ]
+        resources.append(("All", build_all_resources(substrates, config)))
+        return resources
+
+    def _answer_digest(self, substrates, config, queries: list[str]) -> str:
+        # Separate instances per path, so neither answers from the
+        # other's memory tier.
+        payload = []
+        for (label, one), (_, many) in zip(
+            self._fresh(substrates, config),
+            self._fresh(substrates, config),
+            strict=True,
+        ):
+            single = [one.context_terms(query) for query in queries]
+            bulk = many.context_terms_many(queries)
+            assert single == bulk, label
+            payload.append(
+                [label, [list(row) for row in zip(queries, single, bulk)]]
+            )
+        encoded = json.dumps(payload, ensure_ascii=True, separators=(",", ":"))
+        return hashlib.sha256(encoded.encode("ascii")).hexdigest()
+
+    def test_every_entity_and_taxonomy_answer_is_unchanged(
+        self, world, substrates, config
+    ):
+        queries = [entity.name for entity in world.entities]
+        queries += list(world.taxonomy.terms())
+        assert len(queries) > 500
+        assert (
+            self._answer_digest(substrates, config, queries)
+            == RESOURCE_ANSWER_SHA256
+        )
