@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from ..config import ParallelConfig
@@ -37,7 +37,7 @@ from ..text.interning import (
 )
 from ..text.phrases import phrases_from_words
 from ..text.stopwords import is_stopword
-from ..text.vocabulary import TermInterner, Vocabulary
+from ..text.vocabulary import TermInterner
 from .columnar import ColumnarVocabulary, DocumentColumns
 
 
@@ -77,12 +77,15 @@ class AnnotatedDatabase:
 
     documents: list[Document]
     important_terms: dict[str, list[str]]  # doc_id -> I(d)
-    vocabulary: Vocabulary = field(default_factory=Vocabulary)
-    term_sets: dict[str, set[str]] = field(default_factory=dict)
-    """doc_id -> normalized original terms (for df computations)."""
-    columns: DocumentColumns | None = None
-    """Columnar view of per-document normalized term ids (None only for
-    databases assembled outside :func:`annotate_database`)."""
+    vocabulary: ColumnarVocabulary
+    """Term statistics of the original database."""
+    columns: DocumentColumns
+    """Per-document normalized term ids; row ``i`` is ``documents[i]``."""
+
+    @property
+    def term_sets(self) -> dict[str, set[str]]:
+        """doc_id -> normalized original terms (derived from the columns)."""
+        return self.columns.term_sets()
 
     def important(self, doc_id: str) -> list[str]:
         """Important terms ``I(d)`` of one document."""
@@ -233,7 +236,6 @@ def annotate_database(
         nullcontext() if settings.enabled else use_text_memo(TextMemo(interner))
     )
     pool_initializer = install_worker_memo if settings.enabled else None
-    term_sets: dict[str, set[str]] = {}
     with run_memo:
         for chunk_result in map_chunks(
             MemoizedChunk(_columnar_stats_chunk),
@@ -244,7 +246,6 @@ def annotate_database(
         ):
             for doc_id, normalized in chunk_result:
                 vocabulary.add_document_ids(columns.add_document(doc_id, normalized))
-                term_sets[doc_id] = set(normalized)
         for extractor in extractors:
             extractor.use_background(vocabulary)
         # Second pass: important-term extraction.  A process pool gets
@@ -274,6 +275,5 @@ def annotate_database(
         documents=list(documents),
         important_terms=important,
         vocabulary=vocabulary,
-        term_sets=term_sets,
         columns=columns,
     )

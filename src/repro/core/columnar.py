@@ -151,9 +151,10 @@ class ColumnarVocabulary(Vocabulary):
     One documented divergence: after a term's df drops to zero via
     :meth:`remove_document` and the term is later re-added, ``terms()``
     yields it at its original first-seen position rather than at the
-    end (ids are stable; ``Counter`` re-inserts).  Term *order* is never
-    part of any certified output — selection sorts on a total key — and
-    the batch pipeline never removes documents.
+    end (ids are stable; ``Counter`` re-inserts).  The stream hits this
+    whenever it re-expands a dirty document (remove the old expanded
+    set, add the new one).  Term *order* is never part of any certified
+    output: selection sorts on a total key.
     """
 
     def __init__(self, interner: TermInterner | None = None) -> None:
@@ -212,41 +213,37 @@ class ColumnarVocabulary(Vocabulary):
             df[term_id] += 1
 
     def remove_document(self, terms) -> None:
-        term_list = [term for term in terms if term]
+        # A never-seen term gets a fresh id with df 0, which the id-level
+        # validation rejects like any other term that was never added.
+        self.remove_document_ids(self.interner.intern_many(t for t in terms if t))
+
+    def remove_document_ids(self, term_ids) -> None:
+        """Unregister one document given its (possibly repeated) term ids:
+        the exact inverse of :meth:`add_document_ids`.
+
+        Validates every id before touching a statistic, so a failed
+        removal leaves the vocabulary unchanged.
+        """
         if self._documents < 1:
             raise ValueError("remove_document on an empty vocabulary")
-        counts: dict[str, int] = {}
-        for term in term_list:
-            counts[term] = counts.get(term, 0) + 1
-        resolved: list[tuple[int, int]] = []
-        for term, count in counts.items():
-            term_id = self.interner.id_of(term)
-            in_range = term_id is not None and term_id < len(self._df_ids)
-            if (
-                not in_range
-                or self._df_ids[term_id] < 1
-                or self._tf_ids[term_id] < count
-            ):
+        counts: dict[int, int] = {}
+        for term_id in term_ids:
+            counts[term_id] = counts.get(term_id, 0) + 1
+        df = self._df_ids
+        tf = self._tf_ids
+        for term_id, count in counts.items():
+            if term_id >= len(df) or df[term_id] < 1 or tf[term_id] < count:
                 raise ValueError(
-                    f"remove_document: term {term!r} was never added "
-                    "with these frequencies"
+                    f"remove_document: term {self.interner.term(term_id)!r} "
+                    "was never added with these frequencies"
                 )
-            resolved.append((term_id, count))
         self._documents -= 1
-        for term_id, count in resolved:
-            self._tf_ids[term_id] -= count
-            self._df_ids[term_id] -= 1
-            if self._df_ids[term_id] == 0:
+        for term_id, count in counts.items():
+            tf[term_id] -= count
+            df[term_id] -= 1
+            if df[term_id] == 0:
                 self._nonzero -= 1
         self._rank_ids = None
-
-    def copy(self) -> "ColumnarVocabulary":
-        clone = ColumnarVocabulary(self.interner)
-        clone._df_ids = array("i", self._df_ids)
-        clone._tf_ids = array("i", self._tf_ids)
-        clone._nonzero = self._nonzero
-        clone._documents = self._documents
-        return clone
 
     def _grow(self, size: int) -> None:
         _zero_extend(self._df_ids, size)
@@ -383,6 +380,14 @@ class DocumentColumns:
                 doc_id: i for i, doc_id in enumerate(self.doc_ids)
             }
         return self._doc_index.get(doc_id)
+
+    def term_sets(self) -> dict[str, set[str]]:
+        """doc_id -> the set of its terms: a fresh string view of the
+        columns, for callers that want sets (tests, figure code)."""
+        return {
+            doc_id: set(self.terms_of(index))
+            for index, doc_id in enumerate(self.doc_ids)
+        }
 
     def postings(self, term_ids=None) -> dict[int, array]:
         """term id → ascending document positions (distinct per doc).

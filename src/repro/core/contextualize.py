@@ -16,17 +16,19 @@ pipeline over each batch's new and dirty documents.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 from functools import partial
 
 from ..config import ParallelConfig
+from ..corpus.document import Document
 from ..observability import Observability
 from ..observability.context import current_metrics
 from ..parallel import chunked, map_chunks
 from ..resources.base import ExternalResource
 from ..text.interning import MemoizedChunk, install_worker_memo
-from ..text.vocabulary import TermInterner, Vocabulary
+from ..text.vocabulary import TermInterner
 from .annotate import AnnotatedDatabase
 from .columnar import ColumnarVocabulary, DocumentColumns
 
@@ -37,17 +39,76 @@ class ContextualizedDatabase:
 
     annotated: AnnotatedDatabase
     context_terms: dict[str, list[str]]  # doc_id -> C(d) (surface forms)
-    expanded_sets: dict[str, set[str]] = field(default_factory=dict)
-    """doc_id -> normalized original + context terms."""
-    vocabulary: Vocabulary = field(default_factory=Vocabulary)
+    vocabulary: ColumnarVocabulary
     """Term statistics of the contextualized database."""
-    columns: DocumentColumns | None = None
-    """Columnar view of per-document expanded term ids (None for databases
-    the incremental pipeline assembles)."""
+    columns: DocumentColumns
+    """Per-document expanded term ids (original plus context terms,
+    distinct and ascending); row ``i`` is ``annotated.documents[i]``."""
+
+    @property
+    def expanded_sets(self) -> dict[str, set[str]]:
+        """doc_id -> normalized original + context terms (derived from
+        the columns)."""
+        return self.columns.term_sets()
 
     def context(self, doc_id: str) -> list[str]:
         """Context terms ``C(d)`` of one document."""
         return self.context_terms.get(doc_id, [])
+
+
+def expanded_database(
+    annotated: AnnotatedDatabase,
+    context_terms: dict[str, list[str]],
+    expanded_rows: Iterable[Sequence[int]],
+) -> ContextualizedDatabase:
+    """Assemble ``C(D)`` over ``annotated`` from per-document id rows.
+
+    ``expanded_rows`` gives, in document order, each document's expanded
+    term ids (original plus context terms) in ``annotated``'s interner,
+    distinct and ascending.
+    """
+    interner = annotated.columns.interner
+    vocabulary = ColumnarVocabulary(interner)
+    columns = DocumentColumns(interner)
+    for document, row in zip(annotated.documents, expanded_rows, strict=True):
+        vocabulary.add_document_distinct_ids(row)
+        columns.add_document_ids(document.doc_id, row)
+    return ContextualizedDatabase(
+        annotated=annotated,
+        context_terms=context_terms,
+        vocabulary=vocabulary,
+        columns=columns,
+    )
+
+
+def assemble_databases(
+    documents: list[Document],
+    important_terms: dict[str, list[str]],
+    context_terms: dict[str, list[str]],
+    interner: TermInterner,
+    original_rows: Iterable[Sequence[int]],
+    expanded_rows: Iterable[Sequence[int]],
+) -> ContextualizedDatabase:
+    """Both databases from per-document id rows, in document order.
+
+    ``original_rows`` are each document's original term ids in
+    ``interner`` (repeats count towards tf); ``expanded_rows`` are as
+    in :func:`expanded_database`.  The stream's snapshot, dynamic
+    faceting over a subset and the expansion loader all build their
+    databases here, so every database carries columns.
+    """
+    vocabulary = ColumnarVocabulary(interner)
+    columns = DocumentColumns(interner)
+    for document, row in zip(documents, original_rows, strict=True):
+        vocabulary.add_document_ids(row)
+        columns.add_document_ids(document.doc_id, row)
+    annotated = AnnotatedDatabase(
+        documents=list(documents),
+        important_terms=important_terms,
+        vocabulary=vocabulary,
+        columns=columns,
+    )
+    return expanded_database(annotated, context_terms, expanded_rows)
 
 
 def _resolve_chunk(
@@ -176,60 +237,32 @@ def contextualize(
     adds each document's original terms and builds the contextualized
     vocabulary and columns from the result.
     """
-    work: list[tuple[str, list[str]]] = [
-        (document.doc_id, annotated.important(document.doc_id))
-        for document in annotated.documents
-    ]
-    interner = (
-        annotated.columns.interner
-        if annotated.columns is not None
-        else TermInterner()
-    )
+    documents = annotated.documents
+    original = annotated.columns
     expansions = expand_documents(
-        [important for _doc_id, important in work],
+        [annotated.important(document.doc_id) for document in documents],
         resources,
-        interner,
+        original.interner,
         parallel,
         obs,
     )
-    terms_by_id = interner.terms()
     context_terms: dict[str, list[str]] = {}
-    expanded_sets: dict[str, set[str]] = {}
-    vocabulary = ColumnarVocabulary(interner)
-    columns = DocumentColumns(interner)
-    annotated_columns = annotated.columns
-    for doc_index, ((doc_id, _important), (merged, context_ids)) in enumerate(
-        zip(work, expansions, strict=True)
+    expanded_rows: list[array] = []
+    for index, (document, (merged, context_ids)) in enumerate(
+        zip(documents, expansions, strict=True)
     ):
-        context_terms[doc_id] = merged
-        if (
-            annotated_columns is not None
-            and doc_index < len(annotated_columns)
-            and annotated_columns.doc_ids[doc_index] == doc_id
-        ):
-            expanded_ids = set(annotated_columns.ids_of(doc_index))
-        else:
-            expanded_ids = {
-                interner.intern(term)
-                for term in annotated.term_sets.get(doc_id, set())
-            }
-        expanded_ids.update(context_ids)
-        expanded_sets[doc_id] = {terms_by_id[i] for i in expanded_ids}
-        vocabulary.add_document_distinct_ids(expanded_ids)
-        columns.add_document_ids(doc_id, sorted(expanded_ids))
+        context_terms[document.doc_id] = merged
+        expanded = set(original.ids_of(index))
+        expanded.update(context_ids)
+        expanded_rows.append(array("i", sorted(expanded)))
+    database = expanded_database(annotated, context_terms, expanded_rows)
     metrics = current_metrics()
     if metrics is not None:
-        metrics.increment("contextualize.documents", len(work))
+        metrics.increment("contextualize.documents", len(documents))
         metrics.increment(
             "contextualize.context_terms",
             # order: summing ints is order-insensitive
             sum(len(terms) for terms in context_terms.values()),
         )
-        metrics.gauge("contextualize.vocabulary_size", len(vocabulary))
-    return ContextualizedDatabase(
-        annotated=annotated,
-        context_terms=context_terms,
-        expanded_sets=expanded_sets,
-        vocabulary=vocabulary,
-        columns=columns,
-    )
+        metrics.gauge("contextualize.vocabulary_size", len(database.vocabulary))
+    return database

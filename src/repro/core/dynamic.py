@@ -14,10 +14,7 @@ hierarchies for any subset of documents on demand.
 
 from __future__ import annotations
 
-from ..corpus.document import Document
-from ..text.vocabulary import Vocabulary
-from .annotate import AnnotatedDatabase
-from .contextualize import ContextualizedDatabase
+from .contextualize import ContextualizedDatabase, assemble_databases
 from .hierarchy import FacetHierarchy, build_facet_hierarchies
 from .selection import FacetTermCandidate, select_facet_terms
 
@@ -36,47 +33,32 @@ class DynamicFaceter:
         self._full = contextualized
         self._top_k = top_k
         self._edge_validator = edge_validator
-        self._documents = {
-            doc.doc_id: doc for doc in contextualized.annotated.documents
+        # Row i of both column sets is annotated.documents[i].
+        self._positions = {
+            doc.doc_id: position
+            for position, doc in enumerate(contextualized.annotated.documents)
         }
 
     def _subset_database(self, doc_ids: list[str]) -> ContextualizedDatabase:
         """A contextualized database restricted to ``doc_ids``.
 
-        Reuses the offline per-document term sets — no re-extraction and
+        Reuses the offline per-document id rows — no re-extraction and
         no resource queries happen here.
         """
-        documents: list[Document] = []
-        original_vocab = Vocabulary()
-        expanded_vocab = Vocabulary()
-        term_sets: dict[str, set[str]] = {}
-        expanded_sets: dict[str, set[str]] = {}
-        context_terms: dict[str, list[str]] = {}
-        important: dict[str, list[str]] = {}
-        for doc_id in doc_ids:
-            document = self._documents.get(doc_id)
-            if document is None:
-                continue
-            documents.append(document)
-            originals = self._full.annotated.term_sets.get(doc_id, set())
-            expanded = self._full.expanded_sets.get(doc_id, set())
-            term_sets[doc_id] = originals
-            expanded_sets[doc_id] = expanded
-            context_terms[doc_id] = self._full.context(doc_id)
-            important[doc_id] = self._full.annotated.important(doc_id)
-            original_vocab.add_document(originals)
-            expanded_vocab.add_document(expanded)
-        annotated = AnnotatedDatabase(
-            documents=documents,
-            important_terms=important,
-            vocabulary=original_vocab,
-            term_sets=term_sets,
-        )
-        return ContextualizedDatabase(
-            annotated=annotated,
-            context_terms=context_terms,
-            expanded_sets=expanded_sets,
-            vocabulary=expanded_vocab,
+        full = self._full
+        positions = [
+            position
+            for position in map(self._positions.get, doc_ids)
+            if position is not None
+        ]
+        documents = [full.annotated.documents[p] for p in positions]
+        return assemble_databases(
+            documents,
+            {doc.doc_id: full.annotated.important(doc.doc_id) for doc in documents},
+            {doc.doc_id: full.context(doc.doc_id) for doc in documents},
+            full.columns.interner,
+            [full.annotated.columns.ids_of(p) for p in positions],
+            [full.columns.ids_of(p) for p in positions],
         )
 
     def facet_terms(self, doc_ids: list[str]) -> list[FacetTermCandidate]:

@@ -5,16 +5,23 @@ co-occurrence in the *contextualized* database; each root of the
 resulting forest becomes one browsing facet, and every node is populated
 with the documents whose expanded term set contains the node's term —
 the OLAP-style structure the user study browses.
+
+Both pipelines read those documents from positional postings (term id
+-> ascending document positions, :class:`PositionalPostings`): the
+batch pipeline inverts its contextualized columns for the selected
+terms, the stream keeps its postings current per batch.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import Protocol
 
 from ..errors import HierarchyError
 from ..observability.context import current_metrics
 from ..text.tokenizer import normalize_term
+from ..text.vocabulary import TermInterner
 from .contextualize import ContextualizedDatabase
 from .selection import FacetTermCandidate
 from .subsumption import SubsumptionHierarchy, build_subsumption_hierarchy
@@ -79,9 +86,28 @@ DEFAULT_MAX_DF_RATIO = 30.0
 DEFAULT_MAX_COVERAGE = 0.75
 
 
-def build_facet_hierarchies(
+class PositionalPostings(Protocol):
+    """The hierarchy stage's one input: per term id, the ascending
+    positions of the documents whose expanded term set holds it (ids
+    without documents may be absent).
+
+    :class:`~repro.core.columnar.DocumentColumns` (the batch
+    contextualized columns) inverts its rows on demand;
+    :class:`~repro.incremental.state.IncrementalState` keeps its
+    postings current as documents arrive.
+    """
+
+    interner: TermInterner
+
+    @property
+    def doc_ids(self) -> Sequence[str]: ...  # the document id at each position
+
+    def postings(self, term_ids: Iterable[int]) -> Mapping[int, Sequence[int]]: ...
+
+
+def hierarchies_from_postings(
     candidates: list[FacetTermCandidate],
-    database: ContextualizedDatabase,
+    index: PositionalPostings,
     threshold: float = 0.8,
     min_docs: int = 1,
     max_df_ratio: float | None = DEFAULT_MAX_DF_RATIO,
@@ -90,13 +116,17 @@ def build_facet_hierarchies(
 ) -> list[FacetHierarchy]:
     """Group facet terms into per-facet trees and populate them.
 
+    The one entry of the hierarchy stage: the batch pipeline passes its
+    contextualized columns, the stream its maintained state, and both
+    run this exact code, so the trees cannot diverge.
+
     Parameters
     ----------
     candidates:
         Output of :func:`repro.core.selection.select_facet_terms`.
-    database:
-        The contextualized database (co-occurrence source and document
-        population).
+    index:
+        Positional postings over the contextualized database
+        (co-occurrence source and document population).
     threshold:
         Subsumption threshold.
     min_docs:
@@ -104,72 +134,18 @@ def build_facet_hierarchies(
     """
     if min_docs < 1:
         raise HierarchyError(f"min_docs must be >= 1, got {min_docs}")
-    terms = [normalize_term(c.term) for c in candidates]
-    doc_sets: dict[str, set[str]] = {}
-    columns = database.columns
-    if columns is not None and len(columns) == len(database.expanded_sets):
-        # Columnar fast path: invert the expanded id columns for just
-        # the candidate ids (one pass) instead of scanning every
-        # document's string set once per candidate.  The id rows hold
-        # exactly the expanded_sets members, so the doc sets are equal.
-        id_of = columns.interner.id_of
-        candidate_ids = {
-            term_id
-            # order: building a set from a set is order-insensitive
-            for term_id in (id_of(term) for term in set(terms))
-            if term_id is not None
-        }
-        postings = columns.postings(candidate_ids)
-        doc_ids = columns.doc_ids
-        for term in terms:
-            term_id = id_of(term)
-            posting = postings.get(term_id) if term_id is not None else None
-            docs = (
-                {doc_ids[index] for index in posting}
-                if posting is not None
-                else set()
-            )
-            if len(docs) >= min_docs:
-                doc_sets[term] = docs
-    else:
-        for term in terms:
-            docs = {
-                doc_id
-                for doc_id, expanded in database.expanded_sets.items()
-                if term in expanded
-            }
-            if len(docs) >= min_docs:
-                doc_sets[term] = docs
-    return build_hierarchies_from_doc_sets(
-        terms,
-        doc_sets,
-        len(database.annotated.documents),
-        threshold=threshold,
-        max_df_ratio=max_df_ratio,
-        max_coverage=max_coverage,
-        edge_validator=edge_validator,
-    )
-
-
-def build_hierarchies_from_doc_sets(
-    terms: list[str],
-    doc_sets: dict[str, set[str]],
-    document_count: int,
-    threshold: float = 0.8,
-    max_df_ratio: float | None = DEFAULT_MAX_DF_RATIO,
-    max_coverage: float = DEFAULT_MAX_COVERAGE,
-    edge_validator: Callable[[str, str], bool] | None = None,
-) -> list[FacetHierarchy]:
-    """Build facet trees from precomputed per-term document sets.
-
-    The shared back half of :func:`build_facet_hierarchies`: the batch
-    pipeline scans ``expanded_sets`` to produce ``doc_sets``, while the
-    incremental pipeline reads them straight from its postings index —
-    both then run this exact code, so the trees cannot diverge.
-    """
     if not 0 < max_coverage <= 1:
         raise HierarchyError(f"max_coverage must be in (0, 1], got {max_coverage}")
-    max_parent_df = int(max_coverage * max(document_count, 1))
+    terms = [normalize_term(c.term) for c in candidates]
+    term_ids = [index.interner.id_of(term) for term in terms]
+    postings = index.postings({i for i in term_ids if i is not None})
+    doc_ids = index.doc_ids
+    doc_sets: dict[str, set[str]] = {}
+    for term, term_id in zip(terms, term_ids):
+        posting = postings.get(term_id, ())
+        if len(posting) >= min_docs:
+            doc_sets[term] = {doc_ids[position] for position in posting}
+    max_parent_df = int(max_coverage * max(len(doc_ids), 1))
     usable = [t for t in terms if t in doc_sets]
     subsumption = build_subsumption_hierarchy(
         usable,
@@ -189,6 +165,16 @@ def build_hierarchies_from_doc_sets(
             "hierarchy.nodes", sum(facet.size for facet in hierarchies)
         )
     return hierarchies
+
+
+def build_facet_hierarchies(
+    candidates: list[FacetTermCandidate],
+    database: ContextualizedDatabase,
+    **options,
+) -> list[FacetHierarchy]:
+    """:func:`hierarchies_from_postings` over a contextualized database's
+    columns (``options`` as there)."""
+    return hierarchies_from_postings(candidates, database.columns, **options)
 
 
 def hierarchies_from_subsumption(

@@ -15,9 +15,8 @@ import sqlite3
 
 from ..corpus.document import Document
 from ..errors import StorageError
-from ..text.vocabulary import Vocabulary
-from .annotate import AnnotatedDatabase
-from .contextualize import ContextualizedDatabase
+from ..text.vocabulary import TermInterner
+from .contextualize import ContextualizedDatabase, assemble_databases
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS important_terms (
@@ -91,15 +90,13 @@ def load_expansions(
     doc_ids are ignored, and documents without artifacts contribute
     empty sets.
     """
-    from ..text.tokenizer import normalize_term
-
     connection = sqlite3.connect(path)
     try:
         important_rows = connection.execute(
             "SELECT doc_id, pos, term FROM important_terms ORDER BY doc_id, pos"
         ).fetchall()
         original_rows = connection.execute(
-            "SELECT doc_id, term FROM original_terms"
+            "SELECT doc_id, term FROM original_terms ORDER BY doc_id, term"
         ).fetchall()
         context_rows = connection.execute(
             "SELECT doc_id, pos, term FROM context_terms ORDER BY doc_id, pos"
@@ -111,43 +108,28 @@ def load_expansions(
 
     known = {doc.doc_id for doc in documents}
     important: dict[str, list[str]] = {doc_id: [] for doc_id in sorted(known)}
-    term_sets: dict[str, set[str]] = {doc_id: set() for doc_id in sorted(known)}
+    original_terms: dict[str, list[str]] = {doc_id: [] for doc_id in sorted(known)}
     context_terms: dict[str, list[str]] = {doc_id: [] for doc_id in sorted(known)}
     for doc_id, _pos, term in important_rows:
         if doc_id in known:
             important[doc_id].append(term)
     for doc_id, term in original_rows:
         if doc_id in known:
-            term_sets[doc_id].add(term)
+            original_terms[doc_id].append(term)
     for doc_id, _pos, term in context_rows:
         if doc_id in known:
             context_terms[doc_id].append(term)
 
-    original_vocab = Vocabulary()
-    expanded_vocab = Vocabulary()
-    expanded_sets: dict[str, set[str]] = {}
-    for document in documents:
-        doc_id = document.doc_id
-        originals = term_sets[doc_id]
-        original_vocab.add_document(originals)
-        expanded = set(originals)
-        expanded.update(
-            key
-            for key in (normalize_term(t) for t in context_terms[doc_id])
-            if key
-        )
-        expanded_sets[doc_id] = expanded
-        expanded_vocab.add_document(expanded)
-
-    annotated = AnnotatedDatabase(
-        documents=list(documents),
-        important_terms=important,
-        vocabulary=original_vocab,
-        term_sets=term_sets,
-    )
-    return ContextualizedDatabase(
-        annotated=annotated,
-        context_terms=context_terms,
-        expanded_sets=expanded_sets,
-        vocabulary=expanded_vocab,
+    interner = TermInterner()
+    originals = [
+        interner.intern_many(original_terms[doc.doc_id]) for doc in documents
+    ]
+    expanded: list[list[int]] = []
+    for document, row in zip(documents, originals):
+        ids = set(row)
+        ids.update(interner.normalized_ids(context_terms[document.doc_id]))
+        ids.discard(TermInterner.EMPTY)
+        expanded.append(sorted(ids))
+    return assemble_databases(
+        documents, important, context_terms, interner, originals, expanded
     )

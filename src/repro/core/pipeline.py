@@ -31,7 +31,7 @@ from ..resources.base import ExternalResource
 from ..resources.engine import ResourcePrefetcher
 from .annotate import AnnotatedDatabase, annotate_database
 from .contextualize import ContextualizedDatabase, contextualize
-from .hierarchy import FacetHierarchy, build_facet_hierarchies
+from .hierarchy import FacetHierarchy, hierarchies_from_postings
 from .selection import DEFAULT_TOP_K, FacetTermCandidate, select_facet_terms
 
 log = get_logger(__name__)
@@ -328,9 +328,9 @@ class FacetExtractor:
         if self._build_hierarchies:
             with obs.tracer.span("stage:hierarchy") as span:
                 start = time.perf_counter()
-                hierarchies = build_facet_hierarchies(
+                hierarchies = hierarchies_from_postings(
                     facet_terms,
-                    contextualized,
+                    contextualized.columns,
                     threshold=self._subsumption_threshold,
                     edge_validator=self._edge_validator,
                 )

@@ -60,12 +60,9 @@ def figure5_baseline_terms(
         for term, _ in vocabulary.most_common(vocabulary_cap)
         if " " not in term
     ]
+    term_sets = annotated.term_sets
     doc_sets = {
-        term: {
-            doc_id
-            for doc_id, terms in annotated.term_sets.items()
-            if term in terms
-        }
+        term: {doc_id for doc_id, terms in term_sets.items() if term in terms}
         for term in frequent
     }
     hierarchy = build_subsumption_hierarchy(frequent, doc_sets)

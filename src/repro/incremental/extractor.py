@@ -14,8 +14,9 @@ the code the batch pipeline runs, never a copy of it:
 
 * Step 1 statistics run the batch pass's chunk worker
   (:func:`repro.core.annotate._columnar_stats_chunk`) and update the
-  shared :class:`~repro.text.vocabulary.Vocabulary` in place, which
-  keeps the background the Yahoo extractor adopted permanently current.
+  state's original :class:`~repro.core.columnar.ColumnarVocabulary` in
+  place, which keeps the background the Yahoo extractor adopted
+  permanently current.
 * Because that background changes with every batch, *every* cached
   document's tf·idf scores can shift.  Re-tokenizing the corpus would
   defeat the point, so the extractor caches each document's candidate
@@ -27,18 +28,19 @@ the code the batch pipeline runs, never a copy of it:
   ``use_background`` is rejected at construction.
 * Step 2 re-expands only new + dirty documents through the batch
   expansion, :func:`~repro.core.contextualize.expand_documents`
-  (resource answers are corpus-independent and memoized); the
-  contextualized vocabulary is repaired with
-  :meth:`Vocabulary.remove_document` / ``add_document``.
+  (resource answers are corpus-independent and memoized), interning
+  straight into the state's term table; the contextualized vocabulary
+  and the postings are repaired per changed expanded row
+  (:meth:`~repro.incremental.state.IncrementalState.set_expansion`).
 * Step 3 keeps a *pre-test set* — the terms with ``df_C > df``, the
   only possible shift candidates — maintained from per-batch df deltas,
   and ranks those terms only through the batch selection's own
   :func:`~repro.core.selection.rank_facet_terms`.  Its sort key
   ``(-score, term)`` is total, so the pre-test set yields exactly the
   batch pipeline's ranking.
-* Hierarchy construction reads per-term document sets from the
-  maintained postings index (no corpus scan) and runs the shared
-  :func:`~repro.core.hierarchy.build_hierarchies_from_doc_sets`.
+* Hierarchy construction hands the state's maintained positional
+  postings (no corpus scan) to the batch pipeline's one hierarchy
+  entry, :func:`~repro.core.hierarchy.hierarchies_from_postings`.
 
 Checkpointing is delegated to a
 :class:`~repro.incremental.checkpoint.CheckpointStore`; a snapshot is
@@ -53,13 +55,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 
-from ..core.annotate import (
-    AnnotatedDatabase,
-    _columnar_stats_chunk,
-    merge_important,
-)
-from ..core.contextualize import ContextualizedDatabase, expand_documents
-from ..core.hierarchy import FacetHierarchy, build_hierarchies_from_doc_sets
+from ..core.annotate import _columnar_stats_chunk, merge_important
+from ..core.contextualize import assemble_databases, expand_documents
+from ..core.hierarchy import FacetHierarchy, hierarchies_from_postings
 from ..core.pipeline import FacetExtractionResult, FacetExtractor
 from ..core.selection import FacetTermCandidate, rank_facet_terms
 from ..corpus.document import Document
@@ -70,8 +68,6 @@ from ..observability import names as obs_names
 from ..observability.logging import get_logger
 from ..parallel import chunked, map_chunks
 from ..text.interning import MemoizedChunk
-from ..text.tokenizer import normalize_term
-from ..text.vocabulary import TermInterner
 from .checkpoint import CheckpointStore
 from .state import DocumentState, IncrementalState
 
@@ -276,13 +272,15 @@ class IncrementalExtractor:
         with obs.collect(), obs.tracer.span(
             obs_names.SPAN_INCREMENTAL_BATCH, batch=label, documents=len(docs)
         ) as batch_span:
-            dirty: list[str] = []
+            dirty: list[int] = []
             flips = 0
-            touched: set[str] = set()
+            touched: set[int] = set()
             if docs:
+                old_count = state.document_count
                 touched = self._ingest(docs, obs)
-                dirty = self._rescore(new_ids, obs)
-                touched |= self._expand(new_ids, dirty, obs)
+                dirty = self._rescore(old_count, obs)
+                new = range(old_count, state.document_count)
+                touched |= self._expand([*dirty, *new], obs)
                 flips = state.update_pretest(touched)
                 self._select_and_build(obs)
             # An empty batch changes no statistic: the current result is
@@ -333,39 +331,26 @@ class IncrementalExtractor:
     def snapshot_result(self) -> FacetExtractionResult:
         """Materialize the current state as a batch-pipeline result.
 
-        Databases are rebuilt in ingestion order with copied
-        vocabularies/sets, so the snapshot compares equal — byte for
-        byte under canonical serialization — to ``FacetExtractor.run``
-        on the union corpus, and mutating it never corrupts the live
-        state.
+        Databases are assembled in ingestion order from copies of the
+        state's id rows, so the snapshot compares equal — byte for byte
+        under canonical serialization — to ``FacetExtractor.run`` on the
+        union corpus, and mutating it never corrupts the live state (it
+        shares only the append-only term table, whose ids never change).
         """
         state = self._state
-        annotated = AnnotatedDatabase(
-            documents=list(state.documents),
-            important_terms={
-                doc_id: list(doc_state.important)
-                for doc_id, doc_state in state.doc_states.items()
-            },
-            vocabulary=state.original_vocabulary.copy(),
-            term_sets={
-                doc_id: set(terms) for doc_id, terms in state.term_sets.items()
-            },
-        )
-        contextualized = ContextualizedDatabase(
-            annotated=annotated,
-            context_terms={
-                doc_id: list(doc_state.context_terms)
-                for doc_id, doc_state in state.doc_states.items()
-            },
-            expanded_sets={
-                doc_id: set(expanded)
-                for doc_id, expanded in state.expanded_sets.items()
-            },
-            vocabulary=state.contextualized_vocabulary.copy(),
+        documents = list(state.documents)
+        cached = [state.doc_states[document.doc_id] for document in documents]
+        contextualized = assemble_databases(
+            documents,
+            {d.doc_id: list(c.important) for d, c in zip(documents, cached)},
+            {d.doc_id: list(c.context_terms) for d, c in zip(documents, cached)},
+            state.interner,
+            state.original_rows,
+            state.expanded_rows,
         )
         return FacetExtractionResult(
-            documents=list(state.documents),
-            annotated=annotated,
+            documents=documents,
+            annotated=contextualized.annotated,
             contextualized=contextualized,
             facet_terms=list(self._facet_terms),
             hierarchies=list(self._hierarchies),
@@ -377,7 +362,7 @@ class IncrementalExtractor:
 
     # -- stages --------------------------------------------------------------
 
-    def _ingest(self, docs: list[Document], obs: Observability) -> set[str]:
+    def _ingest(self, docs: list[Document], obs: Observability) -> set[int]:
         """Step 1 for the new documents: statistics, then extraction.
 
         Statistics land first so the shared background vocabulary is the
@@ -386,7 +371,7 @@ class IncrementalExtractor:
         """
         state = self._state
         parallel = self._pipeline.parallel
-        touched: set[str] = set()
+        touched: set[int] = set()
         with obs.tracer.span(
             obs_names.SPAN_INCREMENTAL_ANNOTATION, documents=len(docs)
         ):
@@ -400,14 +385,11 @@ class IncrementalExtractor:
                 for doc_id, normalized in chunk_result:
                     stats[doc_id] = normalized
             for document in docs:
-                normalized = stats[document.doc_id]
-                state.documents.append(document)
-                state.doc_states[document.doc_id] = DocumentState(
-                    stats_terms=normalized, outputs=[]
+                touched.update(
+                    state.add_document(
+                        document, DocumentState(outputs=[]), stats[document.doc_id]
+                    )
                 )
-                state.term_sets[document.doc_id] = set(normalized)
-                state.original_vocabulary.add_document(normalized)
-                touched.update(normalized)
             extract = MemoizedChunk(
                 partial(
                     _annotate_chunk,
@@ -423,26 +405,24 @@ class IncrementalExtractor:
                     doc_state.important = merge_important(outputs)
         return touched
 
-    def _rescore(self, new_ids: set[str], obs: Observability) -> list[str]:
-        """Refresh corpus-dependent outputs of previously ingested docs.
+    def _rescore(self, old_count: int, obs: Observability) -> list[int]:
+        """Refresh corpus-dependent outputs of the first ``old_count``
+        (previously ingested) documents.
 
-        Returns the *dirty* document ids — those whose merged ``I(d)``
-        changed and therefore need re-expansion.  Documents whose
-        re-scored outputs merge to the same ``I(d)`` keep their cached
-        context untouched.
+        Returns the ascending positions of the *dirty* documents — those
+        whose merged ``I(d)`` changed and therefore need re-expansion.
+        Documents whose re-scored outputs merge to the same ``I(d)`` keep
+        their cached context untouched.
         """
         state = self._state
         extractors = self._pipeline.extractors
-        dirty: list[str] = []
-        if not self._rescore_indices or state.document_count == len(new_ids):
+        dirty: list[int] = []
+        if not self._rescore_indices or old_count == 0:
             return dirty
         with obs.tracer.span(obs_names.SPAN_INCREMENTAL_RESCORE) as span:
             rescored = 0
-            for document in state.documents:
-                doc_id = document.doc_id
-                if doc_id in new_ids:
-                    continue
-                doc_state = state.doc_states[doc_id]
+            for position in range(old_count):
+                doc_state = state.doc_states[state.documents[position].doc_id]
                 changed = False
                 for index in self._rescore_indices:
                     extractor = extractors[index]
@@ -457,7 +437,7 @@ class IncrementalExtractor:
                     important = merge_important(doc_state.outputs)
                     if important != doc_state.important:
                         doc_state.important = important
-                        dirty.append(doc_id)
+                        dirty.append(position)
             span.add("dirty_documents", len(dirty))
             if obs.metrics is not None:
                 obs.metrics.increment(
@@ -465,58 +445,36 @@ class IncrementalExtractor:
                 )
         return dirty
 
-    def _expand(
-        self, new_ids: set[str], dirty: list[str], obs: Observability
-    ) -> set[str]:
-        """Step 2 for new + dirty documents; repairs df statistics.
+    def _expand(self, positions: list[int], obs: Observability) -> set[int]:
+        """Step 2 for the documents at ``positions`` (dirty, then new;
+        ascending); repairs df statistics and postings.
 
-        Returns the terms whose contextualized df changed (posting set
-        edits), i.e. the candidates for pre-test membership flips.
+        Returns the term ids whose contextualized df changed, i.e. the
+        candidates for pre-test membership flips.
         """
         state = self._state
-        parallel = self._pipeline.parallel
-        pending = new_ids | set(dirty)
-        touched: set[str] = set()
-        if not pending:
+        touched: set[int] = set()
+        if not positions:
             return touched
-        doc_ids = [
-            document.doc_id
-            for document in state.documents
-            if document.doc_id in pending
+        doc_states = [
+            state.doc_states[state.documents[position].doc_id]
+            for position in positions
         ]
         with obs.tracer.span(
-            obs_names.SPAN_INCREMENTAL_CONTEXTUALIZATION, documents=len(doc_ids)
+            obs_names.SPAN_INCREMENTAL_CONTEXTUALIZATION, documents=len(positions)
         ):
-            interner = TermInterner()
             expansions = expand_documents(
-                [state.doc_states[doc_id].important for doc_id in doc_ids],
+                [doc_state.important for doc_state in doc_states],
                 self._pipeline.resources,
-                interner,
-                parallel,
+                state.interner,
+                self._pipeline.parallel,
                 obs,
             )
-            terms_by_id = interner.terms()
-            for doc_id, (merged, context_ids) in zip(
-                doc_ids, expansions, strict=True
+            for position, doc_state, (merged, context_ids) in zip(
+                positions, doc_states, expansions, strict=True
             ):
-                state.doc_states[doc_id].context_terms = merged
-                expanded = set(state.term_sets[doc_id])
-                expanded.update(terms_by_id[i] for i in context_ids)
-                previous = state.expanded_sets.get(doc_id)
-                if previous is None:
-                    state.contextualized_vocabulary.add_document(expanded)
-                    for term in expanded:
-                        state.add_posting(term, doc_id)
-                    touched.update(expanded)
-                elif previous != expanded:
-                    state.contextualized_vocabulary.remove_document(previous)
-                    state.contextualized_vocabulary.add_document(expanded)
-                    for term in previous - expanded:
-                        state.remove_posting(term, doc_id)
-                    for term in expanded - previous:
-                        state.add_posting(term, doc_id)
-                    touched.update(previous ^ expanded)
-                state.expanded_sets[doc_id] = expanded
+                doc_state.context_terms = merged
+                touched |= state.set_expansion(position, context_ids)
         return touched
 
     def _select_and_build(self, obs: Observability) -> None:
@@ -539,25 +497,13 @@ class IncrementalExtractor:
         self._hierarchies = []
         if pipeline.build_hierarchies:
             with obs.tracer.span(obs_names.SPAN_INCREMENTAL_HIERARCHY) as span:
-                self._hierarchies = self._build_hierarchies()
+                self._hierarchies = hierarchies_from_postings(
+                    self._facet_terms,
+                    state,
+                    threshold=pipeline.subsumption_threshold,
+                    edge_validator=pipeline.edge_validator,
+                )
                 span.add("facets", len(self._hierarchies))
-
-    def _build_hierarchies(self) -> list[FacetHierarchy]:
-        state = self._state
-        pipeline = self._pipeline
-        terms = [normalize_term(c.term) for c in self._facet_terms]
-        doc_sets: dict[str, set[str]] = {}
-        for term in terms:
-            docs = state.postings.get(term)
-            if docs:
-                doc_sets[term] = docs
-        return build_hierarchies_from_doc_sets(
-            terms,
-            doc_sets,
-            state.document_count,
-            threshold=pipeline.subsumption_threshold,
-            edge_validator=pipeline.edge_validator,
-        )
 
     # -- checkpointing -------------------------------------------------------
 

@@ -1,34 +1,43 @@
 """In-memory state of the incremental pipeline, and its snapshot form.
 
 :class:`IncrementalState` owns everything the append path maintains
-between batches:
+between batches, on the batch pipeline's columnar data plane:
 
-* the document list and per-document caches (stats terms, per-extractor
-  outputs, Yahoo candidate counts, merged ``I(d)``, context terms);
-* the two live :class:`~repro.text.vocabulary.Vocabulary` objects
-  (original and contextualized) updated in place;
-* the postings index ``term -> {doc_id}`` over the expanded term sets
-  (what the hierarchy stage reads instead of scanning every document);
+* the document list and per-document caches (per-extractor outputs,
+  Yahoo candidate counts, merged ``I(d)``, context terms);
+* one :class:`~repro.text.vocabulary.TermInterner` shared by the two
+  live :class:`~repro.core.columnar.ColumnarVocabulary` objects
+  (original and contextualized), updated in place;
+* per-document term-id rows indexed by ingestion position: the original
+  terms (with repeats) and the expanded set (original plus context
+  terms, distinct and ascending).  Documents are append-only, so a
+  position never changes;
+* the postings ``term id -> ascending positions`` over the expanded
+  rows — the :class:`~repro.core.hierarchy.PositionalPostings` the
+  hierarchy stage reads instead of scanning every document;
 * the selection pre-test set (terms with ``df_C > df`` — the only
   possible shift candidates) maintained from per-batch df deltas.
 
 Serialization is deliberately minimal: only the document payloads and
-per-document caches are written (sets sorted, canonical JSON upstream);
-the normalized context keys, vocabularies, postings, and the pre-test
-set are derived data and are rebuilt on load.  That keeps snapshots
-byte-deterministic and makes it impossible for a checkpoint to carry
-internally inconsistent statistics.
+per-document caches are written (canonical JSON upstream), the original
+terms as strings in emission order.  The id rows, vocabularies,
+postings and the pre-test set are derived data and are rebuilt on load.
+That keeps snapshots byte-deterministic and makes it impossible for a
+checkpoint to carry internally inconsistent statistics.
 """
 
 from __future__ import annotations
 
 import datetime
+from array import array
+from bisect import insort
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from ..core.columnar import ColumnarVocabulary
 from ..corpus.document import Document, GoldAnnotation
 from ..errors import StorageError
-from ..text.interning import TextMemo, normalize_term, use_text_memo
-from ..text.vocabulary import Vocabulary
+from ..text.vocabulary import TermInterner
 
 #: Schema tag of the serialized state section (inside the checkpoint).
 STATE_SCHEMA = "repro.incremental-state/1"
@@ -36,11 +45,9 @@ STATE_SCHEMA = "repro.incremental-state/1"
 
 @dataclass
 class DocumentState:
-    """Everything cached for one ingested document."""
+    """Everything cached for one ingested document (its term-id rows
+    live in :class:`IncrementalState`)."""
 
-    stats_terms: list[str]
-    """Normalized countable terms (ordered, with duplicates) — the
-    document's contribution to the original vocabulary."""
     outputs: list[list[str]]
     """Per-extractor important-term outputs, extractor order."""
     candidates: dict[int, list[tuple[str, int]]] = field(default_factory=dict)
@@ -58,11 +65,15 @@ class IncrementalState:
     def __init__(self) -> None:
         self.documents: list[Document] = []
         self.doc_states: dict[str, DocumentState] = {}
-        self.term_sets: dict[str, set[str]] = {}
-        self.expanded_sets: dict[str, set[str]] = {}
-        self.original_vocabulary = Vocabulary()
-        self.contextualized_vocabulary = Vocabulary()
-        self.postings: dict[str, set[str]] = {}
+        self.interner = TermInterner()
+        self.original_vocabulary = ColumnarVocabulary(self.interner)
+        self.contextualized_vocabulary = ColumnarVocabulary(self.interner)
+        # Position -> original term ids, emission order with repeats.
+        self.original_rows: list[array] = []
+        # Position -> expanded term ids, distinct and ascending.
+        self.expanded_rows: list[array] = []
+        # Term id -> ascending positions of the documents holding it.
+        self.term_positions: dict[int, array] = {}
         self.pretest: set[str] = set()
         self.batches_done: list[str] = []
 
@@ -72,33 +83,88 @@ class IncrementalState:
     def document_count(self) -> int:
         return len(self.documents)
 
+    @property
+    def doc_ids(self) -> list[str]:
+        """Document id at each position."""
+        return [document.doc_id for document in self.documents]
+
     def has_document(self, doc_id: str) -> bool:
         return doc_id in self.doc_states
 
-    def add_posting(self, term: str, doc_id: str) -> None:
-        docs = self.postings.get(term)
-        if docs is None:
-            docs = self.postings[term] = set()
-        docs.add(doc_id)
+    def postings(self, term_ids: Iterable[int]) -> dict[int, array]:
+        """The maintained postings of ``term_ids`` (ids without documents
+        are absent)."""
+        positions = self.term_positions
+        return {i: positions[i] for i in term_ids if i in positions}
 
-    def remove_posting(self, term: str, doc_id: str) -> None:
-        docs = self.postings.get(term)
-        if docs is None:
-            return
-        docs.discard(doc_id)
-        if not docs:
-            del self.postings[term]
+    def add_document(
+        self, document: Document, doc_state: DocumentState, terms: list[str]
+    ) -> list[int]:
+        """Append one document with its normalized original ``terms``.
 
-    def update_pretest(self, touched: set[str]) -> int:
-        """Re-test ``df_C > df`` membership for the touched terms only.
+        Registers the terms in the original vocabulary and returns their
+        ids; the document gets its expanded row from
+        :meth:`set_expansion`.
+        """
+        ids = self.interner.intern_many(terms)
+        self.documents.append(document)
+        self.doc_states[document.doc_id] = doc_state
+        self.original_rows.append(array("i", ids))
+        self.original_vocabulary.add_document_ids(ids)
+        return ids
+
+    def set_expansion(self, position: int, context_ids: Iterable[int]) -> set[int]:
+        """(Re)set the expanded row of the document at ``position``.
+
+        The row becomes the document's original ids plus ``context_ids``;
+        the contextualized vocabulary and the postings are repaired to
+        match.  Rows are set in position order on first expansion.
+        Returns the ids whose contextualized df changed.
+        """
+        expanded = set(self.original_rows[position])
+        expanded.update(context_ids)
+        vocabulary = self.contextualized_vocabulary
+        if position == len(self.expanded_rows):
+            previous: set[int] = set()
+            self.expanded_rows.append(array("i"))
+        else:
+            previous = set(self.expanded_rows[position])
+            if previous == expanded:
+                return set()
+            vocabulary.remove_document_ids(self.expanded_rows[position])
+        row = self.expanded_rows[position] = array("i", sorted(expanded))
+        vocabulary.add_document_distinct_ids(row)
+        postings = self.term_positions
+        # order: each posting edit is keyed by its own term id
+        for term_id in previous - expanded:
+            posting = postings[term_id]
+            posting.remove(position)
+            if not posting:
+                del postings[term_id]
+        # order: each posting stays ascending whatever the visiting order
+        for term_id in expanded - previous:
+            posting = postings.get(term_id)
+            if posting is None:
+                postings[term_id] = array("i", [position])
+            elif posting[-1] < position:
+                posting.append(position)
+            else:
+                insort(posting, position)
+        return previous ^ expanded
+
+    def update_pretest(self, touched: set[int]) -> int:
+        """Re-test ``df_C > df`` membership for the touched term ids only.
 
         Returns the number of membership flips — the per-batch
         ``incremental.pretest_changes`` counter.
         """
         original = self.original_vocabulary
         contextualized = self.contextualized_vocabulary
+        terms = self.interner.terms()
         flips = 0
-        for term in touched:
+        # order: each id flips its own membership independently
+        for term_id in touched:
+            term = terms[term_id]
             member = contextualized.df(term) > original.df(term)
             if member:
                 if term not in self.pretest:
@@ -114,14 +180,16 @@ class IncrementalState:
     def to_payload(self) -> dict:
         """Snapshot the state as a JSON-safe, byte-deterministic dict.
 
-        Only source-of-truth data is written; every set is sorted here
-        (and every dict is sorted by the canonical-JSON writer), so two
-        equal states always serialize to identical bytes.
+        Only source-of-truth data is written (every dict is sorted by the
+        canonical-JSON writer), so two equal states always serialize to
+        identical bytes.
         """
+        term_of = self.interner.terms()
         docs_payload: dict[str, dict] = {}
-        for doc_id, doc_state in self.doc_states.items():
-            docs_payload[doc_id] = {
-                "stats_terms": list(doc_state.stats_terms),
+        for document, row in zip(self.documents, self.original_rows):
+            doc_state = self.doc_states[document.doc_id]
+            docs_payload[document.doc_id] = {
+                "stats_terms": [term_of[term_id] for term_id in row],
                 "outputs": [list(terms) for terms in doc_state.outputs],
                 "candidates": {
                     str(index): [[term, tf] for term, tf in pairs]
@@ -139,14 +207,14 @@ class IncrementalState:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "IncrementalState":
-        """Rebuild the full state (vocabularies, postings, pre-test set)
-        from a snapshot's source-of-truth data.
+        """Rebuild the full state (id rows, vocabularies, postings,
+        pre-test set) from a snapshot's source-of-truth data.
 
         Each document's context keys are derived from its context terms
-        under one :class:`~repro.text.interning.TextMemo`: the archive
-        repeats a few thousand distinct context terms, so each is
-        normalized once.  Older snapshots also stored the keys; that
-        entry is ignored.
+        through the state's interner, which normalizes each distinct
+        surface once: the archive repeats a few thousand distinct context
+        terms.  Older snapshots also stored the keys; that entry is
+        ignored.
         """
         schema = payload.get("schema")
         if schema != STATE_SCHEMA:
@@ -156,49 +224,36 @@ class IncrementalState:
         state = cls()
         state.batches_done = [str(b) for b in payload.get("batches_done", [])]
         docs_payload = payload.get("docs", {})
-        with use_text_memo(TextMemo()):
-            for doc_payload in payload.get("documents", []):
-                document = document_from_payload(doc_payload)
-                cached = docs_payload.get(document.doc_id)
-                if cached is None:
-                    raise StorageError(
-                        f"snapshot missing cache for document {document.doc_id!r}"
-                    )
-                doc_state = DocumentState(
-                    stats_terms=[str(t) for t in cached["stats_terms"]],
-                    outputs=[
-                        [str(t) for t in terms] for terms in cached["outputs"]
-                    ],
-                    candidates={
-                        int(index): [(str(term), int(tf)) for term, tf in pairs]
-                        for index, pairs in cached.get("candidates", {}).items()
-                    },
-                    important=[str(t) for t in cached["important"]],
-                    context_terms=[str(t) for t in cached["context_terms"]],
+        for doc_payload in payload.get("documents", []):
+            document = document_from_payload(doc_payload)
+            cached = docs_payload.get(document.doc_id)
+            if cached is None:
+                raise StorageError(
+                    f"snapshot missing cache for document {document.doc_id!r}"
                 )
-                state.ingest_restored(document, doc_state)
+            if state.has_document(document.doc_id):
+                raise StorageError(
+                    f"duplicate document in snapshot: {document.doc_id!r}"
+                )
+            doc_state = DocumentState(
+                outputs=[[str(t) for t in terms] for terms in cached["outputs"]],
+                candidates={
+                    int(index): [(str(term), int(tf)) for term, tf in pairs]
+                    for index, pairs in cached.get("candidates", {}).items()
+                },
+                important=[str(t) for t in cached["important"]],
+                context_terms=[str(t) for t in cached["context_terms"]],
+            )
+            state.add_document(
+                document, doc_state, [str(t) for t in cached["stats_terms"]]
+            )
+            context_ids = state.interner.normalized_ids(doc_state.context_terms)
+            state.set_expansion(
+                state.document_count - 1,
+                (i for i in context_ids if i != TermInterner.EMPTY),
+            )
         state.rebuild_pretest()
         return state
-
-    def ingest_restored(self, document: Document, doc_state: DocumentState) -> None:
-        """Attach one restored document and derive its statistics."""
-        doc_id = document.doc_id
-        if doc_id in self.doc_states:
-            raise StorageError(f"duplicate document in snapshot: {doc_id!r}")
-        self.documents.append(document)
-        self.doc_states[doc_id] = doc_state
-        term_set = set(doc_state.stats_terms)
-        self.term_sets[doc_id] = term_set
-        self.original_vocabulary.add_document(doc_state.stats_terms)
-        expanded = set(term_set)
-        expanded.update(map(normalize_term, doc_state.context_terms))
-        self.expanded_sets[doc_id] = expanded
-        self.contextualized_vocabulary.add_document(expanded)
-        for term in expanded:
-            docs = self.postings.get(term)
-            if docs is None:
-                docs = self.postings[term] = set()
-            docs.add(doc_id)
 
     def rebuild_pretest(self) -> None:
         """Derive the pre-test set from scratch (used after a restore)."""

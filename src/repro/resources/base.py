@@ -312,7 +312,8 @@ class ExternalResource(abc.ABC):
         parent = current_span()
         span: Span | None = None
         if parent is not None:
-            span = Span.begin(obs_names.resource_batch_span(label), terms=len(surfaces))
+            span = Span.begin(obs_names.resource_batch_span(label))
+            span.add("terms", len(surfaces))
         overridden = type(self).query_many is not ExternalResource.query_many
         start = time.perf_counter()
         token = _DEGRADED.set(False)
@@ -347,7 +348,6 @@ class ExternalResource(abc.ABC):
             )
         if span is not None:
             span.finish()
-            span.counters["terms"] = float(len(surfaces))
             parent.children.append(span)
         with self._lock:
             self._batch_queries += 1

@@ -188,14 +188,6 @@ class Vocabulary:
                 del self._df[term]
         self._ranks = None
 
-    def copy(self) -> "Vocabulary":
-        """An independent snapshot of the statistics."""
-        clone = Vocabulary()
-        clone._tf = Counter(self._tf)
-        clone._df = Counter(self._df)
-        clone._documents = self._documents
-        return clone
-
     # -- size accessors -------------------------------------------------------
 
     @property

@@ -185,50 +185,65 @@ class TestColumnarVocabularyEquivalence:
     def test_remove_document_matches_reference_including_errors(self):
         reference = Vocabulary()
         columnar = ColumnarVocabulary()
+        # The id-level twin the stream drives (remove_document_ids).
+        by_ids = ColumnarVocabulary(columnar.interner)
+        intern = columnar.interner.intern_many
         docs = random_documents(11, count=10)
         for doc in docs:
             reference.add_document(doc)
             columnar.add_document(doc)
+            by_ids.add_document_ids(intern(doc))
         for doc in docs[:5]:
             reference.remove_document(doc)
             columnar.remove_document(doc)
-        assert columnar.document_count == reference.document_count
-        assert sorted(columnar.terms()) == sorted(reference.terms())
-        for term in WORDS:
-            assert columnar.df(term) == reference.df(term)
-            assert columnar.tf(term) == reference.tf(term)
-            assert columnar.rank(term) == reference.rank(term)
+            by_ids.remove_document_ids(intern(doc))
+        # The stream's dirty re-expansion: remove a document, re-add a
+        # changed one — terms dropped (some df reach zero), terms kept,
+        # terms new to the vocabulary, and zero-df terms coming back.
+        rng = random.Random(29)
+        live = [list(doc) for doc in docs[5:]]
+        extra = [f"fresh-{i}" for i in range(4)]
+        for step in range(40):
+            position = rng.randrange(len(live))
+            old = live[position]
+            new = [term for term in old if rng.random() < 0.5]
+            new += rng.choices([*WORDS, *extra], k=rng.randint(0, 6))
+            if step % 7 == 0:
+                new = []  # an emptied document
+            reference.remove_document(old)
+            columnar.remove_document(old)
+            by_ids.remove_document_ids(intern(old))
+            reference.add_document(new)
+            columnar.add_document(new)
+            by_ids.add_document_ids(intern(new))
+            live[position] = new
+            for vocabulary in (columnar, by_ids):
+                assert vocabulary.document_count == reference.document_count
+                assert sorted(vocabulary.terms()) == sorted(reference.terms())
+                for term in [*WORDS, *extra, "never-seen"]:
+                    assert vocabulary.df(term) == reference.df(term)
+                    assert vocabulary.tf(term) == reference.tf(term)
+                    assert vocabulary.rank(term) == reference.rank(term)
+                assert dict(vocabulary.df_map()) == dict(reference.df_map())
+                assert dict(vocabulary.rank_map()) == dict(reference.rank_map())
+                assert vocabulary.most_common() == reference.most_common()
+                assert vocabulary.most_common(3) == reference.most_common(3)
         with pytest.raises(ValueError, match="never added"):
             columnar.remove_document(["never-seen"])
+        with pytest.raises(ValueError, match="never added"):
+            columnar.remove_document(["storm"] * 1000)
+        with pytest.raises(ValueError, match="never added"):
+            by_ids.remove_document_ids([columnar.interner.intern("unused")])
         empty = ColumnarVocabulary()
         with pytest.raises(ValueError, match="empty vocabulary"):
             empty.remove_document(["storm"])
+        with pytest.raises(ValueError, match="empty vocabulary"):
+            empty.remove_document_ids([0])
         # Failed removals must not have touched any statistic.
-        assert columnar.document_count == reference.document_count
-
-    def test_copy_is_independent_but_shares_the_interner(self):
-        columnar = ColumnarVocabulary()
-        columnar.add_document(["storm", "election"])
-        clone = columnar.copy()
-        assert clone.interner is columnar.interner
-        clone.add_document(["storm"])
-        assert columnar.df("storm") == 1
-        assert clone.df("storm") == 2
-
-    def test_copy_is_independent(self):
-        """The clone's columns are its own copies, in both directions."""
-        columnar = ColumnarVocabulary()
-        columnar.add_document(["storm", "election"])
-        clone = columnar.copy()
-        clone.add_document(["storm"])
-        clone.add_document(["storm", "storm", "senate"])  # grows the clone
-        assert columnar.df("storm") == 1
-        assert columnar.tf("storm") == 1
-        assert "senate" not in columnar
-        assert clone.df("storm") == 3
-        assert clone.tf("storm") == 4
-        columnar.remove_document(["storm", "election"])
-        assert clone.df("election") == 1  # and the other way round
+        for vocabulary in (columnar, by_ids):
+            assert vocabulary.document_count == reference.document_count
+            assert dict(vocabulary.df_map()) == dict(reference.df_map())
+            assert vocabulary.most_common() == reference.most_common()
 
 
 class TestDocumentColumns:

@@ -7,7 +7,9 @@ import time
 import pytest
 
 from repro.core.dynamic import DynamicFaceter
+from repro.core.export import to_dict
 from repro.core.interface import FacetedInterface
+from repro.incremental import canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +75,40 @@ class TestDynamicFaceter:
             all_ids = set(ids)
             for facet in facets:
                 assert facet.root.doc_ids <= all_ids
+
+
+class TestWholeCollectionDifferential:
+    """Faceting every document reproduces the batch run byte for byte."""
+
+    def test_all_documents_reproduce_the_pipeline_result(
+        self, builder, pipeline_result
+    ):
+        pipeline = builder.build()
+        faceter = DynamicFaceter(
+            pipeline_result.contextualized,
+            top_k=pipeline.top_k,
+            edge_validator=pipeline.edge_validator,
+        )
+        ids = [document.doc_id for document in pipeline_result.documents]
+
+        def term_rows(candidates):
+            return [
+                (
+                    c.term,
+                    c.df_original,
+                    c.df_contextualized,
+                    c.shift_f,
+                    c.shift_r,
+                    c.score.hex(),
+                )
+                for c in candidates
+            ]
+
+        assert term_rows(faceter.facet_terms(ids)) == term_rows(
+            pipeline_result.facet_terms
+        )
+        assert canonical_json(
+            to_dict(faceter.facets_for(ids), include_docs=True)
+        ) == canonical_json(
+            to_dict(pipeline_result.hierarchies, include_docs=True)
+        )

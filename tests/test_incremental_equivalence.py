@@ -27,6 +27,7 @@ from repro.builder import FacetPipelineBuilder
 from repro.config import ParallelConfig, ReproConfig
 from repro.corpus import build_snyt
 from repro.core.export import to_dict
+from repro.core.hierarchy import build_facet_hierarchies
 from repro.core.pipeline import FacetExtractor
 from repro.extractors import SignificantTermsExtractor, TermExtractor
 from repro.incremental import IncrementalExtractor, IncrementalState, canonical_json
@@ -114,6 +115,25 @@ class TestDifferentialEquivalence:
         expected_bytes, expected_state = baseline
         assert result_bytes(snapshot) == expected_bytes
         assert full_state(snapshot) == expected_state
+
+    def test_snapshot_database_rebuilds_the_stream_hierarchies(
+        self, inc_builder, docs
+    ):
+        """The snapshot's columns feed the batch hierarchy stage the
+        same document sets the stream's maintained postings do."""
+        inc_builder.with_parallel(ParallelConfig(workers=1))
+        extractor = inc_builder.build_incremental()
+        for batch in schedule(5, docs):
+            extractor.append(batch)
+        snap = extractor.snapshot_result()
+        rebuilt = build_facet_hierarchies(
+            snap.facet_terms,
+            snap.contextualized,
+            edge_validator=inc_builder.edge_evidence,
+        )
+        assert canonical_json(to_dict(rebuilt, include_docs=True)) == (
+            canonical_json(to_dict(extractor.hierarchies, include_docs=True))
+        )
 
     def test_randomized_seeded_split_matches_full_recompute(
         self, inc_builder, docs, baseline

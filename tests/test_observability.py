@@ -28,6 +28,7 @@ from repro.observability import (
     trace_jsonl_lines,
 )
 from repro.observability.metrics import Histogram, TimerStat
+from repro.resources.base import ExternalResource, ResourceName
 
 
 class TestSpan:
@@ -128,6 +129,40 @@ class TestTracer:
 
     def test_jsonl_lines_empty_forest(self):
         assert list(trace_jsonl_lines([])) == []
+
+
+class _EchoResource(ExternalResource):
+    name = ResourceName.GOOGLE
+
+    def _query(self, term):
+        if term == "boom":
+            raise RuntimeError("backend down")
+        return [f"{term} context"]
+
+
+class TestResourceBatchSpan:
+    """A ``resource:<label>:batch`` span records its size once, as a counter."""
+
+    def test_traced_batch_carries_its_size_exactly_once(self):
+        tracer = Tracer()
+        with tracer.span("root"):
+            _EchoResource().context_terms_many(["alpha", "beta", "gamma"])
+        [batch] = tracer.roots[0].children
+        assert batch.name == "resource:google:batch"
+        assert batch.counters == {"terms": 3.0}
+        assert batch.tags == {}
+        line = render_spans([batch])
+        assert line.count("terms=3") == 1
+
+    def test_failed_batch_still_records_its_size(self):
+        tracer = Tracer()
+        with pytest.raises(RuntimeError):
+            with tracer.span("root"):
+                _EchoResource().context_terms_many(["alpha", "boom"])
+        [batch] = tracer.roots[0].children
+        assert batch.status == "error"
+        assert batch.counters == {"terms": 2.0}
+        assert batch.tags == {}
 
 
 class TestNullTracer:

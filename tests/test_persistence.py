@@ -84,25 +84,22 @@ class TestByteDeterminism:
 
     @staticmethod
     def _database_with(terms: set[str]):
-        from repro.core.annotate import AnnotatedDatabase
-        from repro.core.contextualize import ContextualizedDatabase
+        from repro.core.contextualize import assemble_databases
         from repro.corpus.document import Document
-        from repro.text.vocabulary import Vocabulary
+        from repro.text.vocabulary import TermInterner
 
         doc = Document(doc_id="d1", title="t", body="b")
-        vocab = Vocabulary()
-        vocab.add_document(terms)
-        annotated = AnnotatedDatabase(
-            documents=[doc],
-            important_terms={"d1": sorted(terms)},
-            vocabulary=vocab,
-            term_sets={"d1": terms},
-        )
-        return ContextualizedDatabase(
-            annotated=annotated,
-            context_terms={"d1": []},
-            expanded_sets={"d1": set(terms)},
-            vocabulary=vocab,
+        # Interned in the set's own iteration order, so the column (and
+        # the term_sets view derived from it) keeps that history.
+        interner = TermInterner()
+        ids = interner.intern_many(terms)
+        return assemble_databases(
+            [doc],
+            {"d1": sorted(terms)},
+            {"d1": []},
+            interner,
+            [ids],
+            [sorted(ids)],
         )
 
     def test_equal_sets_built_differently_save_identical_bytes(self, tmp_path):

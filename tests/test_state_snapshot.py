@@ -1,0 +1,55 @@
+"""The checkpoint's state section, pinned byte for byte.
+
+A fixed SNB append schedule (60 stories in three batches, the later ones re-expanding
+dirty documents) must serialize to the bytes recorded when the stream
+state still kept string-keyed sets; the in-memory representation of the
+state may change, its snapshot format may not.  A state restored from
+those bytes must serialize back to exactly the bytes it was loaded from.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.builder import FacetPipelineBuilder
+from repro.config import ReproConfig
+from repro.corpus import build_snb
+from repro.incremental import IncrementalState, canonical_json
+
+#: sha256 of the canonical state payload after the schedule below.
+SNB_STATE_SHA256 = (
+    "888f909622988ecef2bded3b924a9ecd92bbbb883e65ede0c47bbfb2b6577fb7"
+)
+
+
+@pytest.fixture(scope="module")
+def snb_stream():
+    config = ReproConfig(scale=0.05)
+    documents = build_snb(config).documents[:60]
+    extractor = FacetPipelineBuilder(config).build_incremental()
+    reports = [
+        extractor.append(batch)
+        for batch in (documents[:12], documents[12:30], documents[30:])
+    ]
+    return extractor, reports
+
+
+def test_schedule_re_expands_dirty_documents(snb_stream):
+    _extractor, reports = snb_stream
+    assert sum(report.dirty_documents for report in reports) > 0
+
+
+def test_snapshot_bytes_are_pinned(snb_stream):
+    extractor, _reports = snb_stream
+    data = canonical_json(extractor.state.to_payload()).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == SNB_STATE_SHA256
+
+
+def test_restored_state_reserializes_to_the_loaded_bytes(snb_stream):
+    extractor, _reports = snb_stream
+    text = canonical_json(extractor.state.to_payload())
+    restored = IncrementalState.from_payload(json.loads(text))
+    assert canonical_json(restored.to_payload()) == text
