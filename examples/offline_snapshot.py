@@ -1,11 +1,12 @@
-"""Offline deployment: persist every artifact to SQLite and reload.
+"""Offline deployment: extract once, checkpoint, facet later from the checkpoint.
 
-Section V-D recommends performing term and context extraction offline.
-This example runs the full offline phase once, saves the document store,
-the simulated Wikipedia snapshot, AND the per-document expansions to
-SQLite files, then reloads everything in a fresh state and serves
-query-time dynamic faceting from the reloaded artifacts — the complete
-production loop.
+Section V-D recommends performing term and context extraction offline
+and computing facets over query results later.  This example runs the
+offline phase as one stream append into a checkpoint store, which
+persists every document with its important terms and context terms,
+and compiles the serving artifact for the browsing half.  A fresh
+pipeline then restores the checkpoint (no re-extraction, no resource
+queries) and serves query-time dynamic faceting from it.
 
 Run:  python examples/offline_snapshot.py
 """
@@ -18,50 +19,45 @@ from pathlib import Path
 from repro import FacetPipelineBuilder
 from repro.config import ReproConfig
 from repro.core.dynamic import DynamicFaceter
-from repro.core.persistence import load_expansions, save_expansions
 from repro.corpus import build_snyt
-from repro.db.store import DocumentStore
-from repro.extractors.wiki_titles import WikipediaTitleExtractor
-from repro.wikipedia import WikipediaDatabase
+from repro.incremental import CheckpointStore, IncrementalExtractor
+from repro.serving import FacetIndex
 
 
 def main() -> None:
     config = ReproConfig(scale=0.1)
     corpus = build_snyt(config)
-    builder = FacetPipelineBuilder(config)
-    result = builder.build().run(corpus.documents)  # the offline phase
 
     with tempfile.TemporaryDirectory() as tmp:
-        corpus_path = str(Path(tmp) / "corpus.sqlite")
-        wiki_path = str(Path(tmp) / "wikipedia.sqlite")
-        expansions_path = str(Path(tmp) / "expansions.sqlite")
+        run_dir = Path(tmp) / "run"
+        index_path = str(Path(tmp) / "facets.idx")
 
-        DocumentStore.from_corpus(corpus).save(corpus_path)
-        builder.substrates.wikipedia.save(wiki_path)
-        save_expansions(result.contextualized, expansions_path)
-        print(f"saved {len(corpus)} documents -> {corpus_path}")
-        print(
-            f"saved {builder.substrates.wikipedia.page_count} Wikipedia "
-            f"pages -> {wiki_path}"
+        # --- the offline phase ---
+        offline = IncrementalExtractor(
+            FacetPipelineBuilder(config).build(),
+            checkpoint=CheckpointStore(run_dir),
         )
-        print(f"saved per-document expansions -> {expansions_path}")
+        offline.append(corpus.documents, batch_id="archive")
+        print(f"checkpointed {offline.document_count} documents -> {run_dir}")
+        with FacetIndex.build(offline.snapshot_result(), path=index_path) as index:
+            print(f"built a {index.facet_count}-facet serving index -> {index_path}")
 
         # --- a fresh process would start here ---
-        store = DocumentStore.load(corpus_path)
-        snapshot = WikipediaDatabase.load(wiki_path)
-        restored = load_expansions(list(store), expansions_path)
+        restored = IncrementalExtractor.restore(
+            FacetPipelineBuilder(config).build(), CheckpointStore(run_dir)
+        )
+        snapshot = restored.snapshot_result()
         print(
-            f"reloaded {len(store)} documents, {snapshot.page_count} pages, "
-            f"and expansions"
+            f"reloaded {restored.document_count} documents and their "
+            f"expansions from the checkpoint"
         )
 
-        extractor = WikipediaTitleExtractor(snapshot)
-        doc = next(iter(store))
+        doc = snapshot.documents[0]
         print(f"\n[{doc.doc_id}] {doc.title}")
-        print("important terms:", extractor.extract(doc))
+        print("important terms:", snapshot.annotated.important(doc.doc_id))
 
-        faceter = DynamicFaceter(restored)
-        subset = [d.doc_id for d in list(store)[:30]]
+        faceter = DynamicFaceter(snapshot.contextualized)
+        subset = [d.doc_id for d in snapshot.documents[:30]]
         terms = faceter.facet_terms(subset)
         print(
             "dynamic facets over 30 reloaded docs:",

@@ -22,7 +22,6 @@ from .contextualize import ContextualizedDatabase, contextualize
 from .distributional import divergence_scores, kl_divergence, skew_divergence
 from .dynamic import DynamicFaceter
 from .export import from_dict, to_dict, to_flat_rows, to_json, to_text_tree
-from .persistence import load_expansions, save_expansions
 from .evidence import LinkEvidence
 from .shifts import frequency_shift, rank_shift
 from .likelihood import log_likelihood_ratio
@@ -44,8 +43,6 @@ __all__ = [
     "to_text_tree",
     "to_flat_rows",
     "from_dict",
-    "save_expansions",
-    "load_expansions",
     "kl_divergence",
     "skew_divergence",
     "LinkEvidence",

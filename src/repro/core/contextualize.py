@@ -93,9 +93,9 @@ def assemble_databases(
 
     ``original_rows`` are each document's original term ids in
     ``interner`` (repeats count towards tf); ``expanded_rows`` are as
-    in :func:`expanded_database`.  The stream's snapshot, dynamic
-    faceting over a subset and the expansion loader all build their
-    databases here, so every database carries columns.
+    in :func:`expanded_database`.  The stream's snapshot and dynamic
+    faceting over a subset build their databases here, so every
+    database carries columns.
     """
     vocabulary = ColumnarVocabulary(interner)
     columns = DocumentColumns(interner)

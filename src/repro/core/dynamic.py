@@ -43,12 +43,13 @@ class DynamicFaceter:
         """A contextualized database restricted to ``doc_ids``.
 
         Reuses the offline per-document id rows — no re-extraction and
-        no resource queries happen here.
+        no resource queries happen here.  A repeated id counts once, in
+        first-seen order: a result set is a set of documents.
         """
         full = self._full
         positions = [
             position
-            for position in map(self._positions.get, doc_ids)
+            for position in map(self._positions.get, dict.fromkeys(doc_ids))
             if position is not None
         ]
         documents = [full.annotated.documents[p] for p in positions]

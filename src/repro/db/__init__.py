@@ -2,10 +2,10 @@
 
 The paper treats the news archive as a searchable text database with an
 OLAP-style faceted layer on top.  This subpackage provides that
-substrate: a document store (in-memory, with an optional SQLite backing
-for persistence), an inverted index maintaining the document frequencies
-the facet analysis needs, and BM25 ranked keyword search used by the
-browsing interface and the user-study simulator.
+substrate: an in-memory document store, an inverted index maintaining
+the document frequencies the facet analysis needs, and BM25 ranked
+keyword search used by the browsing interface and the user-study
+simulator.
 """
 
 from .store import DocumentStore

@@ -1,32 +1,19 @@
 """Document storage.
 
-:class:`DocumentStore` keeps documents in memory and can persist to or
-load from SQLite (stdlib ``sqlite3``), so corpora survive between runs of
-the benchmark harness without regeneration.
+:class:`DocumentStore` keeps documents in memory with id lookup.  The
+row codec (:data:`DOCUMENT_COLUMNS`, :func:`document_to_row`,
+:func:`document_from_row`) flattens a document, gold annotation
+included, into the serving artifact's ``documents`` table
+(:mod:`repro.serving.artifact`), which is where documents persist.
 """
 
 from __future__ import annotations
 
-import sqlite3
 from collections.abc import Iterable, Iterator
 from datetime import date
 
-from ..corpus.document import Corpus, Document, GoldAnnotation
+from ..corpus.document import Document, GoldAnnotation
 from ..errors import StorageError
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS documents (
-    doc_id     TEXT PRIMARY KEY,
-    title      TEXT NOT NULL,
-    body       TEXT NOT NULL,
-    source     TEXT NOT NULL,
-    published  TEXT NOT NULL,
-    gold_topic TEXT,
-    gold_entities TEXT,
-    gold_facets   TEXT,
-    gold_leaked   TEXT
-);
-"""
 
 _FIELD_SEP = "\x1f"  # unit separator: safe because terms never contain it
 
@@ -41,7 +28,7 @@ def _unpack(packed: str | None) -> tuple[str, ...]:
     return tuple(packed.split(_FIELD_SEP))
 
 
-#: Column order shared by every SQLite document table (store + artifact).
+#: Column order of the serving artifact's ``documents`` table.
 DOCUMENT_COLUMNS = (
     "doc_id",
     "title",
@@ -99,11 +86,6 @@ class DocumentStore:
         for document in documents:
             self.add(document)
 
-    @classmethod
-    def from_corpus(cls, corpus: Corpus) -> "DocumentStore":
-        """Build a store holding every document of ``corpus``."""
-        return cls(corpus.documents)
-
     def add(self, document: Document) -> None:
         """Add one document; ids must be unique."""
         if document.doc_id in self._by_id:
@@ -126,38 +108,3 @@ class DocumentStore:
 
     def __iter__(self) -> Iterator[Document]:
         return iter(self._documents)
-
-    # -- SQLite persistence -----------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Persist all documents to a SQLite database file."""
-        connection = sqlite3.connect(path)
-        try:
-            with connection:
-                connection.executescript(_SCHEMA)
-                connection.execute("DELETE FROM documents")
-                connection.executemany(
-                    "INSERT INTO documents VALUES (?,?,?,?,?,?,?,?,?)",
-                    [document_to_row(doc) for doc in self._documents],
-                )
-        finally:
-            connection.close()
-
-    @classmethod
-    def load(cls, path: str) -> "DocumentStore":
-        """Load a store previously written with :meth:`save`."""
-        connection = sqlite3.connect(path)
-        try:
-            rows = connection.execute(
-                "SELECT doc_id, title, body, source, published, gold_topic,"
-                " gold_entities, gold_facets, gold_leaked"
-                " FROM documents ORDER BY rowid"
-            ).fetchall()
-        except sqlite3.DatabaseError as exc:
-            raise StorageError(f"cannot read document store at {path!r}") from exc
-        finally:
-            connection.close()
-        store = cls()
-        for row in rows:
-            store.add(document_from_row(row))
-        return store

@@ -3,38 +3,20 @@
 Mirrors the paper's setup ("we downloaded the contents of Wikipedia and
 built a relational database that contains, among other things, the titles
 of all the Wikipedia pages"): pages, redirects, anchors, and links live
-in memory for speed and can be persisted to SQLite.
+in memory.  The snapshot is not persisted: :mod:`repro.wikipedia.builder`
+derives it deterministically from the world model on every run, and the
+answers resources draw from it persist in the resource cache
+(:mod:`repro.db.resource_cache`).
 """
 
 from __future__ import annotations
 
-import sqlite3
 from collections import defaultdict
 from collections.abc import Iterable
 
 from ..errors import StorageError
 from ..text.interning import normalize_term
 from .model import AnchorStats, WikiPage
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS pages (
-    title TEXT PRIMARY KEY,
-    body  TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS links (
-    source TEXT NOT NULL,
-    target TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS redirects (
-    variant TEXT PRIMARY KEY,
-    target  TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS anchors (
-    phrase TEXT NOT NULL,
-    target TEXT NOT NULL,
-    tf     INTEGER NOT NULL
-);
-"""
 
 
 class WikipediaDatabase:
@@ -182,82 +164,3 @@ class WikipediaDatabase:
         """All title and redirect surfaces (normalized forms)."""
         yield from self._title_by_norm
         yield from self._redirects
-
-    # -- persistence -----------------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Write the snapshot to SQLite."""
-        connection = sqlite3.connect(path)
-        try:
-            with connection:
-                connection.executescript(_SCHEMA)
-                connection.execute("DELETE FROM pages")
-                connection.execute("DELETE FROM links")
-                connection.execute("DELETE FROM redirects")
-                connection.execute("DELETE FROM anchors")
-                connection.executemany(
-                    "INSERT INTO pages VALUES (?,?)",
-                    [(p.title, "\x1f".join(p.body_terms)) for p in self._pages.values()],
-                )
-                connection.executemany(
-                    "INSERT INTO links VALUES (?,?)",
-                    [
-                        (page.title, target)
-                        for page in self._pages.values()
-                        for target in page.links
-                    ],
-                )
-                connection.executemany(
-                    "INSERT INTO redirects VALUES (?,?)",
-                    [
-                        (variant, target)
-                        for target, variants in self._redirect_groups.items()
-                        for variant in variants
-                    ],
-                )
-                connection.executemany(
-                    "INSERT INTO anchors VALUES (?,?,?)",
-                    [
-                        (stats.phrase, target, tf)
-                        for stats in self._anchors.values()
-                        for target, tf in stats.targets.items()
-                    ],
-                )
-        finally:
-            connection.close()
-
-    @classmethod
-    def load(cls, path: str) -> "WikipediaDatabase":
-        """Load a snapshot written with :meth:`save`."""
-        connection = sqlite3.connect(path)
-        try:
-            page_rows = connection.execute("SELECT title, body FROM pages").fetchall()
-            link_rows = connection.execute("SELECT source, target FROM links").fetchall()
-            redirect_rows = connection.execute(
-                "SELECT variant, target FROM redirects"
-            ).fetchall()
-            anchor_rows = connection.execute(
-                "SELECT phrase, target, tf FROM anchors"
-            ).fetchall()
-        except sqlite3.DatabaseError as exc:
-            raise StorageError(f"cannot read Wikipedia snapshot at {path!r}") from exc
-        finally:
-            connection.close()
-        links_by_source: dict[str, list[str]] = defaultdict(list)
-        for source, target in link_rows:
-            links_by_source[source].append(target)
-        database = cls()
-        for title, body in page_rows:
-            body_terms = tuple(body.split("\x1f")) if body else ()
-            database.add_page(
-                WikiPage(
-                    title=title,
-                    links=tuple(links_by_source.get(title, ())),
-                    body_terms=body_terms,
-                )
-            )
-        for variant, target in redirect_rows:
-            database.add_redirect(variant, target)
-        for phrase, target, tf in anchor_rows:
-            database.add_anchor(phrase, target, tf)
-        return database

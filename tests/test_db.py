@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from datetime import date
-
 import pytest
 
-from repro.corpus.document import Document, GoldAnnotation
+from repro.corpus.document import Document
 from repro.db.inverted_index import InvertedIndex
 from repro.db.search import BM25Searcher
 from repro.db.store import DocumentStore
@@ -46,37 +44,6 @@ class TestDocumentStore:
         store = DocumentStore(docs)
         assert "d1" in store
         assert [d.doc_id for d in store] == ["d1", "d2", "d3"]
-
-    def test_sqlite_roundtrip(self, docs, tmp_path):
-        gold = GoldAnnotation(
-            topic="weather",
-            entity_names=("Storm Center",),
-            facet_terms=("Nature", "Weather"),
-            leaked_terms=("Weather",),
-        )
-        original = Document(
-            doc_id="g1",
-            title="T",
-            body="B",
-            source="S",
-            published=date(2005, 11, 3),
-            gold=gold,
-        )
-        store = DocumentStore(docs + [original])
-        path = str(tmp_path / "store.sqlite")
-        store.save(path)
-        loaded = DocumentStore.load(path)
-        assert len(loaded) == 4
-        restored = loaded.get("g1")
-        assert restored.gold == gold
-        assert restored.published == date(2005, 11, 3)
-        assert loaded.get("d1").gold is None
-
-    def test_load_bad_file(self, tmp_path):
-        path = tmp_path / "garbage.sqlite"
-        path.write_text("this is not sqlite")
-        with pytest.raises(StorageError):
-            DocumentStore.load(str(path))
 
 
 class TestInvertedIndex:

@@ -9,7 +9,26 @@ import pytest
 from repro.core.dynamic import DynamicFaceter
 from repro.core.export import to_dict
 from repro.core.interface import FacetedInterface
-from repro.incremental import canonical_json
+from repro.incremental import CheckpointStore, IncrementalExtractor, canonical_json
+
+
+def term_rows(candidates):
+    """Facet terms with their statistics, scores as IEEE-754 hex."""
+    return [
+        (
+            c.term,
+            c.df_original,
+            c.df_contextualized,
+            c.shift_f,
+            c.shift_r,
+            c.score.hex(),
+        )
+        for c in candidates
+    ]
+
+
+def hierarchy_json(hierarchies) -> str:
+    return canonical_json(to_dict(hierarchies, include_docs=True))
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +87,16 @@ class TestDynamicFaceter:
         facets = faceter.facets_for_query(interface, "summit treaty", limit=40)
         assert isinstance(facets, list)
 
+    def test_repeated_ids_count_once(self, faceter, snyt):
+        ids = [doc.doc_id for doc in list(snyt)[:10]]
+        repeated = ids + ids[:5]
+        assert term_rows(faceter.facet_terms(repeated)) == term_rows(
+            faceter.facet_terms(ids)
+        )
+        assert hierarchy_json(faceter.facets_for(repeated)) == hierarchy_json(
+            faceter.facets_for(ids)
+        )
+
     def test_hierarchies_populated(self, faceter, snyt):
         ids = [doc.doc_id for doc in list(snyt)[:40]]
         facets = faceter.facets_for(ids)
@@ -91,24 +120,41 @@ class TestWholeCollectionDifferential:
         )
         ids = [document.doc_id for document in pipeline_result.documents]
 
-        def term_rows(candidates):
-            return [
-                (
-                    c.term,
-                    c.df_original,
-                    c.df_contextualized,
-                    c.shift_f,
-                    c.shift_r,
-                    c.score.hex(),
-                )
-                for c in candidates
-            ]
-
         assert term_rows(faceter.facet_terms(ids)) == term_rows(
             pipeline_result.facet_terms
         )
-        assert canonical_json(
-            to_dict(faceter.facets_for(ids), include_docs=True)
-        ) == canonical_json(
-            to_dict(pipeline_result.hierarchies, include_docs=True)
+        assert hierarchy_json(faceter.facets_for(ids)) == hierarchy_json(
+            pipeline_result.hierarchies
+        )
+
+
+class TestCheckpointRestore:
+    """The offline artifacts persist in the stream checkpoint.
+
+    A pipeline restored from the checkpoint facets a result set exactly
+    as the batch run's own database does, without re-extraction.
+    """
+
+    def test_restored_snapshot_facets_like_the_batch_run(
+        self, faceter, builder, pipeline_result, snyt, tmp_path
+    ):
+        offline = IncrementalExtractor(
+            builder.build(), checkpoint=CheckpointStore(tmp_path)
+        )
+        offline.append(snyt.documents, batch_id="archive")
+        restored = IncrementalExtractor.restore(
+            builder.build(), CheckpointStore(tmp_path)
+        )
+        assert restored.document_count == len(snyt)
+
+        ids = [doc.doc_id for doc in pipeline_result.documents[:30]]
+        reloaded = DynamicFaceter(
+            restored.snapshot_result().contextualized,
+            edge_validator=builder.edge_evidence,
+        )
+        assert term_rows(reloaded.facet_terms(ids)) == term_rows(
+            faceter.facet_terms(ids)
+        )
+        assert hierarchy_json(reloaded.facets_for(ids)) == hierarchy_json(
+            faceter.facets_for(ids)
         )

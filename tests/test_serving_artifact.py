@@ -9,10 +9,13 @@ same objects, same order, same canonical JSON bytes.
 from __future__ import annotations
 
 import os
+from datetime import date
 
 import pytest
 
 from repro.core.interface import FacetedInterface
+from repro.corpus.document import Document, GoldAnnotation
+from repro.db.inverted_index import InvertedIndex
 from repro.errors import HierarchyError, StorageError
 from repro.serving import SCHEMA_VERSION, FacetIndex
 from repro.serving.renderers import (
@@ -63,6 +66,38 @@ class TestBuildAndOpen:
         path.write_bytes(b"not a database at all")
         with pytest.raises(StorageError):
             FacetIndex.open(str(path))
+
+    def test_document_rows_round_trip(self, tmp_path):
+        """Gold annotations, publication dates and a missing gold survive."""
+        gold = GoldAnnotation(
+            topic="weather",
+            entity_names=("Storm Center",),
+            facet_terms=("Nature", "Weather"),
+            leaked_terms=("Weather",),
+        )
+        documents = [
+            Document(doc_id="d1", title="Storm hits coast", body="The storm."),
+            Document(
+                doc_id="g1",
+                title="T",
+                body="B",
+                source="S",
+                published=date(2005, 11, 3),
+                gold=gold,
+            ),
+        ]
+        index = InvertedIndex()
+        index.add_documents(documents)
+        path = str(tmp_path / "codec.idx")
+        FacetIndex.build_from_parts(
+            documents=documents, index=index, facets=[], path=path
+        ).close()
+        with FacetIndex.open(path) as reopened:
+            restored = reopened.document("g1")
+            assert restored == documents[1]
+            assert restored.gold == gold
+            assert restored.published == date(2005, 11, 3)
+            assert reopened.document("d1").gold is None
 
     def test_build_atomic_no_tmp_left_behind(self, index):
         assert not os.path.exists(index.path + ".tmp")

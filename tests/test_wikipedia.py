@@ -68,21 +68,6 @@ class TestDatabase:
         dedicated = tiny_wiki.anchor_stats("Senator Clinton")
         assert dedicated.score("Hillary Rodham Clinton") == pytest.approx(1.0)
 
-    def test_sqlite_roundtrip(self, tiny_wiki, tmp_path):
-        path = str(tmp_path / "wiki.sqlite")
-        tiny_wiki.save(path)
-        loaded = WikipediaDatabase.load(path)
-        assert loaded.page_count == tiny_wiki.page_count
-        assert loaded.resolve("Hillary Clinton") == "Hillary Rodham Clinton"
-        assert set(loaded.out_links("France")) == {"Europe", "Paris"}
-        assert loaded.anchor_stats("the city").spread == 2
-
-    def test_load_bad_file(self, tmp_path):
-        path = tmp_path / "bad.sqlite"
-        path.write_text("nope")
-        with pytest.raises(StorageError):
-            WikipediaDatabase.load(str(path))
-
 
 class TestGraph:
     def test_association_formula(self, tiny_wiki):
