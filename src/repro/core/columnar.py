@@ -400,9 +400,8 @@ class DocumentColumns:
         wanted = None if term_ids is None else set(term_ids)
         inverted: dict[int, array] = {}
         for index in range(len(self.doc_ids)):
-            row = set(self.ids_of(index))
-            if wanted is not None:
-                row &= wanted
+            ids = self.ids_of(index)
+            row = set(ids) if wanted is None else wanted.intersection(ids)
             for term_id in sorted(row):
                 posting = inverted.get(term_id)
                 if posting is None:

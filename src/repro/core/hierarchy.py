@@ -9,7 +9,9 @@ the OLAP-style structure the user study browses.
 Both pipelines read those documents from positional postings (term id
 -> ascending document positions, :class:`PositionalPostings`): the
 batch pipeline inverts its contextualized columns for the selected
-terms, the stream keeps its postings current per batch.
+terms, the stream keeps its postings current per batch.  Each term's
+positions become one ``int`` bitmap for the subsumption pair loop;
+document-id sets are built only for the nodes the forest emits.
 """
 
 from __future__ import annotations
@@ -24,7 +26,11 @@ from ..text.tokenizer import normalize_term
 from ..text.vocabulary import TermInterner
 from .contextualize import ContextualizedDatabase
 from .selection import FacetTermCandidate
-from .subsumption import SubsumptionHierarchy, build_subsumption_hierarchy
+from .subsumption import (
+    SubsumptionHierarchy,
+    position_bitmap,
+    subsumption_from_bitmaps,
+)
 
 
 @dataclass
@@ -75,7 +81,7 @@ class FacetHierarchy:
 
 
 #: Default parent/child coverage ratio cap for facet trees (see
-#: :func:`repro.core.subsumption.build_subsumption_hierarchy`).
+#: :func:`repro.core.subsumption.subsumption_from_bitmaps`).
 DEFAULT_MAX_DF_RATIO = 30.0
 
 #: Terms covering more than this fraction of the collection cannot act
@@ -140,26 +146,35 @@ def hierarchies_from_postings(
     term_ids = [index.interner.id_of(term) for term in terms]
     postings = index.postings({i for i in term_ids if i is not None})
     doc_ids = index.doc_ids
-    doc_sets: dict[str, set[str]] = {}
+    positions: dict[str, Sequence[int]] = {}
+    bitmaps: dict[str, int] = {}
     for term, term_id in zip(terms, term_ids):
-        posting = postings.get(term_id, ())
-        if len(posting) >= min_docs:
-            doc_sets[term] = {doc_ids[position] for position in posting}
+        posting = postings.get(term_id, ()) if term_id is not None else ()
+        bits = position_bitmap(posting)
+        if bits.bit_count() >= min_docs:
+            positions[term] = posting
+            bitmaps[term] = bits
     max_parent_df = int(max_coverage * max(len(doc_ids), 1))
-    usable = [t for t in terms if t in doc_sets]
-    subsumption = build_subsumption_hierarchy(
+    usable = [t for t in terms if t in bitmaps]
+    subsumption = subsumption_from_bitmaps(
         usable,
-        doc_sets,
+        bitmaps,
         threshold=threshold,
         max_df_ratio=max_df_ratio,
         max_parent_df=max_parent_df,
         edge_validator=edge_validator,
     )
+    doc_sets = {
+        term: {doc_ids[position] for position in positions[term]}
+        for term in subsumption.parents
+    }
     hierarchies = hierarchies_from_subsumption(subsumption, doc_sets)
     metrics = current_metrics()
     if metrics is not None:
         metrics.increment("hierarchy.candidate_terms", len(terms))
         metrics.increment("hierarchy.usable_terms", len(usable))
+        metrics.increment("hierarchy.pair_tests", subsumption.pair_tests)
+        metrics.increment("hierarchy.validator_calls", subsumption.validator_calls)
         metrics.increment("hierarchy.facets", len(hierarchies))
         metrics.increment(
             "hierarchy.nodes", sum(facet.size for facet in hierarchies)

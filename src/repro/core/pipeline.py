@@ -217,7 +217,16 @@ class FacetExtractor:
         ``store``, when given, is carried onto the result so
         :meth:`~repro.core.interface.FacetedInterface.from_result` reuses
         it instead of building a fresh one.
+
+        Raises :class:`ValueError` on a repeated document id: the
+        statistics count document positions, the facet nodes count
+        distinct ids, and a repeat would make them disagree.
         """
+        seen: set[str] = set()
+        for document in documents:
+            if document.doc_id in seen:
+                raise ValueError(f"duplicate document id: {document.doc_id!r}")
+            seen.add(document.doc_id)
         obs = self.observability
         stats_before = [resource.cache_stats for resource in self._resources]
         timings = SpanTimings()

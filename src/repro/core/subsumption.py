@@ -4,16 +4,18 @@ Sanderson & Croft (SIGIR'99): term ``x`` subsumes term ``y`` when
 
     P(x | y) >= threshold   and   P(y | x) < 1
 
-estimated from document co-occurrence.  The hierarchy attaches each term
-to its most specific subsumer; terms nobody subsumes become roots.  The
-paper uses this algorithm both as the final hierarchy builder over the
-selected facet terms and — without the expansion pipeline — as the
-baseline of Figure 5.
+estimated from document co-occurrence, counted on ``int`` bitmaps over
+document positions.  The hierarchy attaches each term to its most
+specific subsumer; terms nobody subsumes become roots.  The paper uses
+this algorithm both as the final hierarchy builder over the selected
+facet terms and — without the expansion pipeline — as the baseline of
+Figure 5.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, field
 
 from ..errors import HierarchyError
@@ -28,6 +30,10 @@ class SubsumptionHierarchy:
 
     parents: dict[str, str | None] = field(default_factory=dict)
     children: dict[str, list[str]] = field(default_factory=dict)
+    #: Work done by the pair loop that built it: ordered pairs whose
+    #: co-occurrence was counted, and edge-validator calls.
+    pair_tests: int = 0
+    validator_calls: int = 0
 
     @property
     def roots(self) -> list[str]:
@@ -65,6 +71,20 @@ class SubsumptionHierarchy:
         return result
 
 
+def position_bitmap(positions: Sequence[int]) -> int:
+    """An ``int`` with bit ``p`` set for each document position ``p``.
+
+    Built in one pass over a byte buffer: or-ing bits into a growing
+    ``int`` would copy it once per position.
+    """
+    if not positions:
+        return 0
+    mask = bytearray((max(positions) >> 3) + 1)
+    for position in positions:
+        mask[position >> 3] |= 1 << (position & 7)
+    return int.from_bytes(mask, "little")
+
+
 def build_subsumption_hierarchy(
     terms: list[str],
     doc_sets: dict[str, set[str]],
@@ -73,16 +93,53 @@ def build_subsumption_hierarchy(
     max_parent_df: int | None = None,
     edge_validator: Callable[[str, str], bool] | None = None,
 ) -> SubsumptionHierarchy:
-    """Build the hierarchy for ``terms``.
+    """Build the hierarchy for ``terms`` from document-id sets.
+
+    ``doc_sets`` maps a term to the ids of the documents containing it
+    (in whichever database the caller wants co-occurrence measured:
+    original for the Figure 5 baseline).  The ids are numbered in
+    first-seen order and the builder runs
+    :func:`subsumption_from_bitmaps` over the resulting bitmaps; the
+    other parameters are as there.
+    """
+    numbering: dict[Hashable, int] = {}
+    bitmaps: dict[str, int] = {}
+    for term in terms:
+        docs = doc_sets.get(term)
+        if docs and term not in bitmaps:
+            bitmaps[term] = position_bitmap(
+                [numbering.setdefault(doc, len(numbering)) for doc in docs]
+            )
+    return subsumption_from_bitmaps(
+        terms,
+        bitmaps,
+        threshold=threshold,
+        max_df_ratio=max_df_ratio,
+        max_parent_df=max_parent_df,
+        edge_validator=edge_validator,
+    )
+
+
+def subsumption_from_bitmaps(
+    terms: list[str],
+    bitmaps: dict[str, int],
+    threshold: float = DEFAULT_THRESHOLD,
+    max_df_ratio: float | None = None,
+    max_parent_df: int | None = None,
+    edge_validator: Callable[[str, str], bool] | None = None,
+) -> SubsumptionHierarchy:
+    """Build the hierarchy for ``terms`` — the one subsumption pair loop.
 
     Parameters
     ----------
     terms:
-        The vocabulary to organize.
-    doc_sets:
-        term -> set of document ids containing the term (in whichever
-        database the caller wants co-occurrence measured: original for
-        the baseline, contextualized for the real pipeline).
+        The vocabulary to organize; terms without a bitmap (or with an
+        empty one) are left out.
+    bitmaps:
+        term -> document bitmap: bit ``p`` is set when the document at
+        position ``p`` contains the term (see :func:`position_bitmap`).
+        A term's document frequency is its bitmap's ``bit_count()`` and
+        a pair's co-occurrence count that of the two bitmaps' ``&``.
     threshold:
         ``P(x | y)`` cut-off (0.8 in Sanderson & Croft).
     max_df_ratio:
@@ -98,40 +155,53 @@ def build_subsumption_hierarchy(
     edge_validator:
         Optional independent-evidence check ``f(child, parent)``; when
         given, subsumption edges lacking evidence are rejected (see
-        :class:`repro.core.evidence.LinkEvidence`).
+        :class:`repro.core.evidence.LinkEvidence`).  It must be pure: it
+        is asked only about a pair that passes every numeric test and
+        would become the child's parent.
     """
     if not 0 < threshold <= 1:
         raise HierarchyError(f"threshold must be in (0, 1], got {threshold}")
     if max_df_ratio is not None and max_df_ratio < 1:
         raise HierarchyError(f"max_df_ratio must be >= 1, got {max_df_ratio}")
-    present = [t for t in terms if doc_sets.get(t)]
+    dfs: dict[str, int] = {t: bitmaps[t].bit_count() for t in terms if t in bitmaps}
+    present = [t for t in terms if dfs.get(t)]
     hierarchy = SubsumptionHierarchy(
         parents={t: None for t in present},
         children={t: [] for t in present},
     )
-    # For each term y, find subsumers x and keep the most specific one
-    # (smallest document set strictly larger-than-or-equal coverage).
+    # Each term y takes the most specific subsumer x: the smallest
+    # document frequency, the earlier term on a tie.  Scanning the
+    # candidate parents in that order (a stable sort), the first pair
+    # that passes every test is the answer.
+    candidates = sorted(
+        (
+            (x, bitmaps[x], dfs[x])
+            for x in dict.fromkeys(present)
+            if max_parent_df is None or dfs[x] <= max_parent_df
+        ),
+        key=lambda candidate: candidate[2],
+    )
+    pair_tests = 0
+    validator_calls = 0
     for y in present:
-        docs_y = doc_sets[y]
+        bits_y = bitmaps[y]
+        df_y = dfs[y]
+        max_df = math.inf if max_df_ratio is None else max_df_ratio * df_y
         best_parent: str | None = None
-        best_df = None
-        for x in present:
+        for x, bits_x, df_x in candidates:
+            if df_x > max_df:
+                break  # every later candidate covers even more documents
             if x == y:
                 continue
-            docs_x = doc_sets[x]
-            if max_parent_df is not None and len(docs_x) > max_parent_df:
-                continue
-            shared = len(docs_x & docs_y)
-            p_x_given_y = shared / len(docs_y)
-            p_y_given_x = shared / len(docs_x)
-            if max_df_ratio is not None and len(docs_x) > max_df_ratio * len(docs_y):
-                continue
-            if edge_validator is not None and not edge_validator(y, x):
-                continue
-            if p_x_given_y >= threshold and p_y_given_x < 1.0:
-                if best_df is None or len(docs_x) < best_df:
-                    best_parent = x
-                    best_df = len(docs_x)
+            pair_tests += 1
+            shared = (bits_x & bits_y).bit_count()
+            if shared / df_y >= threshold and shared / df_x < 1.0:
+                if edge_validator is not None:
+                    validator_calls += 1
+                    if not edge_validator(y, x):
+                        continue
+                best_parent = x
+                break
         if best_parent is not None and not _creates_cycle(
             hierarchy.parents, y, best_parent
         ):
@@ -140,6 +210,8 @@ def build_subsumption_hierarchy(
     # order: each child list is sorted in place; no cross-entry order leaks
     for kids in hierarchy.children.values():
         kids.sort()
+    hierarchy.pair_tests = pair_tests
+    hierarchy.validator_calls = validator_calls
     return hierarchy
 
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.hierarchy import build_facet_hierarchies
 from repro.core.pipeline import FacetExtractor
 from repro.eval.metrics import term_set_recall
 from repro.core.interface import FacetedInterface
+from repro.observability import MetricsRegistry
+from repro.observability.context import use_metrics
 
 
 class TestFullPipeline:
@@ -63,6 +66,39 @@ class TestFullPipeline:
             FacetExtractor(extractors=[], resources=[object()])
         with pytest.raises(ValueError):
             FacetExtractor(extractors=[object()], resources=[])
+
+    def test_duplicate_document_ids_rejected(self, builder, snyt):
+        """A repeated story would be counted once per position by the
+        statistics but once per id by the facet nodes."""
+        documents = snyt.documents[:40] + snyt.documents[:15]
+        with pytest.raises(ValueError, match="duplicate document id"):
+            builder.build().run(documents)
+
+    def test_hierarchy_counters_show_the_validator_calls(
+        self, builder, pipeline_result
+    ):
+        calls = []
+
+        def counting(child, parent):
+            calls.append((child, parent))
+            return builder.edge_evidence(child, parent)
+
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            hierarchies = build_facet_hierarchies(
+                pipeline_result.facet_terms,
+                pipeline_result.contextualized,
+                edge_validator=counting,
+            )
+        assert [f.terms() for f in hierarchies] == [
+            f.terms() for f in pipeline_result.hierarchies
+        ]
+        usable = registry.counter_value("hierarchy.usable_terms")
+        pair_tests = registry.counter_value("hierarchy.pair_tests")
+        assert registry.counter_value("hierarchy.validator_calls") == len(calls)
+        assert 0 < pair_tests <= usable * (usable - 1)
+        # LinkEvidence is asked only about the pairs that would win.
+        assert 0 < len(calls) < pair_tests / 10
 
     def test_without_hierarchies(self, builder, snyt):
         pipeline = builder.without_hierarchies().build()
