@@ -173,6 +173,19 @@ def merge_important(outputs: Iterable[list[str]]) -> list[str]:
     return merged
 
 
+def reject_duplicate_ids(documents: Iterable[Document]) -> None:
+    """Raise :class:`ValueError` on a repeated document id.
+
+    The statistics count document positions while the facet nodes count
+    distinct ids, so a repeat would make them disagree.
+    """
+    seen: set[str] = set()
+    for document in documents:
+        if document.doc_id in seen:
+            raise ValueError(f"duplicate document id: {document.doc_id!r}")
+        seen.add(document.doc_id)
+
+
 def _extract_chunk(
     extractors: list[TermExtractor], documents: list[Document]
 ) -> list[tuple[str, list[str]]]:
@@ -217,7 +230,11 @@ def annotate_database(
     answers for a chunk's terms while later chunks are still being
     tagged.  It must be side-effect-only; the returned database never
     depends on it.
+
+    Raises :class:`ValueError` on a repeated document id
+    (:func:`reject_duplicate_ids`).
     """
+    reject_duplicate_ids(documents)
     settings = parallel or ParallelConfig(workers=1)
     chunk_size = settings.resolve_chunk_size(len(documents))
     chunks = chunked(documents, max(1, chunk_size))

@@ -158,22 +158,31 @@ class FacetedInterface:
         """Fetch one document by id (:class:`StorageError` when unknown)."""
         return self._store.get(doc_id)
 
+    def documents(self, doc_ids: list[str]) -> list[Document]:
+        """Fetch documents by id, in the given order (:class:`StorageError`
+        on an unknown id)."""
+        return [self._store.get(doc_id) for doc_id in doc_ids]
+
     # -- OLAP-style selection ------------------------------------------------------
 
     def slice(self, term: str) -> list[Document]:
         """Documents under one facet node."""
-        node = self.node(term)
-        return [self._store.get(doc_id) for doc_id in sorted(node.doc_ids)]
+        return self.documents(sorted(self.node(term).doc_ids))
 
-    def dice(self, terms: list[str]) -> list[Document]:
-        """Documents satisfying *all* facet constraints (cube dice)."""
+    def dice_ids(self, terms: list[str]) -> list[str]:
+        """Ids of the documents satisfying *all* facet constraints: sorted,
+        or every id in collection order when ``terms`` is empty."""
         if not terms:
-            return list(self._store)
+            return [doc.doc_id for doc in self._store]
         doc_ids: set[str] | None = None
         for term in terms:
             node_docs = self.node(term).doc_ids
             doc_ids = node_docs.copy() if doc_ids is None else doc_ids & node_docs
-        return [self._store.get(doc_id) for doc_id in sorted(doc_ids or set())]
+        return sorted(doc_ids or set())
+
+    def dice(self, terms: list[str]) -> list[Document]:
+        """Documents satisfying *all* facet constraints (cube dice)."""
+        return self.documents(self.dice_ids(terms))
 
     def union(self, terms: list[str]) -> list[Document]:
         """Documents under *any* of the facet nodes (multi-select within
@@ -181,7 +190,7 @@ class FacetedInterface:
         doc_ids: set[str] = set()
         for term in terms:
             doc_ids |= self.node(term).doc_ids
-        return [self._store.get(doc_id) for doc_id in sorted(doc_ids)]
+        return self.documents(sorted(doc_ids))
 
     def breadcrumb(self, term: str) -> list[str]:
         """Root-to-node trail of a facet node (for display)."""
@@ -208,25 +217,22 @@ class FacetedInterface:
 
     def search(self, query: str, limit: int = 10) -> list[Document]:
         """Plain BM25 keyword search."""
-        return [
-            self._store.get(result.doc_id)
-            for result in self._searcher.search(query, limit=limit)
-        ]
+        return self.documents(
+            [result.doc_id for result in self._searcher.search(query, limit=limit)]
+        )
 
     def search_with_facets(
         self, query: str, facet_terms: list[str], limit: int = 10
     ) -> list[Document]:
         """Keyword search restricted to documents matching facet constraints."""
-        allowed: set[str] | None = None
-        if facet_terms:
-            allowed = {doc.doc_id for doc in self.dice(facet_terms)}
-        results = []
+        allowed = set(self.dice_ids(facet_terms)) if facet_terms else None
+        hits: list[str] = []
         for result in self._searcher.search(query, limit=limit * 10):
             if allowed is None or result.doc_id in allowed:
-                results.append(self._store.get(result.doc_id))
-                if len(results) >= limit:
+                hits.append(result.doc_id)
+                if len(hits) >= limit:
                     break
-        return results
+        return self.documents(hits)
 
     def facet_counts_for(
         self, doc_ids: set[str], max_facets: int = 10

@@ -29,7 +29,7 @@ from ..observability import DISABLED, Observability, ResourceStats, SpanTimings
 from ..observability.logging import get_logger
 from ..resources.base import ExternalResource
 from ..resources.engine import ResourcePrefetcher
-from .annotate import AnnotatedDatabase, annotate_database
+from .annotate import AnnotatedDatabase, annotate_database, reject_duplicate_ids
 from .contextualize import ContextualizedDatabase, contextualize
 from .hierarchy import FacetHierarchy, hierarchies_from_postings
 from .selection import DEFAULT_TOP_K, FacetTermCandidate, select_facet_terms
@@ -218,15 +218,11 @@ class FacetExtractor:
         :meth:`~repro.core.interface.FacetedInterface.from_result` reuses
         it instead of building a fresh one.
 
-        Raises :class:`ValueError` on a repeated document id: the
-        statistics count document positions, the facet nodes count
-        distinct ids, and a repeat would make them disagree.
+        Raises :class:`ValueError` on a repeated document id
+        (:func:`~repro.core.annotate.reject_duplicate_ids`), before the
+        resource prefetcher starts.
         """
-        seen: set[str] = set()
-        for document in documents:
-            if document.doc_id in seen:
-                raise ValueError(f"duplicate document id: {document.doc_id!r}")
-            seen.add(document.doc_id)
+        reject_duplicate_ids(documents)
         obs = self.observability
         stats_before = [resource.cache_stats for resource in self._resources]
         timings = SpanTimings()

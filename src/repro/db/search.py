@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 from ..text.stopwords import is_stopword
 from ..text.tokenizer import word_tokens
-from .inverted_index import InvertedIndex
+from .inverted_index import Posting
 
 
 @dataclass(frozen=True)
@@ -23,10 +24,27 @@ class SearchResult:
     score: float
 
 
-class BM25Searcher:
-    """Okapi BM25 scoring over an :class:`InvertedIndex`."""
+class ScoringIndex(Protocol):
+    """The statistics BM25 reads: an :class:`InvertedIndex` in memory, or
+    the serving artifact's SQL view of the same postings."""
 
-    def __init__(self, index: InvertedIndex, k1: float = 1.2, b: float = 0.75) -> None:
+    @property
+    def document_count(self) -> int: ...
+
+    @property
+    def average_document_length(self) -> float: ...
+
+    def document_frequency(self, term: str) -> int: ...
+
+    def document_length(self, doc_id: str) -> int: ...
+
+    def postings(self, term: str) -> list[Posting]: ...
+
+
+class BM25Searcher:
+    """Okapi BM25 scoring over a :class:`ScoringIndex`."""
+
+    def __init__(self, index: ScoringIndex, k1: float = 1.2, b: float = 0.75) -> None:
         if k1 < 0:
             raise ValueError(f"k1 must be >= 0, got {k1}")
         if not 0 <= b <= 1:

@@ -20,6 +20,15 @@ Layout::
     facet_nodes      pre-order nodes with parent edge, depth, count
     facet_node_docs  materialized doc-id set per node (descendants included)
 
+Reads cost the page they show, not the set they match.  Each facet
+node's document set is held in memory as one ``int`` bitmap over the
+documents' ranks in sorted-id order (the rank table and each bitmap
+are built on first use), so a dice is an ``&`` of bitmaps, a union an
+``|``, a facet count ``bit_count()``, and the ascending set bits are the
+matched ids already sorted.  Only then are documents read, by id, one
+``SELECT … IN (…)`` per page (:meth:`FacetIndex.documents`): a
+drilldown that shows 10 of 400 matches reads 10 rows.
+
 Checksums (``content_sha256`` plus one per section) are computed over
 the canonical row streams at build time, stored in the manifest, and
 verifiable with :meth:`FacetIndex.verify`; the HTTP layer derives its
@@ -34,16 +43,21 @@ import sqlite3
 import threading
 from collections.abc import Iterable
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from ..corpus.document import Document
 from ..core.hierarchy import FacetHierarchy
 from ..core.interface import FacetCount, FacetedInterface
+from ..core.subsumption import position_bitmap
 from ..db.inverted_index import InvertedIndex, Posting
 from ..db.search import BM25Searcher
 from ..db.store import DOCUMENT_COLUMNS, DocumentStore, document_from_row, document_to_row
 from ..errors import HierarchyError, StorageError
 from ..observability.logging import get_logger
 from ..text.tokenizer import normalize_term
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..core.pipeline import FacetExtractionResult
 
 log = get_logger(__name__)
 
@@ -99,6 +113,15 @@ CREATE TABLE facet_node_docs (
 ) WITHOUT ROWID;
 """
 
+#: Ids per :meth:`FacetIndex.documents` query, inside SQLite's default
+#: bound-variable limit (999 before SQLite 3.32).
+_ID_CHUNK = 500
+
+#: The set-bit offsets of each byte value, for reading a bitmap back.
+_BYTE_BITS = tuple(
+    tuple(bit for bit in range(8) if value >> bit & 1) for value in range(256)
+)
+
 _ROW_SEP = b"\x1e"
 _FIELD_SEP = "\x1f"
 
@@ -113,6 +136,17 @@ def _hash_rows(rows: Iterable[tuple]) -> "hashlib._Hash":
         digest.update(line.encode("utf-8"))
         digest.update(_ROW_SEP)
     return digest
+
+
+def _set_bits(bits: int) -> list[int]:
+    """The positions of the set bits of a non-negative ``bits``, ascending."""
+    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+    return [
+        (offset << 3) + bit
+        for offset, byte in enumerate(data)
+        if byte
+        for bit in _BYTE_BITS[byte]
+    ]
 
 
 class FacetIndex:
@@ -137,7 +171,8 @@ class FacetIndex:
         self._connections: list[sqlite3.Connection] = []
         self._closed = False
         self._doc_lengths: dict[str, int] | None = None
-        self._node_docs_cache: dict[int, frozenset[str]] = {}
+        self._doc_ids: tuple[list[str], list[str], dict[str, int]] | None = None
+        self._node_bitmaps: dict[int, int] = {}
         self._roots: list[tuple[int, str, int]] | None = None
 
     # -- lifecycle ----------------------------------------------------------------
@@ -145,7 +180,7 @@ class FacetIndex:
     @classmethod
     def build(
         cls,
-        result: object,
+        result: "FacetExtractionResult",
         store: DocumentStore | None = None,
         *,
         path: str,
@@ -192,11 +227,9 @@ class FacetIndex:
         try:
             manifest = cls._write_artifact(connection, documents, index, facets)
             connection.close()
-            connection = None
             os.replace(tmp_path, path)
         except BaseException:
-            if connection is not None:
-                connection.close()
+            connection.close()  # a no-op when already closed
             if os.path.exists(tmp_path):
                 os.remove(tmp_path)
             raise
@@ -545,55 +578,100 @@ class FacetIndex:
 
     def document(self, doc_id: str) -> Document:
         """Fetch one document by id (:class:`StorageError` when unknown)."""
-        row = self._connection().execute(
-            f"SELECT {', '.join(DOCUMENT_COLUMNS)} FROM documents"
-            " WHERE doc_id = ?",
-            (doc_id,),
-        ).fetchone()
-        if row is None:
-            raise StorageError(f"unknown doc_id: {doc_id!r}")
-        return document_from_row(row)
+        return self.documents([doc_id])[0]
 
-    def _documents_for(self, doc_ids: Iterable[str]) -> list[Document]:
-        return [self.document(doc_id) for doc_id in doc_ids]
+    def documents(self, doc_ids: list[str]) -> list[Document]:
+        """Fetch documents by id, in the given order, with one query per
+        :data:`_ID_CHUNK` ids (:class:`StorageError` on an unknown id)."""
+        connection = self._connection()
+        found: dict[str, Document] = {}
+        for start in range(0, len(doc_ids), _ID_CHUNK):
+            chunk = doc_ids[start : start + _ID_CHUNK]
+            for row in connection.execute(
+                f"SELECT {', '.join(DOCUMENT_COLUMNS)} FROM documents"
+                f" WHERE doc_id IN ({', '.join('?' * len(chunk))})",
+                chunk,
+            ):
+                found[row[0]] = document_from_row(row)
+        try:
+            return [found[doc_id] for doc_id in doc_ids]
+        except KeyError as exc:
+            raise StorageError(f"unknown doc_id: {exc.args[0]!r}") from None
 
-    def _node_doc_ids(self, node_id: int) -> frozenset[str]:
-        cached = self._node_docs_cache.get(node_id)
-        if cached is None:
-            rows = self._connection().execute(
-                "SELECT doc_id FROM facet_node_docs WHERE node_id = ?",
-                (node_id,),
-            ).fetchall()
-            cached = frozenset(row[0] for row in rows)
-            self._node_docs_cache[node_id] = cached
-        return cached
+    def _id_tables(self) -> tuple[list[str], list[str], dict[str, int]]:
+        """(ids in position order, ids in sorted order, id -> sorted rank).
+
+        The ranks number the bitmap bits.  They come from Python's
+        ``sorted()``, not SQL ``ORDER BY``, so ascending bits give ids in
+        exactly the order ``sorted(doc_ids)`` does.
+        """
+        if self._doc_ids is None:
+            with self._lock:
+                if self._doc_ids is None:
+                    by_position = [
+                        row[0]
+                        for row in self._connection().execute(
+                            "SELECT doc_id FROM documents ORDER BY position"
+                        )
+                    ]
+                    by_rank = sorted(by_position)
+                    ranks = {doc_id: rank for rank, doc_id in enumerate(by_rank)}
+                    self._doc_ids = (by_position, by_rank, ranks)
+        return self._doc_ids
+
+    def _ids_of(self, bits: int) -> list[str]:
+        """The ids a rank bitmap holds, sorted."""
+        by_rank = self._id_tables()[1]
+        return [by_rank[rank] for rank in _set_bits(bits)]
+
+    def _node_bits(self, node_id: int) -> int:
+        """The rank bitmap of one node's document set."""
+        bits = self._node_bitmaps.get(node_id)
+        if bits is None:
+            ranks = self._id_tables()[2]
+            with self._lock:
+                bits = self._node_bitmaps.get(node_id)
+                if bits is None:
+                    rows = self._connection().execute(
+                        "SELECT doc_id FROM facet_node_docs WHERE node_id = ?",
+                        (node_id,),
+                    ).fetchall()
+                    try:
+                        bits = position_bitmap([ranks[row[0]] for row in rows])
+                    except KeyError as exc:
+                        raise StorageError(
+                            f"unknown doc_id: {exc.args[0]!r}"
+                        ) from None
+                    self._node_bitmaps[node_id] = bits
+        return bits
 
     # -- OLAP-style selection -------------------------------------------------------
 
     def slice(self, term: str) -> list[Document]:
         """Documents under one facet node."""
         node_id = self._require_node(term)[0]
-        return self._documents_for(sorted(self._node_doc_ids(node_id)))
+        return self.documents(self._ids_of(self._node_bits(node_id)))
+
+    def dice_ids(self, terms: list[str]) -> list[str]:
+        """Ids of the documents satisfying *all* facet constraints: sorted,
+        or every id in collection order when ``terms`` is empty."""
+        if not terms:
+            return list(self._id_tables()[0])
+        bits = -1
+        for term in terms:
+            bits &= self._node_bits(self._require_node(term)[0])
+        return self._ids_of(bits)
 
     def dice(self, terms: list[str]) -> list[Document]:
         """Documents satisfying *all* facet constraints (cube dice)."""
-        if not terms:
-            rows = self._connection().execute(
-                "SELECT doc_id FROM documents ORDER BY position"
-            ).fetchall()
-            return self._documents_for(row[0] for row in rows)
-        doc_ids: set[str] | None = None
-        for term in terms:
-            node_docs = self._node_doc_ids(self._require_node(term)[0])
-            doc_ids = set(node_docs) if doc_ids is None else doc_ids & node_docs
-        return self._documents_for(sorted(doc_ids or set()))
+        return self.documents(self.dice_ids(terms))
 
     def union(self, terms: list[str]) -> list[Document]:
         """Documents under *any* of the facet nodes."""
-        doc_ids: set[str] = set()
+        bits = 0
         for term in terms:
-            doc_ids |= self._node_doc_ids(self._require_node(term)[0])
-        return self._documents_for(sorted(doc_ids))
+            bits |= self._node_bits(self._require_node(term)[0])
+        return self.documents(self._ids_of(bits))
 
     # -- search integration ---------------------------------------------------------
 
@@ -612,32 +690,35 @@ class FacetIndex:
 
     def search(self, query: str, limit: int = 10) -> list[Document]:
         """Plain BM25 keyword search."""
-        return self._documents_for(
-            result.doc_id for result in self._searcher().search(query, limit=limit)
+        return self.documents(
+            [result.doc_id for result in self._searcher().search(query, limit=limit)]
         )
 
     def search_with_facets(
         self, query: str, facet_terms: list[str], limit: int = 10
     ) -> list[Document]:
         """Keyword search restricted to documents matching facet constraints."""
-        allowed: set[str] | None = None
-        if facet_terms:
-            allowed = {doc.doc_id for doc in self.dice(facet_terms)}
-        results = []
+        allowed = set(self.dice_ids(facet_terms)) if facet_terms else None
+        hits: list[str] = []
         for result in self._searcher().search(query, limit=limit * 10):
             if allowed is None or result.doc_id in allowed:
-                results.append(self.document(result.doc_id))
-                if len(results) >= limit:
+                hits.append(result.doc_id)
+                if len(hits) >= limit:
                     break
-        return results
+        return self.documents(hits)
 
     def facet_counts_for(
         self, doc_ids: set[str], max_facets: int = 10
     ) -> list[FacetCount]:
-        """Per-facet counts restricted to a result set (dynamic faceting)."""
+        """Per-facet counts restricted to a result set (dynamic faceting).
+
+        Ids the artifact lacks match no node, so they count nowhere.
+        """
+        ranks = self._id_tables()[2]
+        wanted = position_bitmap([ranks[d] for d in doc_ids if d in ranks])
         counts = []
         for node_id, term, _count in self._root_rows():
-            overlap = len(self._node_doc_ids(node_id) & doc_ids)
+            overlap = (self._node_bits(node_id) & wanted).bit_count()
             if overlap:
                 counts.append(FacetCount(term, overlap, depth=0))
         counts.sort(key=lambda fc: (-fc.count, fc.term))
@@ -658,7 +739,7 @@ class FacetIndex:
 
 
 class _SqlSearchAdapter:
-    """Duck-typed :class:`InvertedIndex` view over the artifact tables.
+    """A :class:`~repro.db.search.ScoringIndex` over the artifact tables.
 
     Feeds :class:`BM25Searcher` the exact statistics the in-memory index
     exposes — same document count, exact integer length total (so the

@@ -77,27 +77,23 @@ def drilldown_payload(
 
     Facet constraints select the slice (all of ``terms`` must hold); a
     keyword ``query`` ranks within it via BM25.  Without a query the
-    matched set is exact and ``total`` counts it all while ``documents``
-    is truncated to ``limit``; with a query, ranking already caps the
-    result list at ``limit``.
+    matched set is exact: ``total`` counts every matched id and only the
+    ``limit`` shown documents are fetched.  With a query, ranking already
+    caps the result list at ``limit``.
     """
     if query:
-        documents = browser.search_with_facets(query, terms, limit=limit)
-        matched_ids = {doc.doc_id for doc in documents}
-        total = len(documents)
-        shown = documents
+        shown = browser.search_with_facets(query, terms, limit=limit)
+        ids = [doc.doc_id for doc in shown]
     else:
-        documents = browser.dice(terms)
-        matched_ids = {doc.doc_id for doc in documents}
-        total = len(documents)
-        shown = documents[:limit]
+        ids = browser.dice_ids(terms)
+        shown = browser.documents(ids[:limit])
     return {
         "schema": PAYLOAD_SCHEMA,
         "query": {"terms": terms, "q": query or "", "limit": limit},
-        "total": total,
+        "total": len(ids),
         "documents": [_document_summary(doc) for doc in shown],
         "facet_counts": [
-            _facet_count_item(fc) for fc in browser.facet_counts_for(matched_ids)
+            _facet_count_item(fc) for fc in browser.facet_counts_for(set(ids))
         ],
     }
 

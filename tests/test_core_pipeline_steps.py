@@ -76,6 +76,14 @@ class TestAnnotate:
         annotated = annotate_database([doc("d1", "x")], [])
         assert annotated.important("nope") == []
 
+    def test_duplicate_document_ids_rejected(self):
+        """Callers outside the pipeline (the evaluation studies) get the
+        same check: a repeat would be counted once per position by the
+        statistics but once per id by the facet nodes."""
+        documents = [doc("d1", "alpha"), doc("d2", "beta"), doc("d1", "alpha")]
+        with pytest.raises(ValueError, match="duplicate document id: 'd1'"):
+            annotate_database(documents, [StubExtractor()])
+
 
 class TestContextualize:
     def test_context_terms_added(self):

@@ -8,11 +8,17 @@ same objects, same order, same canonical JSON bytes.
 
 from __future__ import annotations
 
+import itertools
 import os
+import random
+import sys
+import threading
 from datetime import date
 
 import pytest
 
+from repro.config import ServingConfig
+from repro.core.hierarchy import FacetHierarchy, FacetNode
 from repro.core.interface import FacetedInterface
 from repro.corpus.document import Document, GoldAnnotation
 from repro.db.inverted_index import InvertedIndex
@@ -232,6 +238,224 @@ class TestInterop:
         assert rebuilt.facet_names() == interface.facet_names()
         assert rebuilt.top_level_counts() == interface.top_level_counts()
         assert _ids(rebuilt.dice([])) == _ids(interface.dice([]))
+
+
+class TestDrilldownParity:
+    """The ids-first drilldown and the node bitmaps answer exactly as the
+    in-memory interface does, over every node and a wide set of dices."""
+
+    LIMITS = (1, 10, ServingConfig().max_limit)
+
+    @staticmethod
+    def _assert_same(index, interface, terms):
+        for limit in TestDrilldownParity.LIMITS:
+            case = {"terms": terms, "query": None, "limit": limit}
+            assert canonical_json(
+                drilldown_payload(index, **case)
+            ) == canonical_json(drilldown_payload(interface, **case)), case
+
+    def test_every_node_and_the_whole_collection(self, index, interface):
+        self._assert_same(index, interface, [])
+        for term in _node_docs(interface):
+            self._assert_same(index, interface, [term])
+
+    def test_dices_over_co_occurring_and_disjoint_nodes(self, index, interface):
+        node_docs = _node_docs(interface)
+        terms_of: dict[str, list[str]] = {}
+        for term, doc_ids in node_docs.items():
+            for doc_id in doc_ids:
+                terms_of.setdefault(doc_id, []).append(term)
+        # Every pair's matched ids; full payloads for one pair drawn per
+        # document (as the benchmark's dice route draws them) and for
+        # every pair whose intersection is empty.
+        rng = random.Random(24)
+        drawn = [
+            rng.sample(terms, 2)
+            for _doc_id, terms in sorted(terms_of.items())
+            if len(terms) >= 2
+        ]
+        disjoint = []
+        for a, b in itertools.combinations(node_docs, 2):
+            assert index.dice_ids([a, b]) == interface.dice_ids([a, b])
+            if not node_docs[a] & node_docs[b]:
+                disjoint.append([a, b])
+        assert drawn and disjoint, "fixture lost its co-occurring or disjoint pairs"
+        for terms in drawn + disjoint:
+            self._assert_same(index, interface, terms)
+
+    def test_facet_counts_for_empty_and_foreign_ids(self, index, interface):
+        assert index.facet_counts_for(set()) == interface.facet_counts_for(set()) == []
+        subset = set(interface.dice_ids([])[:25])
+        foreign = subset | {"zz-missing-1", "zz-missing-2"}
+        assert index.facet_counts_for(foreign) == interface.facet_counts_for(foreign)
+        assert index.facet_counts_for(foreign) == index.facet_counts_for(subset)
+        assert index.facet_counts_for({"zz-missing-1"}) == []
+
+    def test_ids_then_page_matches_dice(self, index, interface):
+        term = interface.facet_names()[0]
+        ids = index.dice_ids([term])
+        assert ids == interface.dice_ids([term]) == sorted(ids)
+        assert index.dice_ids([]) == interface.dice_ids([])
+        assert _ids(index.documents(ids)) == ids
+        assert index.documents(ids[:5]) == interface.documents(ids[:5])
+        assert index.documents(list(reversed(ids[:3]))) == interface.documents(
+            list(reversed(ids[:3]))
+        )
+        assert index.documents([]) == []
+
+    def test_documents_reads_more_ids_than_one_chunk(self, index, interface):
+        ids = interface.dice_ids([])
+        many = (ids * (600 // len(ids) + 1))[:600]
+        assert _ids(index.documents(many)) == many
+
+    def test_unknown_term_and_doc_id_errors_unchanged(self, index, interface):
+        with pytest.raises(HierarchyError) as from_index:
+            index.dice_ids([interface.facet_names()[0], "zz-missing"])
+        with pytest.raises(HierarchyError) as from_interface:
+            interface.dice_ids([interface.facet_names()[0], "zz-missing"])
+        assert str(from_index.value) == str(from_interface.value)
+        assert str(from_index.value) == "no facet node for term: 'zz-missing'"
+        known = interface.dice_ids([])[0]
+        with pytest.raises(StorageError) as from_index:
+            index.documents([known, "zz-missing"])
+        with pytest.raises(StorageError) as from_interface:
+            interface.documents([known, "zz-missing"])
+        assert str(from_index.value) == str(from_interface.value)
+        assert str(from_index.value) == "unknown doc_id: 'zz-missing'"
+
+
+class TestDrilldownStatements:
+    """A drilldown issues the same few SQL statements whatever it matches."""
+
+    @pytest.fixture()
+    def paged(self, tmp_path):
+        documents = [
+            Document(doc_id=f"d{i:02d}", title=f"Story {i}", body=f"Talk{i} today.")
+            for i in range(30)
+        ]
+        leaf = FacetNode(term="France", doc_ids={"d00"})
+        middle = FacetNode(term="Japan", doc_ids={f"d{i:02d}" for i in range(1, 15)})
+        root = FacetNode(
+            term="Region",
+            children=[leaf, middle],
+            doc_ids={doc.doc_id for doc in documents},
+        )
+        index = InvertedIndex()
+        index.add_documents(documents)
+        built = FacetIndex.build_from_parts(
+            documents=documents,
+            index=index,
+            facets=[FacetHierarchy(root=root)],
+            path=str(tmp_path / "paged.idx"),
+        )
+        yield built
+        built.close()
+
+    def test_statements_do_not_grow_with_the_matched_set(self, paged):
+        def statements(term: str) -> tuple[int, int]:
+            issued: list[str] = []
+            connection = paged._connection()
+            connection.set_trace_callback(issued.append)
+            try:
+                payload = drilldown_payload(paged, terms=[term], query=None, limit=10)
+            finally:
+                connection.set_trace_callback(None)
+            return payload["total"], len(issued)
+
+        for term in ("Region", "France"):  # warm pass: rank table, bitmaps
+            drilldown_payload(paged, terms=[term], query=None, limit=10)
+        root_total, root_statements = statements("Region")
+        leaf_total, leaf_statements = statements("France")
+        assert (root_total, leaf_total) == (30, 1)
+        assert root_statements == leaf_statements <= 3
+
+
+    def test_node_doc_missing_from_documents_is_a_storage_error(self, tmp_path):
+        documents = [Document(doc_id="d1", title="T", body="Talk.")]
+        index = InvertedIndex()
+        index.add_documents(documents)
+        node = FacetNode(term="Region", doc_ids={"d1", "ghost"})
+        with FacetIndex.build_from_parts(
+            documents=documents,
+            index=index,
+            facets=[FacetHierarchy(root=node)],
+            path=str(tmp_path / "ghost.idx"),
+        ) as built:
+            with pytest.raises(StorageError, match="unknown doc_id: 'ghost'"):
+                built.dice_ids(["Region"])
+
+
+class TestColdCacheConcurrency:
+    """Eight threads (``FacetApp``'s executor size) filling the lazy
+    rank table and node bitmaps of a fresh index at once get the serial
+    bytes."""
+
+    def test_parallel_first_queries_match_a_serial_run(self, index, interface):
+        names = interface.facet_names()
+        nodes = list(_node_docs(interface))
+        cases = [{"terms": [term], "query": None, "limit": 10} for term in nodes[:40]]
+        cases += [
+            {"terms": [a, b], "query": None, "limit": 10}
+            for a, b in zip(names, nodes[::-1][:20])
+        ]
+        cases += [
+            {"terms": terms, "query": q, "limit": 10}
+            for q in ("minister", "election results")
+            for terms in ([], names[:1])
+        ]
+        cases.append({"terms": [], "query": None, "limit": 10})
+        with FacetIndex.open(index.path) as serial_index:
+            expected = [
+                canonical_json(drilldown_payload(serial_index, **case))
+                for case in cases
+            ]
+
+        threads_n = 8
+        results: dict[int, list[bytes]] = {}
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(threads_n)
+        interval = sys.getswitchinterval()
+        with FacetIndex.open(index.path) as fresh:
+
+            def worker(offset: int) -> None:
+                try:
+                    barrier.wait(timeout=30)
+                    order = cases[offset:] + cases[:offset]
+                    got = [
+                        canonical_json(drilldown_payload(fresh, **case))
+                        for case in order
+                    ]
+                    results[offset] = got[-offset:] + got[:-offset] if offset else got
+                except BaseException as exc:  # surfaced by the main thread
+                    errors.append(exc)
+
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=worker, args=(offset,))
+                    for offset in range(threads_n)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(results) == list(range(threads_n))
+        for offset in range(threads_n):
+            assert results[offset] == expected, offset
+
+
+def _node_docs(interface) -> dict[str, set[str]]:
+    """First node per term (the one both backends resolve), pre-order."""
+    nodes: dict[str, set[str]] = {}
+    for facet in interface.facets:
+        for node in facet.root.walk():
+            if interface.node(node.term) is node:
+                nodes.setdefault(node.term, node.doc_ids)
+    return nodes
 
 
 def _ids(documents) -> list[str]:
