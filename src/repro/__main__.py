@@ -15,8 +15,9 @@ Commands
     ``--metrics`` prints the metrics registry after the run.
 ``stream``
     Incrementally ingest ``*.jsonl`` batch files from a directory with
-    checkpoint/resume (``--run-dir`` holds the snapshots); results are
-    byte-for-byte identical to ``extract`` on the union corpus.
+    checkpoint/resume (``--run-dir`` holds the checkpoint database);
+    results are byte-for-byte identical to ``extract`` on the union
+    corpus.
     ``--make-batches N`` first splits a generated corpus into N files.
 ``trace FILE``
     Pretty-print a JSONL trace produced by ``extract --trace-out``.
@@ -160,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--run-dir",
         required=True,
         metavar="DIR",
-        help="checkpoint directory for this stream (versioned snapshots)",
+        help="checkpoint directory for this stream (one SQLite database)",
     )
     stream.add_argument(
         "--make-batches",
@@ -181,13 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="checkpoint after every N ingested batches (default: 1)",
-    )
-    stream.add_argument(
-        "--keep",
-        type=int,
-        default=3,
-        metavar="N",
-        help="snapshots retained in the run directory (default: 3)",
     )
     stream.add_argument(
         "--no-resume",
@@ -434,7 +428,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         FacetPipelineBuilder(config).build(),
         args.run_dir,
         checkpoint_every=args.checkpoint_every,
-        keep_snapshots=args.keep,
         resume=not args.no_resume,
     )
     report = supervisor.run(args.input)

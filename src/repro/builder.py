@@ -164,9 +164,9 @@ class FacetPipelineBuilder:
         """Materialize an incremental extractor over a fresh pipeline.
 
         Checkpointing follows ``config.incremental``: when a checkpoint
-        directory is configured (or passed here, which wins), snapshots
-        are written on the configured cadence and — unless
-        ``config.incremental.resume`` is off — the newest valid one is
+        directory is configured (or passed here, which wins), checkpoints
+        are committed on the configured cadence and — unless
+        ``config.incremental.resume`` is off — the committed one is
         restored before the first append.
         """
         from .incremental import CheckpointStore, IncrementalExtractor
@@ -180,7 +180,7 @@ class FacetPipelineBuilder:
             return IncrementalExtractor(
                 pipeline, checkpoint_every=settings.checkpoint_every
             )
-        store = CheckpointStore(directory, keep_snapshots=settings.keep_snapshots)
+        store = CheckpointStore(directory)
         if settings.resume:
             return IncrementalExtractor.restore(
                 pipeline, store, checkpoint_every=settings.checkpoint_every

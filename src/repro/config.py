@@ -146,31 +146,23 @@ class IncrementalConfig:
     Parameters
     ----------
     checkpoint_dir:
-        Run directory for versioned on-disk snapshots; None disables
+        Run directory of the checkpoint database; None disables
         checkpointing (the in-memory incremental state still works).
     checkpoint_every:
         Checkpoint after every N ingested batches.
-    keep_snapshots:
-        Snapshots retained in the run directory; older ones are pruned
-        after each successful write.
     resume:
-        Load the latest good snapshot from ``checkpoint_dir`` on
+        Load the committed checkpoint from ``checkpoint_dir`` on
         start-up instead of beginning from an empty corpus.
     """
 
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1
-    keep_snapshots: int = 3
     resume: bool = True
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 1:
             raise ConfigError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-        if self.keep_snapshots < 1:
-            raise ConfigError(
-                f"keep_snapshots must be >= 1, got {self.keep_snapshots}"
             )
 
 
@@ -249,7 +241,7 @@ class ReproConfig:
         cache path); the default is serial with no persistent cache.
     incremental:
         Streaming-extraction settings (checkpoint directory, cadence,
-        retention); the default keeps everything in memory.
+        resume); the default keeps everything in memory.
     """
 
     seed: int = 20080407

@@ -46,6 +46,11 @@ _ALIAS_RE = re.compile(
     re.IGNORECASE,
 )
 _COLUMN_ALIAS_RE = re.compile(r"\bAS\s+([A-Za-z_]\w*)", re.IGNORECASE)
+#: A common table expression: ``WITH [RECURSIVE] name [(columns)] AS (``.
+_CTE_RE = re.compile(
+    r"\bWITH\s+(?:RECURSIVE\s+)?([A-Za-z_]\w*)\s*(?:\(([^)]*)\))?\s*AS\s*\(",
+    re.IGNORECASE,
+)
 _IDENT_RE = re.compile(r"\b([A-Za-z_]\w*)(\.[A-Za-z_]\w*)?")
 _SELECT_STAR_RE = re.compile(r"\bSELECT\s+\*", re.IGNORECASE)
 _STRING_LITERAL_RE = re.compile(r"'[^']*'")
@@ -165,10 +170,26 @@ class SqlContractRule(_ContractRule):
             for name in dict.fromkeys(_TABLE_REF_RE.findall(sql))
             if name.lower() not in _SQL_KEYWORDS
         ]
+        # A CTE is a table of the query itself: its declared column
+        # list is checked like DDL; without one its columns are unknown.
+        ctes = {
+            match.group(1): None
+            if match.group(2) is None
+            else SqlTable(
+                name=match.group(1),
+                module=query.module,
+                path=query.path,
+                line=query.line,
+                columns=tuple(c.strip() for c in match.group(2).split(",")),
+            )
+            for match in _CTE_RE.finditer(sql)
+        }
         resolved: dict[str, SqlTable | None] = {}
         for name in refs:
             if name.lower() in _IMPLICIT_TABLES or name == DYNAMIC:
                 resolved[name] = None  # wildcard: columns unknown, no checks
+            elif name in ctes:
+                resolved[name] = ctes[name]
             elif name in local:
                 resolved[name] = local[name]
             elif name in by_name:

@@ -9,10 +9,11 @@ selection, and postings-backed hierarchy repair (see
 :mod:`repro.incremental.extractor` for how each stage shares the batch
 pipeline's code).
 
-:class:`CheckpointStore` persists versioned, checksummed snapshots via
-atomic temp-file + rename writes; :class:`StreamSupervisor` (the
+:class:`CheckpointStore` keeps the state in one SQLite database per
+run directory and commits each checkpoint as one transaction holding
+only the rows that changed; :class:`StreamSupervisor` (the
 ``repro stream`` CLI) ingests batch files from a directory, checkpoints
-between batches, and resumes from the newest valid snapshot after a
+between batches, and resumes from the committed checkpoint after a
 crash.
 """
 
@@ -20,10 +21,7 @@ from .checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointError,
     CheckpointStore,
-    atomic_write_json,
-    atomic_write_text,
     canonical_json,
-    payload_checksum,
 )
 from .extractor import IncrementalBatchReport, IncrementalExtractor
 from .state import DocumentState, IncrementalState
@@ -32,6 +30,7 @@ from .supervisor import (
     FaultInjector,
     StreamReport,
     StreamSupervisor,
+    atomic_write_text,
     make_batch_files,
     read_batch_file,
     split_into_batches,
@@ -50,11 +49,9 @@ __all__ = [
     "IncrementalState",
     "StreamReport",
     "StreamSupervisor",
-    "atomic_write_json",
     "atomic_write_text",
     "canonical_json",
     "make_batch_files",
-    "payload_checksum",
     "read_batch_file",
     "split_into_batches",
     "write_batch_file",

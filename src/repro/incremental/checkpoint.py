@@ -1,38 +1,91 @@
 """Crash-safe checkpoint storage for the incremental pipeline.
 
-Snapshots are versioned JSON files (``checkpoint-000042.json``, schema
-``repro.checkpoint/1``) inside a run directory.  Every write goes
-through :func:`atomic_write_text`: the payload lands in a temp file that
-is fsynced and then :func:`os.replace`-d over the target, so a reader
-never observes a half-written checkpoint — a crash leaves either the
-old file, the new file, or a stray ``*.tmp`` that the store removes on
-open.
+The checkpoint is one SQLite database in the run directory,
+``checkpoint.sqlite`` (schema ``repro.checkpoint/2``).  Documents are
+append-only, so their state splits into two tables keyed by ingestion
+position:
 
-Recovery scans the run directory for the highest-sequence snapshot whose
-schema and content checksum validate, falling back to earlier snapshots
-if the newest is damaged.  The directory listing is the only index: a
-save removes every snapshot with a higher sequence than its own, so the
-newest file on disk always belongs to the current run.
+* ``documents`` holds the write-once columns: the document fields, the
+  original terms (``stats_terms``) and the cached scoring candidates —
+  most of the bytes, written once when the document arrives;
+* ``doc_state`` holds the columns a later batch may rewrite: the
+  per-extractor outputs, the merged ``I(d)`` and the context terms.
+
+The batch ledger (``batches``) and the sequence (``meta``) sit beside
+them.  Term lists are stored as terminator-joined text (every term ends
+with ``\\x1f``, every list of a list of lists with ``\\x1e``); a term
+holding either character is rejected on save.
+
+:meth:`CheckpointStore.save` takes the state payload of
+:meth:`~repro.incremental.state.IncrementalState.to_payload`, which
+replaces whatever the file held, or a delta of the same shape
+(:meth:`~repro.incremental.state.IncrementalState.delta_payload`) that
+names the document and batch counts it extends; a delta whose base
+disagrees with the store is rejected and the store is left unchanged.
+Every save is one transaction in SQLite's rollback-journal mode with
+``synchronous=FULL``: a crash at any point leaves the previous commit,
+SQLite rolls back the hot journal the next time the file is opened, and
+after every commit the database file alone holds the checkpoint.
+
+A file that cannot be read as this schema (truncated, garbage, another
+schema tag) reads as no checkpoint, and the next full save replaces it.
+A run directory that holds only the retired JSON snapshots
+(``checkpoint-NNNNNN.json``, ``repro.checkpoint/1``) raises
+:class:`CheckpointError` instead of silently starting over.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import re
+import sqlite3
 from collections.abc import Callable
 from pathlib import Path
 
 from ..errors import StorageError
 from ..observability.logging import get_logger
+from .state import STATE_SCHEMA
 
 log = get_logger(__name__)
 
-#: Schema tag carried by every snapshot (bump on layout changes).
-CHECKPOINT_SCHEMA = "repro.checkpoint/1"
+#: Schema tag of the checkpoint database (bump on layout changes).
+CHECKPOINT_SCHEMA = "repro.checkpoint/2"
 
-_SNAPSHOT_RE = re.compile(r"^checkpoint-(\d{6})\.json$")
+#: The JSON snapshot format this database replaced.
+RETIRED_SCHEMA = "repro.checkpoint/1"
+
+#: File name of the checkpoint database inside the run directory.
+CHECKPOINT_FILE = "checkpoint.sqlite"
+
+_SCHEMA_SQL = """
+CREATE TABLE meta (
+    key TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE documents (
+    position INTEGER PRIMARY KEY,
+    doc_id TEXT NOT NULL UNIQUE,
+    title TEXT NOT NULL,
+    body TEXT NOT NULL,
+    source TEXT NOT NULL,
+    published TEXT NOT NULL,
+    gold TEXT,
+    stats_terms TEXT NOT NULL,
+    candidates TEXT NOT NULL
+);
+CREATE TABLE doc_state (
+    position INTEGER PRIMARY KEY,
+    outputs TEXT NOT NULL,
+    important TEXT NOT NULL,
+    context_terms TEXT NOT NULL
+);
+CREATE TABLE batches (
+    position INTEGER PRIMARY KEY,
+    batch_id TEXT NOT NULL
+);
+"""
+
+_TERM = "\x1f"
+_LIST = "\x1e"
 
 
 class CheckpointError(StorageError):
@@ -42,226 +95,329 @@ class CheckpointError(StorageError):
 def canonical_json(payload: dict) -> str:
     """Deterministic JSON: sorted keys, fixed separators, trailing \\n.
 
-    Every on-disk artifact of the incremental pipeline is serialized
-    through this function so equal states produce equal bytes (the
-    DET002 invariant, extended to files).
+    Batch files and the golden digests are serialized through this
+    function so equal states produce equal bytes (the DET002 invariant,
+    extended to files).
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def payload_checksum(state: dict) -> str:
-    """sha256 over the canonical form of a snapshot's ``state`` section."""
-    return hashlib.sha256(canonical_json(state).encode("utf-8")).hexdigest()
+def _join(terms: list[str]) -> str:
+    """Terms as text, each ended by ``_TERM``."""
+    if not terms:
+        return ""
+    text = _TERM.join(terms) + _TERM
+    if text.count(_TERM) != len(terms):
+        raise CheckpointError(f"a term holds the reserved character {_TERM!r}")
+    return text
 
 
-def atomic_write_text(
-    path: Path,
-    text: str,
-    before_replace: Callable[[], None] | None = None,
-) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
-
-    The temp file lives next to the target (same filesystem, so the
-    rename is atomic) under a deterministic ``<name>.tmp`` suffix and is
-    fsynced before the rename; a crash at any point leaves the previous
-    target intact.  ``before_replace`` is a test-only fault-injection
-    hook fired between the temp write and the rename.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if before_replace is not None:
-            before_replace()
-        os.replace(tmp, path)
-    except BaseException:
-        # Leave no ambiguity behind: the target is untouched and the
-        # temp file is removed so a resume never reads it.
-        try:
-            os.unlink(tmp)
-        except OSError:
-            log.warning("checkpoint.tmp_unlink_failed", path=str(tmp))
-        raise
-    _fsync_directory(path.parent)
+def _split(text: str) -> list[str]:
+    return text.split(_TERM)[:-1]
 
 
-def atomic_write_json(
-    path: Path,
-    payload: dict,
-    before_replace: Callable[[], None] | None = None,
-) -> None:
-    """Canonical-JSON variant of :func:`atomic_write_text`."""
-    atomic_write_text(path, canonical_json(payload), before_replace=before_replace)
+def _join_lists(lists: list[list[str]]) -> str:
+    """Lists of terms as text, each list ended by ``_LIST``."""
+    text = "".join([_join(terms) + _LIST for terms in lists])
+    if text.count(_LIST) != len(lists):
+        raise CheckpointError(f"a term holds the reserved character {_LIST!r}")
+    return text
 
 
-def _fsync_directory(directory: Path) -> None:
-    """Best-effort directory fsync so the rename itself is durable."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        log.warning("checkpoint.dir_fsync_failed", path=str(directory))
-    finally:
-        os.close(fd)
+def _split_lists(text: str) -> list[list[str]]:
+    return [_split(part) for part in text.split(_LIST)[:-1]]
+
+
+def _candidates_text(candidates: dict[str, list]) -> str:
+    """``{index: [[term, tf], ...]}`` as one list per extractor index:
+    the index, then each term followed by its tf."""
+    return _join_lists(
+        [
+            [index, *(str(part) for pair in pairs for part in pair)]
+            for index, pairs in candidates.items()
+        ]
+    )
+
+
+def _candidates_from_text(text: str) -> dict[str, list]:
+    candidates: dict[str, list] = {}
+    for index, *flat in _split_lists(text):
+        candidates[index] = [
+            [term, int(tf)] for term, tf in zip(flat[0::2], flat[1::2])
+        ]
+    return candidates
+
+
+def _document_row(position: int, document: dict, cached: dict) -> tuple:
+    gold = document.get("gold")
+    return (
+        position,
+        document["doc_id"],
+        document["title"],
+        document["body"],
+        document["source"],
+        document["published"],
+        None if gold is None else canonical_json(gold),
+        _join(cached["stats_terms"]),
+        _candidates_text(cached["candidates"]),
+    )
+
+
+def _mutable_columns(cached: dict) -> tuple[str, str, str]:
+    return (
+        _join_lists(cached["outputs"]),
+        _join(cached["important"]),
+        _join(cached["context_terms"]),
+    )
 
 
 class CheckpointStore:
-    """Versioned snapshots of incremental state under one run directory.
+    """The checkpoint database of one run directory.
 
     Parameters
     ----------
     directory:
-        The run directory; created on first use.  Stray ``*.tmp`` files
-        from an earlier crash are removed when the store opens.
-    keep_snapshots:
-        Snapshots retained after each successful save (older sequences
-        are pruned).
+        The run directory; created on first use.
     fault_hook:
-        Test-only crash-injection callback, fired with stage names
-        (``"pre-checkpoint"``, ``"mid-write"``, ``"post-write"``) at
-        the matching points of :meth:`save`.
+        Test-only crash-injection callback, fired with stage names at
+        the matching points of :meth:`save`: ``"pre-checkpoint"``
+        before the transaction opens, ``"mid-write"`` with every row
+        written but not committed, ``"post-write"`` after the commit.
     """
 
     def __init__(
         self,
         directory: str | Path,
-        keep_snapshots: int = 3,
         fault_hook: Callable[[str], None] | None = None,
     ) -> None:
-        if keep_snapshots < 1:
-            raise CheckpointError(
-                f"keep_snapshots must be >= 1, got {keep_snapshots}"
-            )
         self.directory = Path(directory)
-        self.keep_snapshots = keep_snapshots
+        self.path = self.directory / CHECKPOINT_FILE
         self._fault_hook = fault_hook
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.clean_orphans()
-
-    # -- helpers -------------------------------------------------------------
 
     def _fire(self, stage: str) -> None:
         if self._fault_hook is not None:
             self._fault_hook(stage)
 
-    def snapshot_path(self, sequence: int) -> Path:
-        return self.directory / f"checkpoint-{sequence:06d}.json"
-
-    def sequences(self) -> list[int]:
-        """Snapshot sequences present on disk, ascending."""
-        found: list[int] = []
-        for entry in self.directory.iterdir():
-            match = _SNAPSHOT_RE.match(entry.name)
-            if match is not None:
-                found.append(int(match.group(1)))
-        return sorted(found)
-
-    def clean_orphans(self) -> int:
-        """Remove ``*.tmp`` leftovers from interrupted writes."""
-        removed = 0
-        for entry in self.directory.glob("*.tmp"):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                log.warning("checkpoint.orphan_unlink_failed", path=str(entry))
-        if removed:
-            log.info("checkpoint.orphans_removed", count=removed)
-        return removed
+    def _connect(self) -> sqlite3.Connection:
+        """A connection in autocommit mode: transactions are explicit."""
+        connection = sqlite3.connect(self.path, isolation_level=None)
+        try:
+            connection.execute("PRAGMA journal_mode=DELETE")
+            connection.execute("PRAGMA synchronous=FULL")
+        except sqlite3.Error:
+            connection.close()
+            raise
+        return connection
 
     # -- save ----------------------------------------------------------------
 
-    def save(self, state: dict, sequence: int) -> Path:
-        """Write snapshot ``sequence`` atomically, then drop stale ones.
+    def save(self, payload: dict, sequence: int) -> Path:
+        """Commit ``payload`` as checkpoint ``sequence`` in one transaction.
 
-        The snapshot carries the schema tag, the sequence, and a
-        checksum over the canonical state.  Snapshots with a higher
-        sequence are history this run replaced (a restart without
-        resume, or damaged snapshots a restore skipped), so they are
-        deleted before pruning: otherwise pruning would keep them, drop
-        the snapshot just written, and recovery would resume the old
-        history.
+        A payload with a ``base`` entry is a delta: its documents are
+        appended, its other ``docs`` entries overwrite those documents'
+        mutable columns, and its batches extend the ledger.  Any other
+        payload starts a new file, replacing an older run's history or a
+        damaged file.
         """
         if sequence < 0:
             raise CheckpointError(f"sequence must be >= 0, got {sequence}")
+        if payload.get("schema") != STATE_SCHEMA:
+            raise CheckpointError(
+                f"state schema {payload.get('schema')!r} != {STATE_SCHEMA!r}"
+            )
+        base = payload.get("base")
         self._fire("pre-checkpoint")
-        payload = {
-            "schema": CHECKPOINT_SCHEMA,
-            "sequence": sequence,
-            "checksum": payload_checksum(state),
-            "state": state,
-        }
-        path = self.snapshot_path(sequence)
-        atomic_write_json(
-            path, payload, before_replace=lambda: self._fire("mid-write")
-        )
-        self._fire("post-write")
-        for stale in self.sequences():
-            if stale > sequence:
-                self._unlink_snapshot(stale)
-        self.prune()
-        log.info("checkpoint.saved", sequence=sequence, path=str(path))
-        return path
-
-    def prune(self) -> None:
-        """Drop snapshots beyond the newest ``keep_snapshots``."""
-        for sequence in self.sequences()[: -self.keep_snapshots]:
-            self._unlink_snapshot(sequence)
-
-    def _unlink_snapshot(self, sequence: int) -> None:
+        if base is None:
+            for stale in (self.path, self.path.with_name(CHECKPOINT_FILE + "-journal")):
+                stale.unlink(missing_ok=True)
         try:
-            self.snapshot_path(sequence).unlink()
-        except OSError:
-            log.warning("checkpoint.prune_failed", sequence=sequence)
+            connection = self._connect()
+        except sqlite3.Error as exc:
+            raise CheckpointError(f"cannot open checkpoint {self.path}: {exc}") from exc
+        try:
+            connection.execute("BEGIN IMMEDIATE")
+            try:
+                self._write(connection, payload, base, sequence)
+                self._fire("mid-write")
+            except BaseException:
+                if connection.in_transaction:
+                    connection.execute("ROLLBACK")
+                raise
+            connection.execute("COMMIT")
+        except sqlite3.Error as exc:
+            raise CheckpointError(f"checkpoint {self.path} not written: {exc}") from exc
+        finally:
+            connection.close()
+        self._fire("post-write")
+        log.info("checkpoint.saved", sequence=sequence, path=str(self.path))
+        return self.path
+
+    def _write(
+        self,
+        connection: sqlite3.Connection,
+        payload: dict,
+        base: dict | None,
+        sequence: int,
+    ) -> None:
+        if base is None:
+            for statement in _SCHEMA_SQL.split(";")[:-1]:
+                connection.execute(statement)
+            start = (0, 0)
+        else:
+            start = self._check_base(connection, base)
+            self._update_changed(connection, payload)
+        self._append(connection, payload, *start)
+        connection.executemany(
+            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+            [("schema", CHECKPOINT_SCHEMA), ("sequence", str(sequence))],
+        )
+
+    def _check_base(
+        self, connection: sqlite3.Connection, base: dict
+    ) -> tuple[int, int]:
+        """The stored document and batch counts, which must be ``base``'s."""
+        self._read_meta(connection)
+        documents, batches = (
+            connection.execute(
+                f"SELECT COALESCE(MAX(position) + 1, 0) FROM {table}"
+            ).fetchone()[0]
+            for table in ("documents", "batches")
+        )
+        if (documents, batches) != (base["documents"], base["batches"]):
+            raise CheckpointError(
+                f"{self.path} holds {documents} documents and {batches} batches; "
+                f"the delta extends {base['documents']} and {base['batches']}"
+            )
+        return documents, batches
+
+    def _update_changed(self, connection: sqlite3.Connection, payload: dict) -> None:
+        """Overwrite the mutable columns of the delta's stored documents."""
+        new_ids = {document["doc_id"] for document in payload["documents"]}
+        changed = [
+            (*_mutable_columns(cached), doc_id)
+            for doc_id, cached in payload["docs"].items()
+            if doc_id not in new_ids
+        ]
+        cursor = connection.executemany(
+            "UPDATE doc_state SET outputs = ?, important = ?, context_terms = ? "
+            "WHERE position = (SELECT position FROM documents WHERE doc_id = ?)",
+            changed,
+        )
+        if cursor.rowcount != len(changed):
+            raise CheckpointError(f"the delta updates documents {self.path} lacks")
+
+    @staticmethod
+    def _append(
+        connection: sqlite3.Connection, payload: dict, documents: int, batches: int
+    ) -> None:
+        """Insert the payload's documents and batches after the stored ones."""
+        docs = payload["docs"]
+        rows = []
+        states = []
+        for position, document in enumerate(payload["documents"], start=documents):
+            cached = docs[document["doc_id"]]
+            rows.append(_document_row(position, document, cached))
+            states.append((position, *_mutable_columns(cached)))
+        connection.executemany(
+            "INSERT INTO documents (position, doc_id, title, body, source, "
+            "published, gold, stats_terms, candidates) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            rows,
+        )
+        connection.executemany(
+            "INSERT INTO doc_state (position, outputs, important, context_terms) "
+            "VALUES (?, ?, ?, ?)",
+            states,
+        )
+        connection.executemany(
+            "INSERT INTO batches (position, batch_id) VALUES (?, ?)",
+            enumerate(payload["batches_done"], start=batches),
+        )
 
     # -- load ----------------------------------------------------------------
 
-    def load(self, sequence: int) -> dict:
-        """Load and validate one snapshot's state section."""
-        path = self.snapshot_path(sequence)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-        if payload.get("schema") != CHECKPOINT_SCHEMA:
+    def _read_meta(self, connection: sqlite3.Connection) -> dict[str, str]:
+        meta = dict(connection.execute("SELECT key, value FROM meta").fetchall())
+        if meta.get("schema") != CHECKPOINT_SCHEMA:
             raise CheckpointError(
-                f"{path}: schema {payload.get('schema')!r} != {CHECKPOINT_SCHEMA!r}"
+                f"{self.path}: schema {meta.get('schema')!r} != {CHECKPOINT_SCHEMA!r}"
             )
-        if payload.get("sequence") != sequence:
-            # A snapshot renamed or copied over another one: the file
-            # name and its embedded sequence must agree.
-            raise CheckpointError(
-                f"{path}: embedded sequence {payload.get('sequence')!r} "
-                f"does not match file name sequence {sequence}"
-            )
-        state = payload.get("state")
-        if not isinstance(state, dict):
-            raise CheckpointError(f"{path}: missing state section")
-        if payload.get("checksum") != payload_checksum(state):
-            raise CheckpointError(f"{path}: checksum mismatch")
-        return state
+        return meta
 
     def load_latest(self) -> tuple[int, dict] | None:
-        """The newest snapshot that validates, or None when none do.
+        """The committed checkpoint as ``(sequence, state payload)``.
 
-        Damaged snapshots are skipped (with a log line) rather than
-        aborting recovery — the supervisor then replays the batches the
-        lost snapshots covered, which by the equivalence contract
-        reproduces the exact same state.
+        None when the run directory has no checkpoint or the file is
+        damaged (logged as ``checkpoint.skipping_damaged``): the stream
+        then starts cold, and replaying every batch reproduces the lost
+        state exactly.  A directory holding only retired JSON snapshots
+        raises :class:`CheckpointError`.
         """
-        for sequence in reversed(self.sequences()):
-            try:
-                return sequence, self.load(sequence)
-            except CheckpointError as exc:
-                log.warning(
-                    "checkpoint.skipping_damaged",
-                    sequence=sequence,
-                    error=str(exc),
+        if not self.path.exists():
+            retired = sorted(self.directory.glob("checkpoint-*.json"))
+            if retired:
+                raise CheckpointError(
+                    f"{retired[-1]}: schema {RETIRED_SCHEMA!r} is retired; "
+                    f"this version reads {CHECKPOINT_SCHEMA!r} from "
+                    f"{CHECKPOINT_FILE}. Re-ingest the stream with resume "
+                    "off or into a new run directory"
                 )
-        return None
+            return None
+        try:
+            return self._load()
+        except (sqlite3.DatabaseError, CheckpointError, ValueError) as exc:
+            log.warning(
+                "checkpoint.skipping_damaged", path=str(self.path), error=str(exc)
+            )
+            return None
+
+    def _load(self) -> tuple[int, dict]:
+        connection = self._connect()
+        try:
+            meta = self._read_meta(connection)
+            rows = connection.execute(
+                "SELECT documents.doc_id, documents.title, documents.body, "
+                "documents.source, documents.published, documents.gold, "
+                "documents.stats_terms, documents.candidates, doc_state.outputs, "
+                "doc_state.important, doc_state.context_terms "
+                "FROM documents JOIN doc_state "
+                "ON doc_state.position = documents.position "
+                "ORDER BY documents.position"
+            ).fetchall()
+            batches = connection.execute(
+                "SELECT batch_id FROM batches ORDER BY position"
+            ).fetchall()
+        finally:
+            connection.close()
+        documents: list[dict] = []
+        docs: dict[str, dict] = {}
+        for (
+            doc_id, title, body, source, published, gold,
+            stats_terms, candidates, outputs, important, context_terms,
+        ) in rows:
+            document = {
+                "doc_id": doc_id,
+                "title": title,
+                "body": body,
+                "source": source,
+                "published": published,
+            }
+            if gold is not None:
+                document["gold"] = json.loads(gold)
+            documents.append(document)
+            docs[doc_id] = {
+                "stats_terms": _split(stats_terms),
+                "outputs": _split_lists(outputs),
+                "candidates": _candidates_from_text(candidates),
+                "important": _split(important),
+                "context_terms": _split(context_terms),
+            }
+        payload = {
+            "schema": STATE_SCHEMA,
+            "documents": documents,
+            "docs": docs,
+            "batches_done": [batch_id for (batch_id,) in batches],
+        }
+        return int(meta["sequence"]), payload

@@ -43,9 +43,14 @@ the code the batch pipeline runs, never a copy of it:
   entry, :func:`~repro.core.hierarchy.hierarchies_from_postings`.
 
 Checkpointing is delegated to a
-:class:`~repro.incremental.checkpoint.CheckpointStore`; a snapshot is
-written after every ``checkpoint_every`` batches and
-:meth:`IncrementalExtractor.restore` resumes from the newest valid one.
+:class:`~repro.incremental.checkpoint.CheckpointStore`; a checkpoint is
+committed after every ``checkpoint_every`` batches and
+:meth:`IncrementalExtractor.restore` resumes from it.  The extractor
+records which stored documents changed since the last commit
+(:meth:`_rescore` marks changed outputs, :meth:`_expand` re-expansions),
+so a commit writes only the new documents and the marked ones' mutable
+columns.  An extractor that did not restore from its store writes its
+first checkpoint in full, which replaces whatever the store held.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 from ..core.annotate import _columnar_stats_chunk, merge_important
 from ..core.contextualize import assemble_databases, expand_documents
@@ -130,7 +136,7 @@ class IncrementalExtractor:
         any other extractor that overrides ``use_background`` raises
         :class:`ValueError`.
     checkpoint:
-        Optional checkpoint store; when given, a snapshot is written
+        Optional checkpoint store; when given, a checkpoint is committed
         after every ``checkpoint_every``-th batch.
     checkpoint_every:
         Checkpoint cadence in batches.
@@ -156,6 +162,10 @@ class IncrementalExtractor:
         self._checkpoint = checkpoint
         self._checkpoint_every = checkpoint_every
         self._state = state if state is not None else IncrementalState()
+        # (documents, batches) the store holds of this state, None until
+        # the first commit, and the positions marked since that commit.
+        self._committed: tuple[int, int] | None = None
+        self._changed: set[int] = set()
         self._facet_terms: list[FacetTermCandidate] = []
         self._hierarchies: list[FacetHierarchy] = []
         self._rescore_indices = self._bind_extractors()
@@ -228,7 +238,7 @@ class IncrementalExtractor:
         checkpoint: CheckpointStore,
         checkpoint_every: int = 1,
     ) -> "IncrementalExtractor":
-        """Resume from the newest valid snapshot (empty state when none)."""
+        """Resume from the store's checkpoint (empty state when none)."""
         loaded = checkpoint.load_latest()
         state: IncrementalState | None = None
         if loaded is not None:
@@ -240,12 +250,15 @@ class IncrementalExtractor:
                 documents=state.document_count,
                 batches=len(state.batches_done),
             )
-        return cls(
+        extractor = cls(
             pipeline,
             checkpoint=checkpoint,
             checkpoint_every=checkpoint_every,
             state=state,
         )
+        if state is not None:
+            extractor._committed = (state.document_count, len(state.batches_done))
+        return extractor
 
     def append(
         self,
@@ -321,11 +334,10 @@ class IncrementalExtractor:
         )
 
     def checkpoint_now(self) -> bool:
-        """Force a snapshot regardless of cadence (False without a store)."""
+        """Commit a checkpoint regardless of cadence (False without a store)."""
         if self._checkpoint is None:
             return False
-        sequence = len(self._state.batches_done)
-        self._checkpoint.save(self._state.to_payload(), sequence)
+        self._save(self._checkpoint)
         return True
 
     def snapshot_result(self) -> FacetExtractionResult:
@@ -434,6 +446,7 @@ class IncrementalExtractor:
                         doc_state.outputs[index] = output
                         changed = True
                 if changed:
+                    self._changed.add(position)
                     important = merge_important(doc_state.outputs)
                     if important != doc_state.important:
                         doc_state.important = important
@@ -456,6 +469,7 @@ class IncrementalExtractor:
         touched: set[int] = set()
         if not positions:
             return touched
+        self._changed.update(positions)
         doc_states = [
             state.doc_states[state.documents[position].doc_id]
             for position in positions
@@ -513,10 +527,22 @@ class IncrementalExtractor:
         if len(self._state.batches_done) % self._checkpoint_every != 0:
             return False
         with obs.tracer.span(obs_names.SPAN_INCREMENTAL_CHECKPOINT) as span:
-            sequence = len(self._state.batches_done)
-            path = self._checkpoint.save(self._state.to_payload(), sequence)
-            span.add("sequence", sequence)
+            path = self._save(self._checkpoint)
+            span.add("sequence", len(self._state.batches_done))
             # A path is a tag, not a counter: Span.add sums floats and
             # raises on strings once tracing is actually enabled.
             span.set(path=str(path))
         return True
+
+    def _save(self, store: CheckpointStore) -> Path:
+        """Commit what changed since the last commit (everything the
+        first time), then start marking afresh."""
+        state = self._state
+        if self._committed is None:
+            payload = state.to_payload()
+        else:
+            payload = state.delta_payload(*self._committed, self._changed)
+        path = store.save(payload, len(state.batches_done))
+        self._committed = (state.document_count, len(state.batches_done))
+        self._changed = set()
+        return path

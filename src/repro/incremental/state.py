@@ -19,11 +19,15 @@ between batches, on the batch pipeline's columnar data plane:
   possible shift candidates) maintained from per-batch df deltas.
 
 Serialization is deliberately minimal: only the document payloads and
-per-document caches are written (canonical JSON upstream), the original
-terms as strings in emission order.  The id rows, vocabularies,
-postings and the pre-test set are derived data and are rebuilt on load.
-That keeps snapshots byte-deterministic and makes it impossible for a
+per-document caches are written, the original terms as strings in
+emission order.  The id rows, vocabularies, postings and the pre-test
+set are derived data and are rebuilt on load.  That keeps the payload
+byte-deterministic under canonical JSON and makes it impossible for a
 checkpoint to carry internally inconsistent statistics.
+:meth:`IncrementalState.to_payload` is the whole state;
+:meth:`IncrementalState.delta_payload` is the same shape over what
+changed since a checkpoint, which the SQLite
+:class:`~repro.incremental.checkpoint.CheckpointStore` commits as rows.
 """
 
 from __future__ import annotations
@@ -184,12 +188,39 @@ class IncrementalState:
         canonical-JSON writer), so two equal states always serialize to
         identical bytes.
         """
+        return self._payload(None, ())
+
+    def delta_payload(
+        self, base_documents: int, base_batches: int, changed: Iterable[int]
+    ) -> dict:
+        """What a checkpoint holding this state's first ``base_documents``
+        documents and ``base_batches`` batches needs to catch up.
+
+        The :meth:`to_payload` shape over the documents from position
+        ``base_documents`` on (in full) and the batches from
+        ``base_batches`` on, plus the mutable entries (``outputs``,
+        ``important``, ``context_terms``) of the earlier documents at
+        ``changed``; ``base`` names the counts it extends.
+        """
+        return self._payload((base_documents, base_batches), changed)
+
+    def _payload(self, base: tuple[int, int] | None, changed: Iterable[int]) -> dict:
+        first_new, first_batch = (0, 0) if base is None else base
         term_of = self.interner.terms()
-        docs_payload: dict[str, dict] = {}
-        for document, row in zip(self.documents, self.original_rows):
-            doc_state = self.doc_states[document.doc_id]
-            docs_payload[document.doc_id] = {
-                "stats_terms": [term_of[term_id] for term_id in row],
+        documents = self.documents
+        docs: dict[str, dict] = {}
+        for position in sorted(p for p in changed if p < first_new):
+            doc_state = self.doc_states[documents[position].doc_id]
+            docs[documents[position].doc_id] = {
+                "outputs": [list(terms) for terms in doc_state.outputs],
+                "important": list(doc_state.important),
+                "context_terms": list(doc_state.context_terms),
+            }
+        new = range(first_new, len(documents))
+        for position in new:
+            doc_state = self.doc_states[documents[position].doc_id]
+            docs[documents[position].doc_id] = {
+                "stats_terms": [term_of[i] for i in self.original_rows[position]],
                 "outputs": [list(terms) for terms in doc_state.outputs],
                 "candidates": {
                     str(index): [[term, tf] for term, tf in pairs]
@@ -198,12 +229,15 @@ class IncrementalState:
                 "important": list(doc_state.important),
                 "context_terms": list(doc_state.context_terms),
             }
-        return {
+        payload = {
             "schema": STATE_SCHEMA,
-            "documents": [document_payload(doc) for doc in self.documents],
-            "docs": docs_payload,
-            "batches_done": list(self.batches_done),
+            "documents": [document_payload(documents[p]) for p in new],
+            "docs": docs,
+            "batches_done": self.batches_done[first_batch:],
         }
+        if base is not None:
+            payload["base"] = {"documents": first_new, "batches": first_batch}
+        return payload
 
     @classmethod
     def from_payload(cls, payload: dict) -> "IncrementalState":

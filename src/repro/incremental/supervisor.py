@@ -8,9 +8,10 @@ feeds each not-yet-ingested file to an
 :class:`~repro.incremental.extractor.IncrementalExtractor`, letting the
 extractor checkpoint between batches.
 
-Crash recovery is entirely data-driven: a snapshot records the batch
-ids it covers (``batches_done``), so after a restart the supervisor
-restores the newest valid snapshot and simply skips those files.
+Crash recovery is entirely data-driven: the checkpoint records the
+batch ids it covers (``batches_done``), so after a restart the
+supervisor restores the committed checkpoint and simply skips those
+files.
 Batches ingested after the last checkpoint are replayed — by the
 incremental/batch equivalence contract, replaying them reproduces the
 exact pre-crash state, so a crash at *any* point loses no information
@@ -20,12 +21,16 @@ and changes no output.
 the :class:`~repro.incremental.checkpoint.CheckpointStore` fault hook,
 it raises :class:`CrashInjected` the n-th time a chosen checkpoint
 stage (``pre-checkpoint`` / ``mid-write`` / ``post-write``) is reached,
-simulating a kill at that precise moment.
+simulating a kill at that precise moment.  An exception lets the store
+roll its transaction back; a real kill leaves SQLite's hot journal,
+which the next open rolls back.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +38,7 @@ from ..core.pipeline import FacetExtractor
 from ..corpus.document import Document
 from ..errors import StorageError
 from ..observability.logging import get_logger
-from .checkpoint import CheckpointStore, atomic_write_text, canonical_json
+from .checkpoint import CheckpointStore, canonical_json
 from .extractor import IncrementalBatchReport, IncrementalExtractor
 from .state import document_from_payload, document_payload
 
@@ -78,6 +83,47 @@ class FaultInjector:
         if self._seen >= self.occurrence:
             self.fired = True
             raise CrashInjected(f"injected crash at {stage} #{self._seen}")
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
+
+    The temp file lives next to the target (same filesystem, so the
+    rename is atomic) under a deterministic ``<name>.tmp`` suffix and is
+    fsynced before the rename, and the directory after it; a crash at
+    any point leaves the previous target intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        # Leave no ambiguity behind: the target is untouched and the
+        # temp file is removed so the supervisor never reads it.
+        try:
+            os.unlink(tmp)
+        except OSError:
+            log.warning("batch_file.tmp_unlink_failed", path=str(tmp))
+        raise
+    _fsync_directory(path.parent)
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Best-effort directory fsync so the rename itself is durable."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        log.warning("batch_file.dir_fsync_failed", path=str(directory))
+    finally:
+        os.close(fd)
 
 
 def write_batch_file(path: str | Path, documents: list[Document]) -> Path:
@@ -184,13 +230,10 @@ class StreamSupervisor:
         pipeline: FacetExtractor,
         run_dir: str | Path,
         checkpoint_every: int = 1,
-        keep_snapshots: int = 3,
         resume: bool = True,
-        fault_hook: FaultInjector | None = None,
+        fault_hook: Callable[[str], None] | None = None,
     ) -> None:
-        self._store = CheckpointStore(
-            run_dir, keep_snapshots=keep_snapshots, fault_hook=fault_hook
-        )
+        self._store = CheckpointStore(run_dir, fault_hook=fault_hook)
         if resume:
             self._extractor = IncrementalExtractor.restore(
                 pipeline, self._store, checkpoint_every=checkpoint_every

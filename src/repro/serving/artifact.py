@@ -173,6 +173,7 @@ class FacetIndex:
         self._doc_lengths: dict[str, int] | None = None
         self._doc_ids: tuple[list[str], list[str], dict[str, int]] | None = None
         self._node_bitmaps: dict[int, int] = {}
+        self._node_rows: dict[str, tuple[int, str, int, int]] = {}
         self._roots: list[tuple[int, str, int]] | None = None
 
     # -- lifecycle ----------------------------------------------------------------
@@ -527,13 +528,26 @@ class FacetIndex:
         ]
 
     def _node_row(self, term: str) -> tuple[int, str, int, int] | None:
-        """(node_id, term, depth, count) of the first matching node."""
-        row = self._connection().execute(
-            "SELECT node_id, term, depth, count FROM facet_nodes"
-            " WHERE norm_term = ? ORDER BY node_id LIMIT 1",
-            (normalize_term(term),),
-        ).fetchone()
-        return None if row is None else (row[0], row[1], row[2], row[3])
+        """(node_id, term, depth, count) of the first matching node.
+
+        Found rows are cached per normalized term (a bounded set: the
+        artifact's nodes); unknown terms are looked up every time.
+        """
+        key = normalize_term(term)
+        found = self._node_rows.get(key)
+        if found is None:
+            with self._lock:
+                found = self._node_rows.get(key)
+                if found is None:
+                    row = self._connection().execute(
+                        "SELECT node_id, term, depth, count FROM facet_nodes"
+                        " WHERE norm_term = ? ORDER BY node_id LIMIT 1",
+                        (key,),
+                    ).fetchone()
+                    if row is None:
+                        return None
+                    found = self._node_rows[key] = (row[0], row[1], row[2], row[3])
+        return found
 
     def _require_node(self, term: str) -> tuple[int, str, int, int]:
         row = self._node_row(term)
@@ -561,18 +575,16 @@ class FacetIndex:
     def breadcrumb(self, term: str) -> list[str]:
         """Root-to-node trail of a facet node (for display)."""
         node_id, _term, _depth, _count = self._require_node(term)
-        trail: list[str] = []
-        connection = self._connection()
-        current: int | None = node_id
-        while current is not None:
-            row = connection.execute(
-                "SELECT term, parent_id FROM facet_nodes WHERE node_id = ?",
-                (current,),
-            ).fetchone()
-            trail.append(row[0])
-            current = row[1]
-        trail.reverse()
-        return trail
+        rows = self._connection().execute(
+            "WITH RECURSIVE trail(node_id, parent_id, term, hops) AS ("
+            " SELECT node_id, parent_id, term, 0 FROM facet_nodes WHERE node_id = ?"
+            " UNION ALL"
+            " SELECT n.node_id, n.parent_id, n.term, t.hops + 1"
+            " FROM facet_nodes n JOIN trail t ON n.node_id = t.parent_id)"
+            " SELECT term FROM trail ORDER BY hops DESC",
+            (node_id,),
+        ).fetchall()
+        return [row[0] for row in rows]
 
     # -- documents -----------------------------------------------------------------
 
@@ -749,6 +761,7 @@ class _SqlSearchAdapter:
 
     def __init__(self, index: FacetIndex) -> None:
         self._index = index
+        self._postings: dict[str, list[Posting]] = {}
 
     @property
     def document_count(self) -> int:
@@ -762,19 +775,20 @@ class _SqlSearchAdapter:
         return int(self._index.manifest["doc_length_total"]) / count
 
     def document_frequency(self, term: str) -> int:
-        row = self._index._connection().execute(
-            "SELECT COUNT(*) FROM postings WHERE term = ?", (term,)
-        ).fetchone()
-        return row[0]
+        return len(self.postings(term))
 
     def document_length(self, doc_id: str) -> int:
         return self._index._lengths().get(doc_id, 0)
 
     def postings(self, term: str) -> list[Posting]:
-        rows = self._index._connection().execute(
-            "SELECT doc_id, tf FROM postings WHERE term = ?", (term,)
-        ).fetchall()
-        return [Posting(row[0], row[1]) for row in rows]
+        """One term's postings, read once per adapter (one search)."""
+        found = self._postings.get(term)
+        if found is None:
+            rows = self._index._connection().execute(
+                "SELECT doc_id, tf FROM postings WHERE term = ?", (term,)
+            ).fetchall()
+            found = self._postings[term] = [Posting(row[0], row[1]) for row in rows]
+        return found
 
 
 def _load_hierarchies(connection: sqlite3.Connection) -> list[FacetHierarchy]:

@@ -122,6 +122,33 @@ def test_sql001_matching_query_is_clean():
     assert ids == []
 
 
+def test_sql001_recursive_cte_columns_are_checked():
+    def ids(base_column: str) -> list[str]:
+        return _rule_ids(
+            f"""
+            _SCHEMA = "CREATE TABLE nodes (node_id INTEGER, parent_id INTEGER, term TEXT)"
+
+            def setup(conn):
+                conn.execute(_SCHEMA)
+
+            def trail(conn, node_id):
+                return conn.execute(
+                    "WITH RECURSIVE up(node_id, parent_id, term, hops) AS ("
+                    " SELECT node_id, parent_id, term, 0 FROM nodes WHERE node_id = ?"
+                    " UNION ALL SELECT n.node_id, n.{base_column}, n.term, u.hops + 1"
+                    " FROM nodes n JOIN up u ON n.node_id = u.parent_id)"
+                    " SELECT term FROM up ORDER BY hops DESC",
+                    (node_id,),
+                ).fetchall()
+            """,
+            _SQL_MODULE,
+            select={"SQL001"},
+        )
+
+    assert ids("parent_id") == []
+    assert ids("parent") == ["SQL001"]
+
+
 def test_sql001_noqa_suppresses():
     ids = _rule_ids(
         """

@@ -4,16 +4,22 @@ Faults are injected at the three checkpoint stages ("pre-checkpoint",
 "mid-write", "post-write"); after each simulated kill a fresh
 :class:`StreamSupervisor` over the same run directory must recover and
 land on output byte-identical to a from-scratch run of the full corpus.
-The atomic-write contract (temp file + ``os.replace``; the target is
-never half-written) and the recovery policy (the directory scan is the
-only index, damaged snapshots are skipped, a run that starts over
-replaces the old run's snapshots, orphan temp files are removed) are
-each pinned individually.
+A child process killed inside the checkpoint transaction shows SQLite's
+rollback of the torn file.  The checkpoint database's contract is
+pinned individually: after every commit it loads back as the live
+state's payload, a commit writes rows only for new and changed
+documents, a delta on the wrong base is refused, a damaged file means
+a cold start, a run that starts over replaces the old run, and a
+directory of retired JSON snapshots is refused.
 """
 
 from __future__ import annotations
 
-import filecmp
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +41,8 @@ from repro.incremental import (
     read_batch_file,
     split_into_batches,
 )
+from repro.incremental.state import STATE_SCHEMA
+from repro.observability.logging import configure_logging
 from repro.text.interning import normalize_term
 
 SCALE = 0.05
@@ -146,6 +154,85 @@ class TestCrashAndResume:
         assert "cold start" in report.format_summary()
 
 
+#: A stream run killed (``os._exit``) inside its third checkpoint
+#: transaction; argv is the input directory, the run directory and the
+#: corpus scale.  A one-page cache makes SQLite spill the transaction's
+#: pages into the database file before the commit, so the kill leaves a
+#: torn file and a hot journal; the file as the second commit left it
+#: is copied to ``committed.bak`` first.
+KILLED_CHILD = """
+import os
+import shutil
+import sys
+
+from repro.builder import FacetPipelineBuilder
+from repro.config import ParallelConfig, ReproConfig
+from repro.incremental import CheckpointStore, StreamSupervisor
+
+connect = CheckpointStore._connect
+
+
+def one_page_cache(store):
+    connection = connect(store)
+    connection.execute("PRAGMA cache_size = 1")
+    return connection
+
+
+CheckpointStore._connect = one_page_cache
+run_dir = sys.argv[2]
+stages = []
+
+
+def kill_in_third_write(stage):
+    stages.append(stage)
+    if stages.count("pre-checkpoint") == 3 and stage == "pre-checkpoint":
+        shutil.copy(os.path.join(run_dir, "checkpoint.sqlite"),
+                    os.path.join(run_dir, "committed.bak"))
+    if stages.count("mid-write") == 3:
+        os._exit(1)
+
+
+builder = FacetPipelineBuilder(ReproConfig(scale=float(sys.argv[3])))
+builder.with_parallel(ParallelConfig(workers=1))
+supervisor = StreamSupervisor(builder.build(), run_dir, fault_hook=kill_in_third_write)
+supervisor.run(sys.argv[1])
+"""
+
+
+class TestKilledMidWrite:
+    def test_process_killed_inside_the_transaction_resumes_identically(
+        self, inc_config, baseline_bytes, input_dir, tmp_path
+    ):
+        """A real kill leaves SQLite's hot journal behind; the next open
+        rolls the torn file back to the second commit."""
+        import repro
+
+        run_dir = tmp_path / "run"
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        child = subprocess.run(
+            [sys.executable, "-c", KILLED_CHILD, str(input_dir), str(run_dir), str(SCALE)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert child.returncode == 1, child.stderr
+        database = run_dir / "checkpoint.sqlite"
+        journal = run_dir / "checkpoint.sqlite-journal"
+        committed = (run_dir / "committed.bak").read_bytes()
+        assert journal.exists()
+        assert database.read_bytes() != committed
+
+        resumed = StreamSupervisor(build_pipeline(inc_config), run_dir)
+        assert not journal.exists()
+        assert database.read_bytes() == committed
+        assert len(resumed.extractor.batches_done) == 2
+        report = resumed.run(input_dir)
+        assert len(report.ingested) == BATCHES - 2
+        assert result_bytes(resumed.extractor.snapshot_result()) == baseline_bytes
+
+
 class TestSnapshotFormat:
     def test_snapshot_with_stored_context_keys_restores(
         self, inc_config, docs, baseline_bytes, tmp_path
@@ -174,105 +261,238 @@ class TestSnapshotFormat:
 
 class TestAtomicWrite:
     def test_failed_replace_leaves_target_untouched(self, tmp_path, monkeypatch):
-        import repro.incremental.checkpoint as checkpoint_module
+        import repro.incremental.supervisor as supervisor_module
 
         target = tmp_path / "file.json"
         atomic_write_text(target, "original\n")
-        real_replace = checkpoint_module.os.replace
+        real_replace = supervisor_module.os.replace
 
         def failing_replace(src, dst, *args, **kwargs):
             if str(dst) == str(target):
                 raise OSError("injected replace failure")
             return real_replace(src, dst, *args, **kwargs)
 
-        monkeypatch.setattr(checkpoint_module.os, "replace", failing_replace)
+        monkeypatch.setattr(supervisor_module.os, "replace", failing_replace)
         with pytest.raises(OSError, match="injected replace failure"):
             atomic_write_text(target, "new contents\n")
         assert target.read_text() == "original\n"
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_orphan_tmp_files_removed_on_store_open(self, tmp_path):
-        orphan = tmp_path / "checkpoint-000007.json.tmp"
-        orphan.write_text("half-written")
-        batch_orphan = tmp_path / "batch-000003.jsonl.tmp"
-        batch_orphan.write_text("{")
-        CheckpointStore(tmp_path)
-        assert not orphan.exists()
-        assert not batch_orphan.exists()
+    def test_same_state_saves_identical_bytes(self, inc_config, docs, tmp_path):
+        """Equal states load back as equal bytes, whether the store was
+        built from per-batch deltas or one full save."""
+        batches = split_into_batches(docs, BATCHES)
+        streamed = CheckpointStore(tmp_path / "streamed")
+        extractor = IncrementalExtractor(
+            build_pipeline(inc_config), checkpoint=streamed
+        )
+        for batch in batches:
+            extractor.append(batch)
+        whole = CheckpointStore(tmp_path / "whole")
+        whole.save(extractor.state.to_payload(), sequence=BATCHES)
+        assert streamed.load_latest() is not None
+        assert canonical_json(streamed.load_latest()[1]) == canonical_json(
+            whole.load_latest()[1]
+        )
 
-    def test_same_state_saves_identical_bytes(self, tmp_path):
-        state = {"b": [3, 1], "a": {"nested": True}, "n": None}
-        first = CheckpointStore(tmp_path / "one").save(state, sequence=4)
-        second = CheckpointStore(tmp_path / "two").save(state, sequence=4)
-        assert filecmp.cmp(first, second, shallow=False)
+
+def _checkpoint_text(store: CheckpointStore) -> str:
+    latest = store.load_latest()
+    assert latest is not None
+    return canonical_json(latest[1])
+
+
+class TestCheckpointDatabase:
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_store_holds_the_state_of_the_last_commit(
+        self, inc_config, docs, tmp_path, every
+    ):
+        store = CheckpointStore(tmp_path / "run")
+        extractor = IncrementalExtractor(
+            build_pipeline(inc_config), checkpoint=store, checkpoint_every=every
+        )
+        committed = None
+        for batch in [*split_into_batches(docs, BATCHES), []]:
+            report = extractor.append(batch)
+            if report.checkpointed:
+                committed = canonical_json(extractor.state.to_payload())
+            if committed is not None:
+                assert _checkpoint_text(store) == committed
+        # Marks made since the last commit reach the next one.
+        assert extractor.checkpoint_now()
+        assert _checkpoint_text(store) == canonical_json(
+            extractor.state.to_payload()
+        )
+        restored = IncrementalExtractor.restore(build_pipeline(inc_config), store)
+        restored.append(docs[:0])
+        assert _checkpoint_text(store) == canonical_json(
+            restored.state.to_payload()
+        )
+
+    def test_commit_writes_only_new_and_changed_rows(
+        self, inc_config, docs, tmp_path, monkeypatch
+    ):
+        store = CheckpointStore(tmp_path / "run")
+        extractor = IncrementalExtractor(build_pipeline(inc_config), checkpoint=store)
+        archive, batch = docs[:40], docs[40:45]
+        extractor.append(archive)
+        before = extractor.state.to_payload()["docs"]
+        statements: list[str] = []
+        real_connect = CheckpointStore._connect
+
+        def traced_connect(self):
+            connection = real_connect(self)
+            connection.set_trace_callback(statements.append)
+            return connection
+
+        monkeypatch.setattr(CheckpointStore, "_connect", traced_connect)
+        report = extractor.append(batch)
+        after = extractor.state.to_payload()["docs"]
+        changed = [doc_id for doc_id in before if after[doc_id] != before[doc_id]]
+        assert report.dirty_documents and len(changed) < len(archive)
+
+        def count(prefix: str) -> int:
+            return sum(s.startswith(prefix) for s in statements)
+
+        assert count("INSERT INTO documents") == len(batch)
+        assert count("INSERT INTO doc_state") == len(batch)
+        assert count("UPDATE doc_state") == len(changed)
+        assert count("INSERT INTO batches") == 1
+        assert not count("DELETE")
+        assert _checkpoint_text(store) == canonical_json(
+            extractor.state.to_payload()
+        )
+
+    def test_base_mismatch_is_rejected_and_leaves_store_unchanged(
+        self, inc_config, docs, tmp_path
+    ):
+        store = CheckpointStore(tmp_path / "run")
+        extractor = IncrementalExtractor(build_pipeline(inc_config), checkpoint=store)
+        extractor.append(docs[:10])
+        stored = _checkpoint_text(store)
+        extractor.state.batches_done.append("unsaved")
+        for documents, batches in ((9, 1), (10, 0), (11, 1)):
+            delta = extractor.state.delta_payload(documents, batches, [0, 1])
+            with pytest.raises(CheckpointError, match="the delta extends"):
+                store.save(delta, sequence=2)
+            assert _checkpoint_text(store) == stored
+            assert store.load_latest()[0] == 1
+        assert not list(store.directory.glob("*-journal"))
+
+    def test_unknown_changed_document_is_rejected(self, tmp_path):
+        store = CheckpointStore(tmp_path / "run")
+        payload = {
+            "schema": STATE_SCHEMA,
+            "documents": [],
+            "docs": {},
+            "batches_done": ["a"],
+        }
+        store.save(payload, sequence=1)
+        mutable = {"outputs": [], "important": [], "context_terms": []}
+        delta = {
+            **payload,
+            "base": {"documents": 0, "batches": 1},
+            "docs": {"ghost": mutable},
+            "batches_done": [],
+        }
+        with pytest.raises(CheckpointError, match="lacks"):
+            store.save(delta, sequence=2)
+        assert store.load_latest() == (1, payload)
+
+    def test_retired_json_directory_raises(self, inc_config, tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "checkpoint-000004.json").write_text('{"schema": "x"}')
+        with pytest.raises(CheckpointError) as raised:
+            StreamSupervisor(build_pipeline(inc_config), run_dir)
+        message = str(raised.value)
+        assert "checkpoint-000004.json" in message
+        assert "repro.checkpoint/1" in message
+
+
+def _payload(label: str) -> dict:
+    return {
+        "schema": STATE_SCHEMA,
+        "documents": [],
+        "docs": {},
+        "batches_done": [label],
+    }
 
 
 class TestRecoveryPolicy:
-    def _store_with_snapshots(self, tmp_path) -> CheckpointStore:
-        store = CheckpointStore(tmp_path / "run")
-        store.save({"documents": 10}, sequence=1)
-        store.save({"documents": 20}, sequence=2)
-        return store
+    def test_every_snapshot_damaged_means_cold_start(
+        self, inc_config, docs, tmp_path
+    ):
+        """A truncated, garbage, empty or foreign-schema database reads
+        as no checkpoint; the next checkpoint writes a fresh file."""
+        import sqlite3
 
-    def test_damaged_newest_snapshot_falls_back(self, tmp_path):
-        store = self._store_with_snapshots(tmp_path)
-        store.snapshot_path(2).write_text("{ not json")
-        latest = store.load_latest()
-        assert latest == (1, {"documents": 10})
+        source = CheckpointStore(tmp_path / "source")
+        IncrementalExtractor(build_pipeline(inc_config), checkpoint=source).append(
+            docs[:20]
+        )
+        good = source.path.read_bytes()
 
-    def test_checksum_mismatch_is_damage(self, tmp_path):
-        import json
+        def foreign(path):
+            connection = sqlite3.connect(path)
+            with connection:
+                connection.execute(
+                    "UPDATE meta SET value = 'repro.checkpoint/9' WHERE key = 'schema'"
+                )
+            connection.close()
 
-        store = self._store_with_snapshots(tmp_path)
-        path = store.snapshot_path(2)
-        payload = json.loads(path.read_text())
-        payload["state"]["documents"] = 999  # bit-flip the state
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="checksum mismatch"):
-            store.load(2)
-        assert store.load_latest() == (1, {"documents": 10})
-
-    def test_every_snapshot_damaged_means_cold_start(self, tmp_path):
-        store = self._store_with_snapshots(tmp_path)
-        store.snapshot_path(1).write_text("")
-        store.snapshot_path(2).write_text("")
-        assert store.load_latest() is None
-
-    def test_prune_respects_keep_snapshots(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run", keep_snapshots=2)
-        for sequence in range(1, 6):
-            store.save({"documents": sequence}, sequence=sequence)
-        assert store.sequences() == [4, 5]
+        damages = {
+            "truncated": lambda path: path.write_bytes(good[: len(good) // 2]),
+            "garbage": lambda path: path.write_bytes(b"not a database" * 100),
+            "empty": lambda path: path.write_bytes(b""),
+            "foreign schema": foreign,
+        }
+        for name, damage in damages.items():
+            store = CheckpointStore(tmp_path / name)
+            store.path.write_bytes(good)
+            damage(store.path)
+            logged = io.StringIO()
+            configure_logging(stream=logged)
+            try:
+                assert store.load_latest() is None, name
+            finally:
+                configure_logging()
+            assert "checkpoint.skipping_damaged" in logged.getvalue(), name
+            supervisor = StreamSupervisor(build_pipeline(inc_config), store.directory)
+            assert supervisor.extractor.document_count == 0
+            supervisor.extractor.append(docs[:3])
+            assert _checkpoint_text(store) == canonical_json(
+                supervisor.extractor.state.to_payload()
+            ), name
 
     def test_fresh_run_replaces_an_old_runs_newer_snapshots(self, tmp_path):
-        """A run that starts over must not lose its snapshots to pruning."""
+        """A full save replaces the history an older run left."""
         old = CheckpointStore(tmp_path / "run")
-        for sequence in range(3, 6):
-            old.save({"run": "old", "sequence": sequence}, sequence=sequence)
+        old.save(_payload("old"), sequence=5)
         fresh = CheckpointStore(tmp_path / "run")
-        fresh.save({"run": "new"}, sequence=1)
-        assert fresh.sequences() == [1]
-        assert fresh.load_latest() == (1, {"run": "new"})
+        fresh.save(_payload("new"), sequence=1)
+        assert fresh.load_latest() == (1, _payload("new"))
 
     def test_no_resume_stream_checkpoints_over_an_old_run(
         self, inc_config, docs, tmp_path
     ):
         run_dir = tmp_path / "run"
-        old = CheckpointStore(run_dir)
-        for sequence in range(3, 6):
-            old.save({"run": "old"}, sequence=sequence)
+        old_input = tmp_path / "old-input"
+        make_batch_files(old_input, docs[:9], 3)
+        StreamSupervisor(build_pipeline(inc_config), run_dir).run(old_input)
         input_dir = tmp_path / "input"
         make_batch_files(input_dir, docs[:6], 2)
         supervisor = StreamSupervisor(
             build_pipeline(inc_config), run_dir, resume=False
         )
         supervisor.run(input_dir)
-        assert supervisor.store.sequences() == [1, 2]
+        assert supervisor.store.load_latest()[0] == 2
         resumed = StreamSupervisor(build_pipeline(inc_config), run_dir)
         assert resumed.extractor.batches_done == [
             "batch-000000.jsonl",
             "batch-000001.jsonl",
         ]
+        assert resumed.extractor.document_count == 6
 
 
 class TestFaultInjector:

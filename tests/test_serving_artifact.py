@@ -324,32 +324,94 @@ class TestDrilldownParity:
         assert str(from_index.value) == "unknown doc_id: 'zz-missing'"
 
 
+@pytest.fixture()
+def paged(tmp_path):
+    """30 stories under one root with two children."""
+    documents = [
+        Document(doc_id=f"d{i:02d}", title=f"Story {i}", body=f"Talk{i} today.")
+        for i in range(30)
+    ]
+    leaf = FacetNode(term="France", doc_ids={"d00"})
+    middle = FacetNode(term="Japan", doc_ids={f"d{i:02d}" for i in range(1, 15)})
+    root = FacetNode(
+        term="Region",
+        children=[leaf, middle],
+        doc_ids={doc.doc_id for doc in documents},
+    )
+    index = InvertedIndex()
+    index.add_documents(documents)
+    built = FacetIndex.build_from_parts(
+        documents=documents,
+        index=index,
+        facets=[FacetHierarchy(root=root)],
+        path=str(tmp_path / "paged.idx"),
+    )
+    yield built
+    built.close()
+
+
+def _statements(index: FacetIndex, call) -> tuple[object, list[str]]:
+    """``call()``'s result and the SQL statements it issued."""
+    issued: list[str] = []
+    connection = index._connection()
+    connection.set_trace_callback(issued.append)
+    try:
+        result = call()
+    finally:
+        connection.set_trace_callback(None)
+    return result, issued
+
+
+class TestRouteStatements:
+    """Search reads each term's postings once; a children view resolves
+    its node once and its breadcrumb in one statement."""
+
+    def test_keyword_drilldown_reads_each_term_once(self, paged):
+        def keyword_drilldown():
+            return drilldown_payload(paged, terms=[], query="story talk today", limit=10)
+
+        keyword_drilldown()  # warm pass: lengths, rank table, bitmaps
+        payload, issued = _statements(paged, keyword_drilldown)
+        assert payload["total"] == 10
+        # One postings read per term, one page fetch.
+        assert len(issued) == 4
+        assert sum("FROM postings" in sql for sql in issued) == 3
+        _payload, repeated = _statements(
+            paged,
+            lambda: drilldown_payload(
+                paged, terms=[], query="story talk today talk", limit=10
+            ),
+        )
+        assert len(repeated) == 4
+
+    def test_children_payload_resolves_its_node_once(self, paged):
+        def japan():
+            return children_payload(paged, "Japan")
+
+        cold, cold_issued = _statements(paged, japan)
+        warm, warm_issued = _statements(paged, japan)
+        assert cold == warm == {
+            "schema": cold["schema"],
+            "term": "Japan",
+            "depth": 1,
+            "breadcrumb": ["Region", "Japan"],
+            "children": [],
+        }
+        # Node lookup, breadcrumb, children; the node row is then cached.
+        assert len(cold_issued) == 3
+        assert len(warm_issued) == 2
+
+    def test_children_payload_bytes_match_at_every_depth(self, index, interface):
+        terms = [node.term for facet in interface.facets for node in facet.root.walk()]
+        assert any(interface.depth(term) >= 2 for term in terms)
+        for term in terms:
+            assert canonical_json(children_payload(index, term)) == canonical_json(
+                children_payload(interface, term)
+            ), term
+
+
 class TestDrilldownStatements:
     """A drilldown issues the same few SQL statements whatever it matches."""
-
-    @pytest.fixture()
-    def paged(self, tmp_path):
-        documents = [
-            Document(doc_id=f"d{i:02d}", title=f"Story {i}", body=f"Talk{i} today.")
-            for i in range(30)
-        ]
-        leaf = FacetNode(term="France", doc_ids={"d00"})
-        middle = FacetNode(term="Japan", doc_ids={f"d{i:02d}" for i in range(1, 15)})
-        root = FacetNode(
-            term="Region",
-            children=[leaf, middle],
-            doc_ids={doc.doc_id for doc in documents},
-        )
-        index = InvertedIndex()
-        index.add_documents(documents)
-        built = FacetIndex.build_from_parts(
-            documents=documents,
-            index=index,
-            facets=[FacetHierarchy(root=root)],
-            path=str(tmp_path / "paged.idx"),
-        )
-        yield built
-        built.close()
 
     def test_statements_do_not_grow_with_the_matched_set(self, paged):
         def statements(term: str) -> tuple[int, int]:
@@ -387,8 +449,8 @@ class TestDrilldownStatements:
 
 class TestColdCacheConcurrency:
     """Eight threads (``FacetApp``'s executor size) filling the lazy
-    rank table and node bitmaps of a fresh index at once get the serial
-    bytes."""
+    rank table, node rows and node bitmaps of a fresh index at once get
+    the serial bytes."""
 
     def test_parallel_first_queries_match_a_serial_run(self, index, interface):
         names = interface.facet_names()
