@@ -28,47 +28,13 @@ from ..parallel import chunked, map_chunks
 from ..text.interning import (
     MemoizedChunk,
     TextMemo,
-    active_memo,
     install_worker_memo,
     normalize_term,
-    sentences,
-    tokenize,
     use_text_memo,
 )
-from ..text.phrases import phrases_from_words
-from ..text.stopwords import is_stopword
+from ..text.phrases import document_terms
 from ..text.vocabulary import TermInterner
 from .columnar import ColumnarVocabulary, DocumentColumns
-
-
-def document_terms(document: Document) -> list[str]:
-    """All countable terms of a document: words plus 2-3-word phrases.
-
-    This is the "Extract all terms from d" of Figure 1; the same
-    extraction is used on both the original and the contextualized
-    database so their statistics are comparable.
-
-    The text is tokenized exactly once: the per-sentence token streams
-    feed both the word list and the phrase n-grams.  (Sentence splitting
-    only ever cuts at whitespace, which no token spans, so the
-    concatenated per-sentence streams equal the whole-text stream.)
-    """
-    sentence_words = [
-        [token.lower for token in tokenize(sentence)]
-        for sentence in sentences(document.text)
-    ]
-    words = [
-        word
-        for sentence in sentence_words
-        for word in sentence
-        if not is_stopword(word)
-    ]
-    phrases: list[str] = []
-    for sentence in sentence_words:
-        phrases.extend(
-            phrases_from_words(sentence, max_words=3, include_unigrams=False)
-        )
-    return words + phrases
 
 
 @dataclass
@@ -92,63 +58,23 @@ class AnnotatedDatabase:
         return self.important_terms.get(doc_id, [])
 
 
-def _columnar_document_terms(document: Document, memo: TextMemo) -> list[str]:
-    """:func:`document_terms` over memoized sentence columns.
-
-    Emits the same list: per-sentence non-stopword lower-cased words
-    (all sentences first), then per-sentence 2- and 3-gram phrases whose
-    first and last words are non-stopwords — the exact
-    :func:`~repro.text.phrases.phrases_from_words` sweep order, with the
-    stopword predicate precomputed per token instead of re-evaluated per
-    n-gram.  (``_valid_phrase``'s leading-digit rule only applies to
-    unigrams, which this sweep never emits.)
-    """
-    words: list[str] = []
-    phrases: list[str] = []
-    append = phrases.append
-    for sentence in memo.sentences(document.text):
-        columns = memo.sentence_columns(sentence)
-        lowers = columns.lowers
-        stops = columns.stops
-        words.extend(
-            [lower for lower, stop in zip(lowers, stops) if not stop]
-        )
-        tail = lowers[1:]
-        for a, b, stop_a, stop_b in zip(lowers, tail, stops, stops[1:]):
-            if not stop_a and not stop_b:
-                append(a + " " + b)
-        for a, b, c, stop_a, stop_c in zip(
-            lowers, tail, lowers[2:], stops, stops[2:]
-        ):
-            if not stop_a and not stop_c:
-                append(a + " " + b + " " + c)
-    return words + phrases
-
-
 def _columnar_stats_chunk(
     documents: list[Document],
 ) -> list[tuple[str, list[str]]]:
     """Statistics worker of Step 1 (batch and incremental): no
     normalization pass.
 
-    :func:`document_terms` emits lower-cased single tokens and
-    space-joined lower-cased token n-grams — every one a fixed point of
-    :func:`~repro.text.tokenizer.normalize_term`, because each token is
-    a full match of the tokenizer's word regex (pinned by
+    :func:`~repro.text.phrases.document_terms` emits lower-cased single
+    tokens and space-joined lower-cased token n-grams — every one a
+    fixed point of :func:`~repro.text.tokenizer.normalize_term`, because
+    each token is a full match of the tokenizer's word regex (pinned by
     ``tests/test_columnar.py``).  Skipping the per-occurrence regex is
-    the single biggest win of the columnar statistics pass; reading the
-    tokens through :meth:`~repro.text.interning.TextMemo.sentence_columns`
-    removes the per-token property churn on top.
+    the single biggest win of the columnar statistics pass; chunk
+    workers run under a memo, so the terms come from the memoized
+    sentence columns.
     """
-    memo = active_memo()
-    if memo is None:  # pragma: no cover - workers always run under a memo
-        return [
-            (document.doc_id, document_terms(document))
-            for document in documents
-        ]
     return [
-        (document.doc_id, _columnar_document_terms(document, memo))
-        for document in documents
+        (document.doc_id, document_terms(document.text)) for document in documents
     ]
 
 

@@ -283,6 +283,15 @@ class ColumnarVocabulary(Vocabulary):
     def df(self, term: str) -> int:
         return self._count_by_id(self._df_ids, term)
 
+    def df_column(self) -> array:
+        """The live df column: entry ``i`` is the df of term id ``i``
+        (every id a registered document holds is in range).
+
+        Callers holding term ids read df here without a string lookup;
+        the column is the vocabulary's own, so they must not write it.
+        """
+        return self._df_ids
+
     def _rank_column(self) -> array:
         """Id-indexed 1-based ranks; 0 marks absent (df == 0) terms."""
         if self._rank_ids is None:

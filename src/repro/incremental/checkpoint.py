@@ -1,13 +1,14 @@
 """Crash-safe checkpoint storage for the incremental pipeline.
 
 The checkpoint is one SQLite database in the run directory,
-``checkpoint.sqlite`` (schema ``repro.checkpoint/2``).  Documents are
+``checkpoint.sqlite`` (schema ``repro.checkpoint/3``).  Documents are
 append-only, so their state splits into two tables keyed by ingestion
 position:
 
-* ``documents`` holds the write-once columns: the document fields, the
-  original terms (``stats_terms``) and the cached scoring candidates —
-  most of the bytes, written once when the document arrives;
+* ``documents`` holds the write-once columns: the document fields and
+  the original terms (``stats_terms``, which the Yahoo stand-in also
+  re-scores from) — most of the bytes, written once when the document
+  arrives;
 * ``doc_state`` holds the columns a later batch may rewrite: the
   per-extractor outputs, the merged ``I(d)`` and the context terms.
 
@@ -29,6 +30,9 @@ after every commit the database file alone holds the checkpoint.
 
 A file that cannot be read as this schema (truncated, garbage, another
 schema tag) reads as no checkpoint, and the next full save replaces it.
+That includes a ``repro.checkpoint/2`` file, which also stored each
+document's Yahoo candidate counts: the stream starts cold and replays
+its batch files.
 A run directory that holds only the retired JSON snapshots
 (``checkpoint-NNNNNN.json``, ``repro.checkpoint/1``) raises
 :class:`CheckpointError` instead of silently starting over.
@@ -48,7 +52,7 @@ from .state import STATE_SCHEMA
 log = get_logger(__name__)
 
 #: Schema tag of the checkpoint database (bump on layout changes).
-CHECKPOINT_SCHEMA = "repro.checkpoint/2"
+CHECKPOINT_SCHEMA = "repro.checkpoint/3"
 
 #: The JSON snapshot format this database replaced.
 RETIRED_SCHEMA = "repro.checkpoint/1"
@@ -69,8 +73,7 @@ CREATE TABLE documents (
     source TEXT NOT NULL,
     published TEXT NOT NULL,
     gold TEXT,
-    stats_terms TEXT NOT NULL,
-    candidates TEXT NOT NULL
+    stats_terms TEXT NOT NULL
 );
 CREATE TABLE doc_state (
     position INTEGER PRIMARY KEY,
@@ -128,26 +131,6 @@ def _split_lists(text: str) -> list[list[str]]:
     return [_split(part) for part in text.split(_LIST)[:-1]]
 
 
-def _candidates_text(candidates: dict[str, list]) -> str:
-    """``{index: [[term, tf], ...]}`` as one list per extractor index:
-    the index, then each term followed by its tf."""
-    return _join_lists(
-        [
-            [index, *(str(part) for pair in pairs for part in pair)]
-            for index, pairs in candidates.items()
-        ]
-    )
-
-
-def _candidates_from_text(text: str) -> dict[str, list]:
-    candidates: dict[str, list] = {}
-    for index, *flat in _split_lists(text):
-        candidates[index] = [
-            [term, int(tf)] for term, tf in zip(flat[0::2], flat[1::2])
-        ]
-    return candidates
-
-
 def _document_row(position: int, document: dict, cached: dict) -> tuple:
     gold = document.get("gold")
     return (
@@ -159,7 +142,6 @@ def _document_row(position: int, document: dict, cached: dict) -> tuple:
         document["published"],
         None if gold is None else canonical_json(gold),
         _join(cached["stats_terms"]),
-        _candidates_text(cached["candidates"]),
     )
 
 
@@ -322,8 +304,8 @@ class CheckpointStore:
             states.append((position, *_mutable_columns(cached)))
         connection.executemany(
             "INSERT INTO documents (position, doc_id, title, body, source, "
-            "published, gold, stats_terms, candidates) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "published, gold, stats_terms) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
             rows,
         )
         connection.executemany(
@@ -380,7 +362,7 @@ class CheckpointStore:
             rows = connection.execute(
                 "SELECT documents.doc_id, documents.title, documents.body, "
                 "documents.source, documents.published, documents.gold, "
-                "documents.stats_terms, documents.candidates, doc_state.outputs, "
+                "documents.stats_terms, doc_state.outputs, "
                 "doc_state.important, doc_state.context_terms "
                 "FROM documents JOIN doc_state "
                 "ON doc_state.position = documents.position "
@@ -395,7 +377,7 @@ class CheckpointStore:
         docs: dict[str, dict] = {}
         for (
             doc_id, title, body, source, published, gold,
-            stats_terms, candidates, outputs, important, context_terms,
+            stats_terms, outputs, important, context_terms,
         ) in rows:
             document = {
                 "doc_id": doc_id,
@@ -410,7 +392,6 @@ class CheckpointStore:
             docs[doc_id] = {
                 "stats_terms": _split(stats_terms),
                 "outputs": _split_lists(outputs),
-                "candidates": _candidates_from_text(candidates),
                 "important": _split(important),
                 "context_terms": _split(context_terms),
             }

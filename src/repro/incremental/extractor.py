@@ -17,12 +17,14 @@ the code the batch pipeline runs, never a copy of it:
   state's original :class:`~repro.core.columnar.ColumnarVocabulary` in
   place, which keeps the background the Yahoo extractor adopted
   permanently current.
-* Because that background changes with every batch, *every* cached
-  document's tf·idf scores can shift.  Re-tokenizing the corpus would
-  defeat the point, so the extractor caches each document's candidate
-  ``(term, tf)`` pairs and re-runs only
+* Because that background changes with every batch, *every* stored
+  document's tf·idf scores can shift.  The Yahoo stand-in scores a
+  document's Step 1 term list, which the state already holds as the
+  document's original id row, so the extractor re-counts that row and
+  re-runs only
   :meth:`~repro.extractors.significant_terms.SignificantTermsExtractor.score_candidates`,
-  whose idf (memoized per distinct df) reads the updated statistics.
+  with df read by id from the live vocabulary's column and an idf
+  memoized per distinct df; nothing is re-tokenized or cached for it.
   Documents whose merged ``I(d)`` actually changed become *dirty*.  No
   other extractor may depend on the corpus: one that overrides
   ``use_background`` is rejected at construction.
@@ -56,6 +58,7 @@ first checkpoint in full, which replaces whatever the store held.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
@@ -96,30 +99,15 @@ class IncrementalBatchReport:
 
 
 def _annotate_chunk(
-    extractors: list[TermExtractor],
-    rescore_indices: tuple[int, ...],
-    documents: list[Document],
-) -> list[tuple[str, list[list[str]], dict[int, list[tuple[str, int]]]]]:
-    """Per-chunk Step 1 worker for *new* documents.
-
-    Returns, per document, the per-extractor outputs plus the cached
-    scoring candidates of every re-scored extractor (the expensive
-    tokenization half, kept so later batches never redo it).
-    """
-    out: list[tuple[str, list[list[str]], dict[int, list[tuple[str, int]]]]] = []
-    for document in documents:
-        outputs: list[list[str]] = []
-        candidates: dict[int, list[tuple[str, int]]] = {}
-        for index, extractor in enumerate(extractors):
-            if index in rescore_indices:
-                assert isinstance(extractor, SignificantTermsExtractor)
-                pairs = extractor.candidate_counts(document)
-                candidates[index] = pairs
-                outputs.append(extractor.score_candidates(pairs))
-            else:
-                outputs.append(extractor.extract(document))
-        out.append((document.doc_id, outputs, candidates))
-    return out
+    extractors: list[TermExtractor], documents: list[Document]
+) -> list[tuple[str, list[list[str]]]]:
+    """Per-chunk Step 1 worker for *new* documents: the per-extractor
+    outputs of each (the stream keeps them apart to re-score and
+    re-merge them later)."""
+    return [
+        (document.doc_id, [extractor.extract(document) for extractor in extractors])
+        for document in documents
+    ]
 
 
 class IncrementalExtractor:
@@ -402,18 +390,11 @@ class IncrementalExtractor:
                         document, DocumentState(outputs=[]), stats[document.doc_id]
                     )
                 )
-            extract = MemoizedChunk(
-                partial(
-                    _annotate_chunk,
-                    self._pipeline.extractors,
-                    self._rescore_indices,
-                )
-            )
+            extract = MemoizedChunk(partial(_annotate_chunk, self._pipeline.extractors))
             for chunk_result in map_chunks(extract, chunks, parallel, obs=obs):
-                for doc_id, outputs, candidates in chunk_result:
+                for doc_id, outputs in chunk_result:
                     doc_state = state.doc_states[doc_id]
                     doc_state.outputs = outputs
-                    doc_state.candidates = candidates
                     doc_state.important = merge_important(outputs)
         return touched
 
@@ -432,16 +413,22 @@ class IncrementalExtractor:
         if not self._rescore_indices or old_count == 0:
             return dirty
         with obs.tracer.span(obs_names.SPAN_INCREMENTAL_RESCORE) as span:
+            # Every document in the state holds terms of the live
+            # vocabulary, so its df column covers each id of every row.
+            terms = state.interner.terms()
+            df = state.original_vocabulary.df_column()
             rescored = 0
             for position in range(old_count):
                 doc_state = state.doc_states[state.documents[position].doc_id]
+                counts = Counter(state.original_rows[position])
                 changed = False
                 for index in self._rescore_indices:
                     extractor = extractors[index]
                     assert isinstance(extractor, SignificantTermsExtractor)
-                    pairs = doc_state.candidates.get(index, [])
-                    rescored += len(pairs)
-                    output = extractor.score_candidates(pairs)
+                    rescored += len(counts)
+                    output = extractor.score_candidates(
+                        (terms[i], tf, df[i]) for i, tf in counts.items()
+                    )
                     if output != doc_state.outputs[index]:
                         doc_state.outputs[index] = output
                         changed = True

@@ -4,14 +4,14 @@
 between batches, on the batch pipeline's columnar data plane:
 
 * the document list and per-document caches (per-extractor outputs,
-  Yahoo candidate counts, merged ``I(d)``, context terms);
+  merged ``I(d)``, context terms);
 * one :class:`~repro.text.vocabulary.TermInterner` shared by the two
   live :class:`~repro.core.columnar.ColumnarVocabulary` objects
   (original and contextualized), updated in place;
 * per-document term-id rows indexed by ingestion position: the original
-  terms (with repeats) and the expanded set (original plus context
-  terms, distinct and ascending).  Documents are append-only, so a
-  position never changes;
+  terms (with repeats; also what the Yahoo stand-in re-scores) and the
+  expanded set (original plus context terms, distinct and ascending).
+  Documents are append-only, so a position never changes;
 * the postings ``term id -> ascending positions`` over the expanded
   rows — the :class:`~repro.core.hierarchy.PositionalPostings` the
   hierarchy stage reads instead of scanning every document;
@@ -54,9 +54,6 @@ class DocumentState:
 
     outputs: list[list[str]]
     """Per-extractor important-term outputs, extractor order."""
-    candidates: dict[int, list[tuple[str, int]]] = field(default_factory=dict)
-    """Extractor index -> cached ``(term, tf)`` scoring candidates (only
-    for background-dependent extractors)."""
     important: list[str] = field(default_factory=list)
     """Merged ``I(d)``."""
     context_terms: list[str] = field(default_factory=list)
@@ -222,10 +219,6 @@ class IncrementalState:
             docs[documents[position].doc_id] = {
                 "stats_terms": [term_of[i] for i in self.original_rows[position]],
                 "outputs": [list(terms) for terms in doc_state.outputs],
-                "candidates": {
-                    str(index): [[term, tf] for term, tf in pairs]
-                    for index, pairs in doc_state.candidates.items()
-                },
                 "important": list(doc_state.important),
                 "context_terms": list(doc_state.context_terms),
             }
@@ -247,8 +240,8 @@ class IncrementalState:
         Each document's context keys are derived from its context terms
         through the state's interner, which normalizes each distinct
         surface once: the archive repeats a few thousand distinct context
-        terms.  Older snapshots also stored the keys; that entry is
-        ignored.
+        terms.  Older snapshots also stored the keys and each document's
+        Yahoo candidate counts; those entries are ignored.
         """
         schema = payload.get("schema")
         if schema != STATE_SCHEMA:
@@ -271,10 +264,6 @@ class IncrementalState:
                 )
             doc_state = DocumentState(
                 outputs=[[str(t) for t in terms] for terms in cached["outputs"]],
-                candidates={
-                    int(index): [(str(term), int(tf)) for term, tf in pairs]
-                    for index, pairs in cached.get("candidates", {}).items()
-                },
                 important=[str(t) for t in cached["important"]],
                 context_terms=[str(t) for t in cached["context_terms"]],
             )

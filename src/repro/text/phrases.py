@@ -4,13 +4,15 @@ Facet terms in the paper are "single words and multi-word phrases"
 (Section IV-A, footnote 2).  This module produces the candidate phrases
 that the term extractors and frequency analysis operate on: contiguous
 word n-grams that neither start nor end with a stopword.
+:func:`document_terms` is a document's one term list, read by both the
+Step 1 statistics and the Yahoo stand-in's tf·idf scoring.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .interning import sentences, tokenize
+from .interning import active_memo, sentences, tokenize
 from .stopwords import is_stopword
 from .tokenizer import Token
 
@@ -76,6 +78,66 @@ def candidate_phrases(
             )
         )
     return phrases
+
+
+def document_terms(text: str) -> list[str]:
+    """All countable terms of a text: words plus 2-3-word phrases.
+
+    This is the "Extract all terms from d" of Figure 1; the same list
+    feeds the original and the contextualized database statistics and
+    the Yahoo stand-in's term counts, so a document is tokenized once.
+
+    The list is the non-stopword lower-cased words of every sentence
+    (all sentences first), then each sentence's 2- and 3-gram phrases
+    whose first and last words are non-stopwords, in
+    :func:`phrases_from_words` order.  (Sentence splitting only ever
+    cuts at whitespace, which no token spans, so the concatenated
+    per-sentence streams equal the whole-text stream.)
+
+    Without an active :class:`~repro.text.interning.TextMemo` this is
+    the plain sweep over :class:`~repro.text.tokenizer.Token` objects,
+    the reference the memoized path is tested against.  Under a memo it
+    walks the memoized sentence columns, with the stopword flag
+    precomputed per token instead of re-evaluated per n-gram
+    (``_valid_phrase``'s leading-digit rule only applies to unigrams,
+    which this sweep never emits).
+    """
+    memo = active_memo()
+    if memo is None:
+        sentence_words = [
+            [token.lower for token in tokenize(sentence)]
+            for sentence in sentences(text)
+        ]
+        words = [
+            word
+            for sentence in sentence_words
+            for word in sentence
+            if not is_stopword(word)
+        ]
+        phrases: list[str] = []
+        for sentence in sentence_words:
+            phrases.extend(
+                phrases_from_words(sentence, max_words=3, include_unigrams=False)
+            )
+        return words + phrases
+    words = []
+    phrases = []
+    append = phrases.append
+    for sentence in memo.sentences(text):
+        columns = memo.sentence_columns(sentence)
+        lowers = columns.lowers
+        stops = columns.stops
+        words.extend([lower for lower, stop in zip(lowers, stops) if not stop])
+        tail = lowers[1:]
+        for a, b, stop_a, stop_b in zip(lowers, tail, stops, stops[1:]):
+            if not stop_a and not stop_b:
+                append(a + " " + b)
+        for a, b, c, stop_a, stop_c in zip(
+            lowers, tail, lowers[2:], stops, stops[2:]
+        ):
+            if not stop_a and not stop_c:
+                append(a + " " + b + " " + c)
+    return words + phrases
 
 
 def capitalized_spans(text: str) -> list[list[Token]]:

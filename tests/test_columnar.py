@@ -26,7 +26,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.annotate import document_terms
 from repro.core.columnar import (
     ColumnarCountMap,
     ColumnarRankMap,
@@ -39,7 +38,9 @@ from repro.core.shifts import ShiftTables
 from repro.corpus import build_mnyt, build_snb, build_snyt
 from repro.corpus.document import Document
 from repro.extractors.named_entities import NamedEntityExtractor
+from repro.extractors.significant_terms import SignificantTermsExtractor
 from repro.text.interning import TextMemo, use_text_memo
+from repro.text.phrases import document_terms
 from repro.text.tokenizer import normalize_term as raw_normalize_term
 from repro.text.tokenizer import sentences as raw_sentences
 from repro.text.tokenizer import tokenize as raw_tokenize
@@ -375,7 +376,7 @@ class TestTextLayerLemmas:
 
     def test_document_terms_are_normalize_fixed_points(self):
         """_columnar_stats_chunk may skip normalization entirely."""
-        terms = document_terms(DOC)
+        terms = document_terms(DOC.text)
         assert terms  # non-trivial input
         for term in terms:
             assert raw_normalize_term(term) == term
@@ -403,13 +404,26 @@ class TestTextLayerLemmas:
             for surface in ("U.S. Senate", "Hurricane  Season", "3,000"):
                 assert normalize_term(surface) == raw_normalize_term(surface)
 
-    @pytest.mark.parametrize("extractor", ["named-entities", "title-matcher"])
+    @pytest.mark.parametrize(
+        "extractor",
+        ["named-entities", "title-matcher", "significant-terms", "document-terms"],
+    )
     def test_memo_fast_path_is_output_neutral(
         self, extractor, wikipedia, corpus_heads
     ):
         """The memo-less branch is the reference the fast path must match."""
         if extractor == "named-entities":
             extract = NamedEntityExtractor().extract
+        elif extractor == "significant-terms":
+            background = Vocabulary()
+            for document in corpus_heads:
+                background.add_document(document_terms(document.text))
+            extract = SignificantTermsExtractor(background=background).extract
+        elif extractor == "document-terms":
+
+            def extract(document):
+                return document_terms(document.text)
+
         else:
             matcher = TitleMatcher(wikipedia)
 

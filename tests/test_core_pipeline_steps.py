@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.annotate import annotate_database, document_terms
+from repro.core.annotate import annotate_database
 from repro.core.contextualize import contextualize
 from repro.core.selection import select_facet_terms
 from repro.corpus.document import Document
 from repro.resources.base import ExternalResource, ResourceName
+from repro.text.phrases import document_terms
 
 
 def doc(doc_id: str, text: str) -> Document:
@@ -41,12 +42,12 @@ class StubResource(ExternalResource):
 
 class TestDocumentTerms:
     def test_words_and_phrases(self):
-        terms = document_terms(doc("d", "stock market fell"))
+        terms = document_terms(doc("d", "stock market fell").text)
         assert "stock" in terms
         assert "stock market" in terms
 
     def test_stopwords_excluded_from_words(self):
-        terms = document_terms(doc("d", "the cat sat"))
+        terms = document_terms(doc("d", "the cat sat").text)
         assert "the" not in terms
 
 

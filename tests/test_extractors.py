@@ -15,6 +15,7 @@ from repro.extractors.named_entities import NamedEntityExtractor
 from repro.extractors.registry import build_extractor, build_extractors
 from repro.extractors.significant_terms import SignificantTermsExtractor
 from repro.extractors.wiki_titles import WikipediaTitleExtractor
+from repro.text.phrases import document_terms
 from repro.text.vocabulary import Vocabulary
 
 
@@ -112,14 +113,12 @@ class TestSignificantTermsExtractor:
         # though report has higher tf in the document.
         background = Vocabulary()
         text = "The report this year covered the vaccine and the report."
-        from repro.core.annotate import document_terms
-
         doc_obj = doc(text)
         for _ in range(50):
-            background.add_document(document_terms(doc(  # noqa: B023
+            background.add_document(document_terms(doc(
                 "The report this year covered the budget and the report."
-            )))
-        background.add_document(document_terms(doc_obj))
+            ).text))
+        background.add_document(document_terms(doc_obj.text))
         extractor = SignificantTermsExtractor(background=background, max_terms=4)
         terms = extractor.extract(doc_obj)
         assert "vaccine" in terms
@@ -130,22 +129,22 @@ class TestSignificantTermsExtractor:
         background = Vocabulary()
         background.add_document(["vaccine", "report"])
         extractor = SignificantTermsExtractor(background=background)
-        assert extractor._current_idf()("vaccine") == math.log(2 / 2) + 1.0
+        df = background.df("vaccine")
+        assert extractor._current_idf()(df) == math.log(2 / 2) + 1.0
         # The corpus grows while df("vaccine") stays 1: a memo keyed by
         # df alone would return the value for one document.
         background.add_document(["report"])
-        assert extractor._current_idf()("vaccine") == math.log(3 / 2) + 1.0
+        assert background.df("vaccine") == df
+        assert extractor._current_idf()(df) == math.log(3 / 2) + 1.0
 
     def test_shared_extractor_scores_identically_across_threads(self):
-        from repro.core.annotate import document_terms
-
         documents = [
             doc(f"Report {i} on the vaccine trial and market {i % 7}.")
             for i in range(40)
         ]
         background = Vocabulary()
         for document in documents:
-            background.add_document(document_terms(document))
+            background.add_document(document_terms(document.text))
         reference = SignificantTermsExtractor(background=background)
         expected = [reference.extract(document) for document in documents]
         shared = SignificantTermsExtractor(background=background)
@@ -181,16 +180,6 @@ class TestSignificantTermsExtractor:
     def test_invalid_max_terms(self):
         with pytest.raises(ValueError):
             SignificantTermsExtractor(max_terms=0)
-
-    def test_latency_simulation(self):
-        extractor = SignificantTermsExtractor(
-            simulate_latency=True, latency_seconds=0.01
-        )
-        import time
-
-        start = time.perf_counter()
-        extractor.extract(doc("Quick latency check."))
-        assert time.perf_counter() - start >= 0.01
 
 
 class TestWikipediaTitleExtractor:

@@ -424,7 +424,9 @@ class TestRecoveryPolicy:
         self, inc_config, docs, tmp_path
     ):
         """A truncated, garbage, empty or foreign-schema database reads
-        as no checkpoint; the next checkpoint writes a fresh file."""
+        as no checkpoint; the next checkpoint writes a fresh file.  A
+        ``repro.checkpoint/2`` file (whose documents also carried the
+        Yahoo candidate counts) is a foreign schema too."""
         import sqlite3
 
         source = CheckpointStore(tmp_path / "source")
@@ -441,11 +443,25 @@ class TestRecoveryPolicy:
                 )
             connection.close()
 
+        def previous_layout(path):
+            # The /2 layout: a trailing candidates column on documents.
+            connection = sqlite3.connect(path)
+            with connection:
+                connection.execute(
+                    "ALTER TABLE documents "
+                    "ADD COLUMN candidates TEXT NOT NULL DEFAULT ''"
+                )
+                connection.execute(
+                    "UPDATE meta SET value = 'repro.checkpoint/2' WHERE key = 'schema'"
+                )
+            connection.close()
+
         damages = {
             "truncated": lambda path: path.write_bytes(good[: len(good) // 2]),
             "garbage": lambda path: path.write_bytes(b"not a database" * 100),
             "empty": lambda path: path.write_bytes(b""),
             "foreign schema": foreign,
+            "schema /2": previous_layout,
         }
         for name, damage in damages.items():
             store = CheckpointStore(tmp_path / name)

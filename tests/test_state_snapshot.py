@@ -1,10 +1,15 @@
 """The checkpoint's state section, pinned byte for byte.
 
 A fixed SNB append schedule (60 stories in three batches, the later ones re-expanding
-dirty documents) must serialize to the bytes recorded when the stream
-state still kept string-keyed sets; the in-memory representation of the
-state may change, its snapshot format may not.  A state restored from
-those bytes must serialize back to exactly the bytes it was loaded from.
+dirty documents) must serialize to pinned bytes; the in-memory
+representation of the state may change, its snapshot format may not.
+The pin was first recorded when the stream state still kept
+string-keyed sets.  It was re-recorded once, when documents stopped
+carrying the Yahoo stand-in's cached candidate counts (the stand-in now
+re-scores the stored original terms): the new pin is the sha256 of the
+old payload for this schedule with every ``docs[*]["candidates"]``
+entry deleted, and nothing else moved.  A state restored from those
+bytes must serialize back to exactly the bytes it was loaded from.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.incremental import IncrementalState, canonical_json
 
 #: sha256 of the canonical state payload after the schedule below.
 SNB_STATE_SHA256 = (
-    "888f909622988ecef2bded3b924a9ecd92bbbb883e65ede0c47bbfb2b6577fb7"
+    "aa676dd052c017b42accccae0ab5cc3a302d10d9141c828c9d49d1afc17ea736"
 )
 
 
