@@ -209,12 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["thread", "process"],
         help="worker pool backend",
     )
-    stream.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="persistent SQLite resource-cache file",
-    )
 
     sub.add_parser("browse", help="demonstrate the faceted interface")
 

@@ -14,7 +14,7 @@ per-document id columns.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from contextlib import nullcontext
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -125,6 +125,22 @@ def _extract_chunk(
     return out
 
 
+def text_memo_scope(
+    settings: ParallelConfig, interner: TermInterner | None = None
+) -> tuple[AbstractContextManager, Callable[[], None] | None]:
+    """How Step 1's statistics and extraction passes share one memo.
+
+    An inline run activates one memo around both passes (normalizing
+    through ``interner`` when given), so a document tokenized for
+    statistics is still cached during extraction; a pooled run arms one
+    persistent memo per worker through the returned pool initializer.
+    Returns the context to wrap both passes in and the initializer.
+    """
+    if settings.enabled:
+        return nullcontext(), install_worker_memo
+    return use_text_memo(TextMemo(interner)), None
+
+
 def annotate_database(
     documents: list[Document],
     extractors: list[TermExtractor],
@@ -169,16 +185,10 @@ def annotate_database(
     interner = TermInterner()
     vocabulary = ColumnarVocabulary(interner)
     columns = DocumentColumns(interner)
-    # Memo placement: an inline run shares one memo across both passes
-    # (a document tokenized for statistics is still cached during
-    # extraction) and normalizes through the *vocabulary* interner, so
+    # An inline run normalizes through the *vocabulary* interner, so
     # every surface form the extractors resolve is already memoized when
-    # contextualization probes the same table.  A pooled run arms one
-    # persistent memo per worker via the pool initializer instead.
-    run_memo = (
-        nullcontext() if settings.enabled else use_text_memo(TextMemo(interner))
-    )
-    pool_initializer = install_worker_memo if settings.enabled else None
+    # contextualization probes the same table.
+    run_memo, pool_initializer = text_memo_scope(settings, interner)
     with run_memo:
         for chunk_result in map_chunks(
             MemoizedChunk(_columnar_stats_chunk),

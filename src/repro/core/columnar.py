@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator, Mapping
+from itertools import compress
 
 from ..text.vocabulary import TermInterner, Vocabulary
 
@@ -69,7 +70,7 @@ class ColumnarCountMap(Mapping[str, int]):
             raise KeyError(term)
         return count
 
-    def get(self, term: str, default: int | None = None):
+    def get(self, term: str, default=None):  # every Mapping.get overload
         term_id = self._interner.id_of(term)
         if term_id is None or term_id >= len(self._counts):
             return default
@@ -117,7 +118,7 @@ class ColumnarRankMap(Mapping[str, int]):
             raise KeyError(term)
         return rank
 
-    def get(self, term: str, default: int | None = None):
+    def get(self, term: str, default=None):  # every Mapping.get overload
         term_id = self._interner.id_of(term)
         if term_id is None or term_id >= len(self._ranks):
             return default
@@ -296,9 +297,11 @@ class ColumnarVocabulary(Vocabulary):
         """Id-indexed 1-based ranks; 0 marks absent (df == 0) terms."""
         if self._rank_ids is None:
             df = self._df_ids
-            all_terms = self._interner_terms()
-            present = [i for i in range(len(df)) if df[i]]
-            present.sort(key=lambda i: (-df[i], all_terms[i]))
+            present = list(compress(range(len(df)), df))
+            # (-df, term) in two stable passes: by term, then by df
+            # descending (a reversed stable sort keeps equal keys in order).
+            present.sort(key=self._interner_terms().__getitem__)
+            present.sort(key=df.__getitem__, reverse=True)
             ranks = array("i", bytes(4 * len(df)))
             for position, term_id in enumerate(present):
                 ranks[term_id] = position + 1

@@ -130,6 +130,7 @@ class FacetExtractor:
         self._build_hierarchies = build_hierarchies
         self._edge_validator = edge_validator
         self._parallel = parallel or ParallelConfig(workers=1)
+        self._cache_fingerprint = cache_fingerprint
         self.observability = observability or DISABLED
         cache = resource_cache
         if cache is None and self._parallel.cache_path:
@@ -137,10 +138,15 @@ class FacetExtractor:
         self.resource_cache = cache
         if cache is not None:
             for resource in self._resources:
-                namespace = resource.cache_namespace()
-                if cache_fingerprint:
-                    namespace = f"{namespace}|{cache_fingerprint}"
-                resource.attach_cache(cache, namespace=namespace)
+                resource.attach_cache(cache, namespace=self.cache_namespace(resource))
+
+    def cache_namespace(self, resource: ExternalResource) -> str:
+        """The persistent-tier namespace of one of this pipeline's
+        resources: its own namespace plus the cache fingerprint."""
+        namespace = resource.cache_namespace()
+        if self._cache_fingerprint:
+            namespace = f"{namespace}|{self._cache_fingerprint}"
+        return namespace
 
     @property
     def parallel(self) -> ParallelConfig:

@@ -10,8 +10,9 @@ selection, and postings-backed hierarchy repair (see
 pipeline's code).
 
 :class:`CheckpointStore` keeps the state in one SQLite database per
-run directory and commits each checkpoint as one transaction holding
-only the rows that changed; :class:`StreamSupervisor` (the
+run directory, with the resource answers the stream paid for, and
+commits each checkpoint as one transaction holding only the rows that
+changed; :class:`StreamSupervisor` (the
 ``repro stream`` CLI) ingests batch files from a directory, checkpoints
 between batches, and resumes from the committed checkpoint after a
 crash.
@@ -19,6 +20,7 @@ crash.
 
 from .checkpoint import (
     CHECKPOINT_SCHEMA,
+    CheckpointAnswers,
     CheckpointError,
     CheckpointStore,
     canonical_json,
@@ -39,6 +41,7 @@ from .supervisor import (
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
+    "CheckpointAnswers",
     "CheckpointError",
     "CheckpointStore",
     "CrashInjected",

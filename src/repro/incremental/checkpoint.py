@@ -1,7 +1,7 @@
 """Crash-safe checkpoint storage for the incremental pipeline.
 
 The checkpoint is one SQLite database in the run directory,
-``checkpoint.sqlite`` (schema ``repro.checkpoint/3``).  Documents are
+``checkpoint.sqlite`` (schema ``repro.checkpoint/4``).  Documents are
 append-only, so their state splits into two tables keyed by ingestion
 position:
 
@@ -17,6 +17,21 @@ them.  Term lists are stored as terminator-joined text (every term ends
 with ``\\x1f``, every list of a list of lists with ``\\x1e``); a term
 holding either character is rejected on save.
 
+The resource answers the stream already paid for sit beside the state,
+so a restored stream starts warm.  ``answers`` maps ``(namespace id,
+normalized term)`` to the answer's terms in the same codec, and
+``answer_namespaces`` stores each namespace once: the resource's
+``cache_namespace()`` plus the world's
+:meth:`~repro.config.ReproConfig.cache_fingerprint`, so a run directory
+restored under another world serves nothing.  :class:`CheckpointAnswers`
+is the resources' persistent tier over these tables: ``get_many`` reads
+lazily (restore never loads the table), ``put_many`` only buffers, and
+the next :meth:`CheckpointStore.save` writes the buffer in the same
+transaction as the state rows, so a crash keeps both or neither.  A
+degraded answer (see :mod:`repro.resources.resilience`) never reaches
+``put_many``, so it never reaches the file.  Answers are not part of the
+state payload.
+
 :meth:`CheckpointStore.save` takes the state payload of
 :meth:`~repro.incremental.state.IncrementalState.to_payload`, which
 replaces whatever the file held, or a delta of the same shape
@@ -29,10 +44,11 @@ SQLite rolls back the hot journal the next time the file is opened, and
 after every commit the database file alone holds the checkpoint.
 
 A file that cannot be read as this schema (truncated, garbage, another
-schema tag) reads as no checkpoint, and the next full save replaces it.
-That includes a ``repro.checkpoint/2`` file, which also stored each
-document's Yahoo candidate counts: the stream starts cold and replays
-its batch files.
+schema tag) reads as no checkpoint, serves no answers, and the next full
+save replaces it.  That includes a ``repro.checkpoint/3`` file, which
+held no answers, and a ``/2`` file, which also stored each document's
+Yahoo candidate counts: the stream starts cold and replays its batch
+files.
 A run directory that holds only the retired JSON snapshots
 (``checkpoint-NNNNNN.json``, ``repro.checkpoint/1``) raises
 :class:`CheckpointError` instead of silently starting over.
@@ -42,7 +58,9 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from collections.abc import Callable
+import threading
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from contextlib import closing
 from pathlib import Path
 
 from ..errors import StorageError
@@ -52,7 +70,7 @@ from .state import STATE_SCHEMA
 log = get_logger(__name__)
 
 #: Schema tag of the checkpoint database (bump on layout changes).
-CHECKPOINT_SCHEMA = "repro.checkpoint/3"
+CHECKPOINT_SCHEMA = "repro.checkpoint/4"
 
 #: The JSON snapshot format this database replaced.
 RETIRED_SCHEMA = "repro.checkpoint/1"
@@ -85,7 +103,21 @@ CREATE TABLE batches (
     position INTEGER PRIMARY KEY,
     batch_id TEXT NOT NULL
 );
+CREATE TABLE answer_namespaces (
+    id INTEGER PRIMARY KEY,
+    namespace TEXT NOT NULL UNIQUE
+);
+CREATE TABLE answers (
+    namespace INTEGER NOT NULL,
+    term TEXT NOT NULL,
+    terms TEXT NOT NULL,
+    PRIMARY KEY (namespace, term)
+) WITHOUT ROWID;
 """
+
+#: Terms per ``IN (...)`` select of :meth:`CheckpointAnswers.get_many`,
+#: under SQLite's historical 999-host-parameter limit.
+_SELECT_CHUNK = 500
 
 _TERM = "\x1f"
 _LIST = "\x1e"
@@ -129,6 +161,160 @@ def _join_lists(lists: list[list[str]]) -> str:
 
 def _split_lists(text: str) -> list[list[str]]:
     return [_split(part) for part in text.split(_LIST)[:-1]]
+
+
+def _connect(path: Path) -> sqlite3.Connection:
+    """A connection in autocommit mode: transactions are explicit."""
+    connection = sqlite3.connect(path, isolation_level=None)
+    try:
+        connection.execute("PRAGMA journal_mode=DELETE")
+        connection.execute("PRAGMA synchronous=FULL")
+    except sqlite3.Error:
+        connection.close()
+        raise
+    return connection
+
+
+#: Buffered answers: namespace -> normalized term -> answer.
+Answers = dict[str, dict[str, tuple[str, ...]]]
+
+
+class CheckpointAnswers:
+    """The checkpoint's resource answers, as a resource's persistent tier.
+
+    The ``get_many``/``put_many``/``clear`` surface the batched query
+    engine of :class:`~repro.resources.base.ExternalResource` calls.
+    Nothing stored is served until the store has loaded or committed a
+    checkpoint (:attr:`readable`), so a damaged, foreign or replaced
+    file serves nothing.  ``put_many`` only buffers; the owning
+    :class:`CheckpointStore` writes the buffer at its next save.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        # Reads open the file read-only: they never create or repair it.
+        self._uri = f"{path.resolve().as_uri()}?mode=ro"
+        self.readable = False
+        self._lock = threading.Lock()
+        self._pending: Answers = {}
+
+    def get_many(
+        self, namespace: str, terms: Sequence[str]
+    ) -> dict[str, tuple[str, ...]]:
+        """Stored or buffered answers for a term batch (present keys
+        only): one chunked select per call."""
+        with self._lock:
+            buffered = self._pending.get(namespace, {})
+            found = {term: buffered[term] for term in terms if term in buffered}
+            readable = self.readable
+        rest = [term for term in terms if term not in found]
+        if not (readable and rest):
+            return found
+        try:
+            with closing(sqlite3.connect(self._uri, uri=True)) as connection:
+                for start in range(0, len(rest), _SELECT_CHUNK):
+                    chunk = rest[start : start + _SELECT_CHUNK]
+                    placeholders = ",".join("?" * len(chunk))
+                    rows = connection.execute(
+                        "SELECT answers.term, answers.terms FROM answers "
+                        "JOIN answer_namespaces "
+                        "ON answer_namespaces.id = answers.namespace "
+                        "WHERE answer_namespaces.namespace = ? "
+                        f"AND answers.term IN ({placeholders})",
+                        [namespace, *chunk],
+                    ).fetchall()
+                    found.update((term, tuple(_split(text))) for term, text in rows)
+        except sqlite3.Error as exc:
+            log.warning(
+                "checkpoint.answers_unreadable", path=str(self.path), error=str(exc)
+            )
+        return found
+
+    def put_many(
+        self, namespace: str, entries: Mapping[str, Iterable[str]]
+    ) -> None:
+        """Buffer answers for the store's next save."""
+        with self._lock:
+            buffered = self._pending.setdefault(namespace, {})
+            buffered.update((term, tuple(terms)) for term, terms in entries.items())
+
+    def clear(self, namespace: str | None = None) -> None:
+        """Drop one namespace's answers (every answer when None), both
+        the buffered and the stored ones."""
+        with self._lock:
+            if namespace is None:
+                self._pending.clear()
+            else:
+                self._pending.pop(namespace, None)
+            readable = self.readable
+        if not readable:
+            return
+        try:
+            with closing(_connect(self.path)) as connection:
+                connection.execute("BEGIN IMMEDIATE")
+                if namespace is None:
+                    connection.execute("DELETE FROM answers")
+                else:
+                    connection.execute(
+                        "DELETE FROM answers WHERE namespace IN "
+                        "(SELECT id FROM answer_namespaces WHERE namespace = ?)",
+                        (namespace,),
+                    )
+                connection.execute("COMMIT")
+        except sqlite3.Error as exc:
+            log.warning(
+                "checkpoint.answers_not_cleared", path=str(self.path), error=str(exc)
+            )
+
+    def _take(self) -> Answers:
+        """A copy of the buffer, for a save to write."""
+        with self._lock:
+            return {
+                namespace: dict(entries)
+                for namespace, entries in self._pending.items()
+                if entries
+            }
+
+    def _committed(self, written: Answers) -> None:
+        """Drop what a save committed from the buffer; the file now
+        holds a checkpoint of this store."""
+        with self._lock:
+            for namespace, entries in written.items():
+                buffered = self._pending.get(namespace, {})
+                for term in entries:
+                    buffered.pop(term, None)
+            self.readable = True
+
+    # -- pickling (process-backed worker pools) ----------------------------------
+
+    def __getstate__(self) -> dict:
+        # A worker's buffer would die with it: only the read side travels.
+        return {"path": self.path, "_uri": self._uri, "readable": self.readable}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+        self._pending = {}
+
+
+def _write_answers(connection: sqlite3.Connection, answers: Answers) -> None:
+    """Insert ``answers``, each namespace stored once."""
+    for namespace, entries in answers.items():
+        connection.execute(
+            "INSERT OR IGNORE INTO answer_namespaces (namespace) VALUES (?)",
+            (namespace,),
+        )
+        (namespace_id,) = connection.execute(
+            "SELECT id FROM answer_namespaces WHERE namespace = ?", (namespace,)
+        ).fetchone()
+        connection.executemany(
+            "INSERT OR REPLACE INTO answers (namespace, term, terms) "
+            "VALUES (?, ?, ?)",
+            [
+                (namespace_id, term, _join(list(answer)))
+                for term, answer in sorted(entries.items())
+            ],
+        )
 
 
 def _document_row(position: int, document: dict, cached: dict) -> tuple:
@@ -176,21 +362,16 @@ class CheckpointStore:
         self.path = self.directory / CHECKPOINT_FILE
         self._fault_hook = fault_hook
         self.directory.mkdir(parents=True, exist_ok=True)
+        #: The resource answers of this run directory; attached by
+        #: :class:`~repro.incremental.extractor.IncrementalExtractor`.
+        self.answers = CheckpointAnswers(self.path)
 
     def _fire(self, stage: str) -> None:
         if self._fault_hook is not None:
             self._fault_hook(stage)
 
     def _connect(self) -> sqlite3.Connection:
-        """A connection in autocommit mode: transactions are explicit."""
-        connection = sqlite3.connect(self.path, isolation_level=None)
-        try:
-            connection.execute("PRAGMA journal_mode=DELETE")
-            connection.execute("PRAGMA synchronous=FULL")
-        except sqlite3.Error:
-            connection.close()
-            raise
-        return connection
+        return _connect(self.path)
 
     # -- save ----------------------------------------------------------------
 
@@ -210,8 +391,10 @@ class CheckpointStore:
                 f"state schema {payload.get('schema')!r} != {STATE_SCHEMA!r}"
             )
         base = payload.get("base")
+        answers = self.answers._take()
         self._fire("pre-checkpoint")
         if base is None:
+            self.answers.readable = False
             for stale in (self.path, self.path.with_name(CHECKPOINT_FILE + "-journal")):
                 stale.unlink(missing_ok=True)
         try:
@@ -222,6 +405,7 @@ class CheckpointStore:
             connection.execute("BEGIN IMMEDIATE")
             try:
                 self._write(connection, payload, base, sequence)
+                _write_answers(connection, answers)
                 self._fire("mid-write")
             except BaseException:
                 if connection.in_transaction:
@@ -232,6 +416,7 @@ class CheckpointStore:
             raise CheckpointError(f"checkpoint {self.path} not written: {exc}") from exc
         finally:
             connection.close()
+        self.answers._committed(answers)
         self._fire("post-write")
         log.info("checkpoint.saved", sequence=sequence, path=str(self.path))
         return self.path
@@ -334,8 +519,9 @@ class CheckpointStore:
         None when the run directory has no checkpoint or the file is
         damaged (logged as ``checkpoint.skipping_damaged``): the stream
         then starts cold, and replaying every batch reproduces the lost
-        state exactly.  A directory holding only retired JSON snapshots
-        raises :class:`CheckpointError`.
+        state exactly.  Only a loaded checkpoint serves its answers.  A
+        directory holding only retired JSON snapshots raises
+        :class:`CheckpointError`.
         """
         if not self.path.exists():
             retired = sorted(self.directory.glob("checkpoint-*.json"))
@@ -348,12 +534,15 @@ class CheckpointStore:
                 )
             return None
         try:
-            return self._load()
+            loaded = self._load()
         except (sqlite3.DatabaseError, CheckpointError, ValueError) as exc:
             log.warning(
                 "checkpoint.skipping_damaged", path=str(self.path), error=str(exc)
             )
+            self.answers.readable = False
             return None
+        self.answers.readable = True
+        return loaded
 
     def _load(self) -> tuple[int, dict]:
         connection = self._connect()

@@ -53,6 +53,14 @@ records which stored documents changed since the last commit
 so a commit writes only the new documents and the marked ones' mutable
 columns.  An extractor that did not restore from its store writes its
 first checkpoint in full, which replaces whatever the store held.
+
+The store's answer tier
+(:class:`~repro.incremental.checkpoint.CheckpointAnswers`) is attached
+to every pipeline resource that has no persistent tier yet, under the
+namespace the pipeline gives the persistent cache
+(:meth:`~repro.core.pipeline.FacetExtractor.cache_namespace`): each
+commit keeps the healthy answers resolved since the last one, and a
+restored stream reads them back lazily instead of asking again.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from ..core.annotate import _columnar_stats_chunk, merge_important
+from ..core.annotate import _columnar_stats_chunk, merge_important, text_memo_scope
 from ..core.contextualize import assemble_databases, expand_documents
 from ..core.hierarchy import FacetHierarchy, hierarchies_from_postings
 from ..core.pipeline import FacetExtractionResult, FacetExtractor
@@ -125,7 +133,8 @@ class IncrementalExtractor:
         :class:`ValueError`.
     checkpoint:
         Optional checkpoint store; when given, a checkpoint is committed
-        after every ``checkpoint_every``-th batch.
+        after every ``checkpoint_every``-th batch, and the store's answer
+        tier backs every pipeline resource without a persistent tier.
     checkpoint_every:
         Checkpoint cadence in batches.
     state:
@@ -157,6 +166,12 @@ class IncrementalExtractor:
         self._facet_terms: list[FacetTermCandidate] = []
         self._hierarchies: list[FacetHierarchy] = []
         self._rescore_indices = self._bind_extractors()
+        if checkpoint is not None:
+            for resource in pipeline.resources:
+                if resource.persistent_cache is None:
+                    resource.attach_cache(
+                        checkpoint.answers, namespace=pipeline.cache_namespace(resource)
+                    )
         if self._state.document_count:
             obs = self._pipeline.observability
             with obs.collect():
@@ -367,12 +382,14 @@ class IncrementalExtractor:
 
         Statistics land first so the shared background vocabulary is the
         full union *before* any extractor scores a document — the exact
-        two-pass order of :func:`repro.core.annotate.annotate_database`.
+        two-pass order of :func:`repro.core.annotate.annotate_database`,
+        with its memo placement: each new document is tokenized once.
         """
         state = self._state
         parallel = self._pipeline.parallel
         touched: set[int] = set()
-        with obs.tracer.span(
+        run_memo, initializer = text_memo_scope(parallel)
+        with run_memo, obs.tracer.span(
             obs_names.SPAN_INCREMENTAL_ANNOTATION, documents=len(docs)
         ):
             chunks = chunked(docs, max(1, parallel.resolve_chunk_size(len(docs))))
@@ -380,7 +397,11 @@ class IncrementalExtractor:
             # normalized terms, so the byte-identity contract holds.
             stats: dict[str, list[str]] = {}
             for chunk_result in map_chunks(
-                MemoizedChunk(_columnar_stats_chunk), chunks, parallel, obs=obs
+                MemoizedChunk(_columnar_stats_chunk),
+                chunks,
+                parallel,
+                obs=obs,
+                initializer=initializer,
             ):
                 for doc_id, normalized in chunk_result:
                     stats[doc_id] = normalized
@@ -391,7 +412,9 @@ class IncrementalExtractor:
                     )
                 )
             extract = MemoizedChunk(partial(_annotate_chunk, self._pipeline.extractors))
-            for chunk_result in map_chunks(extract, chunks, parallel, obs=obs):
+            for chunk_result in map_chunks(
+                extract, chunks, parallel, obs=obs, initializer=initializer
+            ):
                 for doc_id, outputs in chunk_result:
                     doc_state = state.doc_states[doc_id]
                     doc_state.outputs = outputs

@@ -37,6 +37,8 @@ from array import array
 from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import gt
 
 from ..core.columnar import ColumnarVocabulary
 from ..corpus.document import Document, GoldAnnotation
@@ -279,13 +281,23 @@ class IncrementalState:
         return state
 
     def rebuild_pretest(self) -> None:
-        """Derive the pre-test set from scratch (used after a restore)."""
-        original = self.original_vocabulary
-        self.pretest = {
-            term
-            for term, df_c in self.contextualized_vocabulary.df_map().items()
-            if df_c > original.df(term)
+        """Derive the pre-test set from scratch (used after a restore),
+        by id from the two df columns."""
+        terms = self.interner.terms()
+        original = self.original_vocabulary.df_column()
+        contextualized = self.contextualized_vocabulary.df_column()
+        # Ids past the shorter column have df 0 on that side.
+        common = min(len(original), len(contextualized))
+        pretest = {
+            terms[i]
+            for i in compress(range(common), map(gt, contextualized, original))
         }
+        pretest.update(
+            terms[i]
+            for i in range(common, len(contextualized))
+            if contextualized[i]
+        )
+        self.pretest = pretest
 
 
 def document_payload(document: Document) -> dict:

@@ -9,11 +9,13 @@ Caching is two-tier:
 
 * an **in-process LRU** (bounded, thread-safe) answers the hot repeats
   within a run;
-* an optional **persistent SQLite store**
-  (:class:`~repro.db.resource_cache.PersistentResourceCache`, attached
-  via :meth:`ExternalResource.attach_cache`) is shared across worker
-  threads/processes and across runs, so a warm cache file makes remote
-  expansion essentially free.
+* an optional **persistent tier** (any :class:`PersistentTier`,
+  attached via :meth:`ExternalResource.attach_cache`): the shared SQLite
+  store :class:`~repro.db.resource_cache.PersistentResourceCache` is
+  shared across worker threads/processes and across runs, so a warm
+  cache file makes remote expansion essentially free; a stream's
+  checkpoint keeps the answers its run directory already paid for
+  (:class:`~repro.incremental.checkpoint.CheckpointAnswers`).
 
 Cached entries are stored as **immutable tuples** and every call returns
 a fresh list, so no caller can poison the cache by mutating an answer —
@@ -24,12 +26,10 @@ Every lookup goes through one **batched query engine**;
 
 * :meth:`ExternalResource.context_terms_many` answers a whole term
   batch at once: one lock pass over the LRU, one batched
-  :meth:`~repro.db.resource_cache.PersistentResourceCache.get_many`,
-  one bulk :meth:`ExternalResource.query_many` for the remaining
-  leaders, and one
-  :meth:`~repro.db.resource_cache.PersistentResourceCache.put_many`
-  write-back.  ``query_many`` defaults to looping :meth:`_query`;
-  resources with a natural bulk lookup override it and answer a single
+  :meth:`PersistentTier.get_many`, one bulk
+  :meth:`ExternalResource.query_many` for the remaining leaders, and one
+  :meth:`PersistentTier.put_many` write-back.  ``query_many`` defaults
+  to looping :meth:`_query`; resources with a natural bulk lookup override it and answer a single
   term through it too, so each has one lookup body;
 * concurrent workers asking for the same fresh ``(namespace, term)``
   are **single-flight coalesced** — exactly one performs the query,
@@ -47,10 +47,10 @@ import enum
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from contextvars import ContextVar
+from typing import Protocol
 
-from ..db.resource_cache import PersistentResourceCache
 from ..errors import ResourceError
 from ..observability import names as obs_names
 from ..observability.context import current_metrics, current_span, use_span
@@ -80,6 +80,23 @@ BATCH_SIZE_BUCKETS: tuple[float, ...] = (
     500.0,
     1000.0,
 )
+
+
+class PersistentTier(Protocol):
+    """What the batched query engine calls on a persistent tier."""
+
+    def get_many(
+        self, namespace: str, terms: Sequence[str]
+    ) -> dict[str, tuple[str, ...]]:
+        """Stored answers for a term batch (present keys only)."""
+
+    def put_many(
+        self, namespace: str, entries: Mapping[str, Iterable[str]]
+    ) -> None:
+        """Store a batch of healthy answers."""
+
+    def clear(self, namespace: str | None = None) -> None:
+        """Drop one namespace's answers (every answer when None)."""
 
 
 def validate_context_terms(raw: "list[str] | tuple[str, ...]") -> tuple[str, ...]:
@@ -129,7 +146,7 @@ class ExternalResource(abc.ABC):
         self._cache: OrderedDict[str, tuple[str, ...]] = OrderedDict()
         self._memory_cache_size = memory_cache_size
         self._lock = threading.Lock()
-        self._persistent: PersistentResourceCache | None = None
+        self._persistent: PersistentTier | None = None
         self._namespace: str | None = None
         self._memory_hits = 0
         self._persistent_hits = 0
@@ -410,7 +427,7 @@ class ExternalResource(abc.ABC):
 
     def attach_cache(
         self,
-        store: PersistentResourceCache,
+        store: PersistentTier,
         namespace: str | None = None,
     ) -> None:
         """Put a persistent store behind the in-process tier.
@@ -437,7 +454,7 @@ class ExternalResource(abc.ABC):
         return type(self).__name__
 
     @property
-    def persistent_cache(self) -> PersistentResourceCache | None:
+    def persistent_cache(self) -> PersistentTier | None:
         return self._persistent
 
     def _mark_do_not_persist(self) -> None:

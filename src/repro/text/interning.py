@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
+from typing import Generic, TypeVar
 
 from .stopwords import STOPWORDS
 from .tokenizer import _WORD_RE, Token
@@ -29,6 +30,8 @@ from .tokenizer import normalize_term as _raw_normalize_term
 from .tokenizer import sentences as _raw_sentences
 from .tokenizer import tokenize as _raw_tokenize
 from .vocabulary import TermInterner
+
+R = TypeVar("R")
 
 
 class SentenceColumns:
@@ -123,7 +126,7 @@ def use_text_memo(memo: TextMemo) -> Iterator[TextMemo]:
         _ACTIVE.reset(token)
 
 
-class MemoizedChunk:
+class MemoizedChunk(Generic[R]):
     """Picklable wrapper running a chunk worker under a TextMemo.
 
     The columnar data plane wraps every per-chunk worker with this: the
@@ -141,10 +144,10 @@ class MemoizedChunk:
 
     __slots__ = ("_fn",)
 
-    def __init__(self, fn: Callable[[list], object]) -> None:
+    def __init__(self, fn: Callable[[list], R]) -> None:
         self._fn = fn
 
-    def __call__(self, chunk: list) -> object:
+    def __call__(self, chunk: list) -> R:
         if _ACTIVE.get() is not None:
             return self._fn(chunk)
         with use_text_memo(TextMemo()):

@@ -172,6 +172,25 @@ class TestColumnarVocabularyEquivalence:
         assert "never-seen" in df_view
         assert "never-seen" in reference_view
 
+    def test_ranks_match_the_reference_under_heavy_ties(self):
+        """Few df values over many terms, first seen out of term order:
+        the rank column's two stable sorts must break every df tie by
+        term, exactly like the reference's ``(-df, term)`` key."""
+        rng = random.Random(11)
+        words = [f"term{i:03d}" for i in range(300)]
+        rng.shuffle(words)
+        reference = Vocabulary()
+        columnar = ColumnarVocabulary()
+        for _ in range(40):
+            doc = rng.sample(words, 20)
+            reference.add_document(doc)
+            columnar.add_document(doc)
+        present = reference.terms()
+        assert len(present) > 250 and len({reference.df(t) for t in present}) < 12
+        for term in [*words, "never-seen"]:
+            assert columnar.rank(term) == reference.rank(term)
+        assert dict(columnar.rank_map()) == dict(reference.rank_map())
+
     def test_rank_map_is_a_snapshot(self):
         """Adds after rank_map() must not mutate the captured ranks."""
         columnar = ColumnarVocabulary()

@@ -36,6 +36,7 @@ from repro.resources.domain import (
     DomainVocabularyResource,
     financial_glossary,
 )
+from repro.text import interning
 
 SCALE = 0.05
 
@@ -258,6 +259,26 @@ class TestAppendSemantics:
         assert second.batch_id == "batch-000001"
         assert second.documents == 10
         assert extractor.batches_done == ["first", "batch-000001"]
+
+    def test_append_tokenizes_each_new_document_once(
+        self, inc_config, docs, monkeypatch
+    ):
+        """Step 1's statistics and extraction passes share one memo, as
+        in the batch pipeline: 25 new stories, 25 sentence splits."""
+        builder = FacetPipelineBuilder(inc_config)
+        builder.with_parallel(ParallelConfig(workers=1))
+        extractor = IncrementalExtractor(builder.build())
+        extractor.append(docs[:10])
+        split: list[str] = []
+        real_sentences = interning._raw_sentences
+
+        def counted(text: str) -> list[str]:
+            split.append(text)
+            return real_sentences(text)
+
+        monkeypatch.setattr(interning, "_raw_sentences", counted)
+        extractor.append(docs[10:35])
+        assert len(split) == 25
 
     def test_empty_batch_is_a_no_op_for_results(self, inc_builder, docs):
         inc_builder.with_parallel(ParallelConfig(workers=1))

@@ -10,15 +10,21 @@ pinned individually: after every commit it loads back as the live
 state's payload, a commit writes rows only for new and changed
 documents, a delta on the wrong base is refused, a damaged file means
 a cold start, a run that starts over replaces the old run, and a
-directory of retired JSON snapshots is refused.
+directory of retired JSON snapshots is refused.  The checkpoint's
+resource answers are pinned too: a restored stream starts warm and
+still lands on the batch run's bytes, and no degraded, uncommitted,
+damaged or other-world answer is ever served.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import shutil
+import sqlite3
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -27,8 +33,10 @@ from repro.builder import FacetPipelineBuilder
 from repro.config import ParallelConfig, ReproConfig
 from repro.corpus import build_snyt
 from repro.core.export import to_dict
+from repro.core.pipeline import FacetExtractor
 from repro.errors import StorageError
 from repro.incremental import (
+    CheckpointAnswers,
     CheckpointError,
     CheckpointStore,
     CrashInjected,
@@ -43,6 +51,9 @@ from repro.incremental import (
 )
 from repro.incremental.state import STATE_SCHEMA
 from repro.observability.logging import configure_logging
+from repro.resources.base import ResourceName
+from repro.resources.composite import CompositeResource
+from repro.resources.resilience import FlakyResource, ResilientResource
 from repro.text.interning import normalize_term
 
 SCALE = 0.05
@@ -425,10 +436,9 @@ class TestRecoveryPolicy:
     ):
         """A truncated, garbage, empty or foreign-schema database reads
         as no checkpoint; the next checkpoint writes a fresh file.  A
-        ``repro.checkpoint/2`` file (whose documents also carried the
-        Yahoo candidate counts) is a foreign schema too."""
-        import sqlite3
-
+        ``repro.checkpoint/3`` file (no answers tables) and a ``/2`` file
+        (whose documents also carried the Yahoo candidate counts) are
+        foreign schemas too."""
         source = CheckpointStore(tmp_path / "source")
         IncrementalExtractor(build_pipeline(inc_config), checkpoint=source).append(
             docs[:20]
@@ -456,11 +466,23 @@ class TestRecoveryPolicy:
                 )
             connection.close()
 
+        def layout_3(path):
+            # The /3 layout: the state tables without the answers.
+            connection = sqlite3.connect(path)
+            with connection:
+                connection.execute("DROP TABLE answers")
+                connection.execute("DROP TABLE answer_namespaces")
+                connection.execute(
+                    "UPDATE meta SET value = 'repro.checkpoint/3' WHERE key = 'schema'"
+                )
+            connection.close()
+
         damages = {
             "truncated": lambda path: path.write_bytes(good[: len(good) // 2]),
             "garbage": lambda path: path.write_bytes(b"not a database" * 100),
             "empty": lambda path: path.write_bytes(b""),
             "foreign schema": foreign,
+            "schema /3": layout_3,
             "schema /2": previous_layout,
         }
         for name, damage in damages.items():
@@ -509,6 +531,177 @@ class TestRecoveryPolicy:
             "batch-000001.jsonl",
         ]
         assert resumed.extractor.document_count == 6
+
+
+def stored_answers(path: Path) -> dict[tuple[str, str], str]:
+    """Every committed answer of a checkpoint: (namespace, term) -> terms."""
+    connection = sqlite3.connect(path)
+    try:
+        rows = connection.execute(
+            "SELECT answer_namespaces.namespace, answers.term, answers.terms "
+            "FROM answers JOIN answer_namespaces "
+            "ON answer_namespaces.id = answers.namespace"
+        ).fetchall()
+    finally:
+        connection.close()
+    return {(namespace, term): terms for namespace, term, terms in rows}
+
+
+class TestCheckpointAnswers:
+    """The checkpoint keeps the healthy resource answers the stream paid
+    for and serves them to a restored stream."""
+
+    @pytest.fixture()
+    def archive(self, inc_config, docs, tmp_path):
+        """A run directory holding the first three batches, committed by
+        one full save, and the batches still to come."""
+        batches = split_into_batches(docs, BATCHES)
+        store = CheckpointStore(tmp_path / "archive")
+        pipeline = build_pipeline(inc_config)
+        extractor = IncrementalExtractor(
+            pipeline, checkpoint=store, checkpoint_every=3
+        )
+        for batch in batches[:3]:
+            extractor.append(batch)
+        (resource,) = pipeline.resources
+        return store.directory, batches[3:], resource.cache_stats.misses
+
+    @staticmethod
+    def _resume(config, directory, feed):
+        pipeline = build_pipeline(config)
+        extractor = IncrementalExtractor.restore(pipeline, CheckpointStore(directory))
+        for batch in feed:
+            extractor.append(batch)
+        (resource,) = pipeline.resources
+        return extractor, resource.cache_stats
+
+    def test_restored_stream_starts_warm(
+        self, inc_config, baseline_bytes, archive, tmp_path, monkeypatch
+    ):
+        directory, feed, resolved = archive
+        # The one full save wrote every answer the archive resolved.
+        assert len(stored_answers(directory / "checkpoint.sqlite")) == resolved
+        cold = tmp_path / "cold"
+        shutil.copytree(directory, cold)
+        connection = sqlite3.connect(cold / "checkpoint.sqlite")
+        with connection:
+            connection.execute("DELETE FROM answers")
+        connection.close()
+        reads: list[str] = []
+        real_get_many = CheckpointAnswers.get_many
+
+        def counted(self, namespace, terms):
+            reads.append(namespace)
+            return real_get_many(self, namespace, terms)
+
+        monkeypatch.setattr(CheckpointAnswers, "get_many", counted)
+        IncrementalExtractor.restore(
+            build_pipeline(inc_config), CheckpointStore(directory)
+        )
+        assert not reads  # restore never reads the answers
+        warm, warm_stats = self._resume(inc_config, directory, feed)
+        cold_extractor, cold_stats = self._resume(inc_config, cold, feed)
+        assert warm_stats.persistent_hits > 0
+        assert cold_stats.persistent_hits == 0
+        assert warm_stats.misses < cold_stats.misses
+        for extractor in (warm, cold_extractor):
+            assert result_bytes(extractor.snapshot_result()) == baseline_bytes
+
+    def test_outage_leaves_no_degraded_answer(self, inc_config, docs, tmp_path):
+        healthy = build_pipeline(inc_config)
+        (composite,) = healthy.resources
+        members = [
+            ResilientResource(FlakyResource(member, error_rate=1.0))
+            if member.name is ResourceName.GOOGLE
+            else member
+            for member in composite.members
+        ]
+        pipeline = FacetExtractor(
+            extractors=healthy.extractors,
+            resources=[CompositeResource(members)],
+            parallel=healthy.parallel,
+            cache_fingerprint=inc_config.cache_fingerprint(),
+        )
+        store = CheckpointStore(tmp_path / "run")
+        extractor = IncrementalExtractor(pipeline, checkpoint=store)
+        extractor.append(docs[:20], batch_id="archive")
+        (google,) = [m for m in members if isinstance(m, ResilientResource)]
+        assert google.gave_up > 0
+        assert len(store.load_latest()[1]["documents"]) == 20
+        # Every union lacks its Google part, so none may be stored.
+        assert stored_answers(store.path) == {}
+
+    def test_mid_write_crash_keeps_no_uncommitted_answer(
+        self, inc_config, baseline_bytes, input_dir, tmp_path
+    ):
+        run_dir = tmp_path / "run"
+        database = run_dir / "checkpoint.sqlite"
+        committed: dict = {}
+        crash = FaultInjector("mid-write", occurrence=3)
+
+        def hook(stage):
+            if stage == "post-write":
+                committed.clear()
+                committed.update(stored_answers(database))
+            crash(stage)
+
+        crashed = StreamSupervisor(build_pipeline(inc_config), run_dir, fault_hook=hook)
+        with pytest.raises(CrashInjected):
+            crashed.run(input_dir)
+        uncommitted = {
+            (namespace, term)
+            for namespace, entries in crashed.store.answers._take().items()
+            for term in entries
+        }
+        assert uncommitted and committed
+        stored = stored_answers(database)
+        assert stored == committed
+        assert not uncommitted & stored.keys()
+        resumed = StreamSupervisor(build_pipeline(inc_config), run_dir)
+        resumed.run(input_dir)
+        assert result_bytes(resumed.extractor.snapshot_result()) == baseline_bytes
+        assert committed.keys() < stored_answers(database).keys()
+
+    @pytest.mark.parametrize("case", ["damaged file", "other seed"])
+    def test_damaged_file_or_other_world_serves_nothing(
+        self, inc_config, archive, case
+    ):
+        directory, feed, _resolved = archive
+        config = inc_config
+        if case == "damaged file":
+            path = directory / "checkpoint.sqlite"
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            config = ReproConfig(scale=SCALE, seed=inc_config.seed + 1)
+        pipeline = build_pipeline(config)
+        extractor = IncrementalExtractor.restore(pipeline, CheckpointStore(directory))
+        assert (extractor.document_count > 0) == (case == "other seed")
+        extractor.append(feed[0])
+        (resource,) = pipeline.resources
+        assert resource.cache_stats.persistent_hits == 0
+
+    def test_concurrent_puts_all_reach_the_next_save(self, tmp_path):
+        """Pool threads buffer answers at once; the save writes them all."""
+        store = CheckpointStore(tmp_path / "run")
+
+        def put(worker: int) -> None:
+            for i in range(200):
+                store.answers.put_many("ns", {f"w{worker}-{i}": [f"ctx {i}"]})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=put, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        store.save(_payload("a"), sequence=1)
+        assert len(stored_answers(store.path)) == 8 * 200
+        assert store.answers.get_many("ns", ["w3-7", "absent"]) == {"w3-7": ("ctx 7",)}
 
 
 class TestFaultInjector:

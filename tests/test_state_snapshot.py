@@ -53,6 +53,22 @@ def test_snapshot_bytes_are_pinned(snb_stream):
     assert hashlib.sha256(data).hexdigest() == SNB_STATE_SHA256
 
 
+def test_restored_pretest_is_the_definition(snb_stream):
+    """The pre-test set a restore derives by id from the two df columns
+    is ``{t : df_C(t) > df(t)}``, the set the appends maintained."""
+    extractor, _reports = snb_stream
+    restored = IncrementalState.from_payload(extractor.state.to_payload())
+    original = restored.original_vocabulary
+    contextualized = restored.contextualized_vocabulary
+    definition = {
+        term
+        for term in restored.interner.terms()
+        if contextualized.df(term) > original.df(term)
+    }
+    assert definition
+    assert restored.pretest == definition == extractor.state.pretest
+
+
 def test_restored_state_reserializes_to_the_loaded_bytes(snb_stream):
     extractor, _reports = snb_stream
     text = canonical_json(extractor.state.to_payload())
