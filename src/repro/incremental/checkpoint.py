@@ -382,7 +382,8 @@ class CheckpointStore:
         appended, its other ``docs`` entries overwrite those documents'
         mutable columns, and its batches extend the ledger.  Any other
         payload starts a new file, replacing an older run's history or a
-        damaged file.
+        damaged file.  Either way the transaction also writes the answers
+        :attr:`answers` buffered since the last commit.
         """
         if sequence < 0:
             raise CheckpointError(f"sequence must be >= 0, got {sequence}")
