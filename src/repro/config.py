@@ -180,8 +180,9 @@ class ServingConfig:
     max_limit:
         Hard row cap; requests asking for more are rejected with 400.
     time_budget_seconds:
-        Per-request wall-clock budget; queries still running when it
-        expires are answered with 503.
+        Per-request wall-clock budget.  An artifact's SQL statement
+        still running when it expires is interrupted, and a request
+        whose query ran past it is answered with 503.
     cache_max_age:
         ``Cache-Control: max-age`` seconds on data responses (every data
         response also carries an ETag derived from the artifact

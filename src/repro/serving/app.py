@@ -16,22 +16,23 @@ over any *browser* backend — normally a read-only
 
 Responses are JSON by default; ``?format=html`` (or an ``Accept``
 header preferring ``text/html``) selects the minimal HTML renderer.
-Every view is async but never blocks the event loop: backend queries
-(including the ``/healthz`` probe) run on an executor the app owns
-under ``asyncio.wait_for`` with the configured per-request time budget
-(exceeded → 503), row counts are clamped to ``max_limit`` (exceeded →
-400), and data responses carry an ETag derived from the artifact
-checksum plus ``Cache-Control`` so conditional requests short-circuit
-to 304 without touching the backend.  :meth:`FacetApp.close` shuts the
-executor down; the server teardown paths call it so ``repro serve``
-exits without leaking worker threads.
+Backend queries (including the ``/healthz`` probe) run inline on the
+event loop, one request at a time: every route reads only the page it
+shows, so a thread hop would cost more than the query.  The per-request
+time budget is enforced where the time goes.  A backend with a
+``deadline`` scope (:meth:`FacetIndex.deadline`) has SQLite interrupt a
+statement still running when the budget expires, and any builder that
+returns past the budget is answered the same way: 503.  Row counts are
+clamped to ``max_limit`` (exceeded → 400), and data responses carry an
+ETag derived from the artifact checksum plus ``Cache-Control`` so
+conditional requests short-circuit to 304 without touching the backend.
 """
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
+import time
 from functools import partial
 from urllib.parse import parse_qs, unquote
 
@@ -58,7 +59,10 @@ class FacetApp:
     ``browser`` is anything implementing the shared query surface
     (``FacetIndex`` or ``FacetedInterface``).  ETags are emitted only
     when the backend exposes a ``checksum`` (artifacts do; in-memory
-    interfaces have no stable content identity).
+    interfaces have no stable content identity).  A backend may also
+    expose ``deadline(seconds)``, a context manager that stops its
+    queries once the time budget is spent by raising
+    :class:`TimeoutError`.
     """
 
     def __init__(
@@ -72,25 +76,12 @@ class FacetApp:
         self._config = config if config is not None else ServingConfig()
         self._obs = observability if observability is not None else DISABLED
         self._checksum: str | None = getattr(browser, "checksum", None)
-        # Owned rather than the loop's default executor so teardown is
-        # deterministic: close() joins these threads instead of leaving
-        # them to interpreter exit.
-        self._executor = ThreadPoolExecutor(
-            max_workers=8, thread_name_prefix="repro-serving-query"
-        )
-        self._closed = False
+        # nullcontext(seconds) is a scope that interrupts nothing.
+        self._deadline = getattr(browser, "deadline", contextlib.nullcontext)
 
     def close(self) -> None:
-        """Shut down the query executor (idempotent).
-
-        In-flight queries are abandoned to their threads; queued ones
-        are cancelled.  Called by the server teardown paths
-        (``serve_blocking`` and ``run_in_thread``).
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._executor.shutdown(wait=True, cancel_futures=True)
+        """Nothing to release: the app owns no threads or connections
+        (whoever opened the browser closes it)."""
 
     def __enter__(self) -> "FacetApp":
         return self
@@ -132,7 +123,7 @@ class FacetApp:
             else None
         )
 
-        status, body, headers = await self._respond(
+        status, body, headers = self._respond(
             scope, method, path, query_string, query, wants_html
         )
         if method == "HEAD":
@@ -160,7 +151,7 @@ class FacetApp:
                 metrics.record_time(obs_names.SERVING_REQUEST_SECONDS, span.duration)
         log.info("serving.request", method=method, path=path, status=status)
 
-    async def _respond(
+    def _respond(
         self,
         scope,
         method: str,
@@ -172,7 +163,7 @@ class FacetApp:
         if method not in ("GET", "HEAD"):
             return self._error(405, f"method {method} not allowed", wants_html)
         if path == "/healthz":
-            return await self._healthz()
+            return self._healthz()
         try:
             builder, html_renderer = self._resolve(path, query)
         except _BadRequest as exc:
@@ -184,22 +175,21 @@ class FacetApp:
         if etag is not None and self._if_none_match_hit(scope, etag):
             return 304, b"", self._cache_headers(etag)
 
+        budget = self._config.time_budget_seconds
+        start = time.perf_counter()
         try:
-            payload = await asyncio.wait_for(
-                asyncio.get_running_loop().run_in_executor(self._executor, builder),
-                timeout=self._config.time_budget_seconds,
-            )
-        except asyncio.TimeoutError:
+            with self._deadline(budget):
+                payload = builder()
+            # Also catches stalls outside SQL and backends without a scope.
+            over_budget = time.perf_counter() - start > budget
+        except TimeoutError:
+            over_budget = True
+        except (HierarchyError, StorageError) as exc:
+            return self._error(404, str(exc), wants_html)
+        if over_budget:
             return self._error(
-                503,
-                "query exceeded the "
-                f"{self._config.time_budget_seconds}s time budget",
-                wants_html,
+                503, f"query exceeded the {budget}s time budget", wants_html
             )
-        except HierarchyError as exc:
-            return self._error(404, str(exc), wants_html)
-        except StorageError as exc:
-            return self._error(404, str(exc), wants_html)
 
         if wants_html:
             body, content_type = html_renderer(payload), _HTML
@@ -250,20 +240,12 @@ class FacetApp:
             )
         return None, None
 
-    async def _healthz(self) -> tuple[int, bytes, list[tuple[str, str]]]:
-        def probe() -> tuple[int, int]:
-            # Artifact backends answer these from SQLite, so the probe
-            # belongs on the executor with every other backend query.
-            return self._browser.document_count, len(self._browser.facet_names())
-
-        document_count, facet_count = await asyncio.get_running_loop().run_in_executor(
-            self._executor, probe
-        )
+    def _healthz(self) -> tuple[int, bytes, list[tuple[str, str]]]:
         payload = {
             "schema": renderers.PAYLOAD_SCHEMA,
             "status": "ok",
-            "document_count": document_count,
-            "facet_count": facet_count,
+            "document_count": self._browser.document_count,
+            "facet_count": len(self._browser.facet_names()),
         }
         if self._checksum is not None:
             payload["checksum"] = self._checksum

@@ -37,11 +37,13 @@ ETags from ``content_sha256``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import sqlite3
 import threading
-from collections.abc import Iterable
+import time
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -116,6 +118,10 @@ CREATE TABLE facet_node_docs (
 #: Ids per :meth:`FacetIndex.documents` query, inside SQLite's default
 #: bound-variable limit (999 before SQLite 3.32).
 _ID_CHUNK = 500
+
+#: SQLite VM instructions between two deadline checks in
+#: :meth:`FacetIndex.deadline` (a check is one monotonic-clock read).
+_DEADLINE_STEPS = 20_000
 
 #: The set-bit offsets of each byte value, for reading a bitmap back.
 _BYTE_BITS = tuple(
@@ -379,7 +385,7 @@ class FacetIndex:
         return opened
 
     def _adopt_connection(self, connection: sqlite3.Connection) -> None:
-        # Executor threads race each other (and close()) to register the
+        # Threads race each other (and close()) to register the
         # connections they open; the lock keeps the registry consistent
         # so close() can reach every connection ever opened, and a
         # connection adopted after close() is closed immediately instead
@@ -421,6 +427,31 @@ class FacetIndex:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    @contextlib.contextmanager
+    def deadline(self, seconds: float) -> Iterator[None]:
+        """Stop this thread's statements once ``seconds`` have passed.
+
+        SQLite's progress handler interrupts the running statement and
+        the scope raises :class:`TimeoutError`.  Lazy caches are assigned
+        only after their statement completes, so an interrupted fill
+        leaves nothing half built.
+        """
+        connection = self._connection()
+        expires = time.monotonic() + seconds
+        connection.set_progress_handler(
+            lambda: time.monotonic() >= expires, _DEADLINE_STEPS
+        )
+        try:
+            yield
+        except sqlite3.OperationalError as exc:
+            if str(exc) != "interrupted":
+                raise
+            raise TimeoutError(
+                f"query interrupted at its {seconds}s deadline"
+            ) from exc
+        finally:
+            connection.set_progress_handler(None, 0)
 
     # -- metadata -----------------------------------------------------------------
 

@@ -55,7 +55,10 @@ class FacetServer:
     async def start(self) -> None:
         """Bind the listening socket (port 0 picks a free port)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self._requested_host, self._requested_port
+            self._handle_connection,
+            self._requested_host,
+            self._requested_port,
+            limit=_MAX_HEADER_BYTES,
         )
         host, port = self.address
         log.info("serving.listening", host=host, port=port)
@@ -63,8 +66,10 @@ class FacetServer:
     async def serve_forever(self) -> None:
         if self._server is None:
             await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        server = self._server
+        assert server is not None  # bound by start()
+        async with server:
+            await server.serve_forever()
 
     async def stop(self) -> None:
         if self._server is not None:
@@ -82,12 +87,7 @@ class FacetServer:
                 keep_alive = await self._handle_one(reader, writer)
                 if not keep_alive:
                     break
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            asyncio.TimeoutError,
-            ConnectionError,
-        ):
+        except (asyncio.IncompleteReadError, asyncio.TimeoutError, ConnectionError):
             pass
         except asyncio.CancelledError:
             # Server shutdown cancels in-flight connections; swallowing the
@@ -103,21 +103,24 @@ class FacetServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
         """Serve one request; returns True to keep the connection open."""
-        header_blob = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout=_HEADER_TIMEOUT
-        )
-        if len(header_blob) > _MAX_HEADER_BYTES:
+        try:
+            # The stream limit is _MAX_HEADER_BYTES, so a longer head
+            # overruns before its blank line arrives.
+            header_blob = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), timeout=_HEADER_TIMEOUT
+            )
+        except asyncio.LimitOverrunError:
             writer.write(b"HTTP/1.1 431 Request Header Fields Too Large\r\n\r\n")
             await writer.drain()
             return False
         try:
             scope, headers, http_version = self._parse_request(header_blob)
+            body_length = _content_length(headers)
         except ValueError:
             writer.write(b"HTTP/1.1 400 Bad Request\r\n\r\n")
             await writer.drain()
             return False
 
-        body_length = int(headers.get(b"content-length", b"0"))
         if body_length:
             await reader.readexactly(body_length)
 
@@ -128,15 +131,17 @@ class FacetServer:
             else connection == "keep-alive"
         )
 
-        state = {"started": False, "status": 200}
+        # The head waits for the body so a response leaves in one write.
+        pending: list[bytes] = []
+        started = False
 
         async def receive():
             return {"type": "http.request", "body": b"", "more_body": False}
 
         async def send(message):
+            nonlocal started
             if message["type"] == "http.response.start":
-                state["started"] = True
-                state["status"] = message["status"]
+                started = True
                 lines = [f"HTTP/1.1 {message['status']} {_reason(message['status'])}"]
                 has_length = False
                 for name, value in message.get("headers", []):
@@ -150,14 +155,16 @@ class FacetServer:
                 lines.append(
                     "connection: " + ("keep-alive" if keep_alive else "close")
                 )
-                writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
+                pending.append(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
             elif message["type"] == "http.response.body":
-                writer.write(message.get("body", b""))
-                await writer.drain()
+                pending.append(message.get("body", b""))
+                writer.write(b"".join(pending))
+                pending.clear()
 
         await self._app(scope, receive, send)
-        if not state["started"]:
-            writer.write(b"HTTP/1.1 500 Internal Server Error\r\n\r\n")
+        if not started:
+            pending.append(b"HTTP/1.1 500 Internal Server Error\r\n\r\n")
+        writer.write(b"".join(pending))  # empty once the body has gone
         await writer.drain()
         return keep_alive
 
@@ -191,6 +198,14 @@ class FacetServer:
             "headers": header_pairs,
         }
         return scope, headers, http_version
+
+
+def _content_length(headers: dict[bytes, bytes]) -> int:
+    """The declared body length; ValueError unless it is plain digits."""
+    raw = headers.get(b"content-length", b"0")
+    if not raw.isdigit():
+        raise ValueError(f"malformed content-length: {raw!r}")
+    return int(raw)
 
 
 _REASONS = {
@@ -227,17 +242,9 @@ async def _serve_forever(app, host: str, port: int) -> None:
     except asyncio.CancelledError:  # pragma: no cover - shutdown path
         pass
     finally:
-        # Ctrl-C cancels the task; the listening socket and the app's
-        # query executor still close deterministically before the loop
-        # is torn down.
+        # Ctrl-C cancels the task; the listening socket still closes
+        # deterministically before the loop is torn down.
         await server.stop()
-        _close_app(app)
-
-
-def _close_app(app) -> None:
-    close = getattr(app, "close", None)
-    if callable(close):
-        close()
 
 
 @contextlib.contextmanager
@@ -269,7 +276,6 @@ def run_in_thread(app, host: str = "127.0.0.1", port: int = 0) -> Iterator[tuple
         for task in pending:
             task.cancel()
         await asyncio.gather(*pending, return_exceptions=True)
-        _close_app(app)
 
     thread = threading.Thread(target=runner, name="repro-serving", daemon=True)
     thread.start()

@@ -2,8 +2,8 @@
 
 Drives a :class:`~repro.serving.app.FacetApp` (or any ASGI 3 app)
 directly through the scope/receive/send protocol, so view tests run the
-real request path — routing, executor dispatch, timeout enforcement,
-ETag handling — without binding a port.
+real request path — routing, time-budget enforcement, ETag handling —
+without binding a port.
 """
 
 from __future__ import annotations

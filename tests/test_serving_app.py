@@ -1,15 +1,16 @@
 """Tests for the ASGI service (repro.serving.app/server/testing).
 
 Views are driven in-process through :class:`AsgiClient` (the real
-scope/receive/send path — routing, executor dispatch, timeouts, ETags)
-plus socket-level tests of the stdlib HTTP bridge, one of them with
-eight concurrent keep-alive clients.
+scope/receive/send path — routing, time budgets, ETags) plus
+socket-level tests of the stdlib HTTP bridge, one of them with eight
+concurrent keep-alive clients.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -18,7 +19,7 @@ import pytest
 from repro.config import ServingConfig
 from repro.core.interface import FacetedInterface
 from repro.errors import ConfigError
-from repro.serving import AsgiClient, FacetApp, FacetIndex, run_in_thread
+from repro.serving import AsgiClient, FacetApp, FacetIndex, artifact, run_in_thread
 from repro.serving.renderers import PAYLOAD_SCHEMA, canonical_json, drilldown_payload
 
 
@@ -249,6 +250,76 @@ class TestLimitsAndTimeouts:
             ServingConfig(time_budget_seconds=0)
 
 
+class _SqlStallBrowser:
+    """An index whose facet roots first run a statement that would take
+    minutes, to show SQLite stopping it at the time budget."""
+
+    def __init__(self, index: FacetIndex) -> None:
+        self._index = index
+
+    def __getattr__(self, name):
+        return getattr(self._index, name)
+
+    def top_level_counts(self):
+        self._index._connection().execute(
+            "WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n)"
+            " SELECT count(*) FROM (SELECT i FROM n LIMIT 1000000000)"
+        ).fetchone()
+        return self._index.top_level_counts()
+
+
+class TestSqlDeadline:
+    """SQLite's progress handler stops a statement past the budget."""
+
+    def test_long_statement_interrupted_at_the_budget(self, index, client):
+        config = ServingConfig(time_budget_seconds=0.2)
+        with FacetIndex.open(index.path) as fresh:
+            stalled = AsgiClient(FacetApp(_SqlStallBrowser(fresh), config=config))
+            start = time.perf_counter()
+            response = stalled.get("/facets")
+            elapsed = time.perf_counter() - start
+            assert response.status == 503
+            assert "time budget" in response.json()["error"]["message"]
+            # A billion-row count runs for minutes; only the interrupt
+            # gets the answer back this soon.
+            assert elapsed < 5.0
+            # The handler is gone with the scope: the connection serves on.
+            assert AsgiClient(FacetApp(fresh)).get("/facets").body == (
+                client.get("/facets").body
+            )
+
+    def test_interrupted_lazy_fills_leave_no_half_built_cache(
+        self, index, interface, client, monkeypatch
+    ):
+        term = interface.facet_names()[0]
+        doc = interface.dice([])[0]
+        paths = [
+            "/facets",
+            f"/facets/{term}/children",
+            f"/drilldown?facet={term}&limit=10",
+            "/drilldown?q=minister&limit=10",
+            f"/documents/{doc.doc_id}",
+        ]
+        expected = [client.get(path).body for path in paths]
+        tiny = ServingConfig(time_budget_seconds=1e-9)
+        # One step interrupts every statement at its first instruction;
+        # the larger counts stop the fills part-way through their rows.
+        for steps in (1, 40, 400):
+            monkeypatch.setattr(artifact, "_DEADLINE_STEPS", steps)
+            with FacetIndex.open(index.path) as fresh:
+                hurried = AsgiClient(FacetApp(fresh, config=tiny))
+                assert [hurried.get(path).status for path in paths] == [503] * 5
+                if steps == 1:
+                    # The builders never finished, so the 503s came
+                    # from SQLite, not from the check after the builder.
+                    assert fresh._roots is None
+                    assert fresh._doc_ids is None
+                    assert fresh._doc_lengths is None
+                    assert fresh._node_bitmaps == {}
+                served = AsgiClient(FacetApp(fresh))
+                assert [served.get(path).body for path in paths] == expected, steps
+
+
 class TestObservability:
     def test_requests_traced_and_counted(self, index):
         from repro.observability import Observability
@@ -344,20 +415,53 @@ class TestHttpBridge:
                 raw.sendall(b"GARBAGE\r\n\r\n")
                 assert raw.recv(1024).startswith(b"HTTP/1.1 400")
 
-    def test_graceful_shutdown_closes_executor_and_socket(self, index):
-        app = FacetApp(index)
-        with run_in_thread(app) as (host, port):
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_malformed_content_length_rejected(self, index, length):
+        with run_in_thread(FacetApp(index)) as (host, port):
+            with socket.create_connection((host, port), timeout=10) as raw:
+                raw.sendall(
+                    b"GET /facets HTTP/1.1\r\ncontent-length: " + length + b"\r\n\r\n"
+                )
+                assert raw.recv(1024).startswith(b"HTTP/1.1 400")
+                assert raw.recv(1024) == b""  # and the connection is closed
+
+    def test_oversize_request_head_rejected(self, index):
+        with run_in_thread(FacetApp(index)) as (host, port):
+            with socket.create_connection((host, port), timeout=10) as raw:
+                raw.sendall(
+                    b"GET /facets HTTP/1.1\r\nx-filler: "
+                    + b"a" * 70_000
+                    + b"\r\n\r\n"
+                )
+                assert raw.recv(1024).startswith(b"HTTP/1.1 431")
+
+    def test_graceful_shutdown_starts_no_query_thread_and_closes_socket(
+        self, index
+    ):
+        seen: list[list[str]] = []
+
+        class Watched:
+            """The index, noting the live threads while it answers."""
+
+            def __getattr__(self, name):
+                return getattr(index, name)
+
+            def facet_names(self):
+                seen.append([thread.name for thread in threading.enumerate()])
+                return index.facet_names()
+
+        with run_in_thread(FacetApp(Watched())) as (host, port):
             connection = http.client.HTTPConnection(host, port, timeout=10)
             connection.request("GET", "/healthz")
             assert connection.getresponse().status == 200
             connection.close()
-        # Teardown is deterministic: the app's query executor is shut
-        # down (its threads joined), not abandoned to interpreter exit...
-        assert app._closed is True
-        assert app._executor._shutdown is True
+        after = [thread.name for thread in threading.enumerate()]
+        # Queries run on the loop thread: none was started for them,
+        # during the request or left behind after it...
+        assert len(seen) == 1
+        for names in (*seen, after):
+            assert not [n for n in names if n.startswith("repro-serving-query")]
         # ...and the listening socket is really closed: a fresh
         # connection attempt must be refused, not queued.
-        import socket
-
         with pytest.raises(OSError):
             socket.create_connection((host, port), timeout=2).close()

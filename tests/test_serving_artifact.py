@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import sqlite3
 import sys
 import threading
 from datetime import date
@@ -107,6 +108,14 @@ class TestBuildAndOpen:
 
     def test_build_atomic_no_tmp_left_behind(self, index):
         assert not os.path.exists(index.path + ".tmp")
+
+    def test_deadline_interrupts_only_inside_its_scope(self, index):
+        with FacetIndex.open(index.path) as fresh:
+            with pytest.raises(TimeoutError) as raised:
+                with fresh.deadline(1e-9):
+                    fresh.verify()  # reads every row: far past one check
+            assert isinstance(raised.value.__cause__, sqlite3.OperationalError)
+            assert fresh.verify()
 
     def test_closed_index_refuses_queries(self, pipeline_result, tmp_path):
         path = str(tmp_path / "closing.idx")
@@ -448,9 +457,8 @@ class TestDrilldownStatements:
 
 
 class TestColdCacheConcurrency:
-    """Eight threads (``FacetApp``'s executor size) filling the lazy
-    rank table, node rows and node bitmaps of a fresh index at once get
-    the serial bytes."""
+    """Eight library threads sharing one fresh index and filling its lazy
+    rank table, node rows and node bitmaps at once get the serial bytes."""
 
     def test_parallel_first_queries_match_a_serial_run(self, index, interface):
         names = interface.facet_names()
