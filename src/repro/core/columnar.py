@@ -41,6 +41,14 @@ def _zero_extend(column: array, size: int) -> None:
         column.frombytes(bytes(4 * missing))
 
 
+def _column(counts: Mapping[int, int], size: int) -> array:
+    """``counts`` as an id-indexed column of ``size`` entries."""
+    column = array("i", bytes(4 * size))
+    for term_id, count in counts.items():
+        column[term_id] = count
+    return column
+
+
 class ColumnarCountMap(Mapping[str, int]):
     """Zero-copy term → count view over an id-indexed column.
 
@@ -165,6 +173,24 @@ class ColumnarVocabulary(Vocabulary):
         self._nonzero = 0
         self._documents = 0
         self._rank_ids: array | None = None
+
+    @classmethod
+    def from_counts(
+        cls,
+        interner: TermInterner,
+        documents: int,
+        tf: Mapping[int, int],
+        df: Mapping[int, int],
+    ) -> "ColumnarVocabulary":
+        """The vocabulary ``documents`` documents with these per-id term
+        and document frequencies leave (zero for absent ids): the bulk
+        form of one :meth:`add_document_ids` per document."""
+        vocabulary = cls(interner)
+        vocabulary._tf_ids = _column(tf, len(interner))
+        vocabulary._df_ids = _column(df, len(interner))
+        vocabulary._nonzero = len(interner) - vocabulary._df_ids.count(0)
+        vocabulary._documents = documents
+        return vocabulary
 
     # -- construction --------------------------------------------------------
 

@@ -9,10 +9,10 @@ selection, and postings-backed hierarchy repair (see
 :mod:`repro.incremental.extractor` for how each stage shares the batch
 pipeline's code).
 
-:class:`CheckpointStore` keeps the state in one SQLite database per
-run directory, with the resource answers the stream paid for, and
-commits each checkpoint as one transaction holding only the rows that
-changed; :class:`StreamSupervisor` (the
+:class:`CheckpointStore` keeps the state, ids included, in one SQLite
+database per run directory, with the resource answers the stream paid
+for, and commits each checkpoint as one transaction holding only the
+rows that changed; :class:`StreamSupervisor` (the
 ``repro stream`` CLI) ingests batch files from a directory, checkpoints
 between batches, and resumes from the committed checkpoint after a
 crash.
@@ -23,6 +23,7 @@ from .checkpoint import (
     CheckpointAnswers,
     CheckpointError,
     CheckpointStore,
+    StateMark,
     canonical_json,
 )
 from .extractor import IncrementalBatchReport, IncrementalExtractor
@@ -50,6 +51,7 @@ __all__ = [
     "IncrementalBatchReport",
     "IncrementalExtractor",
     "IncrementalState",
+    "StateMark",
     "StreamReport",
     "StreamSupervisor",
     "atomic_write_text",

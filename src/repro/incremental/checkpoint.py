@@ -1,21 +1,28 @@
 """Crash-safe checkpoint storage for the incremental pipeline.
 
 The checkpoint is one SQLite database in the run directory,
-``checkpoint.sqlite`` (schema ``repro.checkpoint/4``).  Documents are
-append-only, so their state splits into two tables keyed by ingestion
-position:
+``checkpoint.sqlite`` (schema ``repro.checkpoint/5``).  It keeps the
+stream state's id plane beside its rows, so a restore reads ids and
+never rebuilds them from strings:
 
-* ``documents`` holds the write-once columns: the document fields and
-  the original terms (``stats_terms``, which the Yahoo stand-in also
-  re-scores from) — most of the bytes, written once when the document
-  arrives;
+* ``terms`` is the state's :class:`~repro.text.vocabulary.TermInterner`
+  in id order.  Ids never change or get reused, so the table is
+  append-only and a commit writes only the ids added since the last one;
+* ``documents`` holds the write-once columns, keyed by ingestion
+  position: the document fields and the original id row (``original``,
+  which the Yahoo stand-in also re-scores from);
 * ``doc_state`` holds the columns a later batch may rewrite: the
-  per-extractor outputs, the merged ``I(d)`` and the context terms.
+  per-extractor outputs, the merged ``I(d)``, the context terms and the
+  expanded id row (``expanded``), rewritten together;
+* ``postings`` maps a term id to the ascending positions of the
+  documents whose expanded row holds it; a commit rewrites only the ids
+  whose postings changed since the last one (and deletes the emptied).
 
-The batch ledger (``batches``) and the sequence (``meta``) sit beside
-them.  Term lists are stored as terminator-joined text (every term ends
-with ``\\x1f``, every list of a list of lists with ``\\x1e``); a term
-holding either character is rejected on save.
+Id rows and postings are ``int32`` blobs in the byte order ``meta``
+names.  The batch ledger (``batches``) and the sequence (``meta``) sit
+beside them.  Term lists are stored as terminator-joined text (every
+term ends with ``\\x1f``, every list of a list of lists with ``\\x1e``); a
+term holding either character is rejected on save.
 
 The resource answers the stream already paid for sit beside the state,
 so a restored stream starts warm.  ``answers`` maps ``(namespace id,
@@ -26,18 +33,20 @@ normalized term)`` to the answer's terms in the same codec, and
 restored under another world serves nothing.  :class:`CheckpointAnswers`
 is the resources' persistent tier over these tables: ``get_many`` reads
 lazily (restore never loads the table), ``put_many`` only buffers, and
-the next :meth:`CheckpointStore.save` writes the buffer in the same
-transaction as the state rows, so a crash keeps both or neither.  A
-degraded answer (see :mod:`repro.resources.resilience`) never reaches
-``put_many``, so it never reaches the file.  Answers are not part of the
-state payload.
+the next save writes the buffer in the same transaction as the state
+rows, so a crash keeps both or neither.  A degraded answer (see
+:mod:`repro.resources.resilience`) never reaches ``put_many``, so it
+never reaches the file.  Answers are not part of the state.
 
-:meth:`CheckpointStore.save` takes the state payload of
-:meth:`~repro.incremental.state.IncrementalState.to_payload`, which
-replaces whatever the file held, or a delta of the same shape
-(:meth:`~repro.incremental.state.IncrementalState.delta_payload`) that
-names the document and batch counts it extends; a delta whose base
-disagrees with the store is rejected and the store is left unchanged.
+:meth:`CheckpointStore.save_state` commits an
+:class:`~repro.incremental.state.IncrementalState`: in full, which
+replaces whatever the file held, or as the delta since a
+:class:`StateMark` the store holds, given the positions and term ids
+that changed since then; a delta whose mark disagrees with the store is
+rejected and the store is left unchanged.  :meth:`CheckpointStore.load_state`
+reads the state back.  :meth:`CheckpointStore.save` and
+:meth:`CheckpointStore.load_latest` are the same write and read over the
+state payload (:meth:`~repro.incremental.state.IncrementalState.to_payload`).
 Every save is one transaction in SQLite's rollback-journal mode with
 ``synchronous=FULL``: a crash at any point leaves the previous commit,
 SQLite rolls back the hot journal the next time the file is opened, and
@@ -45,10 +54,14 @@ after every commit the database file alone holds the checkpoint.
 
 A file that cannot be read as this schema (truncated, garbage, another
 schema tag) reads as no checkpoint, serves no answers, and the next full
-save replaces it.  That includes a ``repro.checkpoint/3`` file, which
-held no answers, and a ``/2`` file, which also stored each document's
-Yahoo candidate counts: the stream starts cold and replays its batch
-files.
+save replaces it.  So does a file that contradicts itself: a blob that
+is not a whole number of ``int32`` values, an id outside the term table
+(or a posting position past the documents), a gap in the term ids or
+the document positions, or posting lengths that do not sum to the
+expanded rows' total.  A ``repro.checkpoint/4`` file (the id plane
+rebuilt from the original terms' text), a ``/3`` file (no answers) and
+a ``/2`` file (with each document's Yahoo candidate counts) are foreign
+schemas too: the stream starts cold and replays its batch files.
 A run directory that holds only the retired JSON snapshots
 (``checkpoint-NNNNNN.json``, ``repro.checkpoint/1``) raises
 :class:`CheckpointError` instead of silently starting over.
@@ -58,19 +71,29 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import sys
 import threading
+from array import array
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import closing
 from pathlib import Path
+from typing import NamedTuple
 
+from ..corpus.document import Document
 from ..errors import StorageError
 from ..observability.logging import get_logger
-from .state import STATE_SCHEMA
+from .state import (
+    STATE_SCHEMA,
+    DocumentState,
+    IncrementalState,
+    document_from_payload,
+    document_payload,
+)
 
 log = get_logger(__name__)
 
 #: Schema tag of the checkpoint database (bump on layout changes).
-CHECKPOINT_SCHEMA = "repro.checkpoint/4"
+CHECKPOINT_SCHEMA = "repro.checkpoint/5"
 
 #: The JSON snapshot format this database replaced.
 RETIRED_SCHEMA = "repro.checkpoint/1"
@@ -83,6 +106,10 @@ CREATE TABLE meta (
     key TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
+CREATE TABLE terms (
+    id INTEGER PRIMARY KEY,
+    term TEXT NOT NULL
+);
 CREATE TABLE documents (
     position INTEGER PRIMARY KEY,
     doc_id TEXT NOT NULL UNIQUE,
@@ -91,13 +118,18 @@ CREATE TABLE documents (
     source TEXT NOT NULL,
     published TEXT NOT NULL,
     gold TEXT,
-    stats_terms TEXT NOT NULL
+    original BLOB NOT NULL
 );
 CREATE TABLE doc_state (
     position INTEGER PRIMARY KEY,
     outputs TEXT NOT NULL,
     important TEXT NOT NULL,
-    context_terms TEXT NOT NULL
+    context_terms TEXT NOT NULL,
+    expanded BLOB NOT NULL
+);
+CREATE TABLE postings (
+    term_id INTEGER PRIMARY KEY,
+    positions BLOB NOT NULL
 );
 CREATE TABLE batches (
     position INTEGER PRIMARY KEY,
@@ -317,25 +349,40 @@ def _write_answers(connection: sqlite3.Connection, answers: Answers) -> None:
         )
 
 
-def _document_row(position: int, document: dict, cached: dict) -> tuple:
-    gold = document.get("gold")
+def _document_row(position: int, document: Document, original: array) -> tuple:
+    payload = document_payload(document)
+    gold = payload.get("gold")
     return (
         position,
-        document["doc_id"],
-        document["title"],
-        document["body"],
-        document["source"],
-        document["published"],
+        payload["doc_id"],
+        payload["title"],
+        payload["body"],
+        payload["source"],
+        payload["published"],
         None if gold is None else canonical_json(gold),
-        _join(cached["stats_terms"]),
+        original.tobytes(),
     )
 
 
-def _mutable_columns(cached: dict) -> tuple[str, str, str]:
+class StateMark(NamedTuple):
+    """How much of a state a checkpoint holds: its first ``documents``
+    documents, ``batches`` batches and ``terms`` term ids."""
+
+    documents: int
+    batches: int
+    terms: int
+
+    @classmethod
+    def of(cls, state: IncrementalState) -> "StateMark":
+        return cls(state.document_count, len(state.batches_done), len(state.interner))
+
+
+def _mutable_columns(doc_state: DocumentState, expanded: array) -> tuple:
     return (
-        _join_lists(cached["outputs"]),
-        _join(cached["important"]),
-        _join(cached["context_terms"]),
+        _join_lists(doc_state.outputs),
+        _join(doc_state.important),
+        _join(doc_state.context_terms),
+        expanded.tobytes(),
     )
 
 
@@ -348,7 +395,7 @@ class CheckpointStore:
         The run directory; created on first use.
     fault_hook:
         Test-only crash-injection callback, fired with stage names at
-        the matching points of :meth:`save`: ``"pre-checkpoint"``
+        the matching points of :meth:`save_state`: ``"pre-checkpoint"``
         before the transaction opens, ``"mid-write"`` with every row
         written but not committed, ``"post-write"`` after the commit.
     """
@@ -376,22 +423,36 @@ class CheckpointStore:
     # -- save ----------------------------------------------------------------
 
     def save(self, payload: dict, sequence: int) -> Path:
-        """Commit ``payload`` as checkpoint ``sequence`` in one transaction.
-
-        A payload with a ``base`` entry is a delta: its documents are
-        appended, its other ``docs`` entries overwrite those documents'
-        mutable columns, and its batches extend the ledger.  Any other
-        payload starts a new file, replacing an older run's history or a
-        damaged file.  Either way the transaction also writes the answers
-        :attr:`answers` buffered since the last commit.
-        """
-        if sequence < 0:
-            raise CheckpointError(f"sequence must be >= 0, got {sequence}")
+        """Commit a whole-state payload as checkpoint ``sequence``: the
+        state :meth:`IncrementalState.from_payload` rebuilds from it,
+        saved in full by :meth:`save_state`."""
         if payload.get("schema") != STATE_SCHEMA:
             raise CheckpointError(
                 f"state schema {payload.get('schema')!r} != {STATE_SCHEMA!r}"
             )
-        base = payload.get("base")
+        return self.save_state(IncrementalState.from_payload(payload), sequence)
+
+    def save_state(
+        self,
+        state: IncrementalState,
+        sequence: int,
+        base: StateMark | None = None,
+        changed: Iterable[int] = (),
+        changed_terms: Iterable[int] = (),
+    ) -> Path:
+        """Commit ``state`` as checkpoint ``sequence`` in one transaction.
+
+        With ``base`` (what the store already holds of this state) the
+        commit is a delta: the term ids, documents and batches past the
+        mark are appended, the stored documents at ``changed`` get their
+        mutable columns rewritten, and the postings of ``changed_terms``
+        are rewritten.  Without it the state starts a new file,
+        replacing an older run's history or a damaged file.  Either way
+        the transaction also writes the answers :attr:`answers` buffered
+        since the last commit.
+        """
+        if sequence < 0:
+            raise CheckpointError(f"sequence must be >= 0, got {sequence}")
         answers = self.answers._take()
         self._fire("pre-checkpoint")
         if base is None:
@@ -405,7 +466,24 @@ class CheckpointStore:
         try:
             connection.execute("BEGIN IMMEDIATE")
             try:
-                self._write(connection, payload, base, sequence)
+                if base is None:
+                    for statement in _SCHEMA_SQL.split(";")[:-1]:
+                        connection.execute(statement)
+                    self._append(connection, state, StateMark(0, 0, 0))
+                    self._write_postings(connection, state, state.term_positions)
+                else:
+                    self._check_base(connection, base)
+                    self._update_changed(connection, state, base, changed)
+                    self._append(connection, state, base)
+                    self._write_postings(connection, state, changed_terms)
+                connection.executemany(
+                    "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+                    [
+                        ("schema", CHECKPOINT_SCHEMA),
+                        ("sequence", str(sequence)),
+                        ("byteorder", sys.byteorder),
+                    ],
+                )
                 _write_answers(connection, answers)
                 self._fire("mid-write")
             except BaseException:
@@ -422,86 +500,111 @@ class CheckpointStore:
         log.info("checkpoint.saved", sequence=sequence, path=str(self.path))
         return self.path
 
-    def _write(
+    def _check_base(self, connection: sqlite3.Connection, base: StateMark) -> None:
+        """The stored counts, which must be ``base``'s."""
+        self._read_meta(connection)
+        stored = StateMark(
+            *(
+                connection.execute(
+                    f"SELECT COALESCE(MAX({key}) + 1, 0) FROM {table}"
+                ).fetchone()[0]
+                for table, key in (
+                    ("documents", "position"),
+                    ("batches", "position"),
+                    ("terms", "id"),
+                )
+            )
+        )
+        if stored != base:
+            raise CheckpointError(
+                f"{self.path} holds {stored.documents} documents, {stored.batches} "
+                f"batches and {stored.terms} terms; the delta extends "
+                f"{base.documents}, {base.batches} and {base.terms}"
+            )
+
+    def _update_changed(
         self,
         connection: sqlite3.Connection,
-        payload: dict,
-        base: dict | None,
-        sequence: int,
+        state: IncrementalState,
+        base: StateMark,
+        changed: Iterable[int],
     ) -> None:
-        if base is None:
-            for statement in _SCHEMA_SQL.split(";")[:-1]:
-                connection.execute(statement)
-            start = (0, 0)
-        else:
-            start = self._check_base(connection, base)
-            self._update_changed(connection, payload)
-        self._append(connection, payload, *start)
-        connection.executemany(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-            [("schema", CHECKPOINT_SCHEMA), ("sequence", str(sequence))],
-        )
-
-    def _check_base(
-        self, connection: sqlite3.Connection, base: dict
-    ) -> tuple[int, int]:
-        """The stored document and batch counts, which must be ``base``'s."""
-        self._read_meta(connection)
-        documents, batches = (
-            connection.execute(
-                f"SELECT COALESCE(MAX(position) + 1, 0) FROM {table}"
-            ).fetchone()[0]
-            for table in ("documents", "batches")
-        )
-        if (documents, batches) != (base["documents"], base["batches"]):
-            raise CheckpointError(
-                f"{self.path} holds {documents} documents and {batches} batches; "
-                f"the delta extends {base['documents']} and {base['batches']}"
+        """Overwrite the mutable columns of the stored documents at
+        ``changed`` (later positions are written in full)."""
+        documents = state.documents
+        rows = [
+            (
+                *_mutable_columns(
+                    state.doc_states[documents[position].doc_id],
+                    state.expanded_rows[position],
+                ),
+                position,
             )
-        return documents, batches
-
-    def _update_changed(self, connection: sqlite3.Connection, payload: dict) -> None:
-        """Overwrite the mutable columns of the delta's stored documents."""
-        new_ids = {document["doc_id"] for document in payload["documents"]}
-        changed = [
-            (*_mutable_columns(cached), doc_id)
-            for doc_id, cached in payload["docs"].items()
-            if doc_id not in new_ids
+            for position in sorted(p for p in changed if p < base.documents)
         ]
         cursor = connection.executemany(
-            "UPDATE doc_state SET outputs = ?, important = ?, context_terms = ? "
-            "WHERE position = (SELECT position FROM documents WHERE doc_id = ?)",
-            changed,
+            "UPDATE doc_state SET outputs = ?, important = ?, context_terms = ?, "
+            "expanded = ? WHERE position = ?",
+            rows,
         )
-        if cursor.rowcount != len(changed):
+        if cursor.rowcount != len(rows):
             raise CheckpointError(f"the delta updates documents {self.path} lacks")
 
     @staticmethod
     def _append(
-        connection: sqlite3.Connection, payload: dict, documents: int, batches: int
+        connection: sqlite3.Connection, state: IncrementalState, base: StateMark
     ) -> None:
-        """Insert the payload's documents and batches after the stored ones."""
-        docs = payload["docs"]
+        """Insert the state's terms, documents and batches past ``base``."""
+        connection.executemany(
+            "INSERT INTO terms (id, term) VALUES (?, ?)",
+            enumerate(state.interner.terms()[base.terms :], start=base.terms),
+        )
         rows = []
         states = []
-        for position, document in enumerate(payload["documents"], start=documents):
-            cached = docs[document["doc_id"]]
-            rows.append(_document_row(position, document, cached))
-            states.append((position, *_mutable_columns(cached)))
+        for position in range(base.documents, state.document_count):
+            document = state.documents[position]
+            rows.append(
+                _document_row(position, document, state.original_rows[position])
+            )
+            states.append((
+                position,
+                *_mutable_columns(
+                    state.doc_states[document.doc_id], state.expanded_rows[position]
+                ),
+            ))
         connection.executemany(
             "INSERT INTO documents (position, doc_id, title, body, source, "
-            "published, gold, stats_terms) "
+            "published, gold, original) "
             "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
             rows,
         )
         connection.executemany(
-            "INSERT INTO doc_state (position, outputs, important, context_terms) "
-            "VALUES (?, ?, ?, ?)",
+            "INSERT INTO doc_state (position, outputs, important, context_terms, "
+            "expanded) VALUES (?, ?, ?, ?, ?)",
             states,
         )
         connection.executemany(
             "INSERT INTO batches (position, batch_id) VALUES (?, ?)",
-            enumerate(payload["batches_done"], start=batches),
+            enumerate(state.batches_done[base.batches :], start=base.batches),
+        )
+
+    @staticmethod
+    def _write_postings(
+        connection: sqlite3.Connection,
+        state: IncrementalState,
+        term_ids: Iterable[int],
+    ) -> None:
+        """Rewrite the stored postings of ``term_ids``; an id without
+        documents loses its row."""
+        postings = state.term_positions
+        ordered = sorted(term_ids)
+        connection.executemany(
+            "INSERT OR REPLACE INTO postings (term_id, positions) VALUES (?, ?)",
+            ((i, postings[i].tobytes()) for i in ordered if i in postings),
+        )
+        connection.executemany(
+            "DELETE FROM postings WHERE term_id = ?",
+            ((i,) for i in ordered if i not in postings),
         )
 
     # -- load ----------------------------------------------------------------
@@ -512,10 +615,24 @@ class CheckpointStore:
             raise CheckpointError(
                 f"{self.path}: schema {meta.get('schema')!r} != {CHECKPOINT_SCHEMA!r}"
             )
+        if meta.get("byteorder") != sys.byteorder:
+            raise CheckpointError(
+                f"{self.path}: id blobs are {meta.get('byteorder')!r}-endian, "
+                f"this machine reads {sys.byteorder!r}"
+            )
         return meta
 
     def load_latest(self) -> tuple[int, dict] | None:
-        """The committed checkpoint as ``(sequence, state payload)``.
+        """The committed checkpoint as ``(sequence, state payload)``: the
+        state of :meth:`load_state`, as its payload."""
+        loaded = self.load_state()
+        if loaded is None:
+            return None
+        sequence, state = loaded
+        return sequence, state.to_payload()
+
+    def load_state(self) -> tuple[int, IncrementalState] | None:
+        """The committed checkpoint as ``(sequence, state)``.
 
         None when the run directory has no checkpoint or the file is
         damaged (logged as ``checkpoint.skipping_damaged``): the stream
@@ -536,7 +653,7 @@ class CheckpointStore:
             return None
         try:
             loaded = self._load()
-        except (sqlite3.DatabaseError, CheckpointError, ValueError) as exc:
+        except (sqlite3.DatabaseError, StorageError, ValueError) as exc:
             log.warning(
                 "checkpoint.skipping_damaged", path=str(self.path), error=str(exc)
             )
@@ -545,29 +662,55 @@ class CheckpointStore:
         self.answers.readable = True
         return loaded
 
-    def _load(self) -> tuple[int, dict]:
+    def _load(self) -> tuple[int, IncrementalState]:
         connection = self._connect()
         try:
             meta = self._read_meta(connection)
+            first, last, count = connection.execute(
+                "SELECT MIN(id), MAX(id), COUNT(*) FROM terms"
+            ).fetchone()
+            # Distinct ids from 0 whose last is count - 1 leave no gap.
+            if count and (first, last) != (0, count - 1):
+                raise CheckpointError("the term ids have a gap")
+            terms = [term for (term,) in connection.execute(
+                "SELECT term FROM terms ORDER BY id"
+            )]
+            # CAST keeps a blob a blob whatever a damaged file stored;
+            # array() then refuses one that is not whole int32 values.
             rows = connection.execute(
-                "SELECT documents.doc_id, documents.title, documents.body, "
-                "documents.source, documents.published, documents.gold, "
-                "documents.stats_terms, doc_state.outputs, "
-                "doc_state.important, doc_state.context_terms "
+                "SELECT documents.position, documents.doc_id, documents.title, "
+                "documents.body, documents.source, documents.published, "
+                "documents.gold, CAST(documents.original AS BLOB), "
+                "doc_state.outputs, doc_state.important, doc_state.context_terms, "
+                "CAST(doc_state.expanded AS BLOB) "
                 "FROM documents JOIN doc_state "
                 "ON doc_state.position = documents.position "
                 "ORDER BY documents.position"
             ).fetchall()
+            stored = [
+                connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                for table in ("documents", "doc_state")
+            ]
+            term_positions = {
+                term_id: array("i", blob)
+                for term_id, blob in connection.execute(
+                    "SELECT term_id, CAST(positions AS BLOB) FROM postings"
+                )
+            }
             batches = connection.execute(
                 "SELECT batch_id FROM batches ORDER BY position"
             ).fetchall()
         finally:
             connection.close()
-        documents: list[dict] = []
-        docs: dict[str, dict] = {}
+        if stored != [len(rows)] * 2 or (rows and rows[-1][0] != len(rows) - 1):
+            raise CheckpointError("the document positions have a gap")
+        documents: list[Document] = []
+        doc_states: list[DocumentState] = []
+        original_rows: list[array] = []
+        expanded_rows: list[array] = []
         for (
-            doc_id, title, body, source, published, gold,
-            stats_terms, outputs, important, context_terms,
+            _position, doc_id, title, body, source, published, gold,
+            original, outputs, important, context_terms, expanded,
         ) in rows:
             document = {
                 "doc_id": doc_id,
@@ -578,17 +721,23 @@ class CheckpointStore:
             }
             if gold is not None:
                 document["gold"] = json.loads(gold)
-            documents.append(document)
-            docs[doc_id] = {
-                "stats_terms": _split(stats_terms),
-                "outputs": _split_lists(outputs),
-                "important": _split(important),
-                "context_terms": _split(context_terms),
-            }
-        payload = {
-            "schema": STATE_SCHEMA,
-            "documents": documents,
-            "docs": docs,
-            "batches_done": [batch_id for (batch_id,) in batches],
-        }
-        return int(meta["sequence"]), payload
+            documents.append(document_from_payload(document))
+            doc_states.append(
+                DocumentState(
+                    outputs=_split_lists(outputs),
+                    important=_split(important),
+                    context_terms=_split(context_terms),
+                )
+            )
+            original_rows.append(array("i", original))
+            expanded_rows.append(array("i", expanded))
+        state = IncrementalState.from_columns(
+            documents,
+            doc_states,
+            terms,
+            original_rows,
+            expanded_rows,
+            term_positions,
+            [batch_id for (batch_id,) in batches],
+        )
+        return int(meta["sequence"]), state

@@ -49,10 +49,13 @@ Checkpointing is delegated to a
 committed after every ``checkpoint_every`` batches and
 :meth:`IncrementalExtractor.restore` resumes from it.  The extractor
 records which stored documents changed since the last commit
-(:meth:`_rescore` marks changed outputs, :meth:`_expand` re-expansions),
-so a commit writes only the new documents and the marked ones' mutable
-columns.  An extractor that did not restore from its store writes its
-first checkpoint in full, which replaces whatever the store held.
+(:meth:`_rescore` marks changed outputs, :meth:`_expand` re-expansions)
+and which term ids' postings :meth:`_expand` changed, so a commit writes
+only the new terms and documents, the marked documents' mutable columns
+and the marked postings.  An extractor that did not restore from its
+store writes its first checkpoint in full, which replaces whatever the
+store held.  A restore reads the state as ids and rebuilds only the
+selection and the hierarchies.
 
 The store's answer tier
 (:class:`~repro.incremental.checkpoint.CheckpointAnswers`) is attached
@@ -85,7 +88,7 @@ from ..observability import names as obs_names
 from ..observability.logging import get_logger
 from ..parallel import chunked, map_chunks
 from ..text.interning import MemoizedChunk
-from .checkpoint import CheckpointStore
+from .checkpoint import CheckpointStore, StateMark
 from .state import DocumentState, IncrementalState
 
 log = get_logger(__name__)
@@ -159,10 +162,11 @@ class IncrementalExtractor:
         self._checkpoint = checkpoint
         self._checkpoint_every = checkpoint_every
         self._state = state if state is not None else IncrementalState()
-        # (documents, batches) the store holds of this state, None until
-        # the first commit, and the positions marked since that commit.
-        self._committed: tuple[int, int] | None = None
+        # What the store holds of this state, None until the first
+        # commit, and the positions and posting term ids changed since.
+        self._committed: StateMark | None = None
         self._changed: set[int] = set()
+        self._changed_terms: set[int] = set()
         self._facet_terms: list[FacetTermCandidate] = []
         self._hierarchies: list[FacetHierarchy] = []
         self._rescore_indices = self._bind_extractors()
@@ -241,26 +245,35 @@ class IncrementalExtractor:
         checkpoint: CheckpointStore,
         checkpoint_every: int = 1,
     ) -> "IncrementalExtractor":
-        """Resume from the store's checkpoint (empty state when none)."""
-        loaded = checkpoint.load_latest()
-        state: IncrementalState | None = None
-        if loaded is not None:
-            sequence, payload = loaded
-            state = IncrementalState.from_payload(payload)
-            log.info(
-                "incremental.restored",
-                sequence=sequence,
-                documents=state.document_count,
-                batches=len(state.batches_done),
+        """Resume from the store's checkpoint (empty state when none).
+
+        The state is read as ids (:meth:`CheckpointStore.load_state`);
+        the selection and hierarchies are then rebuilt from it, under
+        the same ``incremental:restore`` span.
+        """
+        obs = pipeline.observability
+        with obs.collect(), obs.tracer.span(obs_names.SPAN_INCREMENTAL_RESTORE) as span:
+            loaded = checkpoint.load_state()
+            state: IncrementalState | None = None
+            if loaded is not None:
+                sequence, state = loaded
+                span.add("documents", state.document_count)
+                span.add("terms", len(state.interner))
+                span.add("blob_bytes", _id_plane_bytes(state))
+                log.info(
+                    "incremental.restored",
+                    sequence=sequence,
+                    documents=state.document_count,
+                    batches=len(state.batches_done),
+                )
+            extractor = cls(
+                pipeline,
+                checkpoint=checkpoint,
+                checkpoint_every=checkpoint_every,
+                state=state,
             )
-        extractor = cls(
-            pipeline,
-            checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
-            state=state,
-        )
         if state is not None:
-            extractor._committed = (state.document_count, len(state.batches_done))
+            extractor._committed = StateMark.of(state)
         return extractor
 
     def append(
@@ -499,6 +512,7 @@ class IncrementalExtractor:
             ):
                 doc_state.context_terms = merged
                 touched |= state.set_expansion(position, context_ids)
+        self._changed_terms |= touched
         return touched
 
     def _select_and_build(self, obs: Observability) -> None:
@@ -548,11 +562,21 @@ class IncrementalExtractor:
         """Commit what changed since the last commit (everything the
         first time), then start marking afresh."""
         state = self._state
-        if self._committed is None:
-            payload = state.to_payload()
-        else:
-            payload = state.delta_payload(*self._committed, self._changed)
-        path = store.save(payload, len(state.batches_done))
-        self._committed = (state.document_count, len(state.batches_done))
+        path = store.save_state(
+            state,
+            len(state.batches_done),
+            base=self._committed,
+            changed=self._changed,
+            changed_terms=self._changed_terms,
+        )
+        self._committed = StateMark.of(state)
         self._changed = set()
+        self._changed_terms = set()
         return path
+
+
+def _id_plane_bytes(state: IncrementalState) -> int:
+    """Bytes of the id rows and postings: the blobs a restore reads."""
+    ids = sum(map(len, state.original_rows)) + sum(map(len, state.expanded_rows))
+    ids += sum(map(len, state.term_positions.values()))
+    return 4 * ids  # int32 blobs

@@ -18,16 +18,18 @@ between batches, on the batch pipeline's columnar data plane:
 * the selection pre-test set (terms with ``df_C > df`` — the only
   possible shift candidates) maintained from per-batch df deltas.
 
-Serialization is deliberately minimal: only the document payloads and
-per-document caches are written, the original terms as strings in
-emission order.  The id rows, vocabularies, postings and the pre-test
-set are derived data and are rebuilt on load.  That keeps the payload
-byte-deterministic under canonical JSON and makes it impossible for a
-checkpoint to carry internally inconsistent statistics.
-:meth:`IncrementalState.to_payload` is the whole state;
-:meth:`IncrementalState.delta_payload` is the same shape over what
-changed since a checkpoint, which the SQLite
-:class:`~repro.incremental.checkpoint.CheckpointStore` commits as rows.
+Two forms persist it.  The payload (:meth:`IncrementalState.to_payload`,
+:meth:`IncrementalState.from_payload`) is the source-of-truth data only:
+the document payloads and per-document caches, the original terms as
+strings in emission order; its reader rebuilds the id rows,
+vocabularies, postings and pre-test set from the strings.  It is
+byte-deterministic under canonical JSON, which the state snapshot pin
+relies on.  The checkpoint
+(:class:`~repro.incremental.checkpoint.CheckpointStore`) also keeps the
+id plane (the term table, both id rows and the postings), and its
+reader hands them to :meth:`IncrementalState.from_columns`, which
+derives the vocabularies with C-level folds and the pre-test set by id:
+no term is normalized or interned again.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from __future__ import annotations
 import datetime
 from array import array
 from bisect import insort
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from operator import gt
 
 from ..core.columnar import ColumnarVocabulary
@@ -187,52 +190,22 @@ class IncrementalState:
         canonical-JSON writer), so two equal states always serialize to
         identical bytes.
         """
-        return self._payload(None, ())
-
-    def delta_payload(
-        self, base_documents: int, base_batches: int, changed: Iterable[int]
-    ) -> dict:
-        """What a checkpoint holding this state's first ``base_documents``
-        documents and ``base_batches`` batches needs to catch up.
-
-        The :meth:`to_payload` shape over the documents from position
-        ``base_documents`` on (in full) and the batches from
-        ``base_batches`` on, plus the mutable entries (``outputs``,
-        ``important``, ``context_terms``) of the earlier documents at
-        ``changed``; ``base`` names the counts it extends.
-        """
-        return self._payload((base_documents, base_batches), changed)
-
-    def _payload(self, base: tuple[int, int] | None, changed: Iterable[int]) -> dict:
-        first_new, first_batch = (0, 0) if base is None else base
         term_of = self.interner.terms()
-        documents = self.documents
         docs: dict[str, dict] = {}
-        for position in sorted(p for p in changed if p < first_new):
-            doc_state = self.doc_states[documents[position].doc_id]
-            docs[documents[position].doc_id] = {
+        for document, row in zip(self.documents, self.original_rows):
+            doc_state = self.doc_states[document.doc_id]
+            docs[document.doc_id] = {
+                "stats_terms": [term_of[i] for i in row],
                 "outputs": [list(terms) for terms in doc_state.outputs],
                 "important": list(doc_state.important),
                 "context_terms": list(doc_state.context_terms),
             }
-        new = range(first_new, len(documents))
-        for position in new:
-            doc_state = self.doc_states[documents[position].doc_id]
-            docs[documents[position].doc_id] = {
-                "stats_terms": [term_of[i] for i in self.original_rows[position]],
-                "outputs": [list(terms) for terms in doc_state.outputs],
-                "important": list(doc_state.important),
-                "context_terms": list(doc_state.context_terms),
-            }
-        payload = {
+        return {
             "schema": STATE_SCHEMA,
-            "documents": [document_payload(documents[p]) for p in new],
+            "documents": [document_payload(document) for document in self.documents],
             "docs": docs,
-            "batches_done": self.batches_done[first_batch:],
+            "batches_done": list(self.batches_done),
         }
-        if base is not None:
-            payload["base"] = {"documents": first_new, "batches": first_batch}
-        return payload
 
     @classmethod
     def from_payload(cls, payload: dict) -> "IncrementalState":
@@ -280,6 +253,65 @@ class IncrementalState:
         state.rebuild_pretest()
         return state
 
+    @classmethod
+    def from_columns(
+        cls,
+        documents: list[Document],
+        doc_states: list[DocumentState],
+        terms: list[str],
+        original_rows: list[array],
+        expanded_rows: list[array],
+        term_positions: dict[int, array],
+        batches_done: list[str],
+    ) -> "IncrementalState":
+        """The state whose term table is ``terms`` (in id order) and whose
+        id rows and postings are the given ones, taken as they are.
+
+        Raises :class:`ValueError` on the contradictions cheap to see: an
+        id outside the term table, a posting position past the
+        documents, or posting lengths that do not sum to the expanded
+        rows' total.  Original tf/df are folded from the original rows;
+        an id's contextualized df is its posting length (expanded rows
+        are distinct, so tf is df).
+        """
+        state = cls()
+        state.documents = documents
+        state.doc_states = {
+            document.doc_id: doc_state
+            for document, doc_state in zip(documents, doc_states, strict=True)
+        }
+        interner = state.interner = TermInterner.from_terms(terms)
+        count = len(documents)
+        if sum(map(len, term_positions.values())) != sum(map(len, expanded_rows)):
+            raise ValueError("the posting lengths do not sum to the expanded rows")
+        original_tf = Counter(chain.from_iterable(original_rows))
+        if not (
+            _keys_below(original_tf, len(terms))
+            and _keys_below(term_positions, len(terms))
+            and _ids_below(expanded_rows, len(terms))
+        ):
+            raise ValueError("an id lies outside the term table")
+        if not _ids_below(term_positions.values(), count):
+            raise ValueError("a posting holds a position past the documents")
+        state.original_rows = original_rows
+        state.expanded_rows = expanded_rows
+        state.term_positions = term_positions
+        state.original_vocabulary = ColumnarVocabulary.from_counts(
+            interner,
+            count,
+            original_tf,
+            Counter(chain.from_iterable(map(set, original_rows))),
+        )
+        contextualized_df = dict(
+            zip(term_positions, map(len, term_positions.values()))
+        )
+        state.contextualized_vocabulary = ColumnarVocabulary.from_counts(
+            interner, count, contextualized_df, contextualized_df
+        )
+        state.batches_done = batches_done
+        state.rebuild_pretest()
+        return state
+
     def rebuild_pretest(self) -> None:
         """Derive the pre-test set from scratch (used after a restore),
         by id from the two df columns."""
@@ -298,6 +330,18 @@ class IncrementalState:
             if contextualized[i]
         )
         self.pretest = pretest
+
+
+def _ids_below(rows: Iterable[array], limit: int) -> bool:
+    """Whether every id of ``rows`` lies in ``[0, limit)``: one pass over
+    their bytes read as unsigned, where a negative id reads as a huge one."""
+    ids = array("I", b"".join(rows))
+    return not ids or max(ids) < limit
+
+
+def _keys_below(ids: Collection[int], limit: int) -> bool:
+    """Whether every one of a few distinct ``ids`` lies in ``[0, limit)``."""
+    return not ids or (min(ids) >= 0 and max(ids) < limit)
 
 
 def document_payload(document: Document) -> dict:

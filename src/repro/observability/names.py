@@ -61,6 +61,9 @@ SPAN_INCREMENTAL_HIERARCHY: Final = "incremental:hierarchy"
 #: Span: checkpoint snapshot write.
 SPAN_INCREMENTAL_CHECKPOINT: Final = "incremental:checkpoint"
 
+#: Span: restore from the checkpoint (state read, selection, hierarchies).
+SPAN_INCREMENTAL_RESTORE: Final = "incremental:restore"
+
 #: Counter: batches appended.
 INCREMENTAL_BATCHES: Final = "incremental.batches"
 

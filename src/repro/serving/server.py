@@ -121,6 +121,11 @@ class FacetServer:
             await writer.drain()
             return False
 
+        if body_length > _MAX_HEADER_BYTES:
+            # No route takes a body: refuse one this large unread.
+            writer.write(b"HTTP/1.1 413 Content Too Large\r\n\r\n")
+            await writer.drain()
+            return False
         if body_length:
             await reader.readexactly(body_length)
 

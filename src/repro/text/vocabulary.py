@@ -43,6 +43,19 @@ class TermInterner:
         self._terms: list[str] = []
         self._surface_ids: dict[str, int] = {}
 
+    @classmethod
+    def from_terms(cls, terms: Iterable[str]) -> "TermInterner":
+        """A table holding ``terms`` at ids ``0, 1, ...``, in one pass.
+
+        Raises :class:`ValueError` when a term repeats.
+        """
+        interner = cls()
+        interner._terms = list(terms)
+        interner._ids = dict(zip(interner._terms, range(len(interner._terms))))
+        if len(interner._ids) != len(interner._terms):
+            raise ValueError("a term repeats in the term table")
+        return interner
+
     def intern(self, term: str) -> int:
         """Id of an already-normalized ``term``, assigning on first use."""
         term_id = self._ids.get(term)

@@ -10,7 +10,9 @@ after any sequence of appends.  This module certifies it across:
 * the selection ablations (chi-square scoring, frequency shift only)
   and a pipeline of glossary extractor + domain ontology resource;
 * serialization round trips — the state that continues appending after
-  a snapshot/restore must land on the same bytes.
+  a snapshot/restore must land on the same bytes, and a restore from
+  the checkpoint's id plane holds what the payload's string rebuild
+  holds.
 
 "Byte-for-byte" is enforced literally: facet terms (scores as IEEE-754
 hex, so not even a ULP of drift passes) and fully-populated hierarchies
@@ -20,6 +22,7 @@ are serialized through the canonical-JSON writer and compared as bytes.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -30,13 +33,20 @@ from repro.core.export import to_dict
 from repro.core.hierarchy import build_facet_hierarchies
 from repro.core.pipeline import FacetExtractor
 from repro.extractors import SignificantTermsExtractor, TermExtractor
-from repro.incremental import IncrementalExtractor, IncrementalState, canonical_json
+from repro.incremental import (
+    CheckpointStore,
+    IncrementalExtractor,
+    IncrementalState,
+    canonical_json,
+)
+from repro.observability import Observability
 from repro.resources.domain import (
     DomainTermExtractor,
     DomainVocabularyResource,
     financial_glossary,
 )
-from repro.text import interning
+from repro.text import interning, tokenizer
+from repro.text.vocabulary import TermInterner
 
 SCALE = 0.05
 
@@ -164,6 +174,144 @@ class TestDifferentialEquivalence:
         )
         resumed.append(docs[20:])
         assert result_bytes(resumed.snapshot_result()) == baseline[0]
+
+
+def state_by_term(state: IncrementalState) -> dict:
+    """Everything a state holds, keyed by term string and document id
+    instead of term id, so two states that number their terms
+    differently compare equal when they hold the same data."""
+    terms = state.interner.terms()
+    doc_ids = state.doc_ids
+
+    def vocabulary(columns) -> dict:
+        return {
+            "documents": columns.document_count,
+            "counts": {t: (columns.df(t), columns.tf(t)) for t in columns.terms()},
+        }
+
+    return {
+        "original": vocabulary(state.original_vocabulary),
+        "contextualized": vocabulary(state.contextualized_vocabulary),
+        "postings": {
+            terms[term_id]: [doc_ids[p] for p in positions]
+            for term_id, positions in state.term_positions.items()
+        },
+        "original_rows": [[terms[i] for i in row] for row in state.original_rows],
+        "expanded_rows": [sorted(terms[i] for i in row) for row in state.expanded_rows],
+        "pretest": state.pretest,
+        "doc_states": [state.doc_states[doc_id] for doc_id in doc_ids],
+        "batches_done": state.batches_done,
+    }
+
+
+class TestRestoreDifferential:
+    """A restore reads the checkpoint's id plane; it must hold exactly
+    what the string rebuild of the state payload holds."""
+
+    @pytest.mark.parametrize("every", [1, 2])
+    def test_restore_after_every_append_matches_the_payload_rebuild(
+        self, inc_builder, docs, tmp_path, every
+    ):
+        inc_builder.with_parallel(ParallelConfig(workers=1))
+        extractor = IncrementalExtractor(
+            inc_builder.build(),
+            checkpoint=CheckpointStore(tmp_path),
+            checkpoint_every=every,
+        )
+        for batch in schedule(5, docs):
+            if not extractor.append(batch).checkpointed:
+                continue
+            payload = canonical_json(extractor.state.to_payload())
+            rebuilt = IncrementalState.from_payload(extractor.state.to_payload())
+            restored = IncrementalExtractor.restore(
+                inc_builder.build(), CheckpointStore(tmp_path)
+            )
+            state = restored.state
+            assert state_by_term(state) == state_by_term(rebuilt)
+            assert state_by_term(state) == state_by_term(extractor.state)
+            # The term table is the live one, id for id.
+            assert state.interner.terms() == extractor.state.interner.terms()
+            assert canonical_json(state.to_payload()) == payload
+            assert result_bytes(restored.snapshot_result()) == result_bytes(
+                extractor.snapshot_result()
+            )
+
+    def test_restore_neither_normalizes_nor_interns(
+        self, inc_builder, docs, tmp_path, monkeypatch
+    ):
+        """Outside the selection and hierarchy rebuild (the exact output
+        path, whose edge validator normalizes), a restore works on ids."""
+        inc_builder.with_parallel(ParallelConfig(workers=1))
+        IncrementalExtractor(
+            inc_builder.build(), checkpoint=CheckpointStore(tmp_path)
+        ).append(docs[:30])
+        pipeline = inc_builder.build()
+        calls: list[str] = []
+        rebuilding = [False]
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                if not rebuilding[0]:
+                    calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        real_normalize = tokenizer.normalize_term
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro"):
+                for attribute in ("normalize_term", "_raw_normalize_term"):
+                    if getattr(module, attribute, None) is real_normalize:
+                        monkeypatch.setattr(
+                            module, attribute, counting("normalize_term", real_normalize)
+                        )
+        monkeypatch.setattr(
+            TermInterner,
+            "intern_many",
+            counting("intern_many", TermInterner.intern_many),
+        )
+        real_select_and_build = IncrementalExtractor._select_and_build
+
+        def select_and_build(self, obs):
+            rebuilding[0] = True
+            try:
+                real_select_and_build(self, obs)
+            finally:
+                rebuilding[0] = False
+
+        monkeypatch.setattr(IncrementalExtractor, "_select_and_build", select_and_build)
+        restored = IncrementalExtractor.restore(pipeline, CheckpointStore(tmp_path))
+        assert restored.document_count == 30
+        assert calls == []
+        # The probes count: a payload rebuild normalizes and interns.
+        IncrementalState.from_payload(restored.state.to_payload())
+        assert "normalize_term" in calls and "intern_many" in calls
+
+    def test_restore_is_one_span_over_its_rebuild(self, inc_builder, docs, tmp_path):
+        inc_builder.with_parallel(ParallelConfig(workers=1))
+        extractor = IncrementalExtractor(
+            inc_builder.build(), checkpoint=CheckpointStore(tmp_path)
+        )
+        extractor.append(docs[:20])
+        state = extractor.state
+        obs = Observability.enabled()
+        inc_builder.with_observability(obs)
+        try:
+            IncrementalExtractor.restore(inc_builder.build(), CheckpointStore(tmp_path))
+        finally:
+            inc_builder.with_observability(None)
+        (span,) = [root for root in obs.tracer.roots if root.name == "incremental:restore"]
+        ids = sum(map(len, state.original_rows)) + sum(map(len, state.expanded_rows))
+        ids += sum(map(len, state.term_positions.values()))
+        assert span.counters == {
+            "documents": 20,
+            "terms": len(state.interner),
+            "blob_bytes": 4 * ids,
+        }
+        assert [child.name for child in span.children] == [
+            "incremental:selection",
+            "incremental:hierarchy",
+        ]
 
 
 class TestConfigurationEquivalence:

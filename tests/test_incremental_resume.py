@@ -25,6 +25,7 @@ import sqlite3
 import subprocess
 import sys
 import threading
+from array import array
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,7 @@ from repro.incremental import (
     CrashInjected,
     FaultInjector,
     IncrementalExtractor,
+    StateMark,
     StreamSupervisor,
     atomic_write_text,
     canonical_json,
@@ -348,6 +350,11 @@ class TestCheckpointDatabase:
         archive, batch = docs[:40], docs[40:45]
         extractor.append(archive)
         before = extractor.state.to_payload()["docs"]
+        postings_before = {
+            term_id: posting.tobytes()
+            for term_id, posting in extractor.state.term_positions.items()
+        }
+        terms_before = len(extractor.state.interner)
         statements: list[str] = []
         real_connect = CheckpointStore._connect
 
@@ -361,6 +368,16 @@ class TestCheckpointDatabase:
         after = extractor.state.to_payload()["docs"]
         changed = [doc_id for doc_id in before if after[doc_id] != before[doc_id]]
         assert report.dirty_documents and len(changed) < len(archive)
+        postings_after = {
+            term_id: posting.tobytes()
+            for term_id, posting in extractor.state.term_positions.items()
+        }
+        changed_postings = {
+            term_id
+            for term_id in postings_before.keys() | postings_after.keys()
+            if postings_before.get(term_id) != postings_after.get(term_id)
+        }
+        assert 0 < len(changed_postings) < len(postings_after)
 
         def count(prefix: str) -> int:
             return sum(s.startswith(prefix) for s in statements)
@@ -369,7 +386,16 @@ class TestCheckpointDatabase:
         assert count("INSERT INTO doc_state") == len(batch)
         assert count("UPDATE doc_state") == len(changed)
         assert count("INSERT INTO batches") == 1
-        assert not count("DELETE")
+        assert count("INSERT INTO terms") == (
+            len(extractor.state.interner) - terms_before
+        )
+        # Only the changed postings are rewritten (an emptied one deleted).
+        assert count("INSERT OR REPLACE INTO postings") + count(
+            "DELETE FROM postings"
+        ) == len(changed_postings)
+        assert not count("DELETE FROM documents") and not count(
+            "DELETE FROM doc_state"
+        )
         assert _checkpoint_text(store) == canonical_json(
             extractor.state.to_payload()
         )
@@ -381,34 +407,31 @@ class TestCheckpointDatabase:
         extractor = IncrementalExtractor(build_pipeline(inc_config), checkpoint=store)
         extractor.append(docs[:10])
         stored = _checkpoint_text(store)
-        extractor.state.batches_done.append("unsaved")
-        for documents, batches in ((9, 1), (10, 0), (11, 1)):
-            delta = extractor.state.delta_payload(documents, batches, [0, 1])
+        state = extractor.state
+        terms = len(state.interner)
+        state.batches_done.append("unsaved")
+        for base in ((9, 1, terms), (10, 0, terms), (11, 1, terms), (10, 1, terms - 1)):
             with pytest.raises(CheckpointError, match="the delta extends"):
-                store.save(delta, sequence=2)
+                store.save_state(state, 2, base=StateMark(*base), changed=[0, 1])
             assert _checkpoint_text(store) == stored
             assert store.load_latest()[0] == 1
         assert not list(store.directory.glob("*-journal"))
 
-    def test_unknown_changed_document_is_rejected(self, tmp_path):
+    def test_unknown_changed_document_is_rejected(self, inc_config, docs, tmp_path):
+        """A delta that rewrites a document row the store lacks is
+        refused, and the file keeps its last commit."""
         store = CheckpointStore(tmp_path / "run")
-        payload = {
-            "schema": STATE_SCHEMA,
-            "documents": [],
-            "docs": {},
-            "batches_done": ["a"],
-        }
-        store.save(payload, sequence=1)
-        mutable = {"outputs": [], "important": [], "context_terms": []}
-        delta = {
-            **payload,
-            "base": {"documents": 0, "batches": 1},
-            "docs": {"ghost": mutable},
-            "batches_done": [],
-        }
+        extractor = IncrementalExtractor(build_pipeline(inc_config), checkpoint=store)
+        extractor.append(docs[:10])
+        connection = sqlite3.connect(store.path)
+        with connection:
+            connection.execute("DELETE FROM doc_state WHERE position = 0")
+        connection.close()
+        stored = store.path.read_bytes()
+        state = extractor.state
         with pytest.raises(CheckpointError, match="lacks"):
-            store.save(delta, sequence=2)
-        assert store.load_latest() == (1, payload)
+            store.save_state(state, 2, base=StateMark.of(state), changed=[0])
+        assert store.path.read_bytes() == stored
 
     def test_retired_json_directory_raises(self, inc_config, tmp_path):
         run_dir = tmp_path / "run"
@@ -436,7 +459,8 @@ class TestRecoveryPolicy:
     ):
         """A truncated, garbage, empty or foreign-schema database reads
         as no checkpoint; the next checkpoint writes a fresh file.  A
-        ``repro.checkpoint/3`` file (no answers tables) and a ``/2`` file
+        ``repro.checkpoint/4`` file (original terms as text, no id
+        plane), a ``/3`` file (no answers tables) and a ``/2`` file
         (whose documents also carried the Yahoo candidate counts) are
         foreign schemas too."""
         source = CheckpointStore(tmp_path / "source")
@@ -466,6 +490,23 @@ class TestRecoveryPolicy:
                 )
             connection.close()
 
+        def layout_4(path):
+            # The /4 layout: original terms as text, no term table, no
+            # expanded rows and no postings.
+            connection = sqlite3.connect(path)
+            with connection:
+                connection.execute("DROP TABLE terms")
+                connection.execute("DROP TABLE postings")
+                connection.execute(
+                    "ALTER TABLE documents RENAME COLUMN original TO stats_terms"
+                )
+                connection.execute("UPDATE documents SET stats_terms = ''")
+                connection.execute("ALTER TABLE doc_state DROP COLUMN expanded")
+                connection.execute(
+                    "UPDATE meta SET value = 'repro.checkpoint/4' WHERE key = 'schema'"
+                )
+            connection.close()
+
         def layout_3(path):
             # The /3 layout: the state tables without the answers.
             connection = sqlite3.connect(path)
@@ -482,6 +523,7 @@ class TestRecoveryPolicy:
             "garbage": lambda path: path.write_bytes(b"not a database" * 100),
             "empty": lambda path: path.write_bytes(b""),
             "foreign schema": foreign,
+            "schema /4": layout_4,
             "schema /3": layout_3,
             "schema /2": previous_layout,
         }
@@ -502,6 +544,72 @@ class TestRecoveryPolicy:
             assert _checkpoint_text(store) == canonical_json(
                 supervisor.extractor.state.to_payload()
             ), name
+
+    @staticmethod
+    def _id_past_the_terms(connection: sqlite3.Connection) -> None:
+        """Document 0's first original id becomes the term count."""
+        (count,) = connection.execute("SELECT COUNT(*) FROM terms").fetchone()
+        (row,) = connection.execute(
+            "SELECT original FROM documents WHERE position = 0"
+        ).fetchone()
+        connection.execute(
+            "UPDATE documents SET original = ? WHERE position = 0",
+            (array("i", [count]).tobytes() + row[4:],),
+        )
+
+    #: Damage -> (how to do it, what the logged error says).
+    CONTRADICTIONS = {
+        "partial int32": (
+            lambda connection: connection.execute(
+                "UPDATE documents SET original = original || x'00' "
+                "WHERE position = 1"
+            ),
+            "multiple of item size",
+        ),
+        "id past the terms": (_id_past_the_terms, "outside the term table"),
+        "term id gap": (
+            lambda connection: connection.execute("DELETE FROM terms WHERE id = 5"),
+            "the term ids have a gap",
+        ),
+        "short posting": (
+            lambda connection: connection.execute(
+                "UPDATE postings SET positions = substr(positions, 1, "
+                "length(positions) - 4) WHERE term_id = (SELECT term_id FROM "
+                "postings WHERE length(positions) > 4 ORDER BY term_id LIMIT 1)"
+            ),
+            "the posting lengths do not sum to the expanded rows",
+        ),
+    }
+
+    @pytest.mark.parametrize("damage", CONTRADICTIONS)
+    def test_self_contradicting_checkpoint_means_cold_start(
+        self, inc_config, baseline_bytes, input_dir, tmp_path, damage
+    ):
+        """The id plane is derived data: a file whose ids disagree with
+        themselves reads as damaged, and the replay of every batch file
+        lands on the batch run's bytes."""
+        run_dir = tmp_path / "run"
+        StreamSupervisor(build_pipeline(inc_config), run_dir).run(input_dir)
+        store = CheckpointStore(run_dir)
+        assert store.load_state() is not None
+        connection = sqlite3.connect(store.path)
+        damage_file, reason = self.CONTRADICTIONS[damage]
+        with connection:
+            damage_file(connection)
+        connection.close()
+        logged = io.StringIO()
+        configure_logging(stream=logged)
+        try:
+            assert store.load_state() is None
+        finally:
+            configure_logging()
+        assert "checkpoint.skipping_damaged" in logged.getvalue()
+        assert reason in logged.getvalue()
+        supervisor = StreamSupervisor(build_pipeline(inc_config), run_dir)
+        assert supervisor.extractor.document_count == 0
+        report = supervisor.run(input_dir)
+        assert report.resumed_at is None and len(report.ingested) == BATCHES
+        assert result_bytes(supervisor.extractor.snapshot_result()) == baseline_bytes
 
     def test_fresh_run_replaces_an_old_runs_newer_snapshots(self, tmp_path):
         """A full save replaces the history an older run left."""

@@ -435,6 +435,31 @@ class TestHttpBridge:
                 )
                 assert raw.recv(1024).startswith(b"HTTP/1.1 431")
 
+    def test_oversize_request_body_refused_unread(self, index):
+        """A declared body above the head limit gets 413 and a close
+        before any of it is sent."""
+        with run_in_thread(FacetApp(index)) as (host, port):
+            with socket.create_connection((host, port), timeout=10) as raw:
+                raw.sendall(
+                    b"GET /facets HTTP/1.1\r\ncontent-length: 1000000000\r\n\r\n"
+                )
+                assert raw.recv(1024).startswith(b"HTTP/1.1 413")
+                assert raw.recv(1024) == b""  # and the connection is closed
+
+    def test_small_request_body_is_read_and_discarded(self, index):
+        with run_in_thread(FacetApp(index)) as (host, port):
+            with socket.create_connection((host, port), timeout=10) as raw:
+                raw.sendall(
+                    b"GET /healthz HTTP/1.1\r\ncontent-length: 5\r\n\r\nhello"
+                    b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n"
+                )
+                received = b""
+                while chunk := raw.recv(65536):
+                    received += chunk
+                # Both requests are answered: the body did not leak into
+                # the second request's head.
+                assert received.count(b"HTTP/1.1 200") == 2
+
     def test_graceful_shutdown_starts_no_query_thread_and_closes_socket(
         self, index
     ):
