@@ -111,12 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="documents per work chunk (default: derived)",
     )
     extract.add_argument(
-        "--backend",
-        default="thread",
-        choices=["thread", "process"],
-        help="worker pool backend",
-    )
-    extract.add_argument(
         "--cache",
         default=None,
         metavar="PATH",
@@ -202,12 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="documents per work chunk (default: derived)",
-    )
-    stream.add_argument(
-        "--backend",
-        default="thread",
-        choices=["thread", "process"],
-        help="worker pool backend",
     )
 
     sub.add_parser("browse", help="demonstrate the faceted interface")
@@ -300,19 +288,14 @@ def _parallel_config(args: argparse.Namespace) -> ParallelConfig | None:
     """A ParallelConfig from CLI flags, or None when none were given."""
     workers = getattr(args, "workers", None)
     chunk_size = getattr(args, "chunk_size", None)
-    backend = getattr(args, "backend", None)
     cache = getattr(args, "cache", None)
-    if workers is None and chunk_size is None and cache is None and (
-        backend in (None, "thread")
-    ):
+    if workers is None and chunk_size is None and cache is None:
         return None
     kwargs = {}
     if workers is not None:
         kwargs["workers"] = workers
     if chunk_size is not None:
         kwargs["chunk_size"] = chunk_size
-    if backend is not None:
-        kwargs["backend"] = backend
     if cache is not None:
         kwargs["cache_path"] = cache
     return ParallelConfig(**kwargs)

@@ -42,7 +42,7 @@ _CONFIG_KEYS = frozenset(
 
 #: Keywords routed to :class:`ParallelConfig` (shortcut form).
 _PARALLEL_KEYS = frozenset(
-    {"workers", "chunk_size", "backend", "cache_path", "memory_cache_size"}
+    {"workers", "chunk_size", "cache_path", "memory_cache_size"}
 )
 
 

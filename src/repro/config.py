@@ -95,10 +95,6 @@ class ParallelConfig:
         Documents per work chunk; None derives a size from the corpus
         and worker count.  Chunking never changes results, only
         scheduling granularity.
-    backend:
-        ``"thread"`` (default; right for the latency-bound remote
-        resources) or ``"process"`` (sidesteps the GIL for CPU-bound
-        extraction; requires picklable extractors/resources).
     cache_path:
         SQLite file for the shared persistent resource cache; None
         keeps resource caching purely in-process.
@@ -108,7 +104,6 @@ class ParallelConfig:
 
     workers: int = field(default_factory=_env_workers)
     chunk_size: int | None = None
-    backend: str = "thread"
     cache_path: str | None = None
     memory_cache_size: int = 65_536
 
@@ -117,10 +112,6 @@ class ParallelConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.backend not in ("thread", "process"):
-            raise ConfigError(
-                f"backend must be 'thread' or 'process', got {self.backend!r}"
-            )
         if self.memory_cache_size < 1:
             raise ConfigError(
                 f"memory_cache_size must be >= 1, got {self.memory_cache_size}"

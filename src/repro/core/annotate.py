@@ -201,8 +201,8 @@ def annotate_database(
                 vocabulary.add_document_ids(columns.add_document(doc_id, normalized))
         for extractor in extractors:
             extractor.use_background(vocabulary)
-        # Second pass: important-term extraction.  A process pool gets
-        # the adopted background vocabulary pickled with each chunk job.
+        # Second pass: important-term extraction against the adopted
+        # background vocabulary, which pool threads share read-only.
         important: dict[str, list[str]] = {}
         for chunk_result in map_chunks(
             MemoizedChunk(partial(_extract_chunk, extractors)),

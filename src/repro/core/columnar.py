@@ -16,8 +16,8 @@ moves everything in between onto flat integer columns:
   :class:`ColumnarRankMap`).
 
 Columns are plain stdlib ``array('i')`` — contiguous machine ints with
-the buffer protocol (zero-copy ``memoryview`` slices) and compact
-pickles — so the plane needs nothing beyond the standard library.
+the buffer protocol (zero-copy ``memoryview`` slices) — so the plane
+needs nothing beyond the standard library.
 
 Everything here is a *representation* change: emitted facets,
 hierarchies, and serving payloads are byte-identical to those of the

@@ -197,13 +197,12 @@ class FacetExtractor:
         """Build the cache warm-up stage when the configuration allows it.
 
         Prefetch pays off only when annotation chunks complete while
-        others are still running (a thread-backed pool) — with a serial
-        or process-backed run the warm-up would just serialize in front
-        of contextualization, so it stays off.  It only warms caches:
-        the run's output never depends on it.
+        others are still running (a worker pool) — with a serial run the
+        warm-up would just serialize in front of contextualization, so
+        it stays off.  It only warms caches: the run's output never
+        depends on it.
         """
-        settings = self._parallel
-        if not (settings.enabled and settings.backend == "thread"):
+        if not self._parallel.enabled:
             return None
         return ResourcePrefetcher(self._prefetch_terms)
 
@@ -236,13 +235,11 @@ class FacetExtractor:
             "pipeline.start",
             documents=len(documents),
             workers=self._parallel.workers,
-            backend=self._parallel.backend,
         )
         with obs.collect(), obs.tracer.span(
             "pipeline",
             documents=len(documents),
             workers=self._parallel.workers,
-            backend=self._parallel.backend,
         ) as pipeline_span:
             annotated, contextualized, facet_terms, hierarchies = self._run_stages(
                 documents, timings, obs

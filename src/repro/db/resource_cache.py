@@ -270,20 +270,3 @@ class PersistentResourceCache:
             if self._connection is not None:
                 self._connection.close()
                 self._connection = None
-
-    # -- pickling (process-backed worker pools) ----------------------------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_lock"] = None
-        state["_connection"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        self._connection = None
-        if not self.disabled:
-            # A ":memory:" store cannot cross a process boundary; the
-            # worker reconnects to a private empty copy instead.
-            self._connect()

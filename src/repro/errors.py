@@ -35,6 +35,10 @@ class StorageError(ReproError):
     """The document store or an index rejected an operation."""
 
 
+class ArtifactDamagedError(StorageError):
+    """An open index artifact's file no longer reads as its database."""
+
+
 class HierarchyError(ReproError):
     """A facet hierarchy could not be constructed or navigated."""
 

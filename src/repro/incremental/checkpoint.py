@@ -317,17 +317,6 @@ class CheckpointAnswers:
                     buffered.pop(term, None)
             self.readable = True
 
-    # -- pickling (process-backed worker pools) ----------------------------------
-
-    def __getstate__(self) -> dict:
-        # A worker's buffer would die with it: only the read side travels.
-        return {"path": self.path, "_uri": self._uri, "readable": self.readable}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        self._pending = {}
-
 
 def _write_answers(connection: sqlite3.Connection, answers: Answers) -> None:
     """Insert ``answers``, each namespace stored once."""

@@ -9,7 +9,7 @@ A :class:`MetricsRegistry` is a thread-safe bag of named instruments:
 * **histograms** — fixed-bound bucket counts (``observe``), defaulting
   to latency-friendly bounds in seconds.
 
-Registries are picklable (the lock is recreated) and **mergeable**:
+Registries are **mergeable**:
 the batch engine gives every work chunk its own registry and merges
 them into the parent in submission order, so aggregate values never
 depend on worker scheduling.
@@ -125,7 +125,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe, mergeable, picklable instrument registry."""
+    """Thread-safe, mergeable instrument registry."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -297,15 +297,3 @@ class MetricsRegistry:
         if len(lines) == 1:
             lines.append("  (empty)")
         return "\n".join(lines)
-
-    # -- pickling (process-backed worker pools) ----------------------------------
-
-    def __getstate__(self) -> dict:
-        with self._lock:
-            state = self.__dict__.copy()
-        state["_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()

@@ -29,7 +29,7 @@ class Span:
     """One timed unit of work in the trace tree.
 
     ``start``/``end`` are wall-clock epoch seconds (``time.time()``),
-    comparable across worker processes; ``counters`` accumulate via
+    comparable across worker threads; ``counters`` accumulate via
     :meth:`add`, ``tags`` are set once at open (or via :meth:`set`).
     """
 
@@ -122,7 +122,7 @@ class Tracer:
     is kept on the shared observability context stack, so instrumented
     library code can attach children without holding a tracer
     reference).  Spans built elsewhere — e.g. chunk spans measured
-    inside worker processes — are grafted in with :meth:`attach`.
+    on pool threads — are grafted in with :meth:`attach`.
     """
 
     enabled = True

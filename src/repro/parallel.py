@@ -8,7 +8,7 @@ and :func:`repro.core.contextualize.contextualize`:
 
 * :func:`chunked` splits a work list into fixed-size shards;
 * :func:`map_chunks` runs one function over every shard on a
-  ``concurrent.futures`` pool (thread- or process-backed, per
+  ``concurrent.futures`` thread pool (sized by
   :class:`~repro.config.ParallelConfig`) and returns the results **in
   submission order** — the merge is deterministic by construction, so
   parallel output is bit-for-bit identical to serial output;
@@ -16,8 +16,8 @@ and :func:`repro.core.contextualize.contextualize`:
   shards are cancelled) — there are no silent partial results.
 
 Thread workers suit the latency-bound remote resources (simulated
-network sleeps release the GIL); process workers suit CPU-bound local
-extraction but require picklable extractors/resources.
+network sleeps release the GIL); on CPU-bound local extraction the GIL
+makes them slower than a serial run.
 
 Observability: when :func:`map_chunks` is handed an active
 :class:`~repro.observability.Observability` bundle, every chunk runs
@@ -27,15 +27,14 @@ context, so resource probes land in it) and under its own chunk
 :class:`~repro.observability.Span`.  After the pool drains, chunk
 registries are merged into the parent registry and chunk spans attached
 to the calling stage span **in submission order** — aggregate metrics
-and trace structure never depend on worker scheduling, and both survive
-the process backend because the per-chunk bundle is pickled back with
-the chunk result.
+and trace structure never depend on worker scheduling.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import TypeVar
 
 from .config import ParallelConfig
@@ -56,17 +55,6 @@ def chunked(items: Sequence[T], size: int) -> list[list[T]]:
     return [list(items[i : i + size]) for i in range(0, len(items), size)]
 
 
-def _make_executor(
-    config: ParallelConfig,
-    job_count: int,
-    initializer: Callable[[], None] | None = None,
-) -> Executor:
-    workers = min(config.workers, job_count)
-    if config.backend == "process":
-        return ProcessPoolExecutor(max_workers=workers, initializer=initializer)
-    return ThreadPoolExecutor(max_workers=workers, initializer=initializer)
-
-
 class _ChunkOutcome:
     """What an instrumented chunk sends back: result + its telemetry."""
 
@@ -79,13 +67,13 @@ class _ChunkOutcome:
 
 
 class _InstrumentedChunk:
-    """Picklable wrapper running one chunk under worker-local telemetry."""
+    """Callable running one chunk under worker-local telemetry."""
 
-    def __init__(self, fn: Callable[[list[T]], R], index: int) -> None:
+    def __init__(self, fn: Callable[[list], object], index: int) -> None:
         self._fn = fn
         self._index = index
 
-    def __call__(self, chunk: list[T]) -> _ChunkOutcome:
+    def __call__(self, chunk: list) -> _ChunkOutcome:
         registry = MetricsRegistry()
         span = Span.begin("chunk", index=self._index, items=len(chunk))
         try:
@@ -100,7 +88,7 @@ class _InstrumentedChunk:
 
 
 def _run_jobs(
-    jobs: list[tuple[Callable[[list[T]], R], list[T]]],
+    jobs: Sequence[tuple[Callable[[list[T]], R], list[T]]],
     config: ParallelConfig,
     on_result: Callable[[R], None] | None = None,
     initializer: Callable[[], None] | None = None,
@@ -127,7 +115,8 @@ def _run_jobs(
                 on_result(result)
             results_inline.append(result)
         return results_inline
-    with _make_executor(config, len(jobs), initializer=initializer) as pool:
+    workers = min(config.workers, len(jobs))
+    with ThreadPoolExecutor(max_workers=workers, initializer=initializer) as pool:
         futures = []
         for job, chunk in jobs:
             future = pool.submit(job, chunk)
@@ -156,6 +145,11 @@ def _notify_on_success(
         on_result(future.result())
 
     return _done
+
+
+def _notify_result(on_result: Callable[[R], None], outcome: _ChunkOutcome) -> None:
+    """Forward an instrumented chunk's result, never its wrapper."""
+    on_result(outcome.result)  # type: ignore[arg-type]
 
 
 def map_chunks(
@@ -201,11 +195,7 @@ def map_chunks(
     ]
     on_outcome: Callable[[_ChunkOutcome], None] | None = None
     if on_result is not None:
-        notify = on_result
-
-        def on_outcome(outcome: _ChunkOutcome) -> None:
-            notify(outcome.result)  # type: ignore[arg-type]
-
+        on_outcome = partial(_notify_result, on_result)
     outcomes: list[_ChunkOutcome] = _run_jobs(
         jobs, config, on_result=on_outcome, initializer=initializer
     )
@@ -217,31 +207,3 @@ def map_chunks(
         results.append(outcome.result)  # type: ignore[arg-type]
     return results
 
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    config: ParallelConfig | None = None,
-) -> list[R]:
-    """Apply a per-item function over a sharded work list, order kept.
-
-    Convenience wrapper over :func:`map_chunks` for callers that do not
-    need chunk-level state.  ``fn`` must be picklable for the process
-    backend (a module-level function or :func:`functools.partial`).
-    """
-    config = config or SERIAL
-    chunks = chunked(items, config.resolve_chunk_size(len(items)))
-    merged: list[R] = []
-    for chunk_result in map_chunks(_MapChunk(fn), chunks, config):
-        merged.extend(chunk_result)
-    return merged
-
-
-class _MapChunk:
-    """Picklable per-chunk adapter for :func:`parallel_map`."""
-
-    def __init__(self, fn: Callable[[T], R]) -> None:
-        self._fn = fn
-
-    def __call__(self, chunk: Iterable[T]) -> list[R]:
-        return [self._fn(item) for item in chunk]

@@ -12,7 +12,7 @@ Caching is two-tier:
 * an optional **persistent tier** (any :class:`PersistentTier`,
   attached via :meth:`ExternalResource.attach_cache`): the shared SQLite
   store :class:`~repro.db.resource_cache.PersistentResourceCache` is
-  shared across worker threads/processes and across runs, so a warm
+  shared across worker threads and across runs, so a warm
   cache file makes remote expansion essentially free; a stream's
   checkpoint keeps the answers its run directory already paid for
   (:class:`~repro.incremental.checkpoint.CheckpointAnswers`).
@@ -502,16 +502,3 @@ class ExternalResource(abc.ABC):
             self._cache.clear()
         if self._persistent is not None and self._namespace is not None:
             self._persistent.clear(self._namespace)
-
-    # -- pickling (process-backed worker pools) ----------------------------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_lock"] = None
-        state["_single_flight"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        self._single_flight = SingleFlight()

@@ -12,7 +12,8 @@ over any *browser* backend — normally a read-only
     GET /drilldown?facet=a&facet=b&q=...&limit=N
                                   multi-facet slice/dice, BM25-intersected
     GET /documents/{id}           one full document
-    GET /healthz                  liveness + artifact metadata
+    GET /healthz                  liveness + artifact metadata (503 once
+                                  the artifact was found damaged)
 
 Responses are JSON by default; ``?format=html`` (or an ``Accept``
 header preferring ``text/html``) selects the minimal HTML renderer.
@@ -22,7 +23,10 @@ shows, so a thread hop would cost more than the query.  The per-request
 time budget is enforced where the time goes.  A backend with a
 ``deadline`` scope (:meth:`FacetIndex.deadline`) has SQLite interrupt a
 statement still running when the budget expires, and any builder that
-returns past the budget is answered the same way: 503.  Row counts are
+returns past the budget is answered the same way: 503.  The scope also
+reports an artifact damaged under the live server (truncated or
+overwritten): a query that meets the damage answers 503, and from then
+on ``/healthz`` answers 503 with ``"status": "damaged"``.  Row counts are
 clamped to ``max_limit`` (exceeded → 400), and data responses carry an
 ETag derived from the artifact checksum plus ``Cache-Control`` so
 conditional requests short-circuit to 304 without touching the backend.
@@ -32,12 +36,13 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import time
 from functools import partial
 from urllib.parse import parse_qs, unquote
 
 from ..config import ServingConfig
-from ..errors import HierarchyError, StorageError
+from ..errors import ArtifactDamagedError, HierarchyError, StorageError
 from ..observability import DISABLED, Observability, Span
 from ..observability import names as obs_names
 from ..observability.logging import get_logger
@@ -62,7 +67,8 @@ class FacetApp:
     interfaces have no stable content identity).  A backend may also
     expose ``deadline(seconds)``, a context manager that stops its
     queries once the time budget is spent by raising
-    :class:`TimeoutError`.
+    :class:`TimeoutError`, and that reports a damaged artifact by raising
+    :class:`~repro.errors.ArtifactDamagedError`.
     """
 
     def __init__(
@@ -78,6 +84,8 @@ class FacetApp:
         self._checksum: str | None = getattr(browser, "checksum", None)
         # nullcontext(seconds) is a scope that interrupts nothing.
         self._deadline = getattr(browser, "deadline", contextlib.nullcontext)
+        # Why the artifact stopped reading, once a query found it damaged.
+        self._damage: str | None = None
 
     def close(self) -> None:
         """Nothing to release: the app owns no threads or connections
@@ -184,6 +192,9 @@ class FacetApp:
             over_budget = time.perf_counter() - start > budget
         except TimeoutError:
             over_budget = True
+        except ArtifactDamagedError as exc:
+            self._mark_damaged(exc)
+            return self._error(503, str(exc), wants_html)
         except (HierarchyError, StorageError) as exc:
             return self._error(404, str(exc), wants_html)
         if over_budget:
@@ -240,13 +251,32 @@ class FacetApp:
             )
         return None, None
 
+    def _mark_damaged(self, exc: ArtifactDamagedError) -> None:
+        if self._damage is None:
+            log.error("serving.artifact_damaged", error=str(exc))
+            self._damage = str(exc)
+
     def _healthz(self) -> tuple[int, bytes, list[tuple[str, str]]]:
-        payload = {
-            "schema": renderers.PAYLOAD_SCHEMA,
-            "status": "ok",
-            "document_count": self._browser.document_count,
-            "facet_count": len(self._browser.facet_names()),
-        }
+        payload: dict[str, object] = {"schema": renderers.PAYLOAD_SCHEMA}
+        if self._damage is None:
+            try:
+                # An infinite budget: the probe is never cut short.
+                with self._deadline(math.inf):
+                    facet_count = len(self._browser.facet_names())
+            except ArtifactDamagedError as exc:
+                self._mark_damaged(exc)
+            except StorageError as exc:  # the index was closed under the app
+                return self._error(503, str(exc), wants_html=False)
+        if self._damage is not None:
+            status = 503
+            payload.update(status="damaged", error=self._damage)
+        else:
+            status = 200
+            payload.update(
+                status="ok",
+                document_count=self._browser.document_count,
+                facet_count=facet_count,
+            )
         if self._checksum is not None:
             payload["checksum"] = self._checksum
         body = renderers.canonical_json(payload)
@@ -255,7 +285,7 @@ class FacetApp:
             ("cache-control", "no-store"),
             ("content-length", str(len(body))),
         ]
-        return 200, body, headers
+        return status, body, headers
 
     # -- parameters and headers ------------------------------------------------------
 

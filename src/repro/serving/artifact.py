@@ -54,7 +54,7 @@ from ..core.subsumption import position_bitmap
 from ..db.inverted_index import InvertedIndex, Posting
 from ..db.search import BM25Searcher
 from ..db.store import DOCUMENT_COLUMNS, DocumentStore, document_from_row, document_to_row
-from ..errors import HierarchyError, StorageError
+from ..errors import ArtifactDamagedError, HierarchyError, StorageError
 from ..observability.logging import get_logger
 from ..text.tokenizer import normalize_term
 
@@ -435,7 +435,9 @@ class FacetIndex:
         SQLite's progress handler interrupts the running statement and
         the scope raises :class:`TimeoutError`.  Lazy caches are assigned
         only after their statement completes, so an interrupted fill
-        leaves nothing half built.
+        leaves nothing half built.  A statement that finds the file
+        damaged under the open index (truncated or overwritten) raises
+        :class:`~repro.errors.ArtifactDamagedError` instead.
         """
         connection = self._connection()
         expires = time.monotonic() + seconds
@@ -450,6 +452,13 @@ class FacetIndex:
             raise TimeoutError(
                 f"query interrupted at its {seconds}s deadline"
             ) from exc
+        except sqlite3.DatabaseError as exc:
+            # sqlite3 raises the base class itself only for a file that no
+            # longer reads as a database (SQLITE_CORRUPT, SQLITE_NOTADB);
+            # its subclasses name other faults.
+            if type(exc) is not sqlite3.DatabaseError:
+                raise
+            raise ArtifactDamagedError(f"index artifact is damaged: {exc}") from exc
         finally:
             connection.set_progress_handler(None, 0)
 

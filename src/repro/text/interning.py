@@ -13,8 +13,8 @@ Call sites import the module-level wrappers below instead of the raw
 call outside any chunk worker) they delegate straight through.
 
 The memo is deliberately context-local (a :class:`contextvars.ContextVar`
-set inside the chunk worker): thread-pool chunks never share a dict and
-process-pool workers build their own, so no locking is needed anywhere.
+set inside the chunk worker): thread-pool chunks never share a dict, so
+no locking is needed anywhere.
 """
 
 from __future__ import annotations
@@ -127,13 +127,13 @@ def use_text_memo(memo: TextMemo) -> Iterator[TextMemo]:
 
 
 class MemoizedChunk(Generic[R]):
-    """Picklable wrapper running a chunk worker under a TextMemo.
+    """Wrapper running a chunk worker under a TextMemo.
 
     The columnar data plane wraps every per-chunk worker with this: the
     chunk's text functions are memoized against one private memo, which
     dies with the chunk.  ContextVars do not propagate into pool
     threads, so activation must happen *inside* the worker — which this
-    wrapper guarantees for the thread and process backends alike.
+    wrapper guarantees.
 
     When a memo is already active — an inline run wrapped the whole
     pass, or a pool worker armed a persistent memo via
@@ -157,10 +157,9 @@ class MemoizedChunk(Generic[R]):
 def install_worker_memo() -> None:
     """Pool initializer: arm a persistent :class:`TextMemo` in a worker.
 
-    Runs once per pool worker (thread or process), so every chunk the
-    worker executes shares one memo and a document tokenized for the
-    statistics pass is still cached when the extraction pass lands on
-    the same worker.  The memo's lifetime is the pool's lifetime; its
+    Runs once per pool thread, so every chunk the worker executes
+    shares one memo and a document tokenized for the statistics pass is
+    still cached when the extraction pass lands on the same worker.  The memo's lifetime is the pool's lifetime; its
     size is bounded by the corpus the pool processes.
     """
     if _ACTIVE.get() is None:

@@ -6,9 +6,8 @@ dict-of-strings reference it replaced.  That reference's output is
 checked in as a digest (:mod:`tests.golden`), and this module certifies
 it across:
 
-* worker counts {1, 4} on the thread backend;
-* the process backend (workers get the adopted background vocabulary
-  pickled with each chunk job);
+* worker counts {1, 4} (pool threads share the adopted background
+  vocabulary);
 * incremental appends (the columnar memo also runs under the
   incremental extractor's chunk workers);
 * the serving artifact: the SQLite payload compiled from a run must
@@ -61,11 +60,6 @@ class TestColumnarDifferential:
         # The run must actually have produced the id columns.
         assert result.annotated.columns is not None
         assert len(result.annotated.columns) == len(docs)
-
-    def test_columnar_process_backend_matches(self, col_builder, docs):
-        """Exercises the pickled background-vocabulary handoff end to end."""
-        col_builder.with_parallel(ParallelConfig(workers=2, backend="process"))
-        assert result_digest(col_builder.build().run(docs)) == GOLDEN_RESULT_SHA256
 
     def test_incremental_append_matches(self, col_builder, docs):
         col_builder.with_parallel(ParallelConfig(workers=2))

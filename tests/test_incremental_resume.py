@@ -60,6 +60,8 @@ from repro.text.interning import normalize_term
 
 SCALE = 0.05
 BATCHES = 5
+#: Healthy answers a stream resolves for the first three of the batches.
+ARCHIVE_ANSWERS = 381
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +74,10 @@ def docs(inc_config: ReproConfig):
     return build_snyt(inc_config).documents
 
 
-def build_pipeline(inc_config: ReproConfig):
+def build_pipeline(inc_config: ReproConfig, workers: int = 1):
     """A fresh pipeline per extractor — backgrounds bind on first use."""
     builder = FacetPipelineBuilder(inc_config)
-    builder.with_parallel(ParallelConfig(workers=1))
+    builder.with_parallel(ParallelConfig(workers=workers))
     return builder.build()
 
 
@@ -660,12 +662,13 @@ class TestCheckpointAnswers:
     for and serves them to a restored stream."""
 
     @pytest.fixture()
-    def archive(self, inc_config, docs, tmp_path):
+    def archive(self, request, inc_config, docs, tmp_path):
         """A run directory holding the first three batches, committed by
-        one full save, and the batches still to come."""
+        one full save, and the batches still to come.  An indirect
+        parameter sets the archiving stream's worker count (default 1)."""
         batches = split_into_batches(docs, BATCHES)
         store = CheckpointStore(tmp_path / "archive")
-        pipeline = build_pipeline(inc_config)
+        pipeline = build_pipeline(inc_config, getattr(request, "param", 1))
         extractor = IncrementalExtractor(
             pipeline, checkpoint=store, checkpoint_every=3
         )
@@ -683,12 +686,15 @@ class TestCheckpointAnswers:
         (resource,) = pipeline.resources
         return extractor, resource.cache_stats
 
+    @pytest.mark.parametrize("archive", [1, 2], indirect=True)
     def test_restored_stream_starts_warm(
         self, inc_config, baseline_bytes, archive, tmp_path, monkeypatch
     ):
         directory, feed, resolved = archive
-        # The one full save wrote every answer the archive resolved.
-        assert len(stored_answers(directory / "checkpoint.sqlite")) == resolved
+        # The one full save wrote every answer the archive resolved, as
+        # many with pool threads as serially.
+        stored = stored_answers(directory / "checkpoint.sqlite")
+        assert len(stored) == resolved == ARCHIVE_ANSWERS
         cold = tmp_path / "cold"
         shutil.copytree(directory, cold)
         connection = sqlite3.connect(cold / "checkpoint.sqlite")

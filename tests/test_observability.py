@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import json
 import logging
-import pickle
 import threading
 
 import pytest
@@ -237,16 +236,6 @@ class TestMetricsRegistry:
         a.merge(b)
         assert a.gauges == {"g": 2.0}
 
-    def test_pickle_round_trip(self):
-        registry = MetricsRegistry()
-        registry.increment("n", 7)
-        registry.record_time("t", 0.25)
-        registry.observe("h", 0.1)
-        clone = pickle.loads(pickle.dumps(registry))
-        assert clone.counter_value("n") == 7.0
-        assert clone.timer_value("t").count == 1
-        clone.increment("n")  # lock restored: still usable
-        assert clone.counter_value("n") == 8.0
 
     def test_as_dict_and_format_table(self):
         registry = MetricsRegistry()

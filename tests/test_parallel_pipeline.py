@@ -1,7 +1,7 @@
 """Determinism suite for the parallel batch pipeline (``repro.parallel``).
 
-The contract under test: for any seed, scale, worker count, chunk size,
-and backend, the parallel :class:`~repro.core.pipeline.FacetExtractor`
+The contract under test: for any seed, scale, worker count and chunk
+size, the parallel :class:`~repro.core.pipeline.FacetExtractor`
 produces output **bit-for-bit identical** to the serial path — the same
 important terms, context terms, expanded sets, facet candidates (terms,
 dfs, shifts, scores), and hierarchies.
@@ -22,7 +22,7 @@ from repro.config import ParallelConfig, ReproConfig
 from repro.core.export import to_json
 from repro.corpus import build_snyt
 from repro.errors import ConfigError
-from repro.parallel import chunked, map_chunks, parallel_map
+from repro.parallel import chunked, map_chunks
 
 DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "0.05"))
 
@@ -40,6 +40,11 @@ def canonical(result) -> dict:
         ],
         "hierarchies": to_json(result.hierarchies),
     }
+
+
+def pooled_run(builder: FacetPipelineBuilder, documents, **settings) -> dict:
+    """canonical() of one run under ``ParallelConfig(**settings)``."""
+    return canonical(builder.with_parallel(ParallelConfig(**settings)).build().run(documents))
 
 
 @pytest.fixture(scope="module")
@@ -67,37 +72,14 @@ class TestDeterminism:
     def test_thread_workers_match_serial(
         self, parallel_builder, documents, serial_result, workers
     ):
-        result = (
-            parallel_builder.with_parallel(ParallelConfig(workers=workers))
-            .build()
-            .run(documents)
-        )
-        assert canonical(result) == serial_result
+        assert pooled_run(parallel_builder, documents, workers=workers) == serial_result
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 1000])
     def test_chunk_size_never_changes_results(
         self, parallel_builder, documents, serial_result, chunk_size
     ):
-        result = (
-            parallel_builder.with_parallel(
-                ParallelConfig(workers=2, chunk_size=chunk_size)
-            )
-            .build()
-            .run(documents)
-        )
-        assert canonical(result) == serial_result
-
-    def test_process_backend_matches_serial(
-        self, parallel_builder, documents, serial_result
-    ):
-        result = (
-            parallel_builder.with_parallel(
-                ParallelConfig(workers=2, backend="process")
-            )
-            .build()
-            .run(documents)
-        )
-        assert canonical(result) == serial_result
+        pooled = pooled_run(parallel_builder, documents, workers=2, chunk_size=chunk_size)
+        assert pooled == serial_result
 
     def test_warm_persistent_cache_matches_serial(
         self, parallel_builder, documents, serial_result, tmp_path
@@ -122,12 +104,7 @@ class TestDeterminism:
         builder = FacetPipelineBuilder(config)
         docs = build_snyt(config).documents
         serial = canonical(builder.build().run(docs))
-        parallel = canonical(
-            builder.with_parallel(ParallelConfig(workers=workers))
-            .build()
-            .run(docs)
-        )
-        assert parallel == serial
+        assert pooled_run(builder, docs, workers=workers) == serial
 
 
 class TestMemoryCacheBound:
@@ -178,15 +155,6 @@ class TestShardingPrimitives:
         merged = [x for chunk in results for x in chunk]
         assert merged == [x * x for x in range(20)]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_map_order(self, backend):
-        result = parallel_map(
-            _double,
-            list(range(25)),
-            ParallelConfig(workers=4, chunk_size=4, backend=backend),
-        )
-        assert result == [x * 2 for x in range(25)]
-
     def test_worker_error_surfaces(self):
         def boom(chunk):
             if 5 in chunk:
@@ -202,8 +170,6 @@ class TestShardingPrimitives:
         with pytest.raises(ConfigError):
             ParallelConfig(chunk_size=0)
         with pytest.raises(ConfigError):
-            ParallelConfig(backend="greenlet")
-        with pytest.raises(ConfigError):
             ParallelConfig(memory_cache_size=0)
 
     def test_resolve_chunk_size(self):
@@ -211,8 +177,3 @@ class TestShardingPrimitives:
         auto = ParallelConfig(workers=4).resolve_chunk_size(1000)
         assert 1 <= auto <= 1000
         assert ParallelConfig(workers=4).resolve_chunk_size(0) == 1
-
-
-def _double(x: int) -> int:
-    """Module-level so the process backend can pickle it."""
-    return x * 2

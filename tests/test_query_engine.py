@@ -358,6 +358,27 @@ class TestPrefetch:
         assert result_digest(result) == GOLDEN_RESULT_SHA256
         assert obs.metrics.counters.get("prefetch.batches", 0) > 0
 
+    def test_pooled_run_builds_a_prefetcher(self, monkeypatch):
+        """Checked by construction: the hit/coalesced split of prefetched
+        terms depends on thread scheduling."""
+        from repro.builder import FacetPipelineBuilder
+        from repro.core import pipeline as pipeline_module
+
+        built: list[ResourcePrefetcher] = []
+        monkeypatch.setattr(
+            pipeline_module,
+            "ResourcePrefetcher",
+            lambda fetch: built.append(ResourcePrefetcher(fetch)) or built[-1],
+        )
+        config = ReproConfig(scale=GOLDEN_SCALE)
+        documents = build_corpus(DatasetName.SNYT, config).documents[:12]
+        for workers, expected in ((1, 0), (2, 1)):
+            builder = FacetPipelineBuilder(config)
+            builder.with_parallel(ParallelConfig(workers=workers))
+            builder.build().run(documents)
+            assert len(built) == expected, workers
+        assert built[0].batches_submitted > 0
+
     def test_prefetcher_warms_cache_and_merges_metrics_once(self):
         resource = SlowResource()
         prefetcher = ResourcePrefetcher(

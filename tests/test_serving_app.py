@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import shutil
 import socket
 import threading
 import time
@@ -19,6 +21,7 @@ import pytest
 from repro.config import ServingConfig
 from repro.core.interface import FacetedInterface
 from repro.errors import ConfigError
+from repro.observability import Observability
 from repro.serving import AsgiClient, FacetApp, FacetIndex, artifact, run_in_thread
 from repro.serving.renderers import PAYLOAD_SCHEMA, canonical_json, drilldown_payload
 
@@ -322,8 +325,6 @@ class TestSqlDeadline:
 
 class TestObservability:
     def test_requests_traced_and_counted(self, index):
-        from repro.observability import Observability
-
         obs = Observability.enabled()
         traced_client = AsgiClient(FacetApp(index, observability=obs))
         traced_client.get("/facets")
@@ -336,6 +337,31 @@ class TestObservability:
         assert obs.metrics.counter_value("serving.requests") == 2
         assert obs.metrics.counter_value("serving.status.200") == 1
         assert obs.metrics.counter_value("serving.status.404") == 1
+
+
+class TestDamagedArtifact:
+    def test_truncated_under_the_server_answers_503(self, index, interface, tmp_path):
+        """Data routes answer 503, in process and over a socket, and then
+        /healthz reports the damage: no error escapes the app."""
+        path = tmp_path / "damaged.idx"
+        shutil.copyfile(index.path, path)
+        with FacetIndex.open(str(path)) as damaged:
+            os.truncate(path, path.stat().st_size // 3)
+            obs = Observability.enabled()
+            damaged_client = AsgiClient(FacetApp(damaged, observability=obs))
+            term, doc = interface.facet_names()[0], interface.dice([])[0]
+            for route in (f"/facets/{term}/children", "/drilldown", f"/documents/{doc.doc_id}"):
+                response = damaged_client.get(route)
+                assert response.status == 503, route
+                assert "damaged" in response.json()["error"]["message"]
+            health = damaged_client.get("/healthz")
+            assert (health.status, health.json()["status"]) == (503, "damaged")
+            assert obs.metrics.counter_value("serving.status.503") == 4
+            with run_in_thread(FacetApp(damaged)) as (host, port):
+                with socket.create_connection((host, port), timeout=10) as raw:
+                    raw.sendall(b"GET /drilldown HTTP/1.1\r\nConnection: close\r\n\r\n")
+                    assert raw.recv(1024).startswith(b"HTTP/1.1 503")
+        assert AsgiClient(FacetApp(damaged)).get("/healthz").status == 503  # closed
 
 
 class TestHttpBridge:
