@@ -8,7 +8,7 @@ hierarchy construction a couple of seconds.
 This regenerates the paper's table; it makes no speed claim about this
 system.  The system's own end-to-end and per-layer numbers come from
 ``bench/`` (``python3 bench/run.py --workload extract-snyt`` for the
-per-stage split, ``--workload extract-remote`` for pooled workers over
+per-stage split, ``--workload extract-remote`` for batched queries to
 remote resources with a SQLite cache).
 """
 

@@ -8,9 +8,9 @@ Commands
     Run one or more experiments (tables/figures) and print the results.
 ``extract``
     Run the pipeline on a generated corpus and print the facets.
-    ``--workers N`` shards Steps 1-2 across a worker pool and
-    ``--cache PATH`` shares a persistent SQLite expansion cache across
-    workers and runs; the output is bit-for-bit identical either way.
+    Steps 1-2 run in one thread of control; ``--cache PATH`` keeps the
+    resource answers in a persistent SQLite file across runs, and the
+    output is bit-for-bit identical with a cold or a warm cache.
     ``--trace-out PATH`` writes a JSONL trace of nested spans and
     ``--metrics`` prints the metrics registry after the run.
 ``stream``
@@ -36,11 +36,10 @@ Commands
     :mod:`repro.devtools`) and exit non-zero on findings — the same gate
     CI enforces.
 
-Scale with ``--scale`` (or the REPRO_SCALE environment variable);
-parallelize with ``--workers`` (or REPRO_WORKERS).  Diagnostics go to
-stderr through the structured logger — tune them with ``--log-format
-json|text`` and ``--log-level`` (or REPRO_LOG_LEVEL); results stay on
-stdout.
+Scale with ``--scale`` (or the REPRO_SCALE environment variable).
+Diagnostics go to stderr through the structured logger — tune them
+with ``--log-format json|text`` and ``--log-level`` (or
+REPRO_LOG_LEVEL); results stay on stdout.
 """
 
 from __future__ import annotations
@@ -98,24 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--dataset", default="SNYT", choices=["SNYT", "SNB", "MNYT"])
     extract.add_argument("--top", type=int, default=20, help="facet terms to print")
     extract.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker pool size for annotation/contextualization "
-        "(default: REPRO_WORKERS or 1 = serial)",
-    )
-    extract.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="documents per work chunk (default: derived)",
-    )
-    extract.add_argument(
         "--cache",
         default=None,
         metavar="PATH",
-        help="persistent SQLite resource-cache file shared across "
-        "workers and runs",
+        help="persistent SQLite resource-cache file shared across runs",
     )
     extract.add_argument(
         "--trace-out",
@@ -185,18 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--top", type=int, default=20, help="facet terms to print"
     )
-    stream.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker pool size (default: REPRO_WORKERS or 1 = serial)",
-    )
-    stream.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="documents per work chunk (default: derived)",
-    )
 
     sub.add_parser("browse", help="demonstrate the faceted interface")
 
@@ -213,12 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     index_build.add_argument(
         "--output", required=True, metavar="PATH", help="artifact file to write"
-    )
-    index_build.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker pool size for the pipeline run",
     )
     index_inspect = index_sub.add_parser(
         "inspect", help="print an artifact's manifest"
@@ -285,20 +252,11 @@ def _config(args: argparse.Namespace) -> ReproConfig:
 
 
 def _parallel_config(args: argparse.Namespace) -> ParallelConfig | None:
-    """A ParallelConfig from CLI flags, or None when none were given."""
-    workers = getattr(args, "workers", None)
-    chunk_size = getattr(args, "chunk_size", None)
+    """A ParallelConfig from ``--cache``, or None when it was not given."""
     cache = getattr(args, "cache", None)
-    if workers is None and chunk_size is None and cache is None:
+    if cache is None:
         return None
-    kwargs = {}
-    if workers is not None:
-        kwargs["workers"] = workers
-    if chunk_size is not None:
-        kwargs["chunk_size"] = chunk_size
-    if cache is not None:
-        kwargs["cache_path"] = cache
-    return ParallelConfig(**kwargs)
+    return ParallelConfig(cache_path=cache)
 
 
 def _observability(args: argparse.Namespace) -> Observability | None:
@@ -350,7 +308,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         "extract.start",
         dataset=corpus.name,
         documents=len(corpus),
-        workers=config.parallel.workers,
         traced=bool(args.trace_out),
     )
     builder = FacetPipelineBuilder(config)

@@ -6,7 +6,7 @@ collection, give me facets" — in a single call:
 
     import repro
 
-    result = repro.run(corpus, scale=0.1, workers=4)
+    result = repro.run(corpus, scale=0.1, cache_path="expansions.db")
     for facet in result.hierarchies[:5]:
         print(facet.name, facet.root.count)
 
@@ -41,9 +41,7 @@ _CONFIG_KEYS = frozenset(
 )
 
 #: Keywords routed to :class:`ParallelConfig` (shortcut form).
-_PARALLEL_KEYS = frozenset(
-    {"workers", "chunk_size", "cache_path", "memory_cache_size"}
-)
+_PARALLEL_KEYS = frozenset({"cache_path", "memory_cache_size"})
 
 
 def _coerce_documents(
@@ -103,8 +101,9 @@ def run(
         Selection and hierarchy knobs, as on the builder.
     **config_kwargs:
         Any :class:`ReproConfig` field (``seed``, ``scale``, …) or
-        :class:`ParallelConfig` field (``workers``, ``cache_path``, …)
-        as a flat keyword — ``repro.run(docs, scale=0.1, workers=4)``.
+        :class:`ParallelConfig` field (``cache_path`` or
+        ``memory_cache_size``) as a flat keyword —
+        ``repro.run(docs, scale=0.1, cache_path="expansions.db")``.
 
     Returns
     -------

@@ -104,7 +104,7 @@ class FacetPipelineBuilder:
         return self
 
     def with_parallel(self, parallel: ParallelConfig) -> "FacetPipelineBuilder":
-        """Batch-execution settings (workers, chunking, cache path)."""
+        """Batch-execution settings (cache path, memory-tier bound)."""
         self._parallel = parallel
         self._resource_cache = None
         return self
@@ -144,7 +144,6 @@ class FacetPipelineBuilder:
             "builder.pipeline_built",
             extractors=[name.value for name in self._extractor_names],
             resources=[name.value for name in self._resource_names],
-            workers=self._parallel.workers,
         )
         return FacetExtractor(
             extractors=extractors,

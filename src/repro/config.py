@@ -56,78 +56,42 @@ def _env_scale(default: float = 1.0) -> float:
     return value
 
 
-def _env_workers(default: int = 1) -> int:
-    """Read the ``REPRO_WORKERS`` environment variable, if set."""
-    raw = os.environ.get("REPRO_WORKERS")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"REPRO_WORKERS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"REPRO_WORKERS must be >= 1, got {value}")
-    log.debug("config.env_override", variable="REPRO_WORKERS", value=value)
-    return value
-
-
-#: Chunks handed out per worker when ``chunk_size`` is automatic; more
-#: than one keeps the pool busy when chunks are unevenly expensive.
-_AUTO_CHUNKS_PER_WORKER = 4
-
-
 @dataclass(frozen=True, kw_only=True)
 class ParallelConfig:
-    """Batch-execution settings for the parallel pipeline.
+    """Batch-execution settings for Steps 1–2.
 
-    All parameters are keyword-only: positional construction silently
-    reordering ``workers``/``chunk_size`` is exactly the kind of bug a
-    frozen config should rule out.
+    All parameters are keyword-only, like every frozen config here.
+    Steps 1–2 run in one thread of control: the resource engine answers
+    each pass's distinct terms with one batch per resource, which is
+    what amortizes remote latency.
 
     Parameters
     ----------
     workers:
-        Worker pool size for Step 1 annotation and Step 2
-        contextualization.  ``1`` (default, or ``REPRO_WORKERS``) runs
-        the stages serially; results are bit-for-bit identical at every
-        worker count.
-    chunk_size:
-        Documents per work chunk; None derives a size from the corpus
-        and worker count.  Chunking never changes results, only
-        scheduling granularity.
+        Ignored: Steps 1–2 run in one thread of control, and a value
+        other than 1 only makes the pipeline log
+        ``pipeline.workers_ignored``.  It stays a validated field
+        (``>= 1``) only because ``bench/worker.py`` still passes it; the
+        ROADMAP's measurement-leftovers item drops it from the bench
+        specs and then deletes this field.
     cache_path:
-        SQLite file for the shared persistent resource cache; None
-        keeps resource caching purely in-process.
+        SQLite file for the persistent resource cache; None keeps
+        resource caching purely in-process.
     memory_cache_size:
         Bound of each resource's in-process LRU tier.
     """
 
-    workers: int = field(default_factory=_env_workers)
-    chunk_size: int | None = None
+    workers: int = 1
     cache_path: str | None = None
     memory_cache_size: int = 65_536
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.memory_cache_size < 1:
             raise ConfigError(
                 f"memory_cache_size must be >= 1, got {self.memory_cache_size}"
             )
-
-    @property
-    def enabled(self) -> bool:
-        """True when the worker pool is actually used."""
-        return self.workers > 1
-
-    def resolve_chunk_size(self, item_count: int) -> int:
-        """Chunk size for ``item_count`` items (explicit or derived)."""
-        if self.chunk_size is not None:
-            return self.chunk_size
-        divisor = max(1, self.workers * _AUTO_CHUNKS_PER_WORKER)
-        return max(1, -(-item_count // divisor))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -229,8 +193,8 @@ class ReproConfig:
     annotators_per_story:
         Mechanical Turk annotators assigned to each story.
     parallel:
-        Batch-execution settings (worker count, chunk size, shared
-        cache path); the default is serial with no persistent cache.
+        Batch-execution settings (persistent cache path, memory-tier
+        bound); the default keeps resource answers in process only.
     incremental:
         Streaming-extraction settings (checkpoint directory, cadence,
         resume); the default keeps everything in memory.

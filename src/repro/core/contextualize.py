@@ -6,7 +6,7 @@ contextualized database keeps, per document, the original terms plus the
 context terms — the input to the comparative analysis of Step 3.
 
 The expansion runs on the columnar data plane: the distinct important
-terms are resolved once (one batch per resource per term shard), every
+terms are resolved once (one batch per resource), every
 answer is normalized and interned once, and the per-document merges
 become integer set operations over precomputed ``(surface, key-id)``
 contribution lists.  :func:`expand_documents` is that expansion; the
@@ -17,17 +17,13 @@ pipeline over each batch's new and dirty documents.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import partial
 
-from ..config import ParallelConfig
 from ..corpus.document import Document
-from ..observability import Observability
 from ..observability.context import current_metrics
-from ..parallel import chunked, map_chunks
 from ..resources.base import ExternalResource
-from ..text.interning import MemoizedChunk, install_worker_memo
+from ..text.interning import TextMemo, use_text_memo
 from ..text.vocabulary import TermInterner
 from .annotate import AnnotatedDatabase
 from .columnar import ColumnarVocabulary, DocumentColumns
@@ -111,14 +107,6 @@ def assemble_databases(
     return expanded_database(annotated, context_terms, expanded_rows)
 
 
-def _resolve_chunk(
-    resources: list[ExternalResource], terms: list[str]
-) -> list[list[list[str]]]:
-    """Phase-A worker of :func:`expand_documents`: per-resource batched
-    answers for a shard of the distinct important terms."""
-    return [resource.context_terms_many(terms) for resource in resources]
-
-
 #: Shared empty contribution list for keys no resource answered.
 _NO_PAIRS: tuple[tuple[str, int], ...] = ()
 
@@ -127,8 +115,6 @@ def expand_documents(
     important: Sequence[list[str]],
     resources: list[ExternalResource],
     interner: TermInterner,
-    parallel: ParallelConfig | None = None,
-    obs: Observability | None = None,
 ) -> list[tuple[list[str], list[int]]]:
     """Expand documents given by their important terms ``I(d)``.
 
@@ -138,18 +124,14 @@ def expand_documents(
     incremental one (new and dirty documents) both expand through here.
 
     Phase A resolves the documents' distinct important terms once (the
-    first surface form per normalized key): they are sharded over the
-    worker pool (``parallel.workers > 1``) and each shard is answered
-    with one deduplicated batch per resource — bulk backend lookups,
-    batched persistent-cache I/O and single-flight coalescing.  Phase B
-    merges per document, in document order, with integer set operations
-    over interned ids, so the expansion is bit-for-bit identical at
-    every worker count: resource answers are keyed by normalized term
-    (chunking-invariant), contribution lists preserve resource order and
-    answer order, and the per-document filter keeps the first-seen
-    surface form per key.
+    first surface form per normalized key), under one text memo, with
+    one deduplicated batch per resource — one engine pass each: bulk
+    backend lookups, batched persistent-cache I/O and, for a remote
+    resource, one round trip.  Phase B merges per document, in document
+    order, with integer set operations over interned ids: contribution
+    lists preserve resource order and answer order, and the
+    per-document filter keeps the first-seen surface form per key.
     """
-    settings = parallel or ParallelConfig(workers=1)
     # Phase A: the distinct important terms, first surface per key.
     # Per-document key-id lists are kept (dropping empty normalizations)
     # so phase B never re-probes the surface → id table.
@@ -168,27 +150,10 @@ def expand_documents(
                 ordered_terms.append(term)
                 key_ids.append(kid)
         kids_per_doc.append(doc_kids)
-    term_chunks = (
-        chunked(
-            ordered_terms,
-            max(1, settings.resolve_chunk_size(len(ordered_terms))),
-        )
-        if ordered_terms
-        else []
-    )
-    resolve: Callable[[list[str]], list[list[list[str]]]] = MemoizedChunk(
-        partial(_resolve_chunk, resources)
-    )
-    per_resource: list[list[list[str]]] = [[] for _ in resources]
-    for chunk_answers in map_chunks(
-        resolve,
-        term_chunks,
-        parallel,
-        obs=obs,
-        initializer=install_worker_memo if settings.enabled else None,
-    ):
-        for r_index, answers in enumerate(chunk_answers):
-            per_resource[r_index].extend(answers)
+    with use_text_memo(TextMemo()):
+        per_resource = [
+            resource.context_terms_many(ordered_terms) for resource in resources
+        ]
     # Contribution lists: per key id, the (surface, key id) pairs its
     # answers add, in resource order then answer order — each answer
     # term normalized and interned exactly once per call.
@@ -225,8 +190,6 @@ def expand_documents(
 def contextualize(
     annotated: AnnotatedDatabase,
     resources: list[ExternalResource],
-    parallel: ParallelConfig | None = None,
-    obs: Observability | None = None,
 ) -> ContextualizedDatabase:
     """Run Step 2: query every resource with every important term.
 
@@ -243,8 +206,6 @@ def contextualize(
         [annotated.important(document.doc_id) for document in documents],
         resources,
         original.interner,
-        parallel,
-        obs,
     )
     context_terms: dict[str, list[str]] = {}
     expanded_rows: list[array] = []

@@ -6,17 +6,20 @@ the evaluation harness (and curious users) can inspect each stage.
 
 The pipeline is permanently instrumented: hand the extractor an
 :class:`~repro.observability.Observability` bundle and it produces a
-trace (``pipeline`` → ``stage:*`` → ``chunk`` → ``resource:*`` spans)
-plus a metrics registry with per-stage timers and per-resource cache
+trace (``pipeline`` → ``stage:*`` → ``resource:*`` spans) plus a
+metrics registry with per-stage timers and per-resource cache
 counters.  Without a bundle the no-op tracer is used and every probe
-costs one ``None`` check, so results — including parallel-vs-serial
-bit-for-bit determinism — are unaffected.
+costs one ``None`` check, so results are unaffected.
+
+Steps 1–2 run in one thread of control.  Remote latency is amortized
+by the resource engine's batching: each engine pass asks every
+resource one batch of the corpus's distinct important terms.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..config import ParallelConfig
@@ -28,7 +31,6 @@ from ..extractors.base import TermExtractor
 from ..observability import DISABLED, Observability, ResourceStats, SpanTimings
 from ..observability.logging import get_logger
 from ..resources.base import ExternalResource
-from ..resources.engine import ResourcePrefetcher
 from .annotate import AnnotatedDatabase, annotate_database, reject_duplicate_ids
 from .contextualize import ContextualizedDatabase, contextualize
 from .hierarchy import FacetHierarchy, hierarchies_from_postings
@@ -86,9 +88,9 @@ class FacetExtractor:
         Skip hierarchy construction when False (recall studies only
         need the flat term set).
     parallel:
-        Batch-execution settings for Steps 1-2 (worker count, chunk
-        size, persistent cache path).  Serial by default; results are
-        bit-for-bit identical at every worker count.
+        Batch-execution settings for Steps 1-2 (persistent cache path,
+        memory-tier bound).  Its ``workers`` field is ignored: a value
+        other than 1 only logs ``pipeline.workers_ignored``.
     resource_cache:
         An already-open persistent cache to attach to the resources;
         overrides ``parallel.cache_path``.  Useful when several
@@ -129,7 +131,11 @@ class FacetExtractor:
         self._subsumption_threshold = subsumption_threshold
         self._build_hierarchies = build_hierarchies
         self._edge_validator = edge_validator
-        self._parallel = parallel or ParallelConfig(workers=1)
+        self._parallel = parallel or ParallelConfig()
+        if self._parallel.workers != 1:
+            # Steps 1-2 run in one thread of control; tell whoever still
+            # asks for a pool that the field does nothing.
+            log.warning("pipeline.workers_ignored", workers=self._parallel.workers)
         self._cache_fingerprint = cache_fingerprint
         self.observability = observability or DISABLED
         cache = resource_cache
@@ -193,25 +199,6 @@ class FacetExtractor:
         """Independent-evidence check for subsumption edges, if any."""
         return self._edge_validator
 
-    def _start_prefetcher(self) -> ResourcePrefetcher | None:
-        """Build the cache warm-up stage when the configuration allows it.
-
-        Prefetch pays off only when annotation chunks complete while
-        others are still running (a worker pool) — with a serial run the
-        warm-up would just serialize in front of contextualization, so
-        it stays off.  It only warms caches: the run's output never
-        depends on it.
-        """
-        if not self._parallel.enabled:
-            return None
-        return ResourcePrefetcher(self._prefetch_terms)
-
-    def _prefetch_terms(self, terms: Sequence[str]) -> None:
-        """Warm every resource's caches for ``terms`` (answers discarded)."""
-        batch = list(terms)
-        for resource in self._resources:
-            resource.context_terms_many(batch)
-
     def run(
         self,
         documents: list[Document],
@@ -224,22 +211,16 @@ class FacetExtractor:
         it instead of building a fresh one.
 
         Raises :class:`ValueError` on a repeated document id
-        (:func:`~repro.core.annotate.reject_duplicate_ids`), before the
-        resource prefetcher starts.
+        (:func:`~repro.core.annotate.reject_duplicate_ids`), before any
+        stage runs.
         """
         reject_duplicate_ids(documents)
         obs = self.observability
         stats_before = [resource.cache_stats for resource in self._resources]
         timings = SpanTimings()
-        log.info(
-            "pipeline.start",
-            documents=len(documents),
-            workers=self._parallel.workers,
-        )
+        log.info("pipeline.start", documents=len(documents))
         with obs.collect(), obs.tracer.span(
-            "pipeline",
-            documents=len(documents),
-            workers=self._parallel.workers,
+            "pipeline", documents=len(documents)
         ) as pipeline_span:
             annotated, contextualized, facet_terms, hierarchies = self._run_stages(
                 documents, timings, obs
@@ -283,43 +264,17 @@ class FacetExtractor:
         list[FacetTermCandidate],
         list[FacetHierarchy],
     ]:
-        prefetcher = self._start_prefetcher()
-        on_important = None
-        if prefetcher is not None:
+        with obs.tracer.span("stage:annotation") as span:
+            start = time.perf_counter()
+            annotated = annotate_database(documents, self._extractors)
+            timings.annotation = time.perf_counter() - start
+            span.add("documents", len(documents))
 
-            def on_important(chunk_result: list[tuple[str, list[str]]]) -> None:
-                terms: list[str] = []
-                for _doc_id, important in chunk_result:
-                    terms.extend(important)
-                prefetcher.submit(terms)
-
-        try:
-            with obs.tracer.span("stage:annotation") as span:
-                start = time.perf_counter()
-                annotated = annotate_database(
-                    documents,
-                    self._extractors,
-                    self._parallel,
-                    obs=obs,
-                    on_important=on_important,
-                )
-                timings.annotation = time.perf_counter() - start
-                span.add("documents", len(documents))
-
-            with obs.tracer.span("stage:contextualization") as span:
-                start = time.perf_counter()
-                contextualized = contextualize(
-                    annotated, self._resources, self._parallel, obs=obs
-                )
-                timings.contextualization = time.perf_counter() - start
-                span.add("documents", len(documents))
-        finally:
-            # Drain after contextualization: still-running warm-ups are
-            # coalesced with main-path queries by single-flight, and the
-            # prefetcher's private metrics merge into the run exactly
-            # once regardless of scheduling.
-            if prefetcher is not None:
-                prefetcher.drain(into=obs.metrics)
+        with obs.tracer.span("stage:contextualization") as span:
+            start = time.perf_counter()
+            contextualized = contextualize(annotated, self._resources)
+            timings.contextualization = time.perf_counter() - start
+            span.add("documents", len(documents))
 
         with obs.tracer.span("stage:selection") as span:
             start = time.perf_counter()

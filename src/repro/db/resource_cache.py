@@ -3,7 +3,7 @@
 The paper recommends performing term and context extraction offline
 (Section V-D); this store is what makes that practical at scale.  Every
 distinct ``(namespace, term)`` expansion is written once and reused by
-every worker of the current run *and* by every later run pointed at the
+the rest of the current run *and* by every later run pointed at the
 same file — the Datasette-style "SQLite as a shared cache" pattern.
 
 Design points:

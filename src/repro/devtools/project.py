@@ -14,7 +14,7 @@ Resolution strategy (purely static, never imports the analyzed code):
 
 1. bare names — a function defined in the same module, else whatever
    the module's :class:`~repro.devtools.imports.ImportTracker` binds;
-2. dotted names whose head is an import binding (``parallel.map_chunks``);
+2. dotted names whose head is an import binding (``annotate.merge_important``);
 3. ``self.method()`` / ``cls.method()`` inside a class body — resolved
    against the class and its project-local base classes (nearest
    definition wins, mirroring the MRO for single inheritance);

@@ -39,6 +39,10 @@ class ArtifactDamagedError(StorageError):
     """An open index artifact's file no longer reads as its database."""
 
 
+class IndexClosedError(StorageError):
+    """An index artifact was queried after it was closed."""
+
+
 class HierarchyError(ReproError):
     """A facet hierarchy could not be constructed or navigated."""
 

@@ -7,13 +7,13 @@ after any sequence of :meth:`~IncrementalExtractor.append` calls, the
 selected facet terms and hierarchies are **byte-for-byte identical** to
 a from-scratch :meth:`FacetExtractor.run` on the union corpus.  The
 differential harness in ``tests/test_incremental_equivalence.py``
-enforces this across batch schedules and worker counts.
+enforces this across batch schedules.
 
 The contract is met by construction, not by luck — every stage calls
 the code the batch pipeline runs, never a copy of it:
 
-* Step 1 statistics run the batch pass's chunk worker
-  (:func:`repro.core.annotate._columnar_stats_chunk`) and update the
+* Step 1 statistics count the batch statistics pass's terms
+  (:func:`repro.text.phrases.document_terms`) and update the
   state's original :class:`~repro.core.columnar.ColumnarVocabulary` in
   place, which keeps the background the Yahoo extractor adopted
   permanently current.
@@ -72,10 +72,9 @@ import time
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
-from ..core.annotate import _columnar_stats_chunk, merge_important, text_memo_scope
+from ..core.annotate import merge_important
 from ..core.contextualize import assemble_databases, expand_documents
 from ..core.hierarchy import FacetHierarchy, hierarchies_from_postings
 from ..core.pipeline import FacetExtractionResult, FacetExtractor
@@ -86,8 +85,8 @@ from ..extractors.significant_terms import SignificantTermsExtractor
 from ..observability import Observability
 from ..observability import names as obs_names
 from ..observability.logging import get_logger
-from ..parallel import chunked, map_chunks
-from ..text.interning import MemoizedChunk
+from ..text.interning import TextMemo, use_text_memo
+from ..text.phrases import document_terms
 from .checkpoint import CheckpointStore, StateMark
 from .state import DocumentState, IncrementalState
 
@@ -109,18 +108,6 @@ class IncrementalBatchReport:
     seconds: float
 
 
-def _annotate_chunk(
-    extractors: list[TermExtractor], documents: list[Document]
-) -> list[tuple[str, list[list[str]]]]:
-    """Per-chunk Step 1 worker for *new* documents: the per-extractor
-    outputs of each (the stream keeps them apart to re-score and
-    re-merge them later)."""
-    return [
-        (document.doc_id, [extractor.extract(document) for extractor in extractors])
-        for document in documents
-    ]
-
-
 class IncrementalExtractor:
     """Append-only facet extraction with the batch pipeline's results.
 
@@ -128,8 +115,8 @@ class IncrementalExtractor:
     ----------
     pipeline:
         A configured (ideally freshly built) batch pipeline; its
-        extractors, resources, selection settings and parallel/
-        observability configuration are all honoured.  Its only
+        extractors, resources, selection settings and observability
+        configuration are all honoured.  Its only
         corpus-dependent extractor may be a
         :class:`~repro.extractors.significant_terms.SignificantTermsExtractor`;
         any other extractor that overrides ``use_background`` raises
@@ -396,42 +383,32 @@ class IncrementalExtractor:
         Statistics land first so the shared background vocabulary is the
         full union *before* any extractor scores a document — the exact
         two-pass order of :func:`repro.core.annotate.annotate_database`,
-        with its memo placement: each new document is tokenized once.
+        under one memo around both passes: each new document is
+        tokenized once.  The per-extractor outputs are kept apart, to
+        re-score and re-merge them later.
         """
         state = self._state
-        parallel = self._pipeline.parallel
+        extractors = self._pipeline.extractors
         touched: set[int] = set()
-        run_memo, initializer = text_memo_scope(parallel)
-        with run_memo, obs.tracer.span(
+        with use_text_memo(TextMemo()), obs.tracer.span(
             obs_names.SPAN_INCREMENTAL_ANNOTATION, documents=len(docs)
         ):
-            chunks = chunked(docs, max(1, parallel.resolve_chunk_size(len(docs))))
-            # The batch statistics pass's own worker: the same
-            # normalized terms, so the byte-identity contract holds.
-            stats: dict[str, list[str]] = {}
-            for chunk_result in map_chunks(
-                MemoizedChunk(_columnar_stats_chunk),
-                chunks,
-                parallel,
-                obs=obs,
-                initializer=initializer,
-            ):
-                for doc_id, normalized in chunk_result:
-                    stats[doc_id] = normalized
+            # The batch statistics pass's terms, so the byte-identity
+            # contract holds.
             for document in docs:
                 touched.update(
                     state.add_document(
-                        document, DocumentState(outputs=[]), stats[document.doc_id]
+                        document,
+                        DocumentState(outputs=[]),
+                        document_terms(document.text),
                     )
                 )
-            extract = MemoizedChunk(partial(_annotate_chunk, self._pipeline.extractors))
-            for chunk_result in map_chunks(
-                extract, chunks, parallel, obs=obs, initializer=initializer
-            ):
-                for doc_id, outputs in chunk_result:
-                    doc_state = state.doc_states[doc_id]
-                    doc_state.outputs = outputs
-                    doc_state.important = merge_important(outputs)
+            for document in docs:
+                doc_state = state.doc_states[document.doc_id]
+                doc_state.outputs = [
+                    extractor.extract(document) for extractor in extractors
+                ]
+                doc_state.important = merge_important(doc_state.outputs)
         return touched
 
     def _rescore(self, old_count: int, obs: Observability) -> list[int]:
@@ -504,8 +481,6 @@ class IncrementalExtractor:
                 [doc_state.important for doc_state in doc_states],
                 self._pipeline.resources,
                 state.interner,
-                self._pipeline.parallel,
-                obs,
             )
             for position, doc_state, (merged, context_ids) in zip(
                 positions, doc_states, expansions, strict=True

@@ -2,10 +2,10 @@
 
 Instrumented library code (resources, the selection/hierarchy stages)
 must not need a tracer or registry handle threaded through every call
-signature.  Instead the pipeline — and the batch engine, per work chunk
-— push the active :class:`~repro.observability.metrics.MetricsRegistry`
-and the active :class:`~repro.observability.tracing.Span` onto small
-thread-local stacks; leaf code reads them back with
+signature.  Instead the pipeline pushes the active
+:class:`~repro.observability.metrics.MetricsRegistry` and the active
+:class:`~repro.observability.tracing.Span` onto small thread-local
+stacks; leaf code reads them back with
 :func:`current_metrics` / :func:`current_span`.
 
 When nothing is pushed (observability disabled, or code running outside

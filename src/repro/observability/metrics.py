@@ -9,10 +9,8 @@ A :class:`MetricsRegistry` is a thread-safe bag of named instruments:
 * **histograms** — fixed-bound bucket counts (``observe``), defaulting
   to latency-friendly bounds in seconds.
 
-Registries are **mergeable**:
-the batch engine gives every work chunk its own registry and merges
-them into the parent in submission order, so aggregate values never
-depend on worker scheduling.
+Registries are **mergeable**: a registry filled elsewhere folds into
+another with :meth:`MetricsRegistry.merge`.
 """
 
 from __future__ import annotations
@@ -182,9 +180,8 @@ class MetricsRegistry:
         """Fold another registry into this one.
 
         Counters/timers/histograms combine commutatively; gauges take
-        the other registry's value (last write wins), which is why the
-        batch engine merges chunk registries in **submission order** —
-        the result is then independent of worker scheduling.
+        the other registry's value (last write wins), so registries
+        merged in a fixed order give a fixed result.
         """
         with other._lock:
             counters = dict(other._counters)

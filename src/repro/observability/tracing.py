@@ -1,7 +1,7 @@
 """Tracing: nested spans over the pipeline's execution.
 
 A :class:`Span` covers one timed unit of work (the whole pipeline, one
-stage, one work chunk, one uncached resource call) and carries tags,
+stage, one resource batch, one served request) and carries tags,
 counters, and child spans.  A :class:`Tracer` opens spans as context
 managers, nesting them through a thread-local stack, and serializes the
 finished forest to a JSONL file (one span per line, pre-order, with
@@ -45,8 +45,8 @@ class Span:
     def begin(cls, name: str, **tags: object) -> "Span":
         """Open a span stamped with the wall clock, outside a tracer.
 
-        The sanctioned way for library code (worker chunks, resource
-        calls) to build a span by hand: the wall-clock read stays inside
+        The sanctioned way for library code (resource batches, served
+        requests) to build a span by hand: the wall-clock read stays inside
         the observability layer, so instrumented modules never touch
         ``time.time()`` themselves.  Pair with :meth:`finish`, and only
         call on a path already guarded by an active bundle/parent span —
@@ -121,8 +121,8 @@ class Tracer:
     Spans opened on the same thread nest automatically (the active span
     is kept on the shared observability context stack, so instrumented
     library code can attach children without holding a tracer
-    reference).  Spans built elsewhere — e.g. chunk spans measured
-    on pool threads — are grafted in with :meth:`attach`.
+    reference).  Spans built by hand — e.g. a served request's span,
+    finished after its response — are grafted in with :meth:`attach`.
     """
 
     enabled = True

@@ -15,7 +15,7 @@ plus :class:`CompositeResource` which unions several resources (the
 """
 
 from .base import ExternalResource, ResourceName
-from .engine import ResourcePrefetcher, SingleFlight
+from .engine import SingleFlight
 from .google import GoogleResource
 from .wordnet_hypernyms import WordNetHypernymResource
 from .wiki_graph import WikipediaGraphResource
@@ -33,7 +33,6 @@ from .resilience import FlakyResource, ResilientResource, SimulatedLatencyResour
 __all__ = [
     "ExternalResource",
     "ResourceName",
-    "ResourcePrefetcher",
     "SingleFlight",
     "GoogleResource",
     "WordNetHypernymResource",

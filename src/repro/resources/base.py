@@ -10,9 +10,9 @@ Caching is two-tier:
 * an **in-process LRU** (bounded, thread-safe) answers the hot repeats
   within a run;
 * an optional **persistent tier** (any :class:`PersistentTier`,
-  attached via :meth:`ExternalResource.attach_cache`): the shared SQLite
+  attached via :meth:`ExternalResource.attach_cache`): the SQLite
   store :class:`~repro.db.resource_cache.PersistentResourceCache` is
-  shared across worker threads and across runs, so a warm
+  shared across runs and pipelines, so a warm
   cache file makes remote expansion essentially free; a stream's
   checkpoint keeps the answers its run directory already paid for
   (:class:`~repro.incremental.checkpoint.CheckpointAnswers`).
@@ -31,10 +31,12 @@ Every lookup goes through one **batched query engine**;
   :meth:`PersistentTier.put_many` write-back.  ``query_many`` defaults
   to looping :meth:`_query`; resources with a natural bulk lookup override it and answer a single
   term through it too, so each has one lookup body;
-* concurrent workers asking for the same fresh ``(namespace, term)``
-  are **single-flight coalesced** — exactly one performs the query,
-  the rest wait for its cached answer instead of re-paying the round
-  trip (see :class:`~repro.resources.engine.SingleFlight`);
+* the pipeline asks each resource one batch per engine pass, from one
+  thread of control; a caller that shares a resource across threads
+  still gets **single-flight coalescing** of the same fresh
+  ``(namespace, term)`` — exactly one thread performs the query, the
+  rest wait for its cached answer instead of re-paying the round trip
+  (see :class:`~repro.resources.engine.SingleFlight`);
 * an answer a wrapper marks as degraded (see
   :mod:`repro.resources.resilience`) stays out of the persistent tier
   of its own engine and of every engine answering through it.
@@ -106,7 +108,7 @@ def validate_context_terms(raw: "list[str] | tuple[str, ...]") -> tuple[str, ...
     corpus/graph produced; before such a response is written to either
     cache tier it must be reduced to an immutable tuple of non-empty,
     whitespace-trimmed strings — a poisoned entry would be served to
-    every later reader of that term, across workers and (for the
+    every later reader of that term, within the run and (for the
     persistent tier) across runs.  This is the sanitizer the FLOW001
     lint rule requires on every path from ``_query`` to a cache write.
     """
@@ -392,7 +394,7 @@ class ExternalResource(abc.ABC):
         The default loops :meth:`_query`; subclasses whose backend has a
         natural bulk lookup (the Wikipedia graph/synonym substrates,
         WordNet, or a remote API with a batch endpoint) override this so
-        a whole chunk's terms cost one backend pass instead of one round
+        a whole batch of terms costs one backend pass instead of one round
         trip each, and define :meth:`_query` as a one-term call into
         it.  Implementations must return exactly one answer list per
         input term, in order.

@@ -14,7 +14,7 @@ module makes the pipeline robust to that:
 * :class:`SimulatedLatencyResource` — a wrapper that sleeps per
   uncached query, modelling the remote round trip the paper measured
   (the ``extract-remote`` workload of ``bench/`` puts every resource
-  behind one to time batching, pooled workers and the SQLite cache).
+  behind one to time batching and the SQLite cache).
 
 All wrappers compose with the shared two-tier cache: they answer under
 the *inner* resource's cache namespace (their answers are the inner
@@ -141,9 +141,9 @@ class SimulatedLatencyResource(ExternalResource):
     """Adds a fixed per-query sleep, modelling a remote round trip.
 
     Cache hits (either tier) skip the sleep — exactly the behaviour that
-    makes the offline/warm-cache deployment of Section V-D attractive —
-    and sleeping releases the GIL, so a thread-backed worker pool
-    overlaps the simulated round trips of different documents.
+    makes the offline/warm-cache deployment of Section V-D attractive.
+    A bulk :meth:`query_many` sleeps once per batch, so the pipeline's
+    one batch per engine pass costs one round trip.
     """
 
     def __init__(

@@ -26,7 +26,10 @@ statement still running when the budget expires, and any builder that
 returns past the budget is answered the same way: 503.  The scope also
 reports an artifact damaged under the live server (truncated or
 overwritten): a query that meets the damage answers 503, and from then
-on ``/healthz`` answers 503 with ``"status": "damaged"``.  Row counts are
+on ``/healthz`` answers 503 with ``"status": "damaged"``.  ``/healthz``
+also compares the file's size with its page count (a backend's
+``check_size``), so it reports a truncation before any data route meets
+it.  An index closed under the app answers 503 too.  Row counts are
 clamped to ``max_limit`` (exceeded → 400), and data responses carry an
 ETag derived from the artifact checksum plus ``Cache-Control`` so
 conditional requests short-circuit to 304 without touching the backend.
@@ -42,7 +45,12 @@ from functools import partial
 from urllib.parse import parse_qs, unquote
 
 from ..config import ServingConfig
-from ..errors import ArtifactDamagedError, HierarchyError, StorageError
+from ..errors import (
+    ArtifactDamagedError,
+    HierarchyError,
+    IndexClosedError,
+    StorageError,
+)
 from ..observability import DISABLED, Observability, Span
 from ..observability import names as obs_names
 from ..observability.logging import get_logger
@@ -52,6 +60,10 @@ log = get_logger(__name__)
 
 _JSON = "application/json; charset=utf-8"
 _HTML = "text/html; charset=utf-8"
+
+#: The 503 message for an index closed under the app (no file path: the
+#: body must not reveal the server's layout).
+_CLOSED = "index is closed"
 
 
 class _BadRequest(Exception):
@@ -68,7 +80,9 @@ class FacetApp:
     expose ``deadline(seconds)``, a context manager that stops its
     queries once the time budget is spent by raising
     :class:`TimeoutError`, and that reports a damaged artifact by raising
-    :class:`~repro.errors.ArtifactDamagedError`.
+    :class:`~repro.errors.ArtifactDamagedError`; and ``check_size()``,
+    an O(1) probe ``/healthz`` runs that raises the same error for a
+    file whose size no longer matches its database.
     """
 
     def __init__(
@@ -84,6 +98,7 @@ class FacetApp:
         self._checksum: str | None = getattr(browser, "checksum", None)
         # nullcontext(seconds) is a scope that interrupts nothing.
         self._deadline = getattr(browser, "deadline", contextlib.nullcontext)
+        self._check_size = getattr(browser, "check_size", None)
         # Why the artifact stopped reading, once a query found it damaged.
         self._damage: str | None = None
 
@@ -195,6 +210,8 @@ class FacetApp:
         except ArtifactDamagedError as exc:
             self._mark_damaged(exc)
             return self._error(503, str(exc), wants_html)
+        except IndexClosedError:
+            return self._error(503, _CLOSED, wants_html)
         except (HierarchyError, StorageError) as exc:
             return self._error(404, str(exc), wants_html)
         if over_budget:
@@ -262,11 +279,13 @@ class FacetApp:
             try:
                 # An infinite budget: the probe is never cut short.
                 with self._deadline(math.inf):
+                    if self._check_size is not None:
+                        self._check_size()
                     facet_count = len(self._browser.facet_names())
             except ArtifactDamagedError as exc:
                 self._mark_damaged(exc)
-            except StorageError as exc:  # the index was closed under the app
-                return self._error(503, str(exc), wants_html=False)
+            except IndexClosedError:
+                return self._error(503, _CLOSED, wants_html=False)
         if self._damage is not None:
             status = 503
             payload.update(status="damaged", error=self._damage)

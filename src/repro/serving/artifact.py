@@ -54,7 +54,12 @@ from ..core.subsumption import position_bitmap
 from ..db.inverted_index import InvertedIndex, Posting
 from ..db.search import BM25Searcher
 from ..db.store import DOCUMENT_COLUMNS, DocumentStore, document_from_row, document_to_row
-from ..errors import ArtifactDamagedError, HierarchyError, StorageError
+from ..errors import (
+    ArtifactDamagedError,
+    HierarchyError,
+    IndexClosedError,
+    StorageError,
+)
 from ..observability.logging import get_logger
 from ..text.tokenizer import normalize_term
 
@@ -393,13 +398,13 @@ class FacetIndex:
         with self._conn_lock:
             if self._closed:
                 connection.close()
-                raise StorageError(f"index at {self._path!r} is closed")
+                raise IndexClosedError(f"index at {self._path!r} is closed")
             self._connections.append(connection)
         self._local.connection = connection
 
     def _connection(self) -> sqlite3.Connection:
         if self._closed:
-            raise StorageError(f"index at {self._path!r} is closed")
+            raise IndexClosedError(f"index at {self._path!r} is closed")
         connection = getattr(self._local, "connection", None)
         if connection is None:
             connection = sqlite3.connect(
@@ -461,6 +466,26 @@ class FacetIndex:
             raise ArtifactDamagedError(f"index artifact is damaged: {exc}") from exc
         finally:
             connection.set_progress_handler(None, 0)
+
+    def check_size(self) -> None:
+        """Raise :class:`~repro.errors.ArtifactDamagedError` when the file
+        is no longer as long as its database (``page_count`` ×
+        ``page_size``): a truncated or extended artifact, caught in O(1)
+        without reading a data page.  Run it inside :meth:`deadline`."""
+        connection = self._connection()
+        (page_count,) = connection.execute("PRAGMA page_count").fetchone()
+        (page_size,) = connection.execute("PRAGMA page_size").fetchone()
+        try:
+            size = os.path.getsize(self._path)
+        except OSError as exc:
+            raise ArtifactDamagedError(
+                f"index artifact is damaged: {exc.strerror}"
+            ) from exc
+        if size != page_count * page_size:
+            raise ArtifactDamagedError(
+                f"index artifact is damaged: {size} bytes on disk, "
+                f"{page_count} pages of {page_size} bytes expected"
+            )
 
     # -- metadata -----------------------------------------------------------------
 

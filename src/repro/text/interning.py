@@ -3,26 +3,27 @@
 Steps 1–2 call the pure text functions — :func:`tokenize`,
 :func:`sentences`, :func:`normalize_term` — many times on the same
 inputs: the stats pass and every extractor re-tokenize each document,
-and every merge re-normalizes the same surface forms.  The per-chunk
-workers activate a :class:`TextMemo` that memoizes those functions per
-distinct input string.  Memoizing a pure function cannot change any
-output byte — only how often the regex engine runs.
+and every merge re-normalizes the same surface forms.  Each pass
+activates one :class:`TextMemo` (:func:`use_text_memo`) that memoizes
+those functions per distinct input string: one around both Step 1
+passes, one around Step 2's term resolution.  Memoizing a pure
+function cannot change any output byte — only how often the regex
+engine runs.
 
 Call sites import the module-level wrappers below instead of the raw
 :mod:`repro.text.tokenizer` functions; with no active memo (a direct
-call outside any chunk worker) they delegate straight through.
+call outside any pass) they delegate straight through.
 
-The memo is deliberately context-local (a :class:`contextvars.ContextVar`
-set inside the chunk worker): thread-pool chunks never share a dict, so
+The memo is context-local (a :class:`contextvars.ContextVar`), so a
+caller on another thread never sees, or writes into, a pass's memo and
 no locking is needed anywhere.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Generic, TypeVar
 
 from .stopwords import STOPWORDS
 from .tokenizer import _WORD_RE, Token
@@ -30,8 +31,6 @@ from .tokenizer import normalize_term as _raw_normalize_term
 from .tokenizer import sentences as _raw_sentences
 from .tokenizer import tokenize as _raw_tokenize
 from .vocabulary import TermInterner
-
-R = TypeVar("R")
 
 
 class SentenceColumns:
@@ -70,7 +69,7 @@ class SentenceColumns:
 
 
 class TextMemo:
-    """Per-chunk memo tables over the pure text functions.
+    """Per-pass memo tables over the pure text functions.
 
     Holds a :class:`~repro.text.vocabulary.TermInterner` (which memoizes
     normalization and assigns term ids) plus tokenization/sentence
@@ -118,52 +117,12 @@ def active_memo() -> TextMemo | None:
 
 @contextmanager
 def use_text_memo(memo: TextMemo) -> Iterator[TextMemo]:
-    """Activate ``memo`` for the current context (chunk worker scope)."""
+    """Activate ``memo`` for the current context (one pass's scope)."""
     token = _ACTIVE.set(memo)
     try:
         yield memo
     finally:
         _ACTIVE.reset(token)
-
-
-class MemoizedChunk(Generic[R]):
-    """Wrapper running a chunk worker under a TextMemo.
-
-    The columnar data plane wraps every per-chunk worker with this: the
-    chunk's text functions are memoized against one private memo, which
-    dies with the chunk.  ContextVars do not propagate into pool
-    threads, so activation must happen *inside* the worker — which this
-    wrapper guarantees.
-
-    When a memo is already active — an inline run wrapped the whole
-    pass, or a pool worker armed a persistent memo via
-    :func:`install_worker_memo` — the chunk reuses it instead of
-    shadowing it, so tokenizations survive across chunks and across the
-    statistics/extraction passes.
-    """
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn: Callable[[list], R]) -> None:
-        self._fn = fn
-
-    def __call__(self, chunk: list) -> R:
-        if _ACTIVE.get() is not None:
-            return self._fn(chunk)
-        with use_text_memo(TextMemo()):
-            return self._fn(chunk)
-
-
-def install_worker_memo() -> None:
-    """Pool initializer: arm a persistent :class:`TextMemo` in a worker.
-
-    Runs once per pool thread, so every chunk the worker executes
-    shares one memo and a document tokenized for the statistics pass is
-    still cached when the extraction pass lands on the same worker.  The memo's lifetime is the pool's lifetime; its
-    size is bounded by the corpus the pool processes.
-    """
-    if _ACTIVE.get() is None:
-        _ACTIVE.set(TextMemo())
 
 
 def tokenize(text: str) -> list[Token]:

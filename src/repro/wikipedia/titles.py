@@ -61,8 +61,8 @@ class TitleMatcher:
     def matches(self, text: str) -> list[TitleMatch]:
         """All non-overlapping longest title matches in ``text``.
 
-        With an active text memo (every pipeline chunk worker runs under
-        one) the scan runs :meth:`_matches_fast`; without one — a direct
+        With an active text memo (every pipeline pass runs under one)
+        the scan runs :meth:`_matches_fast`; without one — a direct
         call — it runs the plain scan below.  Both return identical
         matches (pinned by ``tests/test_columnar.py``).
         """

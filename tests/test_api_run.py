@@ -63,7 +63,11 @@ class TestRunConfigRouting:
     def test_flat_kwargs_build_config(self, small_corpus):
         documents = list(small_corpus.documents)
         result = repro.run(
-            documents, scale=0.05, seed=7, workers=2, build_hierarchies=False
+            documents,
+            scale=0.05,
+            seed=7,
+            memory_cache_size=1024,
+            build_hierarchies=False,
         )
         assert result.facet_terms
 
@@ -71,17 +75,22 @@ class TestRunConfigRouting:
         documents = list(small_corpus.documents)
         explicit = repro.run(
             documents,
-            config=ReproConfig(scale=0.05, parallel=ParallelConfig(workers=2)),
+            config=ReproConfig(
+                scale=0.05, parallel=ParallelConfig(memory_cache_size=1024)
+            ),
             build_hierarchies=False,
         )
         flat = repro.run(
-            documents, scale=0.05, workers=2, build_hierarchies=False
+            documents, scale=0.05, memory_cache_size=1024, build_hierarchies=False
         )
         assert flat.facet_term_strings() == explicit.facet_term_strings()
 
     def test_unknown_kwarg_rejected(self, small_corpus):
         with pytest.raises(TypeError, match="nope"):
             repro.run(small_corpus, nope=1)
+        # Steps 1-2 run in one thread of control: no worker knob.
+        with pytest.raises(TypeError, match="workers"):
+            repro.run(small_corpus, workers=2)
 
     def test_config_and_kwargs_conflict(self, small_config, small_corpus):
         with pytest.raises(TypeError, match="not both"):
@@ -91,8 +100,8 @@ class TestRunConfigRouting:
         with pytest.raises(TypeError, match="not both"):
             repro.run(
                 small_corpus,
-                parallel=ParallelConfig(workers=2),
-                workers=2,
+                parallel=ParallelConfig(),
+                memory_cache_size=1024,
             )
 
     def test_builder_knobs(self, small_config, small_corpus):

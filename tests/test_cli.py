@@ -135,13 +135,11 @@ class TestCli:
 @pytest.mark.parametrize(
     ("argv", "env_scale", "code", "message"),
     [
-        (["extract", "--workers", "0"], None, 2, "workers must be >= 1"),
-        (["extract", "--chunk-size", "0"], None, 2, "chunk_size must be >= 1"),
         (["serve", "--limit", "0", "{tmp}/x.idx"], None, 2, "default_limit"),
         (["extract"], "abc", 2, "REPRO_SCALE must be a number"),
         (["serve", "{tmp}/missing.idx"], None, 1, "no index artifact"),
     ],
-    ids=["workers-0", "chunk-size-0", "serve-limit-0", "bad-scale", "missing-index"],
+    ids=["serve-limit-0", "bad-scale", "missing-index"],
 )
 def test_project_errors_exit_cleanly(
     argv, env_scale, code, message, capsys, monkeypatch, tmp_path
@@ -183,7 +181,7 @@ class TestCliSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert "EXP-T1" in proc.stdout
 
-    def test_extract_parallel_with_trace_and_metrics(self, tmp_path):
+    def test_extract_with_trace_and_metrics(self, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         proc = _run_cli(
             "--scale",
@@ -191,8 +189,6 @@ class TestCliSubprocess:
             "extract",
             "--top",
             "5",
-            "--workers",
-            "2",
             "--trace-out",
             str(trace_path),
             "--metrics",
@@ -208,7 +204,8 @@ class TestCliSubprocess:
         assert records[0]["name"] == "pipeline"
         assert records[0]["parent"] is None
         names = {record["name"] for record in records}
-        assert "chunk" in names  # worker spans made it into the trace
+        # Resource batches nest straight under their stage.
+        assert any(name.startswith("resource:") for name in names)
 
         trace_proc = _run_cli("trace", str(trace_path))
         assert trace_proc.returncode == 0, trace_proc.stderr

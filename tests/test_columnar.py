@@ -394,7 +394,7 @@ class TestTextLayerLemmas:
     """The equivalences the columnar fast paths are built on."""
 
     def test_document_terms_are_normalize_fixed_points(self):
-        """_columnar_stats_chunk may skip normalization entirely."""
+        """The statistics pass may skip normalization entirely."""
         terms = document_terms(DOC.text)
         assert terms  # non-trivial input
         for term in terms:

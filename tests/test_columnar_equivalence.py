@@ -6,10 +6,9 @@ dict-of-strings reference it replaced.  That reference's output is
 checked in as a digest (:mod:`tests.golden`), and this module certifies
 it across:
 
-* worker counts {1, 4} (pool threads share the adopted background
-  vocabulary);
+* the batch run;
 * incremental appends (the columnar memo also runs under the
-  incremental extractor's chunk workers);
+  incremental extractor's Step 1 passes);
 * the serving artifact: the SQLite payload compiled from a run must
   carry the recorded content checksum.
 
@@ -50,11 +49,10 @@ def docs(col_config: ReproConfig):
 
 
 class TestColumnarDifferential:
-    @pytest.mark.parametrize("workers", [1, 4])
     def test_columnar_matches_across_workers_and_query_modes(
-        self, col_builder, docs, workers
+        self, col_builder, docs
     ):
-        col_builder.with_parallel(ParallelConfig(workers=workers))
+        col_builder.with_parallel(ParallelConfig())
         result = col_builder.build().run(docs)
         assert result_digest(result) == GOLDEN_RESULT_SHA256
         # The run must actually have produced the id columns.
@@ -62,7 +60,7 @@ class TestColumnarDifferential:
         assert len(result.annotated.columns) == len(docs)
 
     def test_incremental_append_matches(self, col_builder, docs):
-        col_builder.with_parallel(ParallelConfig(workers=2))
+        col_builder.with_parallel(ParallelConfig())
         extractor = col_builder.build_incremental()
         extractor.append(docs[:17])
         extractor.append(docs[17:])
@@ -70,7 +68,7 @@ class TestColumnarDifferential:
 
     def test_serving_artifact_checksum_matches(self, col_builder, docs, tmp_path):
         """The compiled serving payload is identical, byte for byte."""
-        col_builder.with_parallel(ParallelConfig(workers=4))
+        col_builder.with_parallel(ParallelConfig())
         result = col_builder.build().run(docs)
         with FacetIndex.build(result, path=str(tmp_path / "index.db")) as index:
             assert index.checksum == GOLDEN_INDEX_CHECKSUM

@@ -113,12 +113,11 @@ def schedule(key: int, docs: list) -> list[list]:
 
 
 class TestDifferentialEquivalence:
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("batches", [1, 2, 5])
     def test_every_schedule_and_mode_matches_full_recompute(
-        self, inc_builder, docs, baseline, batches, workers
+        self, inc_builder, docs, baseline, batches
     ):
-        inc_builder.with_parallel(ParallelConfig(workers=workers))
+        inc_builder.with_parallel(ParallelConfig())
         extractor = inc_builder.build_incremental()
         for batch in schedule(batches, docs):
             extractor.append(batch)
@@ -132,7 +131,7 @@ class TestDifferentialEquivalence:
     ):
         """The snapshot's columns feed the batch hierarchy stage the
         same document sets the stream's maintained postings do."""
-        inc_builder.with_parallel(ParallelConfig(workers=1))
+        inc_builder.with_parallel(ParallelConfig())
         extractor = inc_builder.build_incremental()
         for batch in schedule(5, docs):
             extractor.append(batch)
@@ -153,7 +152,7 @@ class TestDifferentialEquivalence:
         cuts = sorted(rng.sample(range(1, len(docs)), 3))
         bounds = [0, *cuts, len(docs)]
         batches = [docs[a:b] for a, b in zip(bounds, bounds[1:])]
-        inc_builder.with_parallel(ParallelConfig(workers=1))
+        inc_builder.with_parallel(ParallelConfig())
         extractor = inc_builder.build_incremental()
         for batch in batches:
             extractor.append(batch)
@@ -163,7 +162,7 @@ class TestDifferentialEquivalence:
         self, inc_builder, docs, baseline
     ):
         """Serialize mid-stream, rebuild, keep appending — same bytes."""
-        inc_builder.with_parallel(ParallelConfig(workers=1))
+        inc_builder.with_parallel(ParallelConfig())
         extractor = inc_builder.build_incremental()
         extractor.append(docs[:20])
         restored_state = IncrementalState.from_payload(
@@ -212,7 +211,7 @@ class TestRestoreDifferential:
     def test_restore_after_every_append_matches_the_payload_rebuild(
         self, inc_builder, docs, tmp_path, every
     ):
-        inc_builder.with_parallel(ParallelConfig(workers=1))
+        inc_builder.with_parallel(ParallelConfig())
         extractor = IncrementalExtractor(
             inc_builder.build(),
             checkpoint=CheckpointStore(tmp_path),
@@ -241,7 +240,7 @@ class TestRestoreDifferential:
     ):
         """Outside the selection and hierarchy rebuild (the exact output
         path, whose edge validator normalizes), a restore works on ids."""
-        inc_builder.with_parallel(ParallelConfig(workers=1))
+        inc_builder.with_parallel(ParallelConfig())
         IncrementalExtractor(
             inc_builder.build(), checkpoint=CheckpointStore(tmp_path)
         ).append(docs[:30])
@@ -288,7 +287,7 @@ class TestRestoreDifferential:
         assert "normalize_term" in calls and "intern_many" in calls
 
     def test_restore_is_one_span_over_its_rebuild(self, inc_builder, docs, tmp_path):
-        inc_builder.with_parallel(ParallelConfig(workers=1))
+        inc_builder.with_parallel(ParallelConfig())
         extractor = IncrementalExtractor(
             inc_builder.build(), checkpoint=CheckpointStore(tmp_path)
         )
@@ -319,7 +318,7 @@ class TestConfigurationEquivalence:
 
     @pytest.fixture(params=["chi-square", "frequency-shift-only"])
     def ablated_builder(self, request, inc_builder):
-        inc_builder.with_parallel(ParallelConfig(workers=1))
+        inc_builder.with_parallel(ParallelConfig())
         if request.param == "chi-square":
             inc_builder.with_statistic("chi-square")
         else:
@@ -385,7 +384,7 @@ class TestAppendSemantics:
     def test_duplicate_doc_id_rejected_across_and_within_batches(
         self, inc_builder, docs
     ):
-        inc_builder.with_parallel(ParallelConfig(workers=1))
+        inc_builder.with_parallel(ParallelConfig())
         extractor = inc_builder.build_incremental()
         extractor.append(docs[:2])
         with pytest.raises(ValueError, match="duplicate document id"):
@@ -396,7 +395,7 @@ class TestAppendSemantics:
         assert extractor.document_count == 2
 
     def test_batch_report_accounts_for_the_batch(self, inc_builder, docs):
-        inc_builder.with_parallel(ParallelConfig(workers=1))
+        inc_builder.with_parallel(ParallelConfig())
         extractor = inc_builder.build_incremental()
         first = extractor.append(docs[:10], batch_id="first")
         assert first.batch_id == "first"
@@ -414,7 +413,7 @@ class TestAppendSemantics:
         """Step 1's statistics and extraction passes share one memo, as
         in the batch pipeline: 25 new stories, 25 sentence splits."""
         builder = FacetPipelineBuilder(inc_config)
-        builder.with_parallel(ParallelConfig(workers=1))
+        builder.with_parallel(ParallelConfig())
         extractor = IncrementalExtractor(builder.build())
         extractor.append(docs[:10])
         split: list[str] = []
@@ -429,7 +428,7 @@ class TestAppendSemantics:
         assert len(split) == 25
 
     def test_empty_batch_is_a_no_op_for_results(self, inc_builder, docs):
-        inc_builder.with_parallel(ParallelConfig(workers=1))
+        inc_builder.with_parallel(ParallelConfig())
         extractor = inc_builder.build_incremental()
         extractor.append(docs[:15])
         before = result_bytes(extractor.snapshot_result())
@@ -441,7 +440,7 @@ class TestAppendSemantics:
     def test_snapshot_result_is_isolated_from_live_state(
         self, inc_builder, docs
     ):
-        inc_builder.with_parallel(ParallelConfig(workers=1))
+        inc_builder.with_parallel(ParallelConfig())
         extractor = inc_builder.build_incremental()
         extractor.append(docs[:10])
         snapshot = extractor.snapshot_result()

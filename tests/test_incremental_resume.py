@@ -31,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.builder import FacetPipelineBuilder
-from repro.config import ParallelConfig, ReproConfig
+from repro.config import ReproConfig
 from repro.corpus import build_snyt
 from repro.core.export import to_dict
 from repro.core.pipeline import FacetExtractor
@@ -74,11 +74,9 @@ def docs(inc_config: ReproConfig):
     return build_snyt(inc_config).documents
 
 
-def build_pipeline(inc_config: ReproConfig, workers: int = 1):
+def build_pipeline(inc_config: ReproConfig):
     """A fresh pipeline per extractor — backgrounds bind on first use."""
-    builder = FacetPipelineBuilder(inc_config)
-    builder.with_parallel(ParallelConfig(workers=workers))
-    return builder.build()
+    return FacetPipelineBuilder(inc_config).build()
 
 
 def result_bytes(result) -> bytes:
@@ -181,7 +179,7 @@ import shutil
 import sys
 
 from repro.builder import FacetPipelineBuilder
-from repro.config import ParallelConfig, ReproConfig
+from repro.config import ReproConfig
 from repro.incremental import CheckpointStore, StreamSupervisor
 
 connect = CheckpointStore._connect
@@ -208,7 +206,6 @@ def kill_in_third_write(stage):
 
 
 builder = FacetPipelineBuilder(ReproConfig(scale=float(sys.argv[3])))
-builder.with_parallel(ParallelConfig(workers=1))
 supervisor = StreamSupervisor(builder.build(), run_dir, fault_hook=kill_in_third_write)
 supervisor.run(sys.argv[1])
 """
@@ -662,13 +659,12 @@ class TestCheckpointAnswers:
     for and serves them to a restored stream."""
 
     @pytest.fixture()
-    def archive(self, request, inc_config, docs, tmp_path):
+    def archive(self, inc_config, docs, tmp_path):
         """A run directory holding the first three batches, committed by
-        one full save, and the batches still to come.  An indirect
-        parameter sets the archiving stream's worker count (default 1)."""
+        one full save, and the batches still to come."""
         batches = split_into_batches(docs, BATCHES)
         store = CheckpointStore(tmp_path / "archive")
-        pipeline = build_pipeline(inc_config, getattr(request, "param", 1))
+        pipeline = build_pipeline(inc_config)
         extractor = IncrementalExtractor(
             pipeline, checkpoint=store, checkpoint_every=3
         )
@@ -686,13 +682,11 @@ class TestCheckpointAnswers:
         (resource,) = pipeline.resources
         return extractor, resource.cache_stats
 
-    @pytest.mark.parametrize("archive", [1, 2], indirect=True)
     def test_restored_stream_starts_warm(
         self, inc_config, baseline_bytes, archive, tmp_path, monkeypatch
     ):
         directory, feed, resolved = archive
-        # The one full save wrote every answer the archive resolved, as
-        # many with pool threads as serially.
+        # The one full save wrote every answer the archive resolved.
         stored = stored_answers(directory / "checkpoint.sqlite")
         assert len(stored) == resolved == ARCHIVE_ANSWERS
         cold = tmp_path / "cold"

@@ -1,4 +1,4 @@
-"""Batched single-flight query engine: coalescing, bulk I/O, prefetch.
+"""Batched single-flight query engine: coalescing, bulk I/O, round trips.
 
 Covers the engine added around the resource layer:
 
@@ -9,14 +9,13 @@ Covers the engine added around the resource layer:
   respect namespace isolation, chunk large key sets under SQLite's
   parameter limit, and upsert on conflict;
 * ``context_terms_many`` answers exactly like per-term
-  ``context_terms``, and batched contextualization reproduces the
-  recorded output of the per-term path at any worker count, and a
-  pooled rerun over a filled persistent store makes no round trip;
+  ``context_terms``, batched contextualization reproduces the recorded
+  output of the per-term path, and a rerun over a filled persistent
+  store makes no round trip;
+* a batch run, and one stream append, ask every remote member of the
+  composite exactly one batch;
 * the vectorized selection tables (``ShiftTables``,
-  ``LikelihoodTables``) reproduce the scalar reference bit for bit;
-* prefetch only warms caches — a 4-thread run, which prefetches,
-  reproduces the golden output of a serial run, which does not, and a
-  failing prefetch degrades to a logged counter.
+  ``LikelihoodTables``) reproduce the scalar reference bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import random
 import threading
 import time
 
-from repro.config import ParallelConfig, ReproConfig
+from repro.config import ReproConfig
 from repro.core.contextualize import contextualize
 from repro.core.likelihood import (
     LikelihoodTables,
@@ -39,14 +38,12 @@ from repro.corpus.datasets import DatasetName
 from repro.db.resource_cache import PersistentResourceCache
 from repro.errors import ResourceError
 from repro.incremental import canonical_json
-from repro.observability import MetricsRegistry, Observability
-from repro.parallel import map_chunks
-from repro.resources import ResourcePrefetcher, SingleFlight
+from repro.resources import SingleFlight
 from repro.resources.base import ExternalResource, ResourceName
 from repro.resources.resilience import SimulatedLatencyResource
 from repro.text.vocabulary import Vocabulary
 
-from .golden import GOLDEN_RESULT_SHA256, GOLDEN_SCALE, result_digest
+from .golden import GOLDEN_SCALE
 
 #: sha256 of the contextualized database (``context_terms`` plus sorted
 #: ``expanded_sets``) that the per-term reference path produced for the
@@ -263,24 +260,21 @@ class TestBatchedContextualization:
         }
         return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
-    def test_batched_equals_per_term_at_any_worker_count(self):
+    def test_batched_equals_per_term(self):
         """The per-term path's output is recorded as ``GOLDEN_CONTEXT_SHA256``."""
         config, builder, annotated = self._pipeline_pieces()
         from repro.resources.registry import build_resources
 
-        for workers in (1, 4):
-            resources = build_resources(
-                [ResourceName.WIKI_GRAPH, ResourceName.WORDNET],
-                builder.substrates,
-                config,
-            )
-            database = contextualize(
-                annotated, resources, ParallelConfig(workers=workers)
-            )
-            assert self._context_digest(database) == GOLDEN_CONTEXT_SHA256
+        resources = build_resources(
+            [ResourceName.WIKI_GRAPH, ResourceName.WORDNET],
+            builder.substrates,
+            config,
+        )
+        database = contextualize(annotated, resources)
+        assert self._context_digest(database) == GOLDEN_CONTEXT_SHA256
 
     def test_warm_persistent_cache_answers_without_round_trips(self, tmp_path):
-        """A pooled run over a filled store makes no remote round trip."""
+        """A rerun over a filled store makes no remote round trip."""
         config, builder, annotated = self._pipeline_pieces()
         from repro.resources.registry import build_resource
 
@@ -298,12 +292,12 @@ class TestBatchedContextualization:
             return wrapped
 
         cold = remote_resources()
-        database = contextualize(annotated, cold, ParallelConfig(workers=4))
+        database = contextualize(annotated, cold)
         assert self._context_digest(database) == GOLDEN_CONTEXT_SHA256
         assert all(resource.simulated_calls > 0 for resource in cold)
 
         warm = remote_resources()
-        database = contextualize(annotated, warm, ParallelConfig(workers=4))
+        database = contextualize(annotated, warm)
         assert self._context_digest(database) == GOLDEN_CONTEXT_SHA256
         for resource in warm:
             assert resource.simulated_calls == 0
@@ -345,90 +339,44 @@ class TestVectorizedSelection:
             )
 
 
-class TestPrefetch:
-    def test_pipeline_output_identical_with_prefetch_on_and_off(self):
-        """A prefetching 4-thread run reproduces the serial golden bytes."""
-        from repro.builder import FacetPipelineBuilder
+def _remote_pipeline(config: ReproConfig):
+    """The built pipeline with every composite member one (zero-latency)
+    remote hop away, plus the wrappers, which count round trips."""
+    from repro.builder import FacetPipelineBuilder
+    from repro.core.pipeline import FacetExtractor
+    from repro.resources.composite import CompositeResource
+
+    built = FacetPipelineBuilder(config).build()
+    (composite,) = built.resources
+    remote = [
+        SimulatedLatencyResource(member, latency_seconds=0.0)
+        for member in composite.members
+    ]
+    pipeline = FacetExtractor(
+        extractors=built.extractors,
+        resources=[CompositeResource(remote)],
+        edge_validator=built.edge_validator,
+    )
+    return pipeline, remote
+
+
+class TestRoundTrips:
+    """Steps 1–2 ask each resource one batch per engine pass."""
+
+    def test_batch_run_makes_one_round_trip_per_member(self):
+        config = ReproConfig(scale=GOLDEN_SCALE)
+        pipeline, remote = _remote_pipeline(config)
+        pipeline.run(build_corpus(DatasetName.SNYT, config).documents)
+        assert len(remote) == 4
+        assert [member.simulated_calls for member in remote] == [1] * len(remote)
+
+    def test_stream_append_makes_one_round_trip_per_member(self):
+        from repro.incremental import IncrementalExtractor
 
         config = ReproConfig(scale=GOLDEN_SCALE)
-        obs = Observability.enabled()
-        builder = FacetPipelineBuilder(config)
-        builder.with_parallel(ParallelConfig(workers=4)).with_observability(obs)
-        result = builder.build().run(build_corpus(DatasetName.SNYT, config).documents)
-        assert result_digest(result) == GOLDEN_RESULT_SHA256
-        assert obs.metrics.counters.get("prefetch.batches", 0) > 0
-
-    def test_pooled_run_builds_a_prefetcher(self, monkeypatch):
-        """Checked by construction: the hit/coalesced split of prefetched
-        terms depends on thread scheduling."""
-        from repro.builder import FacetPipelineBuilder
-        from repro.core import pipeline as pipeline_module
-
-        built: list[ResourcePrefetcher] = []
-        monkeypatch.setattr(
-            pipeline_module,
-            "ResourcePrefetcher",
-            lambda fetch: built.append(ResourcePrefetcher(fetch)) or built[-1],
-        )
-        config = ReproConfig(scale=GOLDEN_SCALE)
-        documents = build_corpus(DatasetName.SNYT, config).documents[:12]
-        for workers, expected in ((1, 0), (2, 1)):
-            builder = FacetPipelineBuilder(config)
-            builder.with_parallel(ParallelConfig(workers=workers))
-            builder.build().run(documents)
-            assert len(built) == expected, workers
-        assert built[0].batches_submitted > 0
-
-    def test_prefetcher_warms_cache_and_merges_metrics_once(self):
-        resource = SlowResource()
-        prefetcher = ResourcePrefetcher(
-            lambda terms: resource.context_terms_many(list(terms))
-        )
-        prefetcher.submit(["alpha", "beta"])
-        registry = MetricsRegistry()
-        prefetcher.drain(into=registry)
-        prefetcher.drain(into=registry)  # second drain is a no-op
-        assert resource.backend_queries == 2
-        assert registry.counters.get("prefetch.batches") == 1
-        assert registry.counters.get("prefetch.terms") == 2
-        # The warm-up means the main path is now a pure cache hit.
-        resource.context_terms("alpha")
-        assert resource.backend_queries == 2
-
-    def test_prefetch_errors_degrade_to_counter(self):
-        def boom(terms):
-            raise RuntimeError("warm-up failed")
-
-        prefetcher = ResourcePrefetcher(boom)
-        prefetcher.submit(["x"])
-        registry = MetricsRegistry()
-        prefetcher.drain(into=registry)
-        assert prefetcher.errors == 1
-        assert registry.counters.get("prefetch.errors") == 1
-
-    def test_submit_after_drain_is_noop(self):
-        prefetcher = ResourcePrefetcher(lambda terms: None)
-        prefetcher.drain()
-        prefetcher.submit(["late"])
-        assert prefetcher.batches_submitted == 0
-
-
-class TestCompletionHook:
-    def test_on_result_fires_per_chunk_serial_and_pooled(self):
-        chunks = [[1, 2], [3], [4, 5]]
-        for workers in (1, 3):
-            seen: list[int] = []
-            lock = threading.Lock()
-
-            def on_result(result: int) -> None:
-                with lock:
-                    seen.append(result)
-
-            totals = map_chunks(
-                sum,
-                chunks,
-                ParallelConfig(workers=workers),
-                on_result=on_result,
-            )
-            assert totals == [3, 3, 9]
-            assert sorted(seen) == [3, 3, 9]
+        pipeline, remote = _remote_pipeline(config)
+        extractor = IncrementalExtractor(pipeline)
+        documents = build_corpus(DatasetName.SNYT, config).documents
+        extractor.append(documents[:25], batch_id="first")
+        assert len(remote) == 4
+        assert [member.simulated_calls for member in remote] == [1] * len(remote)

@@ -7,7 +7,6 @@ import threading
 
 import pytest
 
-from repro.config import ParallelConfig
 from repro.core.annotate import annotate_database
 from repro.core.contextualize import contextualize
 from repro.db.resource_cache import PersistentResourceCache
@@ -133,34 +132,28 @@ def _annotate_sample(builder, snyt, count=20):
 
 
 class TestParallelResilience:
-    """Fault injection inside the worker pool (Steps 1-2 sharded)."""
+    """Fault injection inside Step 2's batched expansion."""
 
     def test_worker_failure_surfaces_no_partial_results(self, builder, snyt):
-        """A resource raising mid-chunk aborts the whole stage loudly."""
+        """A resource raising mid-batch aborts the whole stage loudly."""
         annotated = _annotate_sample(builder, snyt)
         always_down = FlakyResource(EchoResource(), error_rate=1.0)
         with pytest.raises(ResourceError):
-            contextualize(
-                annotated,
-                [always_down],
-                ParallelConfig(workers=2, chunk_size=3),
-            )
+            contextualize(annotated, [always_down])
 
     def test_intermittent_worker_failure_still_surfaces(self, builder, snyt):
-        """Even one failing chunk among many healthy ones propagates."""
+        """Even one failing query among many healthy ones propagates."""
         annotated = _annotate_sample(builder, snyt)
         flaky = FlakyResource(EchoResource(), error_rate=0.2, seed=5)
         with pytest.raises(ResourceError):
             for _ in range(50):  # the injected fault fires eventually
                 flaky.clear_cache()
-                contextualize(
-                    annotated, [flaky], ParallelConfig(workers=4, chunk_size=2)
-                )
+                contextualize(annotated, [flaky])
 
     def test_retry_wrapper_composes_with_pool_and_shared_cache(
         self, builder, snyt, tmp_path
     ):
-        """Retry/degrade inside the pool, backed by the persistent store."""
+        """Retry/degrade inside the batch, backed by the persistent store."""
         annotated = _annotate_sample(builder, snyt)
         store = PersistentResourceCache(str(tmp_path / "cache.db"))
 
@@ -170,9 +163,7 @@ class TestParallelResilience:
                 max_attempts=4,
             )
             resilient.attach_cache(store)
-            return resilient, contextualize(
-                annotated, [resilient], ParallelConfig(workers=3, chunk_size=2)
-            )
+            return resilient, contextualize(annotated, [resilient])
 
         resource, contextualized = run(error_rate=0.3, seed=11)
         assert resource.cache_stats.misses > 0

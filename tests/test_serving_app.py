@@ -363,6 +363,41 @@ class TestDamagedArtifact:
                     assert raw.recv(1024).startswith(b"HTTP/1.1 503")
         assert AsgiClient(FacetApp(damaged)).get("/healthz").status == 503  # closed
 
+    def test_healthz_catches_truncation_with_the_roots_cached(
+        self, builder, snyt, tmp_path
+    ):
+        """/healthz compares the file size with the page count, so it
+        reports a truncation no data route has met yet."""
+        result = builder.build().run(snyt.documents[:40])
+        path = tmp_path / "forty.idx"
+        with FacetIndex.build(result, path=str(path)) as index:
+            client = AsgiClient(FacetApp(index))
+            assert client.get("/facets").status == 200  # caches the roots
+            assert client.get("/healthz").json()["status"] == "ok"
+            os.truncate(path, path.stat().st_size // 3)
+            health = client.get("/healthz")
+            assert (health.status, health.json()["status"]) == (503, "damaged")
+
+
+class TestClosedIndex:
+    def test_closed_index_answers_503_without_its_path(self, index, interface, tmp_path):
+        path = tmp_path / "closed.idx"
+        shutil.copyfile(index.path, path)
+        closed = FacetIndex.open(str(path))
+        client = AsgiClient(FacetApp(closed))
+        term = interface.facet_names()[0]
+        assert client.get(f"/facets/{term}/children").status == 200
+        closed.close()
+        for route in ("/drilldown", "/healthz"):
+            response = client.get(route)
+            assert response.status == 503, route
+            assert str(path) not in response.body.decode("utf-8"), route
+            assert "closed" in response.json()["error"]["message"], route
+
+    def test_unknown_term_on_an_open_index_stays_404(self, client):
+        response = client.get("/facets/no-such-facet-term/children")
+        assert response.status == 404
+
 
 class TestHttpBridge:
     def test_socket_roundtrip_keepalive_and_etag(self, index):
