@@ -331,18 +331,17 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _format_resource_stats(stats: dict[str, ResourceStats]) -> str:
-    """Per-resource query-engine table: tier hits, coalescing, batches."""
+    """Per-resource query-engine table: tier hits, batches, misses."""
     lines = [
         "resource cache engines",
         f"  {'namespace':<44} {'lru%':>6} {'hit%':>6} "
-        f"{'coalesced':>9} {'wait s':>8} {'batches':>8} {'misses':>7}"
+        f"{'batches':>8} {'misses':>7}"
     ]
     for namespace in sorted(stats):
         s = stats[namespace]
         label = namespace if len(namespace) <= 44 else namespace[:41] + "..."
         lines.append(
             f"  {label:<44} {s.memory_hit_rate:>6.1%} {s.hit_rate:>6.1%} "
-            f"{s.coalesced_hits:>9} {s.coalesce_wait_seconds:>8.3f} "
             f"{s.batch_queries:>8} {s.misses:>7}"
         )
     return "\n".join(lines)

@@ -15,7 +15,6 @@ import time
 from .config import ParallelConfig, ReproConfig
 from .core.evidence import LinkEvidence
 from .core.pipeline import FacetExtractor
-from .db.resource_cache import PersistentResourceCache
 from .extractors.base import ExtractorName
 from .extractors.registry import build_extractors
 from .kb.world import World, build_world
@@ -65,7 +64,6 @@ class FacetPipelineBuilder:
         self._require_both_shifts = True
         self._build_hierarchies = True
         self._parallel = self.config.parallel
-        self._resource_cache: PersistentResourceCache | None = None
         self._observability: Observability | None = None
 
     # -- fluent configuration ----------------------------------------------------
@@ -106,7 +104,6 @@ class FacetPipelineBuilder:
     def with_parallel(self, parallel: ParallelConfig) -> "FacetPipelineBuilder":
         """Batch-execution settings (cache path, memory-tier bound)."""
         self._parallel = parallel
-        self._resource_cache = None
         return self
 
     def with_observability(
@@ -117,14 +114,6 @@ class FacetPipelineBuilder:
         return self
 
     # -- construction -------------------------------------------------------------
-
-    def _shared_resource_cache(self) -> PersistentResourceCache | None:
-        """Open the persistent cache once; every built pipeline shares it."""
-        if self._parallel.cache_path is None:
-            return None
-        if self._resource_cache is None:
-            self._resource_cache = PersistentResourceCache(self._parallel.cache_path)
-        return self._resource_cache
 
     def build(self) -> FacetExtractor:
         """Materialize the configured pipeline."""
@@ -154,7 +143,6 @@ class FacetPipelineBuilder:
             build_hierarchies=self._build_hierarchies,
             edge_validator=self.edge_evidence,
             parallel=self._parallel,
-            resource_cache=self._shared_resource_cache(),
             cache_fingerprint=self.config.cache_fingerprint(),
             observability=self._observability,
         )

@@ -90,11 +90,9 @@ class FacetExtractor:
     parallel:
         Batch-execution settings for Steps 1-2 (persistent cache path,
         memory-tier bound).  Its ``workers`` field is ignored: a value
-        other than 1 only logs ``pipeline.workers_ignored``.
-    resource_cache:
-        An already-open persistent cache to attach to the resources;
-        overrides ``parallel.cache_path``.  Useful when several
-        pipelines should share one store.
+        other than 1 only logs ``pipeline.workers_ignored``.  A
+        ``cache_path`` opens the answer store there
+        (:attr:`resource_cache`) and attaches it to the resources.
     cache_fingerprint:
         Extra namespace component for persistent-cache entries (e.g.
         :meth:`~repro.config.ReproConfig.cache_fingerprint`), keeping
@@ -115,7 +113,6 @@ class FacetExtractor:
         build_hierarchies: bool = True,
         edge_validator: Callable[[str, str], bool] | None = None,
         parallel: ParallelConfig | None = None,
-        resource_cache: PersistentResourceCache | None = None,
         cache_fingerprint: str = "",
         observability: Observability | None = None,
     ) -> None:
@@ -138,13 +135,13 @@ class FacetExtractor:
             log.warning("pipeline.workers_ignored", workers=self._parallel.workers)
         self._cache_fingerprint = cache_fingerprint
         self.observability = observability or DISABLED
-        cache = resource_cache
-        if cache is None and self._parallel.cache_path:
-            cache = PersistentResourceCache(self._parallel.cache_path)
-        self.resource_cache = cache
-        if cache is not None:
+        self.resource_cache: PersistentResourceCache | None = None
+        if self._parallel.cache_path:
+            self.resource_cache = PersistentResourceCache(self._parallel.cache_path)
             for resource in self._resources:
-                resource.attach_cache(cache, namespace=self.cache_namespace(resource))
+                resource.attach_cache(
+                    self.resource_cache, namespace=self.cache_namespace(resource)
+                )
 
     def cache_namespace(self, resource: ExternalResource) -> str:
         """The persistent-tier namespace of one of this pipeline's

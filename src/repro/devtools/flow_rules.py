@@ -2,7 +2,7 @@
 
 ========  ==============================================================
 FLOW001   raw external-resource responses must be validated before any
-          cache-write sink (``put``/``_memory_put``)
+          cache-write sink (``put_many``/``_memory_put``)
 FLOW002   exceptions caught in resource/db paths must be re-raised,
           logged, or converted to a degrade event — no silent swallow
 DET002    (reimplemented) unordered set/dict-view iteration feeding
@@ -50,7 +50,7 @@ FLOW001_SPEC = TaintSpec(
         "*.validate_context_terms",
         "validate_context_terms",
     ),
-    sinks=("attr:put", "attr:_memory_put"),
+    sinks=("attr:put_many", "attr:_memory_put"),
 )
 
 
@@ -60,7 +60,7 @@ class UnvalidatedResourceFlowRule(Rule):
     into a cache poisons every later reader of that entry — across
     workers *and* across runs for the persistent tier.  Responses must
     pass :func:`repro.resources.base.validate_context_terms` (or a
-    function of that name) on every path to a ``put``/``_memory_put``."""
+    function of that name) on every path to a ``put_many``/``_memory_put``."""
 
     rule_id = "FLOW001"
     severity = Severity.ERROR

@@ -24,7 +24,9 @@ Patterns come in two forms:
 The engine runs a forward abstract interpretation over each function's
 CFG: the state maps local names to the source label that tainted them.
 Taint propagates through assignments, containers (``tuple``/``list``/
-``sorted``/comprehensions), attribute/subscript access, and **calls to
+``sorted``/comprehensions, dict display values), attribute/subscript
+access, stores into a local's item (``name[k] = v`` taints ``name``;
+a weak update that never clears it), and **calls to
 project functions whose summaries say their return value is tainted**
 (one level inter-procedural via the call graph; summaries are memoized
 and computed on demand).  Unknown calls drop taint — the engine prefers
@@ -194,7 +196,15 @@ class _FunctionTaint:
                 self._bind(element, label, env)
         elif isinstance(target, ast.Starred):
             self._bind(target.value, label, env)
-        # attribute/subscript stores don't bind locals
+        elif (
+            isinstance(target, ast.Subscript)
+            and isinstance(target.value, ast.Name)
+            and label is not None
+        ):
+            # A tainted item taints its container; a clean one leaves
+            # the container's other items as they were.
+            env[target.value.id] = label
+        # attribute stores don't bind locals
 
     # -- expression labelling ----------------------------------------------------
 
@@ -213,6 +223,8 @@ class _FunctionTaint:
             parts = node.values
         elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
             parts = node.elts
+        elif isinstance(node, ast.Dict):
+            parts = node.values
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
             parts = [generator.iter for generator in node.generators]
         elif isinstance(node, ast.JoinedStr):

@@ -20,7 +20,6 @@ crash.
 
 from .checkpoint import (
     CHECKPOINT_SCHEMA,
-    CheckpointAnswers,
     CheckpointError,
     CheckpointStore,
     StateMark,
@@ -42,7 +41,6 @@ from .supervisor import (
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
-    "CheckpointAnswers",
     "CheckpointError",
     "CheckpointStore",
     "CrashInjected",

@@ -21,20 +21,20 @@ never rebuilds them from strings:
 Id rows and postings are ``int32`` blobs in the byte order ``meta``
 names.  The batch ledger (``batches``) and the sequence (``meta``) sit
 beside them.  Term lists are stored as terminator-joined text (every
-term ends with ``\\x1f``, every list of a list of lists with ``\\x1e``); a
-term holding either character is rejected on save.
+term ends with ``\\x1f``, the codec of :mod:`repro.db.resource_cache`,
+and every list of a list of lists with ``\\x1e``); a term holding
+either character is rejected on save.
 
 The resource answers the stream already paid for sit beside the state,
-so a restored stream starts warm.  ``answers`` maps ``(namespace id,
-normalized term)`` to the answer's terms in the same codec, and
-``answer_namespaces`` stores each namespace once: the resource's
-``cache_namespace()`` plus the world's
+in the tables of the one answer store
+(:class:`~repro.db.resource_cache.PersistentResourceCache`), so a
+restored stream starts warm.  :attr:`CheckpointStore.answers` is that
+store, buffered: ``get_many`` reads lazily (restore never loads the
+table), ``put_many`` only buffers, and the next save writes the buffer
+in the same transaction as the state rows, so a crash keeps both or
+neither.  Namespaces carry the world's
 :meth:`~repro.config.ReproConfig.cache_fingerprint`, so a run directory
-restored under another world serves nothing.  :class:`CheckpointAnswers`
-is the resources' persistent tier over these tables: ``get_many`` reads
-lazily (restore never loads the table), ``put_many`` only buffers, and
-the next save writes the buffer in the same transaction as the state
-rows, so a crash keeps both or neither.  A degraded answer (see
+restored under another world serves nothing.  A degraded answer (see
 :mod:`repro.resources.resilience`) never reaches ``put_many``, so it
 never reaches the file.  Answers are not part of the state.
 
@@ -72,14 +72,20 @@ from __future__ import annotations
 import json
 import sqlite3
 import sys
-import threading
 from array import array
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from contextlib import closing
+from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import NamedTuple
 
 from ..corpus.document import Document
+from ..db.resource_cache import (
+    ANSWER_TABLES,
+    TERM_END,
+    PersistentResourceCache,
+    join_terms,
+    split_terms,
+    write_answers,
+)
 from ..errors import StorageError
 from ..observability.logging import get_logger
 from .state import (
@@ -135,23 +141,8 @@ CREATE TABLE batches (
     position INTEGER PRIMARY KEY,
     batch_id TEXT NOT NULL
 );
-CREATE TABLE answer_namespaces (
-    id INTEGER PRIMARY KEY,
-    namespace TEXT NOT NULL UNIQUE
-);
-CREATE TABLE answers (
-    namespace INTEGER NOT NULL,
-    term TEXT NOT NULL,
-    terms TEXT NOT NULL,
-    PRIMARY KEY (namespace, term)
-) WITHOUT ROWID;
 """
 
-#: Terms per ``IN (...)`` select of :meth:`CheckpointAnswers.get_many`,
-#: under SQLite's historical 999-host-parameter limit.
-_SELECT_CHUNK = 500
-
-_TERM = "\x1f"
 _LIST = "\x1e"
 
 
@@ -170,17 +161,11 @@ def canonical_json(payload: dict) -> str:
 
 
 def _join(terms: list[str]) -> str:
-    """Terms as text, each ended by ``_TERM``."""
-    if not terms:
-        return ""
-    text = _TERM.join(terms) + _TERM
-    if text.count(_TERM) != len(terms):
-        raise CheckpointError(f"a term holds the reserved character {_TERM!r}")
+    """Terms as text (:func:`~repro.db.resource_cache.join_terms`)."""
+    text = join_terms(terms)
+    if text is None:
+        raise CheckpointError(f"a term holds the reserved character {TERM_END!r}")
     return text
-
-
-def _split(text: str) -> list[str]:
-    return text.split(_TERM)[:-1]
 
 
 def _join_lists(lists: list[list[str]]) -> str:
@@ -192,7 +177,7 @@ def _join_lists(lists: list[list[str]]) -> str:
 
 
 def _split_lists(text: str) -> list[list[str]]:
-    return [_split(part) for part in text.split(_LIST)[:-1]]
+    return [split_terms(part) for part in text.split(_LIST)[:-1]]
 
 
 def _connect(path: Path) -> sqlite3.Connection:
@@ -205,137 +190,6 @@ def _connect(path: Path) -> sqlite3.Connection:
         connection.close()
         raise
     return connection
-
-
-#: Buffered answers: namespace -> normalized term -> answer.
-Answers = dict[str, dict[str, tuple[str, ...]]]
-
-
-class CheckpointAnswers:
-    """The checkpoint's resource answers, as a resource's persistent tier.
-
-    The ``get_many``/``put_many``/``clear`` surface the batched query
-    engine of :class:`~repro.resources.base.ExternalResource` calls.
-    Nothing stored is served until the store has loaded or committed a
-    checkpoint (:attr:`readable`), so a damaged, foreign or replaced
-    file serves nothing.  ``put_many`` only buffers; the owning
-    :class:`CheckpointStore` writes the buffer at its next save.
-    """
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        # Reads open the file read-only: they never create or repair it.
-        self._uri = f"{path.resolve().as_uri()}?mode=ro"
-        self.readable = False
-        self._lock = threading.Lock()
-        self._pending: Answers = {}
-
-    def get_many(
-        self, namespace: str, terms: Sequence[str]
-    ) -> dict[str, tuple[str, ...]]:
-        """Stored or buffered answers for a term batch (present keys
-        only): one chunked select per call."""
-        with self._lock:
-            buffered = self._pending.get(namespace, {})
-            found = {term: buffered[term] for term in terms if term in buffered}
-            readable = self.readable
-        rest = [term for term in terms if term not in found]
-        if not (readable and rest):
-            return found
-        try:
-            with closing(sqlite3.connect(self._uri, uri=True)) as connection:
-                for start in range(0, len(rest), _SELECT_CHUNK):
-                    chunk = rest[start : start + _SELECT_CHUNK]
-                    placeholders = ",".join("?" * len(chunk))
-                    rows = connection.execute(
-                        "SELECT answers.term, answers.terms FROM answers "
-                        "JOIN answer_namespaces "
-                        "ON answer_namespaces.id = answers.namespace "
-                        "WHERE answer_namespaces.namespace = ? "
-                        f"AND answers.term IN ({placeholders})",
-                        [namespace, *chunk],
-                    ).fetchall()
-                    found.update((term, tuple(_split(text))) for term, text in rows)
-        except sqlite3.Error as exc:
-            log.warning(
-                "checkpoint.answers_unreadable", path=str(self.path), error=str(exc)
-            )
-        return found
-
-    def put_many(
-        self, namespace: str, entries: Mapping[str, Iterable[str]]
-    ) -> None:
-        """Buffer answers for the store's next save."""
-        with self._lock:
-            buffered = self._pending.setdefault(namespace, {})
-            buffered.update((term, tuple(terms)) for term, terms in entries.items())
-
-    def clear(self, namespace: str | None = None) -> None:
-        """Drop one namespace's answers (every answer when None), both
-        the buffered and the stored ones."""
-        with self._lock:
-            if namespace is None:
-                self._pending.clear()
-            else:
-                self._pending.pop(namespace, None)
-            readable = self.readable
-        if not readable:
-            return
-        try:
-            with closing(_connect(self.path)) as connection:
-                connection.execute("BEGIN IMMEDIATE")
-                if namespace is None:
-                    connection.execute("DELETE FROM answers")
-                else:
-                    connection.execute(
-                        "DELETE FROM answers WHERE namespace IN "
-                        "(SELECT id FROM answer_namespaces WHERE namespace = ?)",
-                        (namespace,),
-                    )
-                connection.execute("COMMIT")
-        except sqlite3.Error as exc:
-            log.warning(
-                "checkpoint.answers_not_cleared", path=str(self.path), error=str(exc)
-            )
-
-    def _take(self) -> Answers:
-        """A copy of the buffer, for a save to write."""
-        with self._lock:
-            return {
-                namespace: dict(entries)
-                for namespace, entries in self._pending.items()
-                if entries
-            }
-
-    def _committed(self, written: Answers) -> None:
-        """Drop what a save committed from the buffer; the file now
-        holds a checkpoint of this store."""
-        with self._lock:
-            for namespace, entries in written.items():
-                buffered = self._pending.get(namespace, {})
-                for term in entries:
-                    buffered.pop(term, None)
-            self.readable = True
-
-
-def _write_answers(connection: sqlite3.Connection, answers: Answers) -> None:
-    """Insert ``answers``, each namespace stored once."""
-    for namespace, entries in answers.items():
-        connection.execute(
-            "INSERT OR IGNORE INTO answer_namespaces (namespace) VALUES (?)",
-            (namespace,),
-        )
-        (namespace_id,) = connection.execute(
-            "SELECT id FROM answer_namespaces WHERE namespace = ?", (namespace,)
-        ).fetchone()
-        connection.executemany(
-            "INSERT OR REPLACE INTO answers (namespace, term, terms) "
-            "VALUES (?, ?, ?)",
-            [
-                (namespace_id, term, _join(list(answer)))
-                for term, answer in sorted(entries.items())
-            ],
-        )
 
 
 def _document_row(position: int, document: Document, original: array) -> tuple:
@@ -400,7 +254,7 @@ class CheckpointStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         #: The resource answers of this run directory; attached by
         #: :class:`~repro.incremental.extractor.IncrementalExtractor`.
-        self.answers = CheckpointAnswers(self.path)
+        self.answers = PersistentResourceCache(self.path, buffered=True)
 
     def _fire(self, stage: str) -> None:
         if self._fault_hook is not None:
@@ -456,7 +310,7 @@ class CheckpointStore:
             connection.execute("BEGIN IMMEDIATE")
             try:
                 if base is None:
-                    for statement in _SCHEMA_SQL.split(";")[:-1]:
+                    for statement in (_SCHEMA_SQL + ANSWER_TABLES).split(";")[:-1]:
                         connection.execute(statement)
                     self._append(connection, state, StateMark(0, 0, 0))
                     self._write_postings(connection, state, state.term_positions)
@@ -473,7 +327,7 @@ class CheckpointStore:
                         ("byteorder", sys.byteorder),
                     ],
                 )
-                _write_answers(connection, answers)
+                write_answers(connection, answers)
                 self._fire("mid-write")
             except BaseException:
                 if connection.in_transaction:
@@ -714,8 +568,8 @@ class CheckpointStore:
             doc_states.append(
                 DocumentState(
                     outputs=_split_lists(outputs),
-                    important=_split(important),
-                    context_terms=_split(context_terms),
+                    important=split_terms(important),
+                    context_terms=split_terms(context_terms),
                 )
             )
             original_rows.append(array("i", original))

@@ -57,8 +57,9 @@ store writes its first checkpoint in full, which replaces whatever the
 store held.  A restore reads the state as ids and rebuilds only the
 selection and the hierarchies.
 
-The store's answer tier
-(:class:`~repro.incremental.checkpoint.CheckpointAnswers`) is attached
+The store's answers (the buffered
+:class:`~repro.db.resource_cache.PersistentResourceCache` of
+:attr:`~repro.incremental.checkpoint.CheckpointStore.answers`) are attached
 to every pipeline resource that has no persistent tier yet, under the
 namespace the pipeline gives the persistent cache
 (:meth:`~repro.core.pipeline.FacetExtractor.cache_namespace`): each

@@ -103,8 +103,7 @@ def resource_metric(label: str, event: str) -> str:
 
     ``label`` is :meth:`ExternalResource.metric_label`; ``event`` is one
     of the fixed event suffixes the engine emits (``memory_hits``,
-    ``persistent_hits``, ``misses``, ``errors``, ``coalesced_hits``,
-    ``coalesce_retries``, ``coalesce_wait_seconds``, ``batch_queries``,
+    ``persistent_hits``, ``misses``, ``errors``, ``batch_queries``,
     ``batch_query_seconds``, ``batch_size``) or the resilience wrappers
     emit (``failures``, ``retries``, ``degraded``,
     ``simulated_round_trips``).

@@ -61,11 +61,11 @@ class SpanTimings:
 class ResourceStats:
     """Exact counter snapshot for one resource's query engine.
 
-    ``coalesced_hits`` counts lookups answered by waiting on another
-    thread's in-flight query (the single-flight coalescer) — they paid a
-    wait (``coalesce_wait_seconds``) but not a backend round trip.
     ``batch_queries`` counts bulk backend calls issued by the batched
-    path; each one answers many misses at once.
+    path; each one answers many misses at once.  ``coalesced_hits`` and
+    ``coalesce_wait_seconds`` always read 0: the query engine no longer
+    coalesces, and they stay only because the benchmark worker
+    (``bench/worker.py``) still reads them.
     """
 
     memory_hits: int = 0
@@ -86,8 +86,8 @@ class ResourceStats:
 
     @property
     def hits(self) -> int:
-        """Lookups that avoided a backend query (any tier, coalesced)."""
-        return self.memory_hits + self.persistent_hits + self.coalesced_hits
+        """Lookups that avoided a backend query (either tier)."""
+        return self.memory_hits + self.persistent_hits
 
     @property
     def queries(self) -> int:
@@ -110,8 +110,6 @@ class ResourceStats:
             "memory_hits": self.memory_hits,
             "persistent_hits": self.persistent_hits,
             "misses": self.misses,
-            "coalesced_hits": self.coalesced_hits,
-            "coalesce_wait_seconds": self.coalesce_wait_seconds,
             "batch_queries": self.batch_queries,
             "hits": self.hits,
             "queries": self.queries,

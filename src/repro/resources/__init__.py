@@ -15,7 +15,6 @@ plus :class:`CompositeResource` which unions several resources (the
 """
 
 from .base import ExternalResource, ResourceName
-from .engine import SingleFlight
 from .google import GoogleResource
 from .wordnet_hypernyms import WordNetHypernymResource
 from .wiki_graph import WikipediaGraphResource
@@ -33,7 +32,6 @@ from .resilience import FlakyResource, ResilientResource, SimulatedLatencyResour
 __all__ = [
     "ExternalResource",
     "ResourceName",
-    "SingleFlight",
     "GoogleResource",
     "WordNetHypernymResource",
     "WikipediaGraphResource",

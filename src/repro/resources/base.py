@@ -9,37 +9,31 @@ Caching is two-tier:
 
 * an **in-process LRU** (bounded, thread-safe) answers the hot repeats
   within a run;
-* an optional **persistent tier** (any :class:`PersistentTier`,
-  attached via :meth:`ExternalResource.attach_cache`): the SQLite
-  store :class:`~repro.db.resource_cache.PersistentResourceCache` is
-  shared across runs and pipelines, so a warm
-  cache file makes remote expansion essentially free; a stream's
-  checkpoint keeps the answers its run directory already paid for
-  (:class:`~repro.incremental.checkpoint.CheckpointAnswers`).
+* an optional **persistent tier**, attached via
+  :meth:`ExternalResource.attach_cache`: the one answer store
+  :class:`~repro.db.resource_cache.PersistentResourceCache`, over an
+  ``extract --cache`` file shared across runs and pipelines (a warm
+  file makes remote expansion essentially free) or over a stream's
+  checkpoint, which keeps the answers its run directory already paid
+  for.
 
 Cached entries are stored as **immutable tuples** and every call returns
 a fresh list, so no caller can poison the cache by mutating an answer —
 neither the list it received nor the list ``_query`` originally returned.
 
 Every lookup goes through one **batched query engine**;
-:meth:`ExternalResource.context_terms` is a one-term batch:
-
-* :meth:`ExternalResource.context_terms_many` answers a whole term
-  batch at once: one lock pass over the LRU, one batched
-  :meth:`PersistentTier.get_many`, one bulk
-  :meth:`ExternalResource.query_many` for the remaining leaders, and one
-  :meth:`PersistentTier.put_many` write-back.  ``query_many`` defaults
-  to looping :meth:`_query`; resources with a natural bulk lookup override it and answer a single
-  term through it too, so each has one lookup body;
-* the pipeline asks each resource one batch per engine pass, from one
-  thread of control; a caller that shares a resource across threads
-  still gets **single-flight coalescing** of the same fresh
-  ``(namespace, term)`` — exactly one thread performs the query, the
-  rest wait for its cached answer instead of re-paying the round trip
-  (see :class:`~repro.resources.engine.SingleFlight`);
-* an answer a wrapper marks as degraded (see
-  :mod:`repro.resources.resilience`) stays out of the persistent tier
-  of its own engine and of every engine answering through it.
+:meth:`ExternalResource.context_terms` is a one-term batch.
+:meth:`ExternalResource.context_terms_many` answers a whole term batch
+at once: one lock pass over the LRU, one batched persistent
+``get_many``, one bulk :meth:`ExternalResource.query_many` for every
+remaining key, and one persistent ``put_many`` write-back.
+``query_many`` defaults to looping :meth:`_query`; resources with a
+natural bulk lookup override it and answer a single term through it
+too, so each has one lookup body.  The pipeline asks each resource one
+batch per engine pass, from one thread of control.  An answer a
+wrapper marks as degraded (see :mod:`repro.resources.resilience`)
+stays out of the persistent tier of its own engine and of every engine
+answering through it.
 """
 
 from __future__ import annotations
@@ -49,9 +43,9 @@ import enum
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from contextvars import ContextVar
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 from ..errors import ResourceError
 from ..observability import names as obs_names
@@ -59,7 +53,9 @@ from ..observability.context import current_metrics, current_span, use_span
 from ..observability.stats import ResourceStats
 from ..observability.tracing import Span
 from ..text.interning import normalize_term
-from .engine import Flight, SingleFlight
+
+if TYPE_CHECKING:
+    from ..db.resource_cache import PersistentResourceCache
 
 #: Set while a batch query runs when one of its answers is degraded
 #: (see :meth:`ExternalResource._mark_do_not_persist`).  Context-local,
@@ -82,23 +78,6 @@ BATCH_SIZE_BUCKETS: tuple[float, ...] = (
     500.0,
     1000.0,
 )
-
-
-class PersistentTier(Protocol):
-    """What the batched query engine calls on a persistent tier."""
-
-    def get_many(
-        self, namespace: str, terms: Sequence[str]
-    ) -> dict[str, tuple[str, ...]]:
-        """Stored answers for a term batch (present keys only)."""
-
-    def put_many(
-        self, namespace: str, entries: Mapping[str, Iterable[str]]
-    ) -> None:
-        """Store a batch of healthy answers."""
-
-    def clear(self, namespace: str | None = None) -> None:
-        """Drop one namespace's answers (every answer when None)."""
 
 
 def validate_context_terms(raw: "list[str] | tuple[str, ...]") -> tuple[str, ...]:
@@ -148,15 +127,12 @@ class ExternalResource(abc.ABC):
         self._cache: OrderedDict[str, tuple[str, ...]] = OrderedDict()
         self._memory_cache_size = memory_cache_size
         self._lock = threading.Lock()
-        self._persistent: PersistentTier | None = None
+        self._persistent: PersistentResourceCache | None = None
         self._namespace: str | None = None
         self._memory_hits = 0
         self._persistent_hits = 0
         self._misses = 0
-        self._coalesced_hits = 0
-        self._coalesce_wait_seconds = 0.0
         self._batch_queries = 0
-        self._single_flight = SingleFlight()
 
     # -- the public query path ---------------------------------------------------
 
@@ -170,9 +146,8 @@ class ExternalResource(abc.ABC):
         The batch is deduplicated on normalized form (the first surface
         form seen for a key is the one queried) and resolved in one
         engine pass per tier: one lock acquisition over the LRU, one
-        batched persistent read, one bulk :meth:`query_many` for the
-        keys this caller leads, one batched persistent write-back.  Keys
-        led by another thread are waited on (coalesced), never re-queried.
+        batched persistent read, one bulk :meth:`query_many` for every
+        missing key, one batched persistent write-back.
         """
         metrics = current_metrics()
         keys = [normalize_term(term) for term in terms]
@@ -180,25 +155,19 @@ class ExternalResource(abc.ABC):
         for term, key in zip(terms, keys, strict=True):
             if key and key not in surface:
                 surface[key] = term
-        resolved: dict[str, tuple[str, ...]] = {}
-        pending = list(surface)
-        while pending:
-            pending = self._resolve_batch(pending, surface, resolved, metrics)
+        resolved = self._resolve_batch(surface, metrics)
         return [list(resolved[key]) if key else [] for key in keys]
 
     def _resolve_batch(
-        self,
-        keys: list[str],
-        surface: dict[str, str],
-        resolved: dict[str, tuple[str, ...]],
-        metrics,
-    ) -> list[str]:
-        """One engine pass over ``keys``; returns keys that must retry
-        (their leader failed after we started waiting on it)."""
+        self, surface: dict[str, str], metrics
+    ) -> dict[str, tuple[str, ...]]:
+        """One engine pass over the keys of ``surface`` (normalized key
+        -> the surface form to query): their answers, by key."""
         label = self.metric_label()
+        resolved: dict[str, tuple[str, ...]] = {}
         missing: list[str] = []
         with self._lock:
-            for key in keys:
+            for key in surface:
                 cached = self._cache.get(key)
                 if cached is not None:
                     self._cache.move_to_end(key)
@@ -206,12 +175,12 @@ class ExternalResource(abc.ABC):
                     resolved[key] = cached
                 else:
                     missing.append(key)
-        if metrics is not None and len(missing) != len(keys):
+        if metrics is not None and len(missing) != len(surface):
             metrics.increment(
-                obs_names.resource_metric(label, "memory_hits"), len(keys) - len(missing)
+                obs_names.resource_metric(label, "memory_hits"), len(surface) - len(missing)
             )
         if not missing:
-            return []
+            return resolved
         if self._persistent is not None and self._namespace is not None:
             stored = self._persistent.get_many(self._namespace, missing)
             if stored:
@@ -226,92 +195,33 @@ class ExternalResource(abc.ABC):
                     )
                 missing = [key for key in missing if key not in stored]
         if not missing:
-            return []
-        leaders: list[str] = []
-        claimed: dict[str, Flight] = {}
-        waiting: list[tuple[str, Flight]] = []
-        for key in missing:
-            flight, leader = self._single_flight.claim(key)
-            if leader:
-                leaders.append(key)
-                claimed[key] = flight
-            else:
-                waiting.append((key, flight))
-        if leaders:
-            try:
-                answers, no_persist = self._run_batch_query(
-                    [surface[key] for key in leaders], metrics
-                )
-                # Bulk resources alias one answer list across terms that
-                # resolve to the same entry; validate each distinct list
-                # once (`answers` keeps every list alive, so ids are
-                # stable for the duration of the loop).  Each raw answer
-                # is read, validated and cached in one step, the flow the
-                # FLOW001 lint rule checks.
-                validated_by_id: dict[int, tuple[str, ...]] = {}
-                validated: list[tuple[str, ...]] = []
-                persistable: dict[str, tuple[str, ...]] = {}
-                with self._lock:
-                    for position, key in enumerate(leaders):
-                        raw = answers[position]
-                        value = validated_by_id.get(id(raw))
-                        if value is None:
-                            value = validated_by_id[id(raw)] = (
-                                validate_context_terms(raw)
-                            )
-                        validated.append(value)
-                        self._misses += 1
-                        self._memory_put(key, value)
-                        if not no_persist[position]:
-                            persistable[key] = value
-                if metrics is not None:
-                    metrics.increment(obs_names.resource_metric(label, "misses"), len(leaders))
-                if (
-                    persistable
-                    and self._persistent is not None
-                    and self._namespace is not None
-                ):
-                    self._persistent.put_many(self._namespace, persistable)
-            except BaseException:
-                for key in leaders:
-                    self._single_flight.abandon(key, claimed[key])
-                raise
-            for key, value in zip(leaders, validated, strict=True):
-                resolved[key] = value
-                self._single_flight.resolve(key, claimed[key], value)
-        retry: list[str] = []
-        for key, flight in waiting:
-            value = self._wait_for_flight(flight, metrics)
-            if value is None:
-                retry.append(key)
-            else:
-                resolved[key] = value
-        return retry
-
-    def _wait_for_flight(self, flight: Flight, metrics) -> tuple[str, ...] | None:
-        """Block on another thread's in-flight query.
-
-        Returns the leader's answer, or None when the leader failed —
-        the caller retries (and may become the new leader).  Wait time
-        and coalesce hits are counted so the engine's win is visible in
-        ``ResourceStats`` and the metrics registry.
-        """
-        start = time.perf_counter()
-        flight.event.wait()
-        waited = time.perf_counter() - start
-        result = flight.result
+            return resolved
+        answers, no_persist = self._run_batch_query(
+            [surface[key] for key in missing], metrics
+        )
+        # Bulk resources alias one answer list across terms that resolve
+        # to the same entry; validate each distinct list once (`answers`
+        # keeps every list alive, so ids are stable for the duration of
+        # the loop).  Each raw answer is read, validated and cached in
+        # one step, the flow the FLOW001 lint rule checks.
+        validated_by_id: dict[int, tuple[str, ...]] = {}
+        persistable: dict[str, tuple[str, ...]] = {}
         with self._lock:
-            self._coalesce_wait_seconds += waited
-            if result is not None:
-                self._coalesced_hits += 1
+            for position, key in enumerate(missing):
+                raw = answers[position]
+                value = validated_by_id.get(id(raw))
+                if value is None:
+                    value = validated_by_id[id(raw)] = validate_context_terms(raw)
+                resolved[key] = value
+                self._misses += 1
+                self._memory_put(key, value)
+                if not no_persist[position]:
+                    persistable[key] = value
         if metrics is not None:
-            label = self.metric_label()
-            metrics.record_time(obs_names.resource_metric(label, "coalesce_wait_seconds"), waited)
-            if result is not None:
-                metrics.increment(obs_names.resource_metric(label, "coalesced_hits"))
-            else:
-                metrics.increment(obs_names.resource_metric(label, "coalesce_retries"))
-        return result
+            metrics.increment(obs_names.resource_metric(label, "misses"), len(missing))
+        if persistable and self._persistent is not None and self._namespace is not None:
+            self._persistent.put_many(self._namespace, persistable)
+        return resolved
 
     def _run_batch_query(
         self, surfaces: list[str], metrics
@@ -429,7 +339,7 @@ class ExternalResource(abc.ABC):
 
     def attach_cache(
         self,
-        store: PersistentTier,
+        store: PersistentResourceCache,
         namespace: str | None = None,
     ) -> None:
         """Put a persistent store behind the in-process tier.
@@ -456,7 +366,7 @@ class ExternalResource(abc.ABC):
         return type(self).__name__
 
     @property
-    def persistent_cache(self) -> PersistentTier | None:
+    def persistent_cache(self) -> PersistentResourceCache | None:
         return self._persistent
 
     def _mark_do_not_persist(self) -> None:
@@ -480,8 +390,6 @@ class ExternalResource(abc.ABC):
                 memory_hits=self._memory_hits,
                 persistent_hits=self._persistent_hits,
                 misses=self._misses,
-                coalesced_hits=self._coalesced_hits,
-                coalesce_wait_seconds=self._coalesce_wait_seconds,
                 batch_queries=self._batch_queries,
             )
 
@@ -490,8 +398,6 @@ class ExternalResource(abc.ABC):
             self._memory_hits = 0
             self._persistent_hits = 0
             self._misses = 0
-            self._coalesced_hits = 0
-            self._coalesce_wait_seconds = 0.0
             self._batch_queries = 0
 
     def clear_cache(self) -> None:

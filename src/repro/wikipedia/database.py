@@ -5,8 +5,9 @@ built a relational database that contains, among other things, the titles
 of all the Wikipedia pages"): pages, redirects, anchors, and links live
 in memory.  The snapshot is not persisted: :mod:`repro.wikipedia.builder`
 derives it deterministically from the world model on every run, and the
-answers resources draw from it persist in the resource cache
-(:mod:`repro.db.resource_cache`).
+answers resources draw from it persist in the one answer store
+(:mod:`repro.db.resource_cache`): an ``extract --cache`` file or a
+stream's checkpoint.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ it across:
 * the batch run;
 * incremental appends (the columnar memo also runs under the
   incremental extractor's Step 1 passes);
+* a ``--cache`` file left by earlier versions, which held only the JSON
+  ``context_cache`` table: it reads cold and is never raised on;
 * the serving artifact: the SQLite payload compiled from a run must
   carry the recorded content checksum.
 
@@ -16,6 +18,8 @@ The plane is stdlib-only, so the main tier-1 run covers every path.
 """
 
 from __future__ import annotations
+
+import sqlite3
 
 import pytest
 
@@ -65,6 +69,33 @@ class TestColumnarDifferential:
         extractor.append(docs[:17])
         extractor.append(docs[17:])
         assert result_digest(extractor.snapshot_result()) == GOLDEN_RESULT_SHA256
+
+    def test_old_json_cache_file_reads_cold(self, col_builder, docs, tmp_path):
+        """``extract --cache`` over a file holding only the old
+        ``context_cache`` table answers nothing from it and stores its
+        own answers beside it."""
+        path = tmp_path / "old.db"
+        old = sqlite3.connect(path)
+        with old:
+            old.execute(
+                "CREATE TABLE context_cache (namespace TEXT NOT NULL, "
+                "term TEXT NOT NULL, terms TEXT NOT NULL, "
+                "PRIMARY KEY (namespace, term))"
+            )
+            old.execute(
+                "INSERT INTO context_cache VALUES (?, ?, ?)",
+                ("CompositeResource", "paris", '["poison"]'),
+            )
+        old.close()
+        pipeline = col_builder.with_parallel(ParallelConfig(cache_path=str(path))).build()
+        result = pipeline.run(docs)
+        assert result_digest(result) == GOLDEN_RESULT_SHA256
+        (stats,) = result.resource_stats.values()
+        assert stats.persistent_hits == 0
+        store = pipeline.resource_cache
+        assert not store.disabled
+        assert store.size() == stats.misses
+        store.close()
 
     def test_serving_artifact_checksum_matches(self, col_builder, docs, tmp_path):
         """The compiled serving payload is identical, byte for byte."""

@@ -34,7 +34,42 @@ def test_flow001_raw_query_to_put_fires():
 
             def fetch(self, term):
                 result = self._query(term)
-                self.cache.put("ns", term, result)
+                self.cache.put_many("ns", {term: result})
+        """,
+        "repro.resources.fake",
+        select={"FLOW001"},
+    )
+    assert ids == ["FLOW001"]
+
+
+def test_flow001_raw_query_in_dict_display_fires():
+    ids = _rule_ids(
+        """
+        class R:
+            def _query(self, term):
+                return [term]
+
+            def fetch(self, term):
+                self._persistent.put_many("ns", {term: self._query(term)})
+        """,
+        "repro.resources.fake",
+        select={"FLOW001"},
+    )
+    assert ids == ["FLOW001"]
+
+
+def test_flow001_raw_query_stored_into_a_dict_fires():
+    ids = _rule_ids(
+        """
+        class R:
+            def _query(self, term):
+                return [term]
+
+            def fetch(self, terms):
+                entries = {}
+                for term in terms:
+                    entries[term] = self._query(term)
+                self._persistent.put_many("ns", entries)
         """,
         "repro.resources.fake",
         select={"FLOW001"},
@@ -54,7 +89,7 @@ def test_flow001_sanitized_response_is_clean():
 
             def fetch(self, term):
                 result = validate_context_terms(self._query(term))
-                self.cache.put("ns", term, result)
+                self.cache.put_many("ns", {term: result})
         """,
         "repro.resources.fake",
         select={"FLOW001"},
@@ -68,7 +103,7 @@ def test_flow001_unrelated_value_is_clean():
         class R:
             def fetch(self, term):
                 result = (term,)
-                self.cache.put("ns", term, result)
+                self.cache.put_many("ns", {term: result})
         """,
         "repro.resources.fake",
         select={"FLOW001"},
@@ -90,7 +125,7 @@ def test_flow001_taint_survives_tuple_and_helper_return():
 
             def fetch(self, term):
                 result = tuple(self._wrapped(term))
-                self.cache.put("ns", term, result)
+                self.cache.put_many("ns", {term: result})
         """,
         "repro.resources.fake",
         select={"FLOW001"},
@@ -112,7 +147,7 @@ def test_flow001_branch_that_skips_validation_still_fires():
                 result = self._query(term)
                 if clean:
                     result = validate_context_terms(result)
-                self.cache.put("ns", term, result)
+                self.cache.put_many("ns", {term: result})
         """,
         "repro.resources.fake",
         select={"FLOW001"},
@@ -128,7 +163,7 @@ def test_flow001_out_of_scope_module_is_ignored():
                 return [term]
 
             def fetch(self, term):
-                self.cache.put("ns", term, self._query(term))
+                self.cache.put_many("ns", {term: self._query(term)})
         """,
         "repro.core.fake",
         select={"FLOW001"},
@@ -183,7 +218,7 @@ def test_flow001_suppressed_by_noqa():
 
             def fetch(self, term):
                 result = self._query(term)
-                self.cache.put("ns", term, result)  # repro: noqa[FLOW001]
+                self.cache.put_many("ns", {term: result})  # repro: noqa[FLOW001]
         """,
         "repro.resources.fake",
         select={"FLOW001"},

@@ -31,13 +31,13 @@ from pathlib import Path
 import pytest
 
 from repro.builder import FacetPipelineBuilder
-from repro.config import ReproConfig
+from repro.config import ParallelConfig, ReproConfig
 from repro.corpus import build_snyt
 from repro.core.export import to_dict
 from repro.core.pipeline import FacetExtractor
+from repro.db.resource_cache import PersistentResourceCache
 from repro.errors import StorageError
 from repro.incremental import (
-    CheckpointAnswers,
     CheckpointError,
     CheckpointStore,
     CrashInjected,
@@ -696,13 +696,13 @@ class TestCheckpointAnswers:
             connection.execute("DELETE FROM answers")
         connection.close()
         reads: list[str] = []
-        real_get_many = CheckpointAnswers.get_many
+        real_get_many = PersistentResourceCache.get_many
 
         def counted(self, namespace, terms):
             reads.append(namespace)
             return real_get_many(self, namespace, terms)
 
-        monkeypatch.setattr(CheckpointAnswers, "get_many", counted)
+        monkeypatch.setattr(PersistentResourceCache, "get_many", counted)
         IncrementalExtractor.restore(
             build_pipeline(inc_config), CheckpointStore(directory)
         )
@@ -810,6 +810,28 @@ class TestCheckpointAnswers:
         store.save(_payload("a"), sequence=1)
         assert len(stored_answers(store.path)) == 8 * 200
         assert store.answers.get_many("ns", ["w3-7", "absent"]) == {"w3-7": ("ctx 7",)}
+
+
+class TestOneAnswerStore:
+    def test_cache_file_and_checkpoint_share_one_layout(
+        self, inc_config, docs, tmp_path
+    ):
+        """A batch run's ``--cache`` file and a stream's checkpoint over
+        the same documents read back through one query, answer for
+        answer."""
+        cache = tmp_path / "expansions.db"
+        batch = FacetPipelineBuilder(inc_config).with_parallel(
+            ParallelConfig(cache_path=str(cache))
+        ).build()
+        batch.run(docs)
+        batch.resource_cache.close()
+        store = CheckpointStore(tmp_path / "run")
+        IncrementalExtractor(build_pipeline(inc_config), checkpoint=store).append(
+            docs, batch_id="all"
+        )
+        from_cache = stored_answers(cache)
+        assert from_cache
+        assert from_cache == stored_answers(store.path)
 
 
 class TestFaultInjector:

@@ -1,10 +1,7 @@
-"""Batched single-flight query engine: coalescing, bulk I/O, round trips.
+"""Batched query engine: bulk I/O, round trips.
 
 Covers the engine added around the resource layer:
 
-* single-flight coalescing — N threads racing on one fresh term issue
-  exactly one backend query; a failed leader wakes its waiters so one of
-  them retries;
 * batched persistent-cache I/O — ``get_many``/``put_many`` round-trip,
   respect namespace isolation, chunk large key sets under SQLite's
   parameter limit, and upsert on conflict;
@@ -22,8 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import threading
-import time
 
 from repro.config import ReproConfig
 from repro.core.contextualize import contextualize
@@ -36,9 +31,7 @@ from repro.core.shifts import ShiftTables, frequency_shift, rank_shift
 from repro.corpus import build_corpus
 from repro.corpus.datasets import DatasetName
 from repro.db.resource_cache import PersistentResourceCache
-from repro.errors import ResourceError
 from repro.incremental import canonical_json
-from repro.resources import SingleFlight
 from repro.resources.base import ExternalResource, ResourceName
 from repro.resources.resilience import SimulatedLatencyResource
 from repro.text.vocabulary import Vocabulary
@@ -54,22 +47,17 @@ GOLDEN_CONTEXT_SHA256 = (
 
 
 class SlowResource(ExternalResource):
-    """Counts backend queries; optionally blocks to force contention."""
+    """Counts backend queries."""
 
     name = ResourceName.GOOGLE
 
-    def __init__(self, delay: float = 0.0):
+    def __init__(self):
         super().__init__()
         self.backend_queries = 0
         self.batch_calls = 0
-        self._delay = delay
-        self._count_lock = threading.Lock()
 
     def _query(self, term):
-        with self._count_lock:
-            self.backend_queries += 1
-        if self._delay:
-            time.sleep(self._delay)
+        self.backend_queries += 1
         return [f"ctx {term.lower()}", f"more {term.lower()}"]
 
 
@@ -77,98 +65,8 @@ class BatchingResource(SlowResource):
     """Overrides the bulk path so batch routing is observable."""
 
     def query_many(self, terms):
-        with self._count_lock:
-            self.batch_calls += 1
+        self.batch_calls += 1
         return [self._query(term) for term in terms]
-
-
-class FailOnceResource(ExternalResource):
-    """First backend query raises; later ones succeed."""
-
-    name = ResourceName.GOOGLE
-
-    def __init__(self):
-        super().__init__()
-        self.attempts = 0
-        self._lock = threading.Lock()
-
-    def _query(self, term):
-        with self._lock:
-            self.attempts += 1
-            if self.attempts == 1:
-                raise ResourceError("first query fails")
-        return [f"ok {term}"]
-
-
-class TestSingleFlight:
-    def test_contention_issues_exactly_one_query(self):
-        resource = SlowResource(delay=0.05)
-        threads = 8
-        barrier = threading.Barrier(threads)
-        answers: list[list[str]] = [None] * threads  # type: ignore[list-item]
-
-        def worker(index: int) -> None:
-            barrier.wait()
-            answers[index] = resource.context_terms("Shared Term")
-
-        pool = [
-            threading.Thread(target=worker, args=(i,)) for i in range(threads)
-        ]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
-
-        assert resource.backend_queries == 1
-        assert all(answer == answers[0] for answer in answers)
-        stats = resource.cache_stats
-        assert stats.misses == 1
-        # Everyone else either coalesced on the flight or hit the LRU
-        # the leader populated; nobody re-queried the backend.
-        assert stats.coalesced_hits + stats.memory_hits == threads - 1
-
-    def test_failed_leader_wakes_waiters_and_one_retries(self):
-        resource = FailOnceResource()
-        threads = 4
-        barrier = threading.Barrier(threads)
-        results: list[object] = [None] * threads
-
-        def worker(index: int) -> None:
-            barrier.wait()
-            try:
-                results[index] = resource.context_terms("flaky")
-            except ResourceError as exc:
-                results[index] = exc
-
-        pool = [
-            threading.Thread(target=worker, args=(i,)) for i in range(threads)
-        ]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
-
-        # The failed leader surfaced its error; every other thread
-        # retried (or read the retry's cached answer) and succeeded.
-        errors = [r for r in results if isinstance(r, ResourceError)]
-        successes = [r for r in results if isinstance(r, list)]
-        assert len(errors) == 1
-        assert len(successes) == threads - 1
-        assert all(answer == ["ok flaky"] for answer in successes)
-
-    def test_primitive_claim_resolve_abandon(self):
-        flights = SingleFlight()
-        flight, leader = flights.claim("k")
-        assert leader
-        again, second_leader = flights.claim("k")
-        assert again is flight and not second_leader
-        flights.resolve("k", flight, ("a",))
-        assert flight.event.is_set() and flight.result == ("a",)
-        assert flights.in_flight == 0
-        fresh, leader = flights.claim("k")
-        assert leader and fresh is not flight
-        flights.abandon("k", fresh)
-        assert fresh.event.is_set() and fresh.result is None
 
 
 class TestBatchedCacheIO:

@@ -11,6 +11,8 @@ and :class:`repro.db.resource_cache.PersistentResourceCache`:
   the list its ``_query`` returned) can poison the cache;
 * a corrupted or locked SQLite file degrades gracefully to in-memory
   mode instead of crashing;
+* an answer the store's codec cannot hold is left unstored, never
+  raised on;
 * every resource of the default pipeline answers every entity name and
   taxonomy term exactly as recorded, one term at a time and in a batch.
 """
@@ -287,6 +289,37 @@ class TestGracefulDegradation:
         assert store.get_many("ns", ["t"]) == {}
         assert store.disabled
         store.put_many("ns", {"u": ("y",)})  # no-op, no exception
+
+
+class TestUnstorableAnswer:
+    """The store's codec ends every term with ``\\x1f``; an answer holding
+    that character is left unstored, and storing never raises."""
+
+    class Separator(CountingResource):
+        def _query(self, term):
+            self.queries += 1
+            return [f"about {term.lower()}", "odd\x1fterm"]
+
+    def test_put_many_skips_it_and_stays_enabled(self, tmp_path):
+        store = PersistentResourceCache(str(tmp_path / "cache.db"))
+        store.put_many("ns", {"odd": ("a\x1fb",), "plain": ("c",)})
+        assert not store.disabled
+        assert store.get_many("ns", ["odd", "plain"]) == {"plain": ("c",)}
+        assert store.writes == 1
+
+    def test_run_output_is_unchanged(self, tmp_path):
+        store = PersistentResourceCache(str(tmp_path / "cache.db"))
+        cached = self.Separator()
+        cached.attach_cache(store)
+        terms = ["Paris", "Lyon"]
+        expected = self.Separator().context_terms_many(terms)
+        assert cached.context_terms_many(terms) == expected
+        fresh = self.Separator()
+        fresh.attach_cache(store)
+        assert fresh.context_terms_many(terms) == expected
+        assert not store.disabled
+        assert store.size() == 0
+        assert fresh.queries == len(terms)  # nothing was stored to serve
 
 
 class TestThreadSafety:
