@@ -23,7 +23,6 @@ from .observability.logging import get_logger
 from .resources.base import ResourceName
 from .resources.composite import CompositeResource
 from .resources.registry import ResourceSubstrates, build_resources
-from .text.vocabulary import Vocabulary
 
 log = get_logger(__name__)
 
@@ -40,7 +39,6 @@ class FacetPipelineBuilder:
         self,
         config: ReproConfig | None = None,
         world: World | None = None,
-        background: Vocabulary | None = None,
     ) -> None:
         self.config = config or ReproConfig()
         start = time.perf_counter()
@@ -56,7 +54,6 @@ class FacetPipelineBuilder:
             wikipedia=self.substrates.wikipedia,
             lexicon=self.substrates.lookup,
         )
-        self._background = background
         self._extractor_names: list[ExtractorName] = list(ExtractorName)
         self._resource_names: list[ResourceName] = list(ResourceName)
         self._top_k = 200
@@ -78,11 +75,6 @@ class FacetPipelineBuilder:
         self._resource_names = [
             ResourceName(n) if isinstance(n, str) else n for n in names
         ]
-        return self
-
-    def with_background(self, background: Vocabulary) -> "FacetPipelineBuilder":
-        """Background statistics for the Yahoo-style extractor's idf."""
-        self._background = background
         return self
 
     def with_top_k(self, top_k: int) -> "FacetPipelineBuilder":
@@ -120,7 +112,6 @@ class FacetPipelineBuilder:
         extractors = build_extractors(
             list(self._extractor_names),
             wikipedia=self.substrates.wikipedia,
-            background=self._background,
         )
         resources = build_resources(
             list(self._resource_names), self.substrates, self.config
@@ -150,28 +141,14 @@ class FacetPipelineBuilder:
     def build_incremental(self, checkpoint_dir: str | None = None):
         """Materialize an incremental extractor over a fresh pipeline.
 
-        Checkpointing follows ``config.incremental``: when a checkpoint
-        directory is configured (or passed here, which wins), checkpoints
-        are committed on the configured cadence and — unless
-        ``config.incremental.resume`` is off — the committed one is
-        restored before the first append.
+        Without ``checkpoint_dir`` the stream lives in memory only; with
+        one, the run directory's committed checkpoint (if any) is
+        restored before the first append and a checkpoint is committed
+        after every batch.
         """
         from .incremental import CheckpointStore, IncrementalExtractor
 
-        settings = self.config.incremental
-        directory = (
-            checkpoint_dir if checkpoint_dir is not None else settings.checkpoint_dir
-        )
         pipeline = self.build()
-        if directory is None:
-            return IncrementalExtractor(
-                pipeline, checkpoint_every=settings.checkpoint_every
-            )
-        store = CheckpointStore(directory)
-        if settings.resume:
-            return IncrementalExtractor.restore(
-                pipeline, store, checkpoint_every=settings.checkpoint_every
-            )
-        return IncrementalExtractor(
-            pipeline, checkpoint=store, checkpoint_every=settings.checkpoint_every
-        )
+        if checkpoint_dir is None:
+            return IncrementalExtractor(pipeline)
+        return IncrementalExtractor.restore(pipeline, CheckpointStore(checkpoint_dir))

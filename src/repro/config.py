@@ -95,33 +95,6 @@ class ParallelConfig:
 
 
 @dataclass(frozen=True, kw_only=True)
-class IncrementalConfig:
-    """Settings for the incremental (streaming) extraction path.
-
-    Parameters
-    ----------
-    checkpoint_dir:
-        Run directory of the checkpoint database; None disables
-        checkpointing (the in-memory incremental state still works).
-    checkpoint_every:
-        Checkpoint after every N ingested batches.
-    resume:
-        Load the committed checkpoint from ``checkpoint_dir`` on
-        start-up instead of beginning from an empty corpus.
-    """
-
-    checkpoint_dir: str | None = None
-    checkpoint_every: int = 1
-    resume: bool = True
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_every < 1:
-            raise ConfigError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-
-
-@dataclass(frozen=True, kw_only=True)
 class ServingConfig:
     """Settings for the faceted-browsing HTTP service.
 
@@ -195,9 +168,6 @@ class ReproConfig:
     parallel:
         Batch-execution settings (persistent cache path, memory-tier
         bound); the default keeps resource answers in process only.
-    incremental:
-        Streaming-extraction settings (checkpoint directory, cadence,
-        resume); the default keeps everything in memory.
     """
 
     seed: int = 20080407
@@ -205,7 +175,6 @@ class ReproConfig:
     wiki_graph_top_k: int = PAPER_WIKI_GRAPH_TOP_K
     annotators_per_story: int = PAPER_ANNOTATORS_PER_STORY
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
-    incremental: IncrementalConfig = field(default_factory=IncrementalConfig)
 
     def __post_init__(self) -> None:
         if self.scale <= 0:

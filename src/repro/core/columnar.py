@@ -10,10 +10,10 @@ moves everything in between onto flat integer columns:
 * per-document term lists and postings live in offset/id arrays
   (:class:`DocumentColumns`);
 * df/tf/rank statistics live in id-indexed vectors
-  (:class:`ColumnarVocabulary`), exposed to the existing
-  ``ShiftTables``/``LikelihoodTables`` consumers through zero-copy
-  :class:`~collections.abc.Mapping` views (:class:`ColumnarCountMap`,
-  :class:`ColumnarRankMap`).
+  (:class:`ColumnarVocabulary`); Step 3
+  (:func:`~repro.core.selection.rank_facet_terms`) reads its df and
+  rank columns by term id and looks a term's string up only for a
+  selected candidate.
 
 Columns are plain stdlib ``array('i')`` — contiguous machine ints with
 the buffer protocol (zero-copy ``memoryview`` slices) — so the plane
@@ -28,7 +28,7 @@ golden-output tests in ``tests/test_columnar_equivalence.py``.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from itertools import compress
 
 from ..text.vocabulary import TermInterner, Vocabulary
@@ -49,102 +49,10 @@ def _column(counts: Mapping[int, int], size: int) -> array:
     return column
 
 
-class ColumnarCountMap(Mapping[str, int]):
-    """Zero-copy term → count view over an id-indexed column.
-
-    Duck-type compatible with ``Vocabulary.df_map()``: iterating yields
-    the terms with a nonzero count (id order = first-seen order, same as
-    ``Counter`` insertion order for an append-only vocabulary), and
-    ``.get(term, default)`` is a dict probe plus an array read — the
-    exact access pattern ``ShiftTables`` relies on.
-    """
-
-    __slots__ = ("_vocabulary", "_interner", "_counts")
-
-    def __init__(self, vocabulary: "ColumnarVocabulary") -> None:
-        # Live, like the base class's MappingProxyType: counts are read
-        # from the vocabulary's column (grown in place) and the length
-        # from its nonzero count, so later adds show through.
-        self._vocabulary = vocabulary
-        self._interner = vocabulary.interner
-        self._counts = vocabulary._df_ids
-
-    def __getitem__(self, term: str) -> int:
-        term_id = self._interner.id_of(term)
-        if term_id is None or term_id >= len(self._counts):
-            raise KeyError(term)
-        count = self._counts[term_id]
-        if count == 0:
-            raise KeyError(term)
-        return count
-
-    def get(self, term: str, default=None):  # every Mapping.get overload
-        term_id = self._interner.id_of(term)
-        if term_id is None or term_id >= len(self._counts):
-            return default
-        count = self._counts[term_id]
-        return count if count else default
-
-    def __iter__(self) -> Iterator[str]:
-        terms = self._interner.terms()
-        counts = self._counts
-        for term_id in range(len(counts)):
-            if counts[term_id]:
-                yield terms[term_id]
-
-    def __contains__(self, term: object) -> bool:
-        return isinstance(term, str) and self.get(term) is not None
-
-    def __len__(self) -> int:
-        return self._vocabulary.term_count
-
-
-class ColumnarRankMap(Mapping[str, int]):
-    """Term → 1-based rank snapshot over an id-indexed rank column.
-
-    Mirrors ``Vocabulary.rank_map()``: contains exactly the nonzero-df
-    terms, with ranks assigned by decreasing df and ties broken
-    alphabetically.  Absent terms miss (callers supply the
-    ``term_count + 1`` default themselves, as ``ShiftTables`` does).
-    """
-
-    __slots__ = ("_interner", "_ranks", "_nonzero")
-
-    def __init__(
-        self, interner: TermInterner, ranks: array, nonzero: int
-    ) -> None:
-        self._interner = interner
-        self._ranks = ranks  # 0 marks "no rank" (df == 0)
-        self._nonzero = nonzero
-
-    def __getitem__(self, term: str) -> int:
-        term_id = self._interner.id_of(term)
-        if term_id is None or term_id >= len(self._ranks):
-            raise KeyError(term)
-        rank = self._ranks[term_id]
-        if rank == 0:
-            raise KeyError(term)
-        return rank
-
-    def get(self, term: str, default=None):  # every Mapping.get overload
-        term_id = self._interner.id_of(term)
-        if term_id is None or term_id >= len(self._ranks):
-            return default
-        rank = self._ranks[term_id]
-        return rank if rank else default
-
-    def __iter__(self) -> Iterator[str]:
-        terms = self._interner.terms()
-        ranks = self._ranks
-        for term_id in range(len(ranks)):
-            if ranks[term_id]:
-                yield terms[term_id]
-
-    def __contains__(self, term: object) -> bool:
-        return isinstance(term, str) and self.get(term) is not None
-
-    def __len__(self) -> int:
-        return self._nonzero
+def read_column(column: array, term_id: int) -> int:
+    """Entry ``term_id`` of an id-indexed column; 0 past its end (an id
+    interned after the column's vocabulary last grew)."""
+    return column[term_id] if term_id < len(column) else 0
 
 
 class ColumnarVocabulary(Vocabulary):
@@ -154,8 +62,8 @@ class ColumnarVocabulary(Vocabulary):
     :class:`~repro.text.vocabulary.TermInterner` instead of string-keyed
     counters.  Every public accessor returns exactly what the dict-backed
     base class returns for the same document sequence (the equivalence
-    is pinned by ``tests/test_columnar.py``); ``df_map``/``rank_map``
-    hand zero-copy column views to ``ShiftTables``.
+    is pinned by ``tests/test_columnar.py``); :meth:`df_column` and
+    :meth:`rank_column` hand the columns themselves to id-keyed callers.
 
     One documented divergence: after a term's df drops to zero via
     :meth:`remove_document` and the term is later re-added, ``terms()``
@@ -319,8 +227,10 @@ class ColumnarVocabulary(Vocabulary):
         """
         return self._df_ids
 
-    def _rank_column(self) -> array:
-        """Id-indexed 1-based ranks; 0 marks absent (df == 0) terms."""
+    def rank_column(self) -> array:
+        """Id-indexed 1-based ranks by ``(-df, term)``; 0 marks absent
+        (df == 0) terms.  Cached until the next add or removal; callers
+        must not write it."""
         if self._rank_ids is None:
             df = self._df_ids
             present = list(compress(range(len(df)), df))
@@ -336,20 +246,10 @@ class ColumnarVocabulary(Vocabulary):
 
     def rank(self, term: str) -> int:
         term_id = self.interner.id_of(term)
-        ranks = self._rank_column()
+        ranks = self.rank_column()
         if term_id is None or term_id >= len(ranks) or ranks[term_id] == 0:
             return self._nonzero + 1
         return ranks[term_id]
-
-    def df_map(self) -> Mapping[str, int]:
-        return ColumnarCountMap(self)
-
-    def rank_map(self) -> Mapping[str, int]:
-        # Snapshot semantics, like the base class: hand out a private
-        # copy so later adds cannot mutate what ShiftTables captured.
-        return ColumnarRankMap(
-            self.interner, array("i", self._rank_column()), self._nonzero
-        )
 
     def most_common(self, n: int | None = None) -> list[tuple[str, int]]:
         df = self._df_ids

@@ -10,13 +10,12 @@
 
 A term is a candidate facet term only when **both** shifts are positive.
 
-The per-term functions (:func:`frequency_shift`, :func:`rank_shift`)
-remain the reference implementation; :class:`ShiftTables` precomputes
-the same quantities for a whole vocabulary pair in one pass — direct
-df/rank map references plus a rank → bin array, so the selection stage's
-hot loop does dict lookups and integer subtractions only.  Both paths
-produce identical integers by construction (the bin array is filled by
-calling :func:`repro.text.zipf.rank_bin` itself).
+These per-term functions over any :class:`~repro.text.vocabulary.Vocabulary`
+are the reference.  The selection stage
+(:func:`repro.core.selection.rank_facet_terms`) computes the same
+integers by term id from the columnar vocabularies' df and rank
+columns, calling :func:`repro.text.zipf.rank_bin` itself on each
+candidate's two ranks.
 """
 
 from __future__ import annotations
@@ -49,79 +48,3 @@ def is_shift_candidate(
     if frequency_shift(term, original, contextualized) <= 0:
         return False
     return rank_shift(term, original, contextualized) > 0
-
-
-def _bins_by_rank(max_rank: int) -> list[int]:
-    """``B(r)`` for every rank ``1..max_rank``, indexable by rank.
-
-    Index 0 is a placeholder (ranks are 1-based).  Filled with
-    :func:`rank_bin` itself so the array agrees with the per-term path
-    bit for bit — including any float quirks of ``ceil(log2(r))``.
-    """
-    return [0] + [rank_bin(rank) for rank in range(1, max_rank + 1)]
-
-
-class ShiftTables:
-    """Whole-vocabulary shift statistics, precomputed once.
-
-    Built from a fully-populated vocabulary pair; the selection stage
-    then evaluates ``Shift_f``/``Shift_r`` and reads df values with
-    dictionary lookups only — no per-term log/ceil calls.
-    """
-
-    __slots__ = (
-        "_df_original",
-        "_df_contextualized",
-        "_ranks_original",
-        "_ranks_contextualized",
-        "_unknown_original",
-        "_unknown_contextualized",
-        "_bins_original",
-        "_bins_contextualized",
-    )
-
-    def __init__(self, original: Vocabulary, contextualized: Vocabulary) -> None:
-        # On the columnar plane these maps are zero-copy views over the
-        # vocabularies' id-indexed columns (ColumnarCountMap /
-        # ColumnarRankMap) — same Mapping contract, no dict rebuild.
-        self._df_original = original.df_map()
-        self._df_contextualized = contextualized.df_map()
-        self._ranks_original = original.rank_map()
-        self._ranks_contextualized = contextualized.rank_map()
-        # Unknown terms rank below every known term (Vocabulary.rank).
-        self._unknown_original = len(original) + 1
-        self._unknown_contextualized = len(contextualized) + 1
-        self._bins_original = _bins_by_rank(self._unknown_original)
-        self._bins_contextualized = _bins_by_rank(self._unknown_contextualized)
-
-    @property
-    def bins_original(self) -> list[int]:
-        """``B(r)`` by rank for the original database (index 0 unused)."""
-        return self._bins_original
-
-    @property
-    def bins_contextualized(self) -> list[int]:
-        """``B(r)`` by rank for the contextualized database."""
-        return self._bins_contextualized
-
-    def df_original(self, term: str) -> int:
-        """``df(t)`` in the original database."""
-        return self._df_original.get(term, 0)
-
-    def df_contextualized(self, term: str) -> int:
-        """``df_C(t)`` in the contextualized database."""
-        return self._df_contextualized.get(term, 0)
-
-    def frequency_shift(self, term: str) -> int:
-        """``Shift_f(t)``, identical to :func:`frequency_shift`."""
-        return self.df_contextualized(term) - self.df_original(term)
-
-    def rank_shift(self, term: str) -> int:
-        """``Shift_r(t)``, identical to :func:`rank_shift`."""
-        bin_original = self._bins_original[
-            self._ranks_original.get(term, self._unknown_original)
-        ]
-        bin_contextualized = self._bins_contextualized[
-            self._ranks_contextualized.get(term, self._unknown_contextualized)
-        ]
-        return bin_original - bin_contextualized

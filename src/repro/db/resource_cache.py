@@ -25,8 +25,9 @@ The layout (:data:`ANSWER_TABLES`) stores each namespace once in
 ``answer_namespaces``; ``answers`` maps ``(namespace id, term)`` to the
 answer's terms, each ended by :data:`TERM_END` (:func:`join_terms`).
 An answer holding that character cannot be stored and is left out;
-storing never raises.  A file in the JSON ``context_cache`` layout of
-earlier versions reads cold: that table is never read.
+storing never raises.  A ``--cache`` file in the JSON ``context_cache``
+layout of earlier versions reads cold: opening it drops that table,
+which nothing reads.
 
 A corrupted, locked or unwritable file switches the store into a
 disabled mode where :meth:`~PersistentResourceCache.get_many` misses and
@@ -169,7 +170,9 @@ class PersistentResourceCache:
             self._connection = sqlite3.connect(
                 self.path, timeout=self._timeout, check_same_thread=False
             )
-            self._connection.executescript(ANSWER_TABLES)
+            self._connection.executescript(
+                ANSWER_TABLES + "DROP TABLE IF EXISTS context_cache;"
+            )
         except sqlite3.Error as exc:
             self._degrade(exc)
         else:

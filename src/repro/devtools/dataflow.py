@@ -89,8 +89,9 @@ def solve_forward_env(
     bottom state for blocks with no predecessors.  States must be
     hashable-free value objects compared with ``==``; the solver
     iterates in reverse postorder until nothing changes.  Used by
-    reaching definitions (sets of definition indices) and by the
-    must-close lattice in :mod:`repro.devtools.lifecycle`.
+    reaching definitions (sets of definition indices), by the
+    must-close lattice in :mod:`repro.devtools.lifecycle` and by the
+    taint environments of :mod:`repro.devtools.taint`.
     """
     order = cfg.reverse_postorder()
     in_states: dict[int, object] = {b: initial for b in cfg.blocks}

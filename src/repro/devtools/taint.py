@@ -22,7 +22,10 @@ Patterns come in two forms:
     or ``*.frequent_snippet_terms``.
 
 The engine runs a forward abstract interpretation over each function's
-CFG: the state maps local names to the source label that tainted them.
+CFG on the shared solver,
+:func:`~repro.devtools.dataflow.solve_forward_env`: the state maps
+local names to the source label that tainted them, and paths join by
+keeping each name's least label.
 Taint propagates through assignments, containers (``tuple``/``list``/
 ``sorted``/comprehensions, dict display values), attribute/subscript
 access, stores into a local's item (``name[k] = v`` taints ``name``;
@@ -42,7 +45,7 @@ from fnmatch import fnmatchcase
 
 from .cfg import CFG
 from .context import ModuleContext
-from .dataflow import pruned_walk, shallow_expressions
+from .dataflow import pruned_walk, shallow_expressions, solve_forward_env
 from .project import FunctionInfo, ProjectModel
 
 __all__ = ["TaintSpec", "TaintHit", "TaintEngine"]
@@ -93,6 +96,17 @@ def _matches(
     return None
 
 
+def _join(envs: "list[dict[str, str]]") -> dict[str, str]:
+    """Union of the predecessors' environments; a name tainted on
+    several paths keeps the least label."""
+    joined: dict[str, str] = {}
+    for env in envs:
+        for name, label in env.items():
+            if name not in joined or label < joined[name]:
+                joined[name] = label
+    return joined
+
+
 class _FunctionTaint:
     """Abstract interpretation of one function under one spec."""
 
@@ -112,32 +126,17 @@ class _FunctionTaint:
     # -- fixed point -------------------------------------------------------------
 
     def _run(self) -> None:
-        order = self.cfg.reverse_postorder()
-        block_out: dict[int, dict[str, str]] = {b: {} for b in self.cfg.blocks}
-        changed = True
-        while changed:
-            changed = False
-            for block_id in order:
-                env = self._merged_in(block_id, block_out)
-                for stmt in self.cfg.blocks[block_id].statements:
-                    self._transfer(stmt, env, collect=False)
-                if env != block_out[block_id]:
-                    block_out[block_id] = dict(env)
-                    changed = True
-        # Final collection pass with stable in-states.
-        for block_id in order:
-            env = self._merged_in(block_id, block_out)
+        in_states, _ = solve_forward_env(self.cfg, self._block_out, _join, {})
+        # One collection pass over the solved in-states.
+        for block_id in self.cfg.reverse_postorder():
+            env = dict(in_states[block_id])
             for stmt in self.cfg.blocks[block_id].statements:
                 self._transfer(stmt, env, collect=True)
 
-    def _merged_in(
-        self, block_id: int, block_out: dict[int, dict[str, str]]
-    ) -> dict[str, str]:
-        env: dict[str, str] = {}
-        for pred in self.cfg.blocks[block_id].predecessors:
-            for name, label in block_out[pred].items():
-                if name not in env or label < env[name]:
-                    env[name] = label
+    def _block_out(self, block_id: int, env_in: dict[str, str]) -> dict[str, str]:
+        env = dict(env_in)
+        for stmt in self.cfg.blocks[block_id].statements:
+            self._transfer(stmt, env, collect=False)
         return env
 
     # -- transfer function -------------------------------------------------------

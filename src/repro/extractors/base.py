@@ -34,7 +34,3 @@ class TermExtractor(abc.ABC):
         statistics; extractors that score against a background (the
         Yahoo stand-in) override it, others ignore it.
         """
-
-    def extract_many(self, documents: list[Document]) -> dict[str, list[str]]:
-        """Extract for many documents: doc_id -> terms."""
-        return {doc.doc_id: self.extract(doc) for doc in documents}

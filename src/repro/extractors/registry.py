@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from ..errors import ExtractionError
-from ..text.vocabulary import Vocabulary
 from ..wikipedia.database import WikipediaDatabase
 from .base import ExtractorName, TermExtractor
 from .named_entities import NamedEntityExtractor
@@ -14,12 +13,10 @@ from .wiki_titles import WikipediaTitleExtractor
 def build_extractor(
     name: ExtractorName | str,
     wikipedia: WikipediaDatabase | None = None,
-    background: Vocabulary | None = None,
 ) -> TermExtractor:
     """Build one extractor by name.
 
-    The Wikipedia extractor requires the ``wikipedia`` snapshot; the
-    Yahoo stand-in benefits from ``background`` corpus statistics.
+    The Wikipedia extractor requires the ``wikipedia`` snapshot.
     """
     if isinstance(name, str):
         try:
@@ -29,7 +26,7 @@ def build_extractor(
     if name is ExtractorName.NAMED_ENTITIES:
         return NamedEntityExtractor()
     if name is ExtractorName.YAHOO:
-        return SignificantTermsExtractor(background=background)
+        return SignificantTermsExtractor()
     if name is ExtractorName.WIKIPEDIA:
         if wikipedia is None:
             raise ExtractionError(
@@ -42,10 +39,6 @@ def build_extractor(
 def build_extractors(
     names: list[ExtractorName | str],
     wikipedia: WikipediaDatabase | None = None,
-    background: Vocabulary | None = None,
 ) -> list[TermExtractor]:
     """Build several extractors at once."""
-    return [
-        build_extractor(name, wikipedia=wikipedia, background=background)
-        for name in names
-    ]
+    return [build_extractor(name, wikipedia=wikipedia) for name in names]

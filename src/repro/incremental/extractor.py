@@ -34,12 +34,12 @@ the code the batch pipeline runs, never a copy of it:
   straight into the state's term table; the contextualized vocabulary
   and the postings are repaired per changed expanded row
   (:meth:`~repro.incremental.state.IncrementalState.set_expansion`).
-* Step 3 keeps a *pre-test set* — the terms with ``df_C > df``, the
-  only possible shift candidates — maintained from per-batch df deltas,
-  and ranks those terms only through the batch selection's own
-  :func:`~repro.core.selection.rank_facet_terms`.  Its sort key
-  ``(-score, term)`` is total, so the pre-test set yields exactly the
-  batch pipeline's ranking.
+* Step 3 keeps a *pre-test set* — the ids of the terms with
+  ``df_C > df``, the only possible shift candidates — maintained by id
+  from per-batch df deltas, and ranks those ids only through the batch
+  selection's own :func:`~repro.core.selection.rank_facet_terms`.  Its
+  sort key ``(-score, term)`` is total, so the pre-test set yields
+  exactly the batch pipeline's ranking.
 * Hierarchy construction hands the state's maintained positional
   postings (no corpus scan) to the batch pipeline's one hierarchy
   entry, :func:`~repro.core.hierarchy.hierarchies_from_postings`.

@@ -15,8 +15,9 @@ between batches, on the batch pipeline's columnar data plane:
 * the postings ``term id -> ascending positions`` over the expanded
   rows — the :class:`~repro.core.hierarchy.PositionalPostings` the
   hierarchy stage reads instead of scanning every document;
-* the selection pre-test set (terms with ``df_C > df`` — the only
-  possible shift candidates) maintained from per-batch df deltas.
+* the selection pre-test set: the ids of the terms with ``df_C > df``
+  (the only possible shift candidates), maintained from per-batch df
+  deltas by comparing the two df columns by id.
 
 Two forms persist it.  The payload (:meth:`IncrementalState.to_payload`,
 :meth:`IncrementalState.from_payload`) is the source-of-truth data only:
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress
 from operator import gt
 
-from ..core.columnar import ColumnarVocabulary
+from ..core.columnar import ColumnarVocabulary, read_column
 from ..corpus.document import Document, GoldAnnotation
 from ..errors import StorageError
 from ..text.vocabulary import TermInterner
@@ -80,7 +81,8 @@ class IncrementalState:
         self.expanded_rows: list[array] = []
         # Term id -> ascending positions of the documents holding it.
         self.term_positions: dict[int, array] = {}
-        self.pretest: set[str] = set()
+        # Ids of the terms with df_C > df.
+        self.pretest: set[int] = set()
         self.batches_done: list[str] = []
 
     # -- bookkeeping ---------------------------------------------------------
@@ -164,20 +166,18 @@ class IncrementalState:
         Returns the number of membership flips — the per-batch
         ``incremental.pretest_changes`` counter.
         """
-        original = self.original_vocabulary
-        contextualized = self.contextualized_vocabulary
-        terms = self.interner.terms()
+        original = self.original_vocabulary.df_column()
+        contextualized = self.contextualized_vocabulary.df_column()
+        pretest = self.pretest
         flips = 0
         # order: each id flips its own membership independently
         for term_id in touched:
-            term = terms[term_id]
-            member = contextualized.df(term) > original.df(term)
-            if member:
-                if term not in self.pretest:
-                    self.pretest.add(term)
+            if read_column(contextualized, term_id) > read_column(original, term_id):
+                if term_id not in pretest:
+                    pretest.add(term_id)
                     flips += 1
-            elif term in self.pretest:
-                self.pretest.discard(term)
+            elif term_id in pretest:
+                pretest.discard(term_id)
                 flips += 1
         return flips
 
@@ -313,21 +313,15 @@ class IncrementalState:
         return state
 
     def rebuild_pretest(self) -> None:
-        """Derive the pre-test set from scratch (used after a restore),
-        by id from the two df columns."""
-        terms = self.interner.terms()
+        """Derive the pre-test ids from scratch (used after a restore)
+        from the two df columns."""
         original = self.original_vocabulary.df_column()
         contextualized = self.contextualized_vocabulary.df_column()
         # Ids past the shorter column have df 0 on that side.
         common = min(len(original), len(contextualized))
-        pretest = {
-            terms[i]
-            for i in compress(range(common), map(gt, contextualized, original))
-        }
+        pretest = set(compress(range(common), map(gt, contextualized, original)))
         pretest.update(
-            terms[i]
-            for i in range(common, len(contextualized))
-            if contextualized[i]
+            compress(range(common, len(contextualized)), contextualized[common:])
         )
         self.pretest = pretest
 

@@ -121,13 +121,3 @@ class Topic:
             raise KnowledgeBaseError(
                 f"topic weight must be positive for {self.name!r}"
             )
-
-
-@dataclass(frozen=True)
-class WikiSeed:
-    """Extra, non-entity Wikipedia page injected into the simulation
-    (navigation pages, list pages, and other noise)."""
-
-    title: str
-    links: tuple[str, ...] = ()
-    body_terms: tuple[str, ...] = ()

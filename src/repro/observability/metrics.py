@@ -8,9 +8,6 @@ A :class:`MetricsRegistry` is a thread-safe bag of named instruments:
   (``record_time`` or the ``time`` context manager);
 * **histograms** — fixed-bound bucket counts (``observe``), defaulting
   to latency-friendly bounds in seconds.
-
-Registries are **mergeable**: a registry filled elsewhere folds into
-another with :meth:`MetricsRegistry.merge`.
 """
 
 from __future__ import annotations
@@ -60,12 +57,6 @@ class TimerStat:
         self.min = min(self.min, seconds)
         self.max = max(self.max, seconds)
 
-    def combine(self, other: "TimerStat") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     def as_dict(self) -> dict:
         return {
             "count": self.count,
@@ -95,24 +86,6 @@ class Histogram:
         self.count += 1
         self.total += value
 
-    def combine(self, other: "Histogram") -> None:
-        if other.bounds == self.bounds:
-            for i, n in enumerate(other.buckets):
-                self.buckets[i] += n
-            self.count += other.count
-            self.total += other.total
-        else:  # differing bounds: fold via each bucket's upper bound
-            for i, n in enumerate(other.buckets):
-                if not n:
-                    continue
-                upper = (
-                    other.bounds[i] if i < len(other.bounds) else float("inf")
-                )
-                index = bisect.bisect_left(self.bounds, upper)
-                self.buckets[index] += n
-            self.count += other.count
-            self.total += other.total
-
     def as_dict(self) -> dict:
         return {
             "bounds": list(self.bounds),
@@ -123,7 +96,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe, mergeable instrument registry."""
+    """Thread-safe instrument registry."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -173,45 +146,6 @@ class MetricsRegistry:
             if histogram is None:
                 histogram = self._histograms[name] = Histogram.empty(buckets)
             histogram.observe(value)
-
-    # -- merging -----------------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one.
-
-        Counters/timers/histograms combine commutatively; gauges take
-        the other registry's value (last write wins), so registries
-        merged in a fixed order give a fixed result.
-        """
-        with other._lock:
-            counters = dict(other._counters)
-            gauges = dict(other._gauges)
-            timers = {k: TimerStat(**vars(v)) for k, v in other._timers.items()}
-            histograms = {
-                k: Histogram(
-                    bounds=v.bounds,
-                    buckets=list(v.buckets),
-                    count=v.count,
-                    total=v.total,
-                )
-                for k, v in other._histograms.items()
-            }
-        with self._lock:
-            for name, value in counters.items():
-                self._counters[name] = self._counters.get(name, 0.0) + value
-            self._gauges.update(gauges)
-            for name, timer in timers.items():
-                mine = self._timers.get(name)
-                if mine is None:
-                    self._timers[name] = timer
-                else:
-                    mine.combine(timer)
-            for name, histogram in histograms.items():
-                mine = self._histograms.get(name)
-                if mine is None:
-                    self._histograms[name] = histogram
-                else:
-                    mine.combine(histogram)
 
     # -- introspection -----------------------------------------------------------
 

@@ -122,10 +122,6 @@ class DomainVocabularyResource(ExternalResource):
         super().__init__()
         self._glossary = glossary
 
-    @property
-    def glossary_name(self) -> str:
-        return self._glossary.name
-
     def _query(self, term: str) -> list[str]:
         entry = self._glossary.lookup(term)
         if entry is None:

@@ -57,18 +57,6 @@ class PorterStemmer:
             return False
         return word[-1] not in "wxy"
 
-    # -- suffix replacement helper -----------------------------------------
-
-    def _replace(self, word: str, suffix: str, replacement: str, m_min: int) -> str | None:
-        """If ``word`` ends with ``suffix`` and the stem measure exceeds
-        ``m_min``, return the word with the suffix replaced; else None."""
-        if not word.endswith(suffix):
-            return None
-        stem_part = word[: len(word) - len(suffix)]
-        if self._m(stem_part) > m_min:
-            return stem_part + replacement
-        return word  # suffix matched but condition failed: stop searching
-
     # -- the five steps ------------------------------------------------------
 
     def _step1a(self, word: str) -> str:

@@ -15,9 +15,8 @@ per distinct surface form so a batch never pays the regex in
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .tokenizer import normalize_term
 
@@ -246,25 +245,6 @@ class Vocabulary:
         matching the treatment of absent terms in the shift analysis.
         """
         return self._rank_table().get(term, len(self._df) + 1)
-
-    def df_map(self) -> Mapping[str, int]:
-        """Read-only term → document-frequency view.
-
-        A live view of the internal table — bulk consumers (the
-        vectorized selection stage) read it directly instead of paying
-        one method call per term.
-        """
-        return MappingProxyType(self._df)
-
-    def rank_map(self) -> Mapping[str, int]:
-        """Read-only term → rank snapshot (computed lazily, like
-        :meth:`rank`).
-
-        The snapshot reflects the vocabulary at call time; adding
-        documents afterwards invalidates it, so take it only once the
-        vocabulary is fully built.
-        """
-        return MappingProxyType(self._rank_table())
 
     def stats(self, term: str) -> TermStats:
         """Return the full :class:`TermStats` for ``term``."""

@@ -152,9 +152,6 @@ class WikipediaDatabase:
         page = self._pages.get(title)
         return page.links if page else ()
 
-    def in_links(self, title: str) -> tuple[str, ...]:
-        return tuple(self._incoming.get(title, ()))
-
     def out_degree(self, title: str) -> int:
         return len(self.out_links(title))
 

@@ -4,9 +4,9 @@ The plane's contract is *representation only*: every columnar structure
 must answer exactly what its dict-of-strings counterpart answers.  This
 module pins the contract piece by piece — interner id stability, the
 column zero-extend helper, the columnar vocabulary against the
-Counter-backed reference, the zero-copy df/rank map views, Figure 3
-selection against the per-term shift functions and over the reference
-vocabulary, the text-layer lemmas the fast paths rely on (normalize
+Counter-backed reference, Figure 3 selection by term id against the
+per-term shift functions and statistics over the reference
+vocabularies, the text-layer lemmas the fast paths rely on (normalize
 fixed points and the memo's output neutrality), and memoized extractor
 output against the memo-less reference branches; it also checks that
 the entry points load no numpy.  The end-to-end byte-identity matrix
@@ -27,14 +27,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.columnar import (
-    ColumnarCountMap,
-    ColumnarRankMap,
     ColumnarVocabulary,
     DocumentColumns,
     _zero_extend,
 )
-from repro.core.selection import select_facet_terms
-from repro.core.shifts import ShiftTables
+from repro.core.likelihood import log_likelihood_ratio
+from repro.core.selection import FacetTermCandidate, rank_facet_terms, select_facet_terms
+from repro.core.shifts import frequency_shift, rank_shift
 from repro.corpus import build_mnyt, build_snb, build_snyt
 from repro.corpus.document import Document
 from repro.extractors.named_entities import NamedEntityExtractor
@@ -139,39 +138,6 @@ class TestColumnarVocabularyEquivalence:
             assert (term in columnar) == (term in reference)
             assert columnar.stats(term) == reference.stats(term)
 
-    def test_df_and_rank_maps_match_the_reference_maps(self):
-        reference = Vocabulary()
-        columnar = ColumnarVocabulary()
-        for doc in random_documents(7):
-            reference.add_document(doc)
-            columnar.add_document(doc)
-        assert dict(columnar.df_map()) == dict(reference.df_map())
-        assert dict(columnar.rank_map()) == dict(reference.rank_map())
-        df_view = columnar.df_map()
-        rank_view = columnar.rank_map()
-        assert isinstance(df_view, ColumnarCountMap)
-        assert isinstance(rank_view, ColumnarRankMap)
-        assert len(df_view) == len(reference.df_map())
-        assert len(rank_view) == len(reference.rank_map())
-        for term in WORDS:
-            assert df_view.get(term, 0) == reference.df_map().get(term, 0)
-            assert rank_view.get(term, -1) == reference.rank_map().get(term, -1)
-        assert df_view.get("never-seen") is None
-        with pytest.raises(KeyError):
-            df_view["never-seen"]
-        with pytest.raises(KeyError):
-            rank_view["never-seen"]
-        # df_map() is live, like the reference's proxy: a map taken
-        # before the last add sees it (order within a reference document
-        # follows set hashing, so compare sorted).
-        reference_view = reference.df_map()
-        for vocabulary in (reference, columnar):
-            vocabulary.add_document(["never-seen", "storm"])
-        assert len(df_view) == len(reference_view) == len(reference.df_map())
-        assert sorted(df_view) == sorted(reference_view)
-        assert "never-seen" in df_view
-        assert "never-seen" in reference_view
-
     def test_ranks_match_the_reference_under_heavy_ties(self):
         """Few df values over many terms, first seen out of term order:
         the rank column's two stable sorts must break every df tie by
@@ -189,18 +155,6 @@ class TestColumnarVocabularyEquivalence:
         assert len(present) > 250 and len({reference.df(t) for t in present}) < 12
         for term in [*words, "never-seen"]:
             assert columnar.rank(term) == reference.rank(term)
-        assert dict(columnar.rank_map()) == dict(reference.rank_map())
-
-    def test_rank_map_is_a_snapshot(self):
-        """Adds after rank_map() must not mutate the captured ranks."""
-        columnar = ColumnarVocabulary()
-        columnar.add_document(["storm", "election"])
-        snapshot = columnar.rank_map()
-        before = dict(snapshot)
-        for _ in range(5):
-            columnar.add_document(["election"])
-        assert dict(snapshot) == before
-        assert columnar.rank("election") == 1  # the live table did move
 
     def test_remove_document_matches_reference_including_errors(self):
         reference = Vocabulary()
@@ -244,8 +198,6 @@ class TestColumnarVocabularyEquivalence:
                     assert vocabulary.df(term) == reference.df(term)
                     assert vocabulary.tf(term) == reference.tf(term)
                     assert vocabulary.rank(term) == reference.rank(term)
-                assert dict(vocabulary.df_map()) == dict(reference.df_map())
-                assert dict(vocabulary.rank_map()) == dict(reference.rank_map())
                 assert vocabulary.most_common() == reference.most_common()
                 assert vocabulary.most_common(3) == reference.most_common(3)
         with pytest.raises(ValueError, match="never added"):
@@ -262,7 +214,6 @@ class TestColumnarVocabularyEquivalence:
         # Failed removals must not have touched any statistic.
         for vocabulary in (columnar, by_ids):
             assert vocabulary.document_count == reference.document_count
-            assert dict(vocabulary.df_map()) == dict(reference.df_map())
             assert vocabulary.most_common() == reference.most_common()
 
 
@@ -299,6 +250,10 @@ class TestSelectionLoop:
             contextualized.add_document(set(expanded))
         return original, contextualized
 
+    def columnar_pair(self, seed: int):
+        interner = TermInterner()
+        return self.build_pair(seed, lambda: ColumnarVocabulary(interner))
+
     @staticmethod
     def select(original, contextualized, require_both=True):
         database = SimpleNamespace(
@@ -315,11 +270,7 @@ class TestSelectionLoop:
     @pytest.mark.parametrize("require_both", [True, False])
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_candidates_equal_the_scalar_shift_test(self, seed, require_both):
-        interner = TermInterner()
-        original, contextualized = self.build_pair(
-            seed, lambda: ColumnarVocabulary(interner)
-        )
-        shifts = ShiftTables(original, contextualized)
+        original, contextualized = self.columnar_pair(seed)
         selected = {
             candidate.term
             for candidate in self.select(original, contextualized, require_both)
@@ -328,18 +279,53 @@ class TestSelectionLoop:
             term
             for term in original.interner.terms()
             if contextualized.df(term) > 0
-            and shifts.frequency_shift(term) > 0
-            and (not require_both or shifts.rank_shift(term) > 0)
+            and frequency_shift(term, original, contextualized) > 0
+            and (
+                not require_both or rank_shift(term, original, contextualized) > 0
+            )
         }
         assert scalar  # non-trivial input
         assert selected == scalar
 
     def test_columnar_and_reference_vocabularies_select_alike(self):
-        columnar = self.build_pair(24, ColumnarVocabulary)
-        reference = self.build_pair(24, Vocabulary)
-        selected = self.select(*columnar)
+        """The id loop equals the per-term reference over dict twins:
+        scalar shifts and statistic, sorted by ``(-score, term)``."""
+        selected = self.select(*self.columnar_pair(24))
+        original, contextualized = self.build_pair(24, Vocabulary)
+        reference = []
+        for term in contextualized.terms():
+            shift_f = frequency_shift(term, original, contextualized)
+            shift_r = rank_shift(term, original, contextualized)
+            if shift_f <= 0 or shift_r <= 0:
+                continue
+            df, df_c = original.df(term), contextualized.df(term)
+            reference.append(
+                FacetTermCandidate(
+                    term=term,
+                    df_original=df,
+                    df_contextualized=df_c,
+                    shift_f=shift_f,
+                    shift_r=shift_r,
+                    score=log_likelihood_ratio(df, df_c, original.document_count),
+                )
+            )
+        reference.sort(key=lambda c: (-c.score, c.term))
         assert selected  # non-trivial input
-        assert selected == self.select(*reference)
+        assert selected == reference
+
+    def test_vocabularies_over_two_interners_are_refused(self):
+        original, contextualized = self.build_pair(25, ColumnarVocabulary)
+        with pytest.raises(ValueError, match="one term interner"):
+            self.select(original, contextualized)
+        with pytest.raises(ValueError, match="one term interner"):
+            rank_facet_terms(
+                [],
+                original,
+                contextualized,
+                original.document_count,
+                statistic="log-likelihood",
+                require_both_shifts=True,
+            )
 
 
 def test_entry_points_do_not_load_numpy():

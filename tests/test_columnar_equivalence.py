@@ -10,7 +10,8 @@ it across:
 * incremental appends (the columnar memo also runs under the
   incremental extractor's Step 1 passes);
 * a ``--cache`` file left by earlier versions, which held only the JSON
-  ``context_cache`` table: it reads cold and is never raised on;
+  ``context_cache`` table: it reads cold, is never raised on and loses
+  that table;
 * the serving artifact: the SQLite payload compiled from a run must
   carry the recorded content checksum.
 
@@ -72,8 +73,8 @@ class TestColumnarDifferential:
 
     def test_old_json_cache_file_reads_cold(self, col_builder, docs, tmp_path):
         """``extract --cache`` over a file holding only the old
-        ``context_cache`` table answers nothing from it and stores its
-        own answers beside it."""
+        ``context_cache`` table answers nothing from it, drops it and
+        stores its own answers."""
         path = tmp_path / "old.db"
         old = sqlite3.connect(path)
         with old:
@@ -96,6 +97,15 @@ class TestColumnarDifferential:
         assert not store.disabled
         assert store.size() == stats.misses
         store.close()
+        connection = sqlite3.connect(path)
+        tables = {
+            name
+            for (name,) in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        connection.close()
+        assert tables == {"answer_namespaces", "answers"}
 
     def test_serving_artifact_checksum_matches(self, col_builder, docs, tmp_path):
         """The compiled serving payload is identical, byte for byte."""

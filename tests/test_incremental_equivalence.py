@@ -197,7 +197,7 @@ def state_by_term(state: IncrementalState) -> dict:
         },
         "original_rows": [[terms[i] for i in row] for row in state.original_rows],
         "expanded_rows": [sorted(terms[i] for i in row) for row in state.expanded_rows],
-        "pretest": state.pretest,
+        "pretest": {terms[term_id] for term_id in state.pretest},
         "doc_states": [state.doc_states[doc_id] for doc_id in doc_ids],
         "batches_done": state.batches_done,
     }
@@ -457,14 +457,3 @@ class TestAppendSemantics:
         assert result_bytes(extractor.snapshot_result()) == result_bytes(
             fresh.snapshot_result()
         )
-
-    def test_incremental_config_plumbs_through_repro_config(self, tmp_path):
-        config = ReproConfig(scale=SCALE)
-        assert config.incremental.checkpoint_dir is None
-        custom = ReproConfig(
-            scale=SCALE,
-            incremental=type(config.incremental)(
-                checkpoint_dir=str(tmp_path), checkpoint_every=2
-            ),
-        )
-        assert custom.incremental.checkpoint_every == 2

@@ -26,7 +26,6 @@ from repro.observability import (
     render_spans,
     trace_jsonl_lines,
 )
-from repro.observability.metrics import Histogram, TimerStat
 from repro.resources.base import ExternalResource, ResourceName
 
 
@@ -218,25 +217,6 @@ class TestMetricsRegistry:
         assert histogram.buckets[0] == 1  # below the first bound
         assert histogram.buckets[-1] == 1  # overflow bucket
 
-    def test_merge_is_deterministic_and_commutative_for_counters(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.increment("n", 2)
-        b.increment("n", 3)
-        a.record_time("t", 1.0)
-        b.record_time("t", 3.0)
-        a.merge(b)
-        assert a.counter_value("n") == 5.0
-        timer = a.timer_value("t")
-        assert timer.count == 2 and timer.total == pytest.approx(4.0)
-
-    def test_merge_gauges_last_write_wins(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("g", 1)
-        b.gauge("g", 2)
-        a.merge(b)
-        assert a.gauges == {"g": 2.0}
-
-
     def test_as_dict_and_format_table(self):
         registry = MetricsRegistry()
         registry.increment("resource.google.misses", 3)
@@ -246,34 +226,6 @@ class TestMetricsRegistry:
         table = registry.format_table()
         assert "resource.google.misses" in table
         assert "stage.selection.seconds" in table
-
-    def test_timer_stat_combine(self):
-        a = TimerStat()
-        a.record(1.0)
-        b = TimerStat()
-        b.record(3.0)
-        a.combine(b)
-        assert a.count == 2
-        assert a.min == pytest.approx(1.0)
-        assert a.max == pytest.approx(3.0)
-
-    def test_histogram_combine(self):
-        a = Histogram.empty([1.0, 2.0])
-        a.observe(0.5)
-        b = Histogram.empty([1.0, 2.0])
-        b.observe(5.0)
-        a.combine(b)
-        assert a.count == 2
-        assert a.buckets == [1, 0, 1]
-
-    def test_histogram_combine_mismatched_bounds(self):
-        a = Histogram.empty([1.0, 2.0])
-        b = Histogram.empty([0.5])
-        b.observe(0.1)
-        b.observe(9.0)
-        a.combine(b)
-        assert a.count == 2
-        assert sum(a.buckets) == 2
 
 
 class TestContext:

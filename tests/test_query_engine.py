@@ -11,8 +11,9 @@ Covers the engine added around the resource layer:
   store makes no round trip;
 * a batch run, and one stream append, ask every remote member of the
   composite exactly one batch;
-* the vectorized selection tables (``ShiftTables``,
-  ``LikelihoodTables``) reproduce the scalar reference bit for bit.
+* the id-keyed selection (the shifts of
+  :func:`~repro.core.selection.rank_facet_terms` and
+  ``LikelihoodTables``) reproduces the scalar reference bit for bit.
 """
 
 from __future__ import annotations
@@ -27,14 +28,16 @@ from repro.core.likelihood import (
     chi_square_statistic,
     log_likelihood_ratio,
 )
-from repro.core.shifts import ShiftTables, frequency_shift, rank_shift
+from repro.core.columnar import ColumnarVocabulary
+from repro.core.selection import rank_facet_terms
+from repro.core.shifts import frequency_shift, rank_shift
 from repro.corpus import build_corpus
 from repro.corpus.datasets import DatasetName
 from repro.db.resource_cache import PersistentResourceCache
 from repro.incremental import canonical_json
 from repro.resources.base import ExternalResource, ResourceName
 from repro.resources.resilience import SimulatedLatencyResource
-from repro.text.vocabulary import Vocabulary
+from repro.text.vocabulary import TermInterner, Vocabulary
 
 from .golden import GOLDEN_SCALE
 
@@ -218,22 +221,42 @@ class TestVectorizedSelection:
                 )
 
     def test_shift_tables_match_scalar_reference(self):
+        """Every candidate's shifts equal the per-term reference over
+        dict twins of the two columnar vocabularies."""
         rng = random.Random(7)
-        original, contextualized = Vocabulary(), Vocabulary()
+        interner = TermInterner()
+        original, contextualized = (
+            ColumnarVocabulary(interner),
+            ColumnarVocabulary(interner),
+        )
+        original_twin, contextualized_twin = Vocabulary(), Vocabulary()
         words = [f"w{i}" for i in range(150)]
         extra = [f"c{i}" for i in range(40)]
         for _ in range(80):
-            original.add_document(rng.sample(words, rng.randint(1, 25)))
-            contextualized.add_document(
-                rng.sample(words + extra, rng.randint(1, 50))
+            doc = rng.sample(words, rng.randint(1, 25))
+            original.add_document(doc)
+            original_twin.add_document(doc)
+            doc = rng.sample(words + extra, rng.randint(1, 50))
+            contextualized.add_document(doc)
+            contextualized_twin.add_document(doc)
+        interner.intern("absent")
+        candidates = rank_facet_terms(
+            range(len(interner)),
+            original,
+            contextualized,
+            original.document_count,
+            statistic="log-likelihood",
+            require_both_shifts=False,
+        )
+        assert candidates  # non-trivial input
+        assert any(candidate.shift_r <= 0 for candidate in candidates)
+        for candidate in candidates:
+            term = candidate.term
+            assert candidate.shift_f == frequency_shift(
+                term, original_twin, contextualized_twin
             )
-        tables = ShiftTables(original, contextualized)
-        for term in [*words, *extra, "absent"]:
-            assert tables.frequency_shift(term) == frequency_shift(
-                term, original, contextualized
-            )
-            assert tables.rank_shift(term) == rank_shift(
-                term, original, contextualized
+            assert candidate.shift_r == rank_shift(
+                term, original_twin, contextualized_twin
             )
 
 

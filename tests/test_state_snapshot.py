@@ -54,8 +54,9 @@ def test_snapshot_bytes_are_pinned(snb_stream):
 
 
 def test_restored_pretest_is_the_definition(snb_stream):
-    """The pre-test set a restore derives by id from the two df columns
-    is ``{t : df_C(t) > df(t)}``, the set the appends maintained."""
+    """The pre-test ids a restore derives from the two df columns are
+    those of ``{t : df_C(t) > df(t)}``, the set the appends maintained
+    (each state numbers its terms through its own interner)."""
     extractor, _reports = snb_stream
     restored = IncrementalState.from_payload(extractor.state.to_payload())
     original = restored.original_vocabulary
@@ -65,8 +66,12 @@ def test_restored_pretest_is_the_definition(snb_stream):
         for term in restored.interner.terms()
         if contextualized.df(term) > original.df(term)
     }
+
+    def pretest_terms(state: IncrementalState) -> set[str]:
+        return {state.interner.term(term_id) for term_id in state.pretest}
+
     assert definition
-    assert restored.pretest == definition == extractor.state.pretest
+    assert pretest_terms(restored) == definition == pretest_terms(extractor.state)
 
 
 def test_restored_state_reserializes_to_the_loaded_bytes(snb_stream):
